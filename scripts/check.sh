@@ -86,6 +86,15 @@ PLAN
     cmp "$ckpt_tmp/resumed.out" "$ckpt_tmp/base.out"
     echo "resumed trace and stdout byte-identical to uninterrupted run"
     python -m repro ckpt verify "$ckpt_tmp/journal"
+    echo "== prune-agreement gate (manifest prune vs scan prune) =="
+    # Both runs pruned from the manager's in-memory manifest (keep 3);
+    # a fresh scan-based prune with the same keep must find nothing.
+    prune_out="$(python -m repro ckpt prune "$ckpt_tmp/journal" --keep 3)"
+    echo "$prune_out"
+    case "$prune_out" in
+        "pruned 0 file(s) "*) ;;
+        *) echo "manifest prune and scan prune disagree"; exit 1 ;;
+    esac
     echo "== ckpt overhead bench + disabled-path regression gate =="
     if [ -f BENCH_ckpt.json ]; then
         cp BENCH_ckpt.json "$ckpt_tmp/baseline.json"

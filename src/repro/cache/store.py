@@ -14,7 +14,7 @@ and makes every payload self-verifying.
 
 Durability discipline is the checkpoint journal's: every file is
 written to a dot-tmp name in its final directory, fsynced, atomically
-renamed, and the directory fsynced (:func:`repro.ckpt.journal.fsync_dir`).
+renamed, and the directory fsynced (:func:`repro.durable.fsync_dir`).
 A crash mid-store leaves a tmp file the reader ignores; a torn or
 bit-rotted entry is *detected* (length/checksum/format mismatch) and
 reads as a miss, never as a wrong hit.  ``gc`` removes torn files and
@@ -31,7 +31,7 @@ import os
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..ckpt.journal import fsync_dir
+from ..durable import fsync_dir
 from .key import RunKey
 from .outcome import CachedOutcome
 

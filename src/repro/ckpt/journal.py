@@ -22,6 +22,9 @@ whole chain back to a full snapshot validates — the scan computes this
 transitively (``chain_valid``), recovery falls back past torn chains to
 the newest fully-valid one, and :func:`prune` keeps the transitive base
 closure of everything it retains so a kept delta is never orphaned.
+Pruning is one pure selection (:func:`prune_selection`) over a journal
+listing plus a removal step, so a writer that tracks its own listing in
+memory prunes by exactly the rule a fresh :func:`scan` would.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import hashlib
 import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..durable import fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
 FORMAT_VERSION = 2
@@ -82,8 +87,13 @@ def snapshot_path(directory: str, barrier: int) -> str:
 def write_snapshot(directory: str, barrier: int, vclock: float,
                    fingerprint: str, payload: bytes,
                    snapshot_kind: str = "full", base_sha256: str = "",
-                   chain_depth: int = 0, durable: bool = True) -> str:
+                   chain_depth: int = 0, durable: bool = True) -> SnapshotInfo:
     """Atomically persist *payload* as the snapshot for *barrier*.
+
+    Returns the new file's entry as :func:`scan` would read it back
+    (``chain_valid`` is left to :func:`link_chains`, which needs the
+    rest of the journal), so a writer can track the journal without
+    re-reading what it just wrote.
 
     ``durable=False`` skips both fsyncs (group commit): the write is
     still atomic-via-rename and checksummed, but a host crash may lose
@@ -95,18 +105,23 @@ def write_snapshot(directory: str, barrier: int, vclock: float,
     durability barriers.
     """
     os.makedirs(directory, exist_ok=True)
+    info = SnapshotInfo(
+        path=snapshot_path(directory, barrier), barrier=int(barrier),
+        vclock=float(vclock), fingerprint=fingerprint,
+        payload_len=len(payload), valid=True, snapshot_kind=snapshot_kind,
+        base_sha256=base_sha256, chain_depth=chain_depth,
+        payload_sha256=hashlib.sha256(payload).hexdigest())
     header = json.dumps({
         "format": FORMAT_VERSION,
         "barrier": barrier,
         "vclock": vclock,
         "fingerprint": fingerprint,
-        "payload_len": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_len": info.payload_len,
+        "payload_sha256": info.payload_sha256,
         "snapshot_kind": snapshot_kind,
         "base_sha256": base_sha256,
         "chain_depth": chain_depth,
     }, sort_keys=True).encode("utf-8")
-    final = snapshot_path(directory, barrier)
     tmp = os.path.join(directory, ".tmp-%s%012d%s" % (_PREFIX, barrier, _SUFFIX))
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
@@ -115,32 +130,10 @@ def write_snapshot(directory: str, barrier: int, vclock: float,
             os.fsync(fd)
     finally:
         os.close(fd)
-    os.rename(tmp, final)
+    os.rename(tmp, info.path)
     if durable:
-        _fsync_dir(directory)
-    return final
-
-
-def fsync_dir(directory: str) -> None:
-    """Best-effort directory fsync: persists completed renames.
-
-    Shared with :mod:`repro.cache.store`, whose entries use the same
-    tmp + fsync + rename discipline as snapshot files.
-    """
-    try:
-        dfd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dfd)
-    except OSError:
-        pass
-    finally:
-        os.close(dfd)
-
-
-#: Backward-compatible alias (pre-cache name).
-_fsync_dir = fsync_dir
+        fsync_dir(directory)
+    return info
 
 
 def read_header(path: str) -> Dict[str, Any]:
@@ -204,11 +197,10 @@ def scan(directory: str,
         names = os.listdir(directory)
     except OSError:
         return []
-    snaps = sorted((n for n in names
-                    if n.startswith(_PREFIX) and n.endswith(_SUFFIX)),
-                   reverse=True)
     out: List[SnapshotInfo] = []
-    for name in snaps:
+    for name in names:
+        if not (name.startswith(_PREFIX) and name.endswith(_SUFFIX)):
+            continue
         path = os.path.join(directory, name)
         info = SnapshotInfo(path=path)
         try:
@@ -234,10 +226,23 @@ def scan(directory: str,
             except JournalError:
                 pass
         out.append(info)
-    # Chain validity, oldest first so a base is resolved before any
-    # delta that references it (a base always precedes its deltas).
+    return link_chains(out)
+
+
+def link_chains(infos: List[SnapshotInfo]) -> List[SnapshotInfo]:
+    """Sort *infos* newest first and fill every ``chain_valid``.
+
+    Reads no files: a delta is chain-valid when it validates and the
+    newest older valid entry whose payload hash is its ``base_sha256``
+    is chain-valid.  :func:`scan` ends here, and a writer tracking the
+    journal in memory re-runs it after each change, so an overwritten
+    base chain-breaks its old descendants exactly as a re-scan would.
+    """
+    infos.sort(key=lambda i: (i.barrier, i.path), reverse=True)
     by_sha: Dict[str, SnapshotInfo] = {}
-    for info in sorted(out, key=lambda i: i.barrier):
+    # Oldest first, so a base is resolved before any delta on it.
+    for info in reversed(infos):
+        info.chain_valid = False
         if info.valid:
             if info.snapshot_kind != "delta":
                 info.chain_valid = True
@@ -246,19 +251,7 @@ def scan(directory: str,
                 info.chain_valid = base is not None and base.chain_valid
             if info.payload_sha256:
                 by_sha[info.payload_sha256] = info
-    out.sort(key=lambda i: i.barrier, reverse=True)
-    return out
-
-
-def base_of(infos: List[SnapshotInfo],
-            info: SnapshotInfo) -> Optional[SnapshotInfo]:
-    """The base snapshot a delta *info* references, if present+valid."""
-    if info.snapshot_kind != "delta":
-        return None
-    for cand in infos:
-        if cand.valid and cand.payload_sha256 == info.base_sha256:
-            return cand
-    return None
+    return infos
 
 
 def latest_valid(directory: str,
@@ -274,15 +267,16 @@ def latest_valid(directory: str,
     return None
 
 
-def prune(directory: str, keep: int) -> List[str]:
-    """Remove all but the newest *keep* materializable snapshots.
+def prune_selection(infos: List[SnapshotInfo],
+                    keep: int) -> List[SnapshotInfo]:
+    """The entries pruning to the newest *keep* materializable
+    snapshots deletes, given a newest-first journal listing.
 
-    Invalid and chain-broken files are always removed (they are
+    Invalid and chain-broken files are always selected (they are
     unrecoverable dead weight); for every kept delta the transitive
     base closure is kept too, so pruning never orphans a delta it
     retains.
     """
-    infos = scan(directory)
     by_sha = {i.payload_sha256: i for i in infos
               if i.valid and i.payload_sha256}
     keep_paths: set = set()
@@ -296,15 +290,24 @@ def prune(directory: str, keep: int) -> List[str]:
             keep_paths.add(node.path)
             node = (by_sha.get(node.base_sha256)
                     if node.snapshot_kind == "delta" else None)
+    return [info for info in infos if info.path not in keep_paths]
+
+
+def remove(directory: str, doomed: List[SnapshotInfo]) -> List[str]:
+    """Delete *doomed* files; returns the paths actually removed."""
     removed: List[str] = []
-    for info in infos:
-        if info.path in keep_paths:
-            continue
+    for info in doomed:
         try:
             os.remove(info.path)
             removed.append(info.path)
         except OSError:
             pass
     if removed:
-        _fsync_dir(directory)
+        fsync_dir(directory)
     return removed
+
+
+def prune(directory: str, keep: int) -> List[str]:
+    """Remove all but the newest *keep* materializable snapshots (see
+    :func:`prune_selection`); returns the removed paths."""
+    return remove(directory, prune_selection(scan(directory), keep))

@@ -21,7 +21,6 @@ skip torn/corrupt files, hand back the newest valid snapshot.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -51,6 +50,13 @@ class CheckpointManager:
     sha256.  ``full_every=1`` restores the all-full legacy behaviour.
     Any capture or write failure resets the incremental caches so the
     next snapshot is a self-contained full one.
+
+    Pruning runs over an in-memory *manifest* of the journal: one
+    :func:`repro.ckpt.journal.scan` the first time the manager prunes
+    (which also finds files an earlier run left behind), then one entry
+    per snapshot this manager writes and one dropped per file it
+    removes.  That relies on the manager being the journal directory's
+    only writer; recovery still re-validates every file it reads.
     """
 
     def __init__(self, directory: str, every: int = 0, keep: int = 3,
@@ -79,6 +85,9 @@ class CheckpointManager:
         #: history.  Deliberately *not* cleared by
         #: ``_reset_incremental`` — the tape itself only ever appends.
         self._tape_encoded: List[Tuple] = []
+        #: What :func:`journal.scan` would return for ``directory``,
+        #: newest first; ``None`` until the first prune seeds it.
+        self._manifest: Optional[List[journal.SnapshotInfo]] = None
         self._reset_incremental()
 
     def _reset_incremental(self) -> None:
@@ -179,10 +188,10 @@ class CheckpointManager:
         tick = kernel.stats.events_processed
         payload = capture(kernel, tape_encoded=self._encode_tape_tail())
         blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        path = journal.write_snapshot(
-            self.directory, tick, kernel.clock.now, self.fingerprint, blob)
+        info = self._note_written(journal.write_snapshot(
+            self.directory, tick, kernel.clock.now, self.fingerprint, blob))
         self._section_hashes = section_hashes(payload)
-        self._last_payload_sha = hashlib.sha256(blob).hexdigest()
+        self._last_payload_sha = info.payload_sha256
         self._last_chain_depth = 0
         self._since_full = 0
         self._last_tape_len = len(self.tape)
@@ -191,7 +200,7 @@ class CheckpointManager:
             if rec["device"]}
         self.snapshots_full += 1
         self._finish(kernel, tick, len(blob))
-        return path
+        return info.path
 
     def _snapshot_delta(self, kernel, durable: bool = True) -> str:
         tick = kernel.stats.events_processed
@@ -199,12 +208,12 @@ class CheckpointManager:
             kernel, self._section_hashes, self._last_tape_len,
             self._device_paths, tape_encoded=self._encode_tape_tail())
         blob = pickle.dumps(delta, pickle.HIGHEST_PROTOCOL)
-        path = journal.write_snapshot(
+        info = self._note_written(journal.write_snapshot(
             self.directory, tick, kernel.clock.now, self.fingerprint, blob,
             snapshot_kind="delta", base_sha256=self._last_payload_sha,
-            chain_depth=self._last_chain_depth + 1, durable=durable)
+            chain_depth=self._last_chain_depth + 1, durable=durable))
         self._section_hashes = new_hashes
-        self._last_payload_sha = hashlib.sha256(blob).hexdigest()
+        self._last_payload_sha = info.payload_sha256
         self._last_chain_depth += 1
         self._since_full += 1
         self._last_tape_len = len(self.tape)
@@ -216,7 +225,18 @@ class CheckpointManager:
         self.snapshots_delta += 1
         self.last_dirty_objects = dirty_objects
         self._finish(kernel, tick, len(blob))
-        return path
+        return info.path
+
+    def _note_written(self, info: journal.SnapshotInfo,
+                      ) -> journal.SnapshotInfo:
+        """Fold a snapshot that just landed into the manifest, replacing
+        any entry for the path it overwrote."""
+        if self._manifest is not None:
+            self._manifest = [i for i in self._manifest
+                              if i.path != info.path]
+            self._manifest.append(info)
+            journal.link_chains(self._manifest)
+        return info
 
     def _finish(self, kernel, tick: int, blob_len: int) -> None:
         # Only after the journal write landed: a failed capture must
@@ -227,7 +247,18 @@ class CheckpointManager:
         self.last_barrier = tick
         self.last_error = ""
         if self.keep > 0:
-            journal.prune(self.directory, self.keep)
+            self._prune()
+
+    def _prune(self) -> None:
+        """:func:`journal.prune`'s selection, run over the manifest."""
+        if self._manifest is None:
+            self._manifest = journal.scan(self.directory)
+        removed = set(journal.remove(
+            self.directory,
+            journal.prune_selection(self._manifest, self.keep)))
+        if removed:
+            self._manifest = journal.link_chains(
+                [i for i in self._manifest if i.path not in removed])
 
 
 class RecoveryManager:
@@ -292,12 +323,14 @@ class RecoveryManager:
         A delta snapshot is materialized against its chain; a missing
         or torn base raises :class:`JournalError` naming the base.
         """
+        infos = None
         if info is None:
-            info = self.latest()
+            infos = self.scan()
+            info = next((i for i in infos if i.chain_valid), None)
         if info is None:
             raise journal.JournalError(
                 "no valid snapshot in %s" % self.directory)
-        return info, self.materialize(info)
+        return info, self.materialize(info, infos)
 
     def snapshots(self) -> List[Snapshot]:
         """Every materializable snapshot as a live :class:`Snapshot`,

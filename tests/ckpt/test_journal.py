@@ -19,7 +19,7 @@ FP = "cfg-fingerprint"
 
 def _write(directory, barrier, payload=b"payload-bytes", fp=FP):
     return write_snapshot(directory, barrier, vclock=barrier * 0.5,
-                          fingerprint=fp, payload=payload)
+                          fingerprint=fp, payload=payload).path
 
 
 def test_round_trip(journal_dir):
