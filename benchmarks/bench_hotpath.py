@@ -7,10 +7,9 @@ emitting ``BENCH_hotpath.json`` at the repo root for trend tracking
 The determinism contract is asserted, not sampled: the O(log n)
 scheduler must produce the *identical* decision sequence as the
 ``logical-ref`` oracle, and the parallel fan-out must produce
-byte-identical per-run digests versus the serial sweep.  Throughput
-assertions that depend on the host (the fan-out speedup) are gated on
-the reported core count — on a single-core CI runner only the identity
-property is checked.
+byte-identical per-run digests versus the serial sweep.  The fan-out
+speedup depends on the host (its core count, and whatever else shares
+those cores), so it is recorded in the report and never asserted.
 """
 import json
 import os
@@ -51,10 +50,8 @@ def test_hotpath(capsys):
     assert served["serviced_syscalls_per_s"] > 0
     assert served["resolve_hit_rate"] is not None
 
-    # Fan-out speedup is physically bounded by the host's core count;
-    # only assert it where the hardware can deliver it.
-    if fan["host_cores"] >= 2 and fan["runs"] >= 4:
-        assert fan["speedup"] >= 2.0
+    # The fan-out speedup is a property of the host, not of the code:
+    # it stays in the report and is not asserted.
 
 
 def regression_check(baseline_path: str, current_path: str = OUT_PATH,

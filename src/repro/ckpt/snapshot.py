@@ -1117,6 +1117,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
                 for tid, v, e in prec["step_queue"]]
         if prec["step_token"] is not None:
             proc._step_token = threads_by_tid[prec["step_token"]]
+        proc.live_thread_count = len(proc.live_threads())
 
     # -- event heap ------------------------------------------------------
     kernel._events = []

@@ -113,6 +113,13 @@ class SchedulerBase:
         """How many live threads the scheduler currently manages."""
         raise NotImplementedError
 
+    @property
+    def member_count(self) -> int:
+        """How many threads the scheduler holds, live or not: an O(1)
+        upper bound on :meth:`live_count`.  Siblings torn down by execve
+        get no exit hook and stay members."""
+        raise NotImplementedError
+
 
 class LogicalClockScheduler(SchedulerBase):
     """Deterministic logical-time servicing in O(log n) per decision.
@@ -315,6 +322,10 @@ class LogicalClockScheduler(SchedulerBase):
     def live_count(self) -> int:
         return len(self.live())
 
+    @property
+    def member_count(self) -> int:
+        return len(self._index)
+
 
 class LogicalClockRefScheduler(SchedulerBase):
     """The original O(threads²)-per-decision logical-clock scheduler.
@@ -408,6 +419,10 @@ class LogicalClockRefScheduler(SchedulerBase):
     def live_count(self) -> int:
         return len(self.live())
 
+    @property
+    def member_count(self) -> int:
+        return len(self._index)
+
 
 class StrictQueueScheduler(SchedulerBase):
     """The literal Figure 3 queues (kept for ablation studies)."""
@@ -469,6 +484,10 @@ class StrictQueueScheduler(SchedulerBase):
     def live_count(self) -> int:
         return sum(1 for queue in (self.parallel, self.runnable, self.blocked)
                    for thread in queue if thread.alive)
+
+    @property
+    def member_count(self) -> int:
+        return len(self.parallel) + len(self.runnable) + len(self.blocked)
 
 
 def make_scheduler(kind: str) -> SchedulerBase:

@@ -34,6 +34,7 @@ from .inode_table import InodeTable
 from .logical_time import LogicalClock
 from .namespaces import UidGidMap
 from .prng import Lfsr
+from .scheduler import PROBE, SERVICE, WAIT, make_scheduler
 
 #: What cpuid reports inside the container: a canonical uniprocessor with
 #: no TSX and no hardware randomness (§5.8).
@@ -62,7 +63,7 @@ class DetTraceTracer(TracerBase):
         self.io_state: Dict[Tuple[str, int], Any] = {}
         self._pumping = False
         self._last_proc: Process = None
-        self.sched = None  # set in attach (import cycle avoidance)
+        self.sched = None  # set in attach
         #: Hot-path dispatch caches.  The handler table is frozen after
         #: construction, so name -> handler (with the passthrough default
         #: applied) memoizes the two-step lookup; HandlerContext binds
@@ -70,6 +71,10 @@ class DetTraceTracer(TracerBase):
         #: across every service instead of allocated per syscall.
         self._handler_cache: Dict[str, Any] = {}
         self._ctx_cache: Dict[Thread, HandlerContext] = {}
+        #: disposition -> syscall name -> interned counter key, so a
+        #: completion counts without building a key tuple.
+        self._syscall_keys: Dict[str, Dict[str, Tuple[str, str, str]]] = {
+            "injected": {}, "rewritten": {}, "passthrough": {}}
 
     @property
     def debug_log(self) -> list:
@@ -78,8 +83,6 @@ class DetTraceTracer(TracerBase):
         return self.obs.render_debug()
 
     def attach(self, kernel) -> None:
-        from .scheduler import make_scheduler
-
         super().attach(kernel)
         self.seccomp = SeccompFilter(
             enabled=self.config.use_seccomp,
@@ -103,13 +106,18 @@ class DetTraceTracer(TracerBase):
 
     def on_instruction(self, thread: Thread, name: str) -> Tuple[Any, float]:
         finish = self.charge(INSTR_TRAP_COST, INTERCEPTION)
-        nspid = thread.process.nspid
-        self.obs.count(("trap", name))
-        self.obs.record(ObsEvent(vts=thread.det_clock, pid=nspid, index=-1,
-                                 kind=TRAP, name=name))
-        self.obs.debug(2, ObsEvent(vts=thread.det_clock, pid=nspid, index=-1,
-                                   kind=DEBUG, name=name,
-                                   detail="trap %s" % name))
+        obs = self.obs
+        obs.count(("trap", name))
+        # Each event is built only when its gate is open.
+        if obs.trace_enabled:
+            obs.record(ObsEvent(vts=thread.det_clock,
+                                pid=thread.process.nspid, index=-1,
+                                kind=TRAP, name=name))
+        if obs.debug_level >= 2:
+            obs.debug(2, ObsEvent(vts=thread.det_clock,
+                                  pid=thread.process.nspid, index=-1,
+                                  kind=DEBUG, name=name,
+                                  detail="trap %s" % name))
         if name in (insn.RDTSC, insn.RDTSCP):
             self.counters.rdtsc_intercepted += 1
             return (self.logical.next_rdtsc(thread.process.pid), finish)
@@ -180,8 +188,6 @@ class DetTraceTracer(TracerBase):
 
     def _pump(self) -> bool:
         """Service/probe stopped threads in the deterministic order."""
-        from .scheduler import PROBE, SERVICE, WAIT
-
         if self._pumping:
             return False
         self._pumping = True
@@ -266,19 +272,27 @@ class DetTraceTracer(TracerBase):
 
     def _emit_span(self, thread: Thread, outcome: str) -> None:
         """One trace span per service/probe, keyed only on deterministic
-        coordinates: det_clock, nspid, per-process index, attempt."""
+        coordinates: det_clock, nspid, per-process index, attempt.  The
+        span is built only when the event stream is on."""
         call = thread.current_syscall
         if call is None:
             return
+        obs = self.obs
         disposition = self._disposition(thread, call, outcome)
-        self.obs.span(Span(
-            name=call.name, cat=disposition, pid=thread.process.nspid,
-            tid=self.kernel.det_tid(thread), vts=thread.det_clock,
-            dur=self._span_cost, index=thread.current_syscall_index,
-            attempt=thread.obs_attempt))
+        if obs.trace_enabled:
+            obs.span(Span(
+                name=call.name, cat=disposition, pid=thread.process.nspid,
+                tid=self.kernel.det_tid(thread), vts=thread.det_clock,
+                dur=self._span_cost, index=thread.current_syscall_index,
+                attempt=thread.obs_attempt))
         if outcome != "block":
             # Count each instance once, at its completing attempt.
-            self.obs.count(("syscall", call.name, disposition))
+            keys = self._syscall_keys[disposition]
+            key = keys.get(call.name)
+            if key is None:
+                key = keys[call.name] = ("syscall", call.name, disposition)
+            counters = obs.counters
+            counters[key] = counters.get(key, 0) + 1
             thread.obs_faulted = False
 
     def _probe(self, thread: Thread) -> bool:
@@ -300,11 +314,15 @@ class DetTraceTracer(TracerBase):
     def _complete(self, thread: Thread, outcome: str, payload) -> None:
         # Advance the scheduler's service epoch even for exits: an exit is
         # a state change that can unblock wait4 probes.
-        self.sched.completed(thread)
-        blocked = self.sched.blocked_count()
-        self.obs.observe("sched/blocked", blocked)
-        self.obs.gauge_max("sched/blocked_peak", blocked)
-        self.obs.gauge_max("sched/threads_peak", self.sched.live_count())
+        sched, obs = self.sched, self.obs
+        sched.completed(thread)
+        blocked = sched.blocked_count()
+        obs.observe("sched/blocked", blocked)
+        obs.gauge_max("sched/blocked_peak", blocked)
+        # live <= members, so the O(threads) live scan can only raise the
+        # peak when the membership exceeds it.
+        if sched.member_count > obs.gauges.get("sched/threads_peak", -1):
+            obs.gauge_max("sched/threads_peak", sched.live_count())
         if outcome == "exited":
             # terminate_process already removed the thread from the
             # scheduler via the exit hooks; nothing to resume.

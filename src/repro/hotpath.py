@@ -224,9 +224,8 @@ def bench_fanout(sample: int = 8, jobs: int = 4) -> Dict[str, object]:
     The speedup is physically bounded by ``host_cores`` (the builds are
     CPU-bound simulations): on a single-core host :func:`run_jobs`
     falls back to the serial loop (pool overhead only ever loses there),
-    the record reports ``"fallback": "serial"``, and only the identity
-    property is meaningful — consumers must gate throughput assertions
-    on the reported core count.
+    the record reports ``"fallback": "serial"``.  Only the identity
+    property is asserted; the speedup is recorded, never gated.
     """
     cores = effective_host_cores()
     specs = _build_sample(sample, seed=47)

@@ -317,6 +317,7 @@ class Kernel:
         thread = Thread(tid=self._tid_next, process=proc, gen=None)
         self._tid_next += 1
         proc.threads.append(thread)
+        proc.live_thread_count += 1
         gen = factory(self.make_sys(thread))
         if not inspect.isgenerator(gen):
             raise KernelPanic(
@@ -382,6 +383,7 @@ class Kernel:
         thread = Thread(tid=self._tid_next, process=proc, gen=None)
         self._tid_next += 1
         proc.threads.append(thread)
+        proc.live_thread_count += 1
         thread.gen_stack = [func(self.make_sys(thread))]
         if self.ckpt is not None and caller is not None:
             self.ckpt.record_tspawn(thread.tid, caller.tid)
@@ -418,7 +420,7 @@ class Kernel:
         if not thread.alive:
             return
         proc = thread.process
-        if self.serialize_threads and len(proc.live_threads()) > 1:
+        if self.serialize_threads and proc.live_thread_count > 1:
             holder = getattr(proc, "_step_token", None)
             if holder is not None and holder is not thread and holder.alive:
                 queue = proc.memory.setdefault("_step_queue", [])
@@ -538,10 +540,11 @@ class Kernel:
             self.terminate_process(proc, make_exit_status(code))
             return
         thread.state = ThreadState.EXITED
+        proc.live_thread_count -= 1
         self._release_token(thread)
         if self.tracer is not None:
             self.tracer.on_thread_exit(thread)
-        if not proc.live_threads():
+        if proc.live_thread_count == 0:
             self.terminate_process(proc, make_exit_status(0))
 
     # ------------------------------------------------------------------
@@ -772,7 +775,6 @@ class Kernel:
         proc = thread.process
         for sibling in proc.threads:
             if sibling is not thread and sibling.alive:
-                sibling.state = ThreadState.EXITED
                 self._teardown_thread(sibling)
         proc.threads = [thread]
         proc.argv = list(ex.argv)
@@ -843,7 +845,9 @@ class Kernel:
         self.table._drop_open_file(of)
 
     def _teardown_thread(self, thread: Thread) -> None:
+        """Exit a live thread without its exit hook (process teardown)."""
         thread.state = ThreadState.EXITED
+        thread.process.live_thread_count -= 1
         if getattr(thread, "_on_core", False):
             self.cores_busy -= 1
             thread._on_core = False
@@ -924,7 +928,7 @@ class Kernel:
         thread.state = ThreadState.DISPATCH
         thread.current_syscall = None
         proc = thread.process
-        if (self.serialize_threads and len(proc.live_threads()) > 1
+        if (self.serialize_threads and proc.live_thread_count > 1
                 and getattr(proc, "_step_token", None) is thread):
             queue = proc.memory.setdefault("_step_queue", [])
             queue.append((thread, value, exc))

@@ -119,6 +119,11 @@ class Process:
         self.aslr_base = aslr_base
         self.fdtable = FDTable()
         self.threads: List[Thread] = []
+        #: How many of ``threads`` are not EXITED, kept by the kernel at
+        #: thread creation and at every EXITED transition (rebuilt on
+        #: checkpoint restore), so thread serialization tests "more than
+        #: one live thread" in O(1).
+        self.live_thread_count = 0
         self.exit_status: Optional[int] = None
         self.reaped = False
         #: Fires when the process exits (parents wait4 on it).

@@ -34,4 +34,9 @@ class WouldBlock(Exception):
 
     def __init__(self, channels: Iterable[Channel]):
         self.channels: List[Channel] = list(channels)
-        super().__init__("would block on %s" % ", ".join(c.name for c in self.channels))
+        super().__init__(self.channels)
+
+    def __str__(self) -> str:
+        # Built on demand: every failed wait4/futex probe raises one of
+        # these, and almost none is ever printed.
+        return "would block on %s" % ", ".join(c.name for c in self.channels)
