@@ -95,7 +95,10 @@ def table2_section(scale):
                "blocked in wait4 while children run, and the scheduler "
                "re-probes the blocked call after every serviced syscall "
                "(§5.6.1); in the paper's hour-long builds that overhead "
-               "amortizes to ~0.15% of events.")
+               "amortizes to ~0.15% of events.  Every replay is still "
+               "decided, charged and counted; a blocked wait4 probe with "
+               "no notification since its last attempt only skips "
+               "re-executing the call on the host.")
     out.append("")
     return "\n".join(out)
 

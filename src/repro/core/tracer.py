@@ -47,6 +47,15 @@ CANONICAL_CPUID = CpuidResult(
     features=["avx"],
 )
 
+#: Blocking calls whose would-block answer only a channel notification
+#: can change, so a failed probe may be replayed instead of re-executed
+#: while ``Kernel.wake_epoch`` holds still.  A blocked wait4 returns once
+#: a candidate child exits, and every exit notifies the child's exit
+#: channel.  futex stays out: its word changes through plain guest
+#: memory writes, which notify nothing.  So do read and write: their
+#: handlers touch io_state and may report progress on every re-probe.
+WAKE_GATED_CALLS = frozenset(("wait4",))
+
 
 class DetTraceTracer(TracerBase):
     """Determinizing tracer over one simulated kernel."""
@@ -75,6 +84,10 @@ class DetTraceTracer(TracerBase):
         #: completion counts without building a key tuple.
         self._syscall_keys: Dict[str, Dict[str, Tuple[str, str, str]]] = {
             "injected": {}, "rewritten": {}, "passthrough": {}}
+        #: thread -> the wake epoch read just before its gated call last
+        #: blocked.  Host-side only: never snapshotted, and dropped when
+        #: the call completes or the thread exits.
+        self._wake_memo: Dict[Thread, int] = {}
 
     @property
     def debug_log(self) -> list:
@@ -142,11 +155,13 @@ class DetTraceTracer(TracerBase):
     def on_thread_exit(self, thread: Thread) -> None:
         self.sched.remove(thread)
         self._ctx_cache.pop(thread, None)
+        self._wake_memo.pop(thread, None)
 
     def on_process_exit(self, proc: Process) -> None:
         for thread in proc.threads:
             self.sched.remove(thread)
             self._ctx_cache.pop(thread, None)
+            self._wake_memo.pop(thread, None)
         self.logical.forget_process(proc.pid)
 
     def on_execve(self, proc: Process) -> None:
@@ -237,10 +252,12 @@ class DetTraceTracer(TracerBase):
         self.charge(self.seccomp.stop_cost, INTERCEPTION)
         self.charge(TRACER_HANDLER_COST, HANDLER)
         thread.obs_attempt += 1
+        epoch = self.kernel.wake_epoch
         outcome, payload = self._run_handler(thread)
         if self.config.debug:
             self._debug_line(thread, outcome, payload)
         if outcome == "block":
+            self._memoize_block(thread, epoch)
             self.counters.replays_blocking += 1
             self.charge(TRACER_REPLAY_COST, SCHEDULER)
             self._emit_span(thread, outcome)
@@ -296,20 +313,59 @@ class DetTraceTracer(TracerBase):
             thread.obs_faulted = False
 
     def _probe(self, thread: Thread) -> bool:
-        """Re-try a blocked thread's syscall; True if it completed."""
+        """Re-try a blocked thread's syscall; True if it completed.
+
+        A gated call that blocked at the current wake epoch is not
+        re-executed: its would-block answer is replayed, with every
+        deterministic effect of a failed probe (charge, count, span,
+        debug line, scheduler verdict, token release)."""
         self.begin_span()
         self.charge(TRACER_REPLAY_COST, SCHEDULER)
         thread.obs_attempt += 1
-        outcome, payload = self._run_handler(thread)
+        if self._memo_hit(thread):
+            outcome, payload = "block", None
+        else:
+            epoch = self.kernel.wake_epoch
+            outcome, payload = self._run_handler(thread)
+            if outcome == "block":
+                self._memoize_block(thread, epoch)
+        if self.obs.debug_level >= 2:
+            self._debug_probe(thread, outcome)
         if outcome == "block":
             self.counters.replays_blocking += 1
             self._emit_span(thread, outcome)
             self.sched.still_blocked(thread)
             self.kernel.release_step_token(thread)
             return False
+        self._wake_memo.pop(thread, None)
         self._emit_span(thread, outcome)
         self._complete(thread, outcome, payload)
         return True
+
+    def _memoize_block(self, thread: Thread, epoch: int) -> None:
+        """Remember the epoch at which a gated call just blocked."""
+        if thread.current_syscall.name in WAKE_GATED_CALLS:
+            self._wake_memo[thread] = epoch
+
+    def _memo_hit(self, thread: Thread) -> bool:
+        """True when re-executing *thread*'s blocked call must block
+        again: it blocked at the current wake epoch, and no process is
+        between showing wait4 its zombie and notifying its exit."""
+        kernel = self.kernel
+        return (self._wake_memo.get(thread) == kernel.wake_epoch
+                and not kernel.exits_in_flight)
+
+    def _debug_probe(self, thread: Thread, outcome: str) -> None:
+        """The level-2 line for one probe, built from deterministic
+        coordinates only, so a replayed probe logs what an executed one
+        would."""
+        call = thread.current_syscall
+        index = thread.current_syscall_index
+        self.obs.debug(2, ObsEvent(
+            vts=thread.det_clock, pid=thread.process.nspid, index=index,
+            kind=DEBUG, name=call.name,
+            detail="probe %s #%d attempt %d -> %s"
+            % (call.name, index, thread.obs_attempt, outcome)))
 
     def _complete(self, thread: Thread, outcome: str, payload) -> None:
         # Advance the scheduler's service epoch even for exits: an exit is

@@ -4,10 +4,10 @@ A generated program is a :class:`ProgramSpec`: a flat list of JSON-able
 op dicts over a small shared namespace of directories and files, biased
 toward the operations whose fast paths the repo optimizes (namei-heavy
 rename/link/rmdir churn, getdents listings, thread interleavings,
-signal/timer delivery, pipe traffic, time/random reads).  Generation is
-a pure function of the seed — the same seed always yields the same
-program on every machine, which is what lets a corpus entry name a
-divergence by ``(seed, ops)`` alone.
+signal/timer delivery, pipe traffic, time/random reads, child processes
+reaped by a blocked wait4).  Generation is a pure function of the seed
+— the same seed always yields the same program on every machine, which
+is what lets a corpus entry name a divergence by ``(seed, ops)`` alone.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ _MAIN_MENU = (
     ("time", 4), ("random", 4), ("pipe", 3), ("sleep", 2),
     ("compute", 3), ("threads", 5), ("alarm", 2), ("killself", 2),
     ("audit", 4), ("sock", 5), ("dup2pipe", 2), ("sigpipe", 2),
+    ("spawnwait", 3),
 )
 
 #: Restricted menu for thread bodies: no nested threads, no slot ops
@@ -89,7 +90,9 @@ class ProgramSpec:
     def uses_threads(self) -> bool:
         """Multi-threaded programs are excluded from the rnr axis (the
         recorder predates the thread story, mirroring the paper)."""
-        return any(op["op"] == "threads" for op in self.ops)
+        return any(op["op"] == "threads"
+                   or (op["op"] == "spawnwait" and op["late"])
+                   for op in self.ops)
 
     def rnr_compatible(self) -> bool:
         """Whether the rnr record/replay axis can reproduce this program.
@@ -191,6 +194,11 @@ def _gen_op(rng: random.Random, name: str) -> Dict[str, Any]:
                     for _ in range(rng.randint(1, 4))]
             bodies.append(body)
         return {"op": "threads", "bodies": bodies}
+    if name == "spawnwait":
+        body = [_gen_op(rng, _weighted_choice(rng, _THREAD_MENU))
+                for _ in range(rng.randint(1, 3))]
+        return {"op": "spawnwait", "body": body,
+                "late": rng.choice((False, True))}
     raise ValueError("unknown op template %r" % name)  # pragma: no cover
 
 

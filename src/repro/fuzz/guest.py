@@ -20,7 +20,9 @@ a small POSIX oracle:
   nlink is ``2 + subdirs``, every regular file's nlink equals the number
   of names sharing its inode, and that no *orphan* (open fd with
   ``st_nlink == 0``) shares an inode number with a live named file —
-  the unlink-while-open recycling bug in one line of output.
+  the unlink-while-open recycling bug in one line of output;
+* the late ``spawnwait`` variant checks that a blocked ``wait4(-1)``
+  reaps a child spawned after it first blocked.
 
 Harnesses treat any ``VIOLATION`` line (or nonzero exit) as a failed
 run, independent of the cross-config comparison.
@@ -45,6 +47,8 @@ from ..kernel.types import (
 )
 
 SPEC_PATH = "/fuzz/program.json"
+#: The binary a ``spawnwait`` op runs in its child processes.
+CHILD_PATH = "/bin/fuzz-child"
 
 _OPEN_MODES = {
     "r": O_RDONLY,
@@ -76,6 +80,7 @@ def build_image(spec) -> Image:
     image.add_dir("/fuzz")
     image.add_file(SPEC_PATH, spec.to_json())
     image.add_binary("/bin/fuzz", fuzz_guest_main)
+    image.add_binary(CHILD_PATH, fuzz_child_main)
     return image
 
 
@@ -98,6 +103,20 @@ def fuzz_guest_main(sys):
             yield from sys.close(slots[slot])
         except SyscallError:
             pass
+    return 0
+
+
+def fuzz_child_main(sys):
+    """A ``spawnwait`` child: argv is (path, log tag, JSON op body,
+    gate).  A ``gated`` child first reads stdin to EOF."""
+    _path, tag, body, gate = sys.argv
+    if gate == "gated":
+        while (yield from sys.read(0, 64)):
+            pass
+    slots = {}
+    for j, op in enumerate(json.loads(body)):
+        out = yield from _interpret(sys, op, slots, "%s.%d" % (tag, j), "c")
+        yield from sys.println("%s.%d %s %s" % (tag, j, op["op"], out))
     return 0
 
 
@@ -196,6 +215,8 @@ def _interpret(sys, op, slots, tag, who):
             return (yield from _killself(sys))
         if kind == "threads":
             return (yield from _threads(sys, op, tag))
+        if kind == "spawnwait":
+            return (yield from _spawnwait(sys, op, tag))
         if kind == "audit":
             return (yield from _audit(sys, slots))
         if kind == "sock":
@@ -385,6 +406,46 @@ def _threads(sys, op, tag):
     while sys.mem.get(done_key, 0) < len(bodies):
         yield from sys.sleep(0.01)
     return "joined=%d" % len(bodies)
+
+
+def _spawnwait(sys, op, tag):
+    """A child process interprets a thread-menu body while this thread
+    blocks in wait4.
+
+    With ``late``, a sibling thread spawns a second, empty child once
+    this thread has announced its wait, so that child was no candidate
+    when the wait4(-1) first blocked.  The first child reads a pipe to
+    EOF before its body, and this thread holds the write end until the
+    first wait4 returns: that wait4 can only reap the late child, and
+    reaping them in any other order prints VIOLATION."""
+    argv = [CHILD_PATH, tag + ".c", json.dumps(op["body"])]
+    if not op["late"]:
+        pid = yield from sys.spawn(CHILD_PATH, argv + ["free"])
+        res = yield from sys.waitpid(pid)
+        return "ok:status=%d" % res.status
+    waiting_key, late_key = "spawnwait_wait_" + tag, "spawnwait_late_" + tag
+    r, w = yield from sys.pipe()
+    early = yield from sys.spawn(CHILD_PATH, argv + ["gated"], stdin=r,
+                                 close_fds=[w])
+    yield from sys.close(r)
+
+    def spawner(tsys):
+        while not tsys.mem.get(waiting_key):
+            yield from tsys.sleep(0.01)
+        tsys.mem[late_key] = yield from tsys.spawn(
+            CHILD_PATH, [CHILD_PATH, tag + ".l", "[]", "free"],
+            close_fds=[w])
+
+    yield from sys.spawn_thread(spawner)
+    sys.mem[waiting_key] = 1
+    first = yield from sys.waitpid(-1)
+    yield from sys.close(w)
+    second = yield from sys.waitpid(-1)
+    while late_key not in sys.mem:          # join the spawner
+        yield from sys.sleep(0.01)
+    if (first.pid, second.pid) != (sys.mem[late_key], early):
+        return "VIOLATION spawnwait-late-child-not-reaped-first"
+    return "ok:status=%d,%d" % (first.status, second.status)
 
 
 def _audit(sys, slots):

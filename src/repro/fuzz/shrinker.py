@@ -73,7 +73,8 @@ def _ddmin_ops(spec: ProgramSpec, check) -> ProgramSpec:
 
 
 def _simplify_ops(spec: ProgramSpec, check) -> ProgramSpec:
-    """Per-op simplification: shrink payloads, thin out thread bodies."""
+    """Per-op simplification: shrink payloads, thin out thread and
+    child bodies."""
     ops = [dict(op) for op in spec.ops]
     for i in range(len(ops)):
         # Iterate to a fixpoint per op: accepting one simplification
@@ -107,4 +108,9 @@ def _simpler_versions(op: Dict) -> List[Dict]:
                            for b in bodies]
                 trimmed[bi] = body[:1]
                 out.append({"op": "threads", "bodies": trimmed})
+    if op.get("op") == "spawnwait":
+        if op["late"]:
+            out.append(dict(op, late=False))
+        if len(op["body"]) > 1:
+            out.append(dict(op, body=op["body"][:1]))
     return out

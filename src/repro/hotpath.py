@@ -101,9 +101,11 @@ def bench_scheduler(threads_n: int = 16, decisions: int = 20_000,
     """Decisions/sec for logical vs logical-ref at *threads_n* threads.
 
     Noise shields for shared CI cores: an untimed warm-up pass per
-    implementation, GC paused across the timed loops, and best-of-
-    *repeats* reported.  The decision sequences of the two
-    implementations are asserted identical."""
+    implementation, GC paused across the timed loops, the timed repeats
+    of the two implementations interleaved (so host-speed drift reaches
+    both alike instead of moving their ratio), and best-of-*repeats*
+    reported.  The decision sequences of the two implementations are
+    asserted identical."""
     import gc
 
     gc_was_enabled = gc.isenabled()
@@ -112,12 +114,13 @@ def bench_scheduler(threads_n: int = 16, decisions: int = 20_000,
     try:
         _drive_scheduler("logical", threads_n, max(500, decisions // 10))
         _drive_scheduler("logical-ref", threads_n, max(500, decisions // 10))
-        fast_s, fast_order = min(
-            (_drive_scheduler("logical", threads_n, decisions)
-             for _ in range(repeats)), key=lambda r: r[0])
-        ref_s, ref_order = min(
-            (_drive_scheduler("logical-ref", threads_n, decisions)
-             for _ in range(repeats)), key=lambda r: r[0])
+        fast_runs, ref_runs = [], []
+        for _ in range(repeats):
+            fast_runs.append(_drive_scheduler("logical", threads_n, decisions))
+            ref_runs.append(_drive_scheduler("logical-ref", threads_n,
+                                             decisions))
+        fast_s, fast_order = min(fast_runs, key=lambda r: r[0])
+        ref_s, ref_order = min(ref_runs, key=lambda r: r[0])
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -147,6 +147,14 @@ class Kernel:
         self.cores_busy = 0
         self._core_queue: List[Tuple[Thread, float]] = []
         self._parked: Dict[Channel, List[Thread]] = {}
+        #: Wake epoch: advanced by every channel notification.  A blocked
+        #: call whose answer only a notification can change (wait4, freed
+        #: by a child exit) may be replayed instead of re-executed while
+        #: the epoch holds still.  Host-side only: never snapshotted.
+        self.wake_epoch = 0
+        #: Processes between setting exit_status and notifying their exit
+        #: channel: zombies wait4 can already see before the epoch moves.
+        self.exits_in_flight = 0
 
         #: DetTrace thread serialization (§5.7).
         self.serialize_threads = False
@@ -740,6 +748,7 @@ class Kernel:
 
     def notify(self, channel: Channel) -> int:
         """Wake every thread parked on *channel*; returns the count."""
+        self.wake_epoch += 1
         woken = self._parked.pop(channel, [])
         count = 0
         for thread in woken:
@@ -858,6 +867,10 @@ class Kernel:
         if proc.exit_status is not None:
             return
         proc.exit_status = status
+        # wait4 can reap the zombie from here on, but its exit channel
+        # (and with it the wake epoch) moves only after the teardown,
+        # which may step a queued sibling and so re-enter the tracer.
+        self.exits_in_flight += 1
         self.obs.count(("process", "exit"))
         self.obs.record(ObsEvent(
             vts=max((t.det_clock for t in proc.threads), default=0.0),
@@ -870,6 +883,7 @@ class Kernel:
             proc.fdtable.remove(fd)
             self.drop_open_file(of)
         self.notify(proc.exit_channel)
+        self.exits_in_flight -= 1
         if proc.parent is not None and proc.parent.alive:
             self.deliver_signal(proc.parent, SIGCHLD)
         if self.tracer is not None:

@@ -10,6 +10,19 @@ def program(sys):
     return 0
 
 
+def waiting_parent(sys):
+    pid = yield from sys.spawn("/bin/child")
+    res = yield from sys.waitpid(pid)
+    yield from sys.println("child status %d" % res.status)
+    return 0
+
+
+def busy_child(sys):
+    for i in range(3):
+        yield from sys.write_file("c%d" % i, b"x")
+    return 0
+
+
 class TestDebugLog:
     def test_off_by_default(self):
         assert dettrace_run(program).debug_log == []
@@ -25,6 +38,24 @@ class TestDebugLog:
     def test_level2_logs_instruction_traps(self):
         r = dettrace_run(program, config=ContainerConfig(debug=2))
         assert any("trap rdtsc" in line for line in r.debug_log)
+
+    def test_level2_logs_every_probe_of_a_blocked_wait4(self, monkeypatch):
+        from repro.core import tracer as tracer_mod
+
+        def log():
+            return dettrace_run(waiting_parent,
+                                config=ContainerConfig(debug=2),
+                                extra_binaries={"/bin/child": busy_child}
+                                ).debug_log
+
+        lines = log()
+        probes = [line for line in lines if "] probe wait4 " in line]
+        assert len(probes) > 1
+        assert probes[-1].endswith("-> value")
+        assert all(line.endswith("-> block") for line in probes[:-1])
+        # Replayed probes log exactly what executed probes log.
+        monkeypatch.setattr(tracer_mod, "WAKE_GATED_CALLS", frozenset())
+        assert log() == lines
 
     def test_log_is_deterministic(self):
         from repro.cpu.machine import HostEnvironment

@@ -77,6 +77,18 @@ class TestSimplify:
         small = shrink(spec, fails)
         assert small.ops[0]["bodies"] == [[{"op": "time"}]]
 
+    def test_child_bodies_thin_out(self):
+        spec = ProgramSpec(seed=0, ops=(
+            {"op": "spawnwait", "body": [{"op": "time"}, {"op": "time"}],
+             "late": True},))
+
+        def fails(candidate):
+            return any(op["op"] == "spawnwait" for op in candidate.ops)
+
+        small = shrink(spec, fails)
+        assert small.ops[0] == {"op": "spawnwait", "body": [{"op": "time"}],
+                                "late": False}
+
 
 class TestEndToEnd:
     def test_shrinks_a_real_divergence(self):

@@ -69,8 +69,7 @@ def _package():
     raise AssertionError("no buildable package in the population")
 
 
-def _run(case: str, observe: bool):
-    cfg = ContainerConfig(observe=observe)
+def _run(case: str, cfg: ContainerConfig):
     host = HostEnvironment(entropy_seed=11)
     if case == "raxml":
         image = tool_image(dataclasses.replace(RAXML, n_units=60))
@@ -95,7 +94,7 @@ def _sha(text: str) -> str:
 
 def digests(case: str, observe: bool):
     """(metrics digest, trace digest or None) of one golden run."""
-    result = _run(case, observe)
+    result = _run(case, ContainerConfig(observe=observe))
     assert result.succeeded, (case, result.status, result.error)
     metrics = _sha(json.dumps(result.metrics.to_dict(), sort_keys=True))
     trace = _sha(result.trace.to_json()) if result.trace else None
