@@ -18,13 +18,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 stage="${1:-all}"
 
-obs_tmp=""
-perf_tmp=""
-ckpt_tmp=""
-diag_tmp=""
-sock_tmp=""
-cache_tmp=""
-trap 'rm -rf ${obs_tmp:+"$obs_tmp"} ${perf_tmp:+"$perf_tmp"} ${ckpt_tmp:+"$ckpt_tmp"} ${diag_tmp:+"$diag_tmp"} ${sock_tmp:+"$sock_tmp"} ${cache_tmp:+"$cache_tmp"}' EXIT
+# One work directory for the whole gate; each stage writes under its
+# own subdirectory ("$tmp" below).
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
 
 if [ "$stage" = "all" ]; then
     echo "== compileall =="
@@ -42,13 +39,14 @@ if [ "$stage" = "all" ] || [ "$stage" = "obs" ]; then
     echo "== observability smoke stage (-m obs) =="
     python -m pytest -x -q -m obs
     echo "== metrics-identity gate (two runs -> identical trace JSON) =="
-    obs_tmp="$(mktemp -d)"
-    python -m repro run --trace-out "$obs_tmp/a.json" -- ls -l /bin \
-        > "$obs_tmp/a.out" 2> /dev/null
-    python -m repro run --trace-out "$obs_tmp/b.json" -- ls -l /bin \
-        > "$obs_tmp/b.out" 2> /dev/null
-    cmp "$obs_tmp/a.json" "$obs_tmp/b.json"
-    cmp "$obs_tmp/a.out" "$obs_tmp/b.out"
+    tmp="$work/obs"
+    mkdir "$tmp"
+    python -m repro run --trace-out "$tmp/a.json" -- ls -l /bin \
+        > "$tmp/a.out" 2> /dev/null
+    python -m repro run --trace-out "$tmp/b.json" -- ls -l /bin \
+        > "$tmp/b.out" 2> /dev/null
+    cmp "$tmp/a.json" "$tmp/b.json"
+    cmp "$tmp/a.out" "$tmp/b.out"
     echo "trace JSON and stdout byte-identical across reruns"
 fi
 
@@ -65,31 +63,32 @@ if [ "$stage" = "all" ] || [ "$stage" = "ckpt" ]; then
     echo "== checkpoint/restore smoke stage (-m ckpt) =="
     python -m pytest -x -q -m ckpt tests/ckpt
     echo "== crash-resume-identity smoke (kill -> resume -> diff traces) =="
-    ckpt_tmp="$(mktemp -d)"
-    cat > "$ckpt_tmp/plan.json" <<'PLAN'
+    tmp="$work/ckpt"
+    mkdir "$tmp"
+    cat > "$tmp/plan.json" <<'PLAN'
 {"rules": [{"fault": "kill", "at_tick": 40, "transient": true}]}
 PLAN
     # Crashed run (exit 70 is the point), then resume, then the
     # uninterrupted reference; resumed trace/stdout must be identical.
-    python -m repro run --checkpoint-dir "$ckpt_tmp/journal" \
+    python -m repro run --checkpoint-dir "$tmp/journal" \
         --checkpoint-every 9 --checkpoint-full-every 3 \
-        --faults "$ckpt_tmp/plan.json" \
-        --trace-out "$ckpt_tmp/crash.json" -- ls -l /bin \
-        > "$ckpt_tmp/crash.out" 2> /dev/null && exit 1 || true
-    python -m repro run --checkpoint-dir "$ckpt_tmp/journal" \
-        --checkpoint-every 9 --faults "$ckpt_tmp/plan.json" --resume \
-        --trace-out "$ckpt_tmp/resumed.json" -- ls -l /bin \
-        > "$ckpt_tmp/resumed.out" 2> /dev/null
-    python -m repro run --trace-out "$ckpt_tmp/base.json" -- ls -l /bin \
-        > "$ckpt_tmp/base.out" 2> /dev/null
-    cmp "$ckpt_tmp/resumed.json" "$ckpt_tmp/base.json"
-    cmp "$ckpt_tmp/resumed.out" "$ckpt_tmp/base.out"
+        --faults "$tmp/plan.json" \
+        --trace-out "$tmp/crash.json" -- ls -l /bin \
+        > "$tmp/crash.out" 2> /dev/null && exit 1 || true
+    python -m repro run --checkpoint-dir "$tmp/journal" \
+        --checkpoint-every 9 --faults "$tmp/plan.json" --resume \
+        --trace-out "$tmp/resumed.json" -- ls -l /bin \
+        > "$tmp/resumed.out" 2> /dev/null
+    python -m repro run --trace-out "$tmp/base.json" -- ls -l /bin \
+        > "$tmp/base.out" 2> /dev/null
+    cmp "$tmp/resumed.json" "$tmp/base.json"
+    cmp "$tmp/resumed.out" "$tmp/base.out"
     echo "resumed trace and stdout byte-identical to uninterrupted run"
-    python -m repro ckpt verify "$ckpt_tmp/journal"
+    python -m repro ckpt verify "$tmp/journal"
     echo "== prune-agreement gate (manifest prune vs scan prune) =="
     # Both runs pruned from the manager's in-memory manifest (keep 3);
     # a fresh scan-based prune with the same keep must find nothing.
-    prune_out="$(python -m repro ckpt prune "$ckpt_tmp/journal" --keep 3)"
+    prune_out="$(python -m repro ckpt prune "$tmp/journal" --keep 3)"
     echo "$prune_out"
     case "$prune_out" in
         "pruned 0 file(s) "*) ;;
@@ -97,11 +96,11 @@ PLAN
     esac
     echo "== ckpt overhead bench + disabled-path regression gate =="
     if [ -f BENCH_ckpt.json ]; then
-        cp BENCH_ckpt.json "$ckpt_tmp/baseline.json"
+        cp BENCH_ckpt.json "$tmp/baseline.json"
     fi
     python -m pytest -x -q benchmarks/bench_ckpt.py
-    if [ -f "$ckpt_tmp/baseline.json" ]; then
-        python -m benchmarks.bench_ckpt "$ckpt_tmp/baseline.json"
+    if [ -f "$tmp/baseline.json" ]; then
+        python -m benchmarks.bench_ckpt "$tmp/baseline.json"
     else
         echo "no committed BENCH_ckpt.json baseline; skipping regression gate"
     fi
@@ -123,23 +122,24 @@ if [ "$stage" = "all" ] || [ "$stage" = "diag" ]; then
     echo "== divergence-diagnosis stage (-m diag) =="
     python -m pytest -x -q -m diag
     echo "== self-diff identity gate (repro diff on byte-identical traces) =="
-    diag_tmp="$(mktemp -d)"
-    python -m repro run --trace-out "$diag_tmp/a.json" -- ls -l /bin \
+    tmp="$work/diag"
+    mkdir "$tmp"
+    python -m repro run --trace-out "$tmp/a.json" -- ls -l /bin \
         > /dev/null 2> /dev/null
-    python -m repro run --trace-out "$diag_tmp/b.json" -- ls -l /bin \
+    python -m repro run --trace-out "$tmp/b.json" -- ls -l /bin \
         > /dev/null 2> /dev/null
-    cmp "$diag_tmp/a.json" "$diag_tmp/b.json"
-    python -m repro diff "$diag_tmp/a.json" "$diag_tmp/b.json"
+    cmp "$tmp/a.json" "$tmp/b.json"
+    python -m repro diff "$tmp/a.json" "$tmp/b.json"
     echo "== diag demo gate (leak localization + single-tick bisection) =="
-    python -m repro diag demo --workdir "$diag_tmp/demo"
+    python -m repro diag demo --workdir "$tmp/demo"
     echo "== corpus-entry divergence localization smoke =="
     # The banked entry replays clean within the matrix but must produce
     # a localized divergence (exit 1) across container PRNG seeds.
     python -m repro diag fuzz \
         --entry tests/fuzz/corpus/prng-seed-sensitivity.json \
-        --seed-b 1 --report "$diag_tmp/divergence.json" && exit 1 || \
+        --seed-b 1 --report "$tmp/divergence.json" && exit 1 || \
         [ $? -eq 1 ]
-    grep -q '"classification": "stream-content"' "$diag_tmp/divergence.json"
+    grep -q '"classification": "stream-content"' "$tmp/divergence.json"
     echo "cross-seed divergence localized and banked"
 fi
 
@@ -150,11 +150,12 @@ if [ "$stage" = "all" ] || [ "$stage" = "sockets" ]; then
     # Two different boots (entropy, boot epoch, pid/inode bases) of the
     # echo pipeline: stdout, both logs, the tree digest and the full
     # Chrome trace must all be byte-identical.
-    sock_tmp="$(mktemp -d)"
-    python examples/client_server.py --dump "$sock_tmp/a" --boot-seed 1
-    python examples/client_server.py --dump "$sock_tmp/b" --boot-seed 2
+    tmp="$work/sockets"
+    mkdir "$tmp"
+    python examples/client_server.py --dump "$tmp/a" --boot-seed 1
+    python examples/client_server.py --dump "$tmp/b" --boot-seed 2
     for f in stdout.txt server.log client.log digest.txt trace.json; do
-        cmp "$sock_tmp/a/$f" "$sock_tmp/b/$f"
+        cmp "$tmp/a/$f" "$tmp/b/$f"
     done
     echo "client/server runs byte-identical across boots (incl. trace JSON)"
 fi
@@ -163,26 +164,35 @@ if [ "$stage" = "all" ] || [ "$stage" = "cache" ]; then
     echo "== run-cache stage (-m cache) =="
     python -m pytest -x -q -m cache tests/cache
     echo "== cold/warm sweep identity gate =="
-    cache_tmp="$(mktemp -d)"
-    python -m repro run --cache-dir "$cache_tmp/cas" -- ls -l /bin \
-        > "$cache_tmp/cold.out" 2> "$cache_tmp/cold.err"
-    python -m repro run --cache-dir "$cache_tmp/cas" -- ls -l /bin \
-        > "$cache_tmp/warm.out" 2> "$cache_tmp/warm.err"
-    cmp "$cache_tmp/cold.out" "$cache_tmp/warm.out"
-    grep -q '\[cache store ' "$cache_tmp/cold.err"
-    grep -q '\[cache hit ' "$cache_tmp/warm.err"
+    tmp="$work/cache"
+    mkdir "$tmp"
+    python -m repro run --cache-dir "$tmp/cas" -- ls -l /bin \
+        > "$tmp/cold.out" 2> "$tmp/cold.err"
+    python -m repro run --cache-dir "$tmp/cas" -- ls -l /bin \
+        > "$tmp/warm.out" 2> "$tmp/warm.err"
+    cmp "$tmp/cold.out" "$tmp/warm.out"
+    grep -q '\[cache store ' "$tmp/cold.err"
+    grep -q '\[cache hit ' "$tmp/warm.err"
     echo "warm run served from cache, stdout byte-identical to cold run"
-    python -m repro cache stats "$cache_tmp/cas"
-    python -m repro cache verify "$cache_tmp/cas"
+    python -m repro cache stats "$tmp/cas"
+    python -m repro cache verify "$tmp/cas"
+    echo "== concurrent cold-store gate (fan-out workers store one key) =="
+    # Four workers miss the same key on a fresh store and store it at
+    # once.  On a 1-core host run_jobs takes its serial loop instead, so
+    # the gate cannot fail spuriously there.
+    python -m repro run --cache-dir "$tmp/fanout" --jobs 4 --repeat 8 \
+        -- ls -l /bin > /dev/null 2> "$tmp/fanout.err"
+    grep -q 'outputs identical' "$tmp/fanout.err"
+    python -m repro cache verify "$tmp/fanout"
     echo "== verify-mode gate (re-execute and compare against the entry) =="
-    python -m repro run --cache-dir "$cache_tmp/cas" --cache verify \
-        -- ls -l /bin > /dev/null 2> "$cache_tmp/verify.err"
-    grep -q '\[cache verify_ok ' "$cache_tmp/verify.err"
+    python -m repro run --cache-dir "$tmp/cas" --cache verify \
+        -- ls -l /bin > /dev/null 2> "$tmp/verify.err"
+    grep -q '\[cache verify_ok ' "$tmp/verify.err"
     echo "== perturbed-entry divergence gate (tampered outcome -> exit 70) =="
     # Re-store a validly-checksummed but mutated outcome through the
     # repro.cache API (a byte-flip would just read as torn -> miss; a
     # *plausible* wrong entry is the case verify mode exists for).
-    python - "$cache_tmp/cas" <<'PERTURB'
+    python - "$tmp/cas" <<'PERTURB'
 import os
 import sys
 
@@ -198,18 +208,18 @@ outcome.stdout += "tampered line\n"
 store.put(key, outcome)
 print("perturbed entry %s..." % key.digest[:16])
 PERTURB
-    python -m repro run --cache-dir "$cache_tmp/cas" --cache verify \
-        -- ls -l /bin > /dev/null 2> "$cache_tmp/tamper.err" && exit 1 || \
+    python -m repro run --cache-dir "$tmp/cas" --cache verify \
+        -- ls -l /bin > /dev/null 2> "$tmp/tamper.err" && exit 1 || \
         [ $? -eq 70 ]
-    grep -q 'verify_mismatch' "$cache_tmp/tamper.err"
+    grep -q 'verify_mismatch' "$tmp/tamper.err"
     echo "tampered entry detected as divergence (exit 70)"
     echo "== cache payoff bench + warm-lookup regression gate =="
     if [ -f BENCH_cache.json ]; then
-        cp BENCH_cache.json "$cache_tmp/baseline.json"
+        cp BENCH_cache.json "$tmp/baseline.json"
     fi
     python -m pytest -x -q benchmarks/bench_cache.py
-    if [ -f "$cache_tmp/baseline.json" ]; then
-        python -m benchmarks.bench_cache "$cache_tmp/baseline.json"
+    if [ -f "$tmp/baseline.json" ]; then
+        python -m benchmarks.bench_cache "$tmp/baseline.json"
     else
         echo "no committed BENCH_cache.json baseline; skipping regression gate"
     fi
@@ -222,13 +232,14 @@ if [ "$stage" = "all" ] || [ "$stage" = "perf" ]; then
     # regression vs the baseline fails the stage.  The bench itself
     # asserts the determinism identities (schedule + digest) and the
     # 5x scheduler-decision floor.
-    perf_tmp="$(mktemp -d)"
+    tmp="$work/perf"
+    mkdir "$tmp"
     if [ -f BENCH_hotpath.json ]; then
-        cp BENCH_hotpath.json "$perf_tmp/baseline.json"
+        cp BENCH_hotpath.json "$tmp/baseline.json"
     fi
     python -m pytest -x -q -m perf benchmarks/bench_hotpath.py
-    if [ -f "$perf_tmp/baseline.json" ]; then
-        python -m benchmarks.bench_hotpath "$perf_tmp/baseline.json"
+    if [ -f "$tmp/baseline.json" ]; then
+        python -m benchmarks.bench_hotpath "$tmp/baseline.json"
     else
         echo "no committed BENCH_hotpath.json baseline; skipping regression gate"
     fi

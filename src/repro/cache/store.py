@@ -12,10 +12,10 @@ content hash.  Splitting the two gives structural dedup for free —
 distinct keys whose runs produced identical outcomes share one object —
 and makes every payload self-verifying.
 
-Durability discipline is the checkpoint journal's: every file is
-written to a dot-tmp name in its final directory, fsynced, atomically
-renamed, and the directory fsynced (:func:`repro.durable.fsync_dir`).
-A crash mid-store leaves a tmp file the reader ignores; a torn or
+Durability discipline is the checkpoint journal's: every file goes
+through :func:`repro.durable.atomic_write` (a dot-tmp name in its final
+directory, fsynced, atomically renamed, the directory fsynced).  A
+crash mid-store leaves a tmp file the reader ignores; a torn or
 bit-rotted entry is *detected* (length/checksum/format mismatch) and
 reads as a miss, never as a wrong hit.  ``gc`` removes torn files and
 unreferenced objects, counting a refcount per object from the key files
@@ -31,7 +31,7 @@ import os
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..durable import fsync_dir
+from ..durable import atomic_write, fsync_dir
 from .key import RunKey
 from .outcome import CachedOutcome
 
@@ -49,20 +49,6 @@ class CacheEntryError(ValueError):
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, ".tmp-" + os.path.basename(path))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.rename(tmp, path)
-    fsync_dir(directory)
 
 
 @dataclasses.dataclass
@@ -129,14 +115,16 @@ class CacheStore:
                 "payload_len": len(payload),
                 "payload_sha256": sha256,
             }, sort_keys=True).encode("utf-8")
-            _atomic_write(obj_path, header + b"\n" + payload)
+            os.makedirs(self.objects_dir, exist_ok=True)
+            atomic_write(obj_path, header + b"\n" + payload)
         record = json.dumps({
             "format": STORE_FORMAT,
             "kind": "run-key",
             "run_key": key.digest,
             "payload_sha256": sha256,
         }, sort_keys=True).encode("utf-8")
-        _atomic_write(self.key_path(key.digest), record + b"\n")
+        os.makedirs(self.keys_dir, exist_ok=True)
+        atomic_write(self.key_path(key.digest), record + b"\n")
         return sha256
 
     # -- read ----------------------------------------------------------

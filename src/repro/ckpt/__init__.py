@@ -46,13 +46,11 @@ from .snapshot import (
     DeltaUnsupported,
     RestoreError,
     Snapshot,
-    canonical_state,
     capture,
     capture_delta,
     materialize_delta,
     restore,
     section_hashes,
-    state_fingerprint,
 )
 from .tape import OPAQUE, encode_value, decode_value
 
@@ -69,7 +67,6 @@ __all__ = [
     "RestoreError",
     "Snapshot",
     "SnapshotInfo",
-    "canonical_state",
     "capture",
     "capture_delta",
     "decode_value",
@@ -80,6 +77,5 @@ __all__ = [
     "restore",
     "scan",
     "section_hashes",
-    "state_fingerprint",
     "write_snapshot",
 ]

@@ -7,12 +7,13 @@ One snapshot is one file, ``ckpt-<barrier>.snap``::
 The header is a single JSON line carrying the format version, the
 config fingerprint, the barrier coordinates (event tick + virtual
 clock) and a SHA-256 checksum + length of the payload.  Files are
-written write-ahead style — to a temp file in the same directory,
-flushed, fsynced, then atomically renamed over the final name, followed
-by a directory fsync — so a crash mid-write leaves either the old state
-or a temp file the scan ignores, never a torn ``.snap``.  A torn or
-bit-rotted snapshot is *detected* (length/checksum mismatch) and the
-recovery scan falls back to the next-newest valid one.
+written write-ahead style through :func:`repro.durable.atomic_write` —
+to a temp file in the same directory, fsynced, then atomically renamed
+over the final name, followed by a directory fsync — so a crash
+mid-write leaves either the old state or a temp file the scan ignores,
+never a torn ``.snap``.  A torn or bit-rotted snapshot is *detected*
+(length/checksum mismatch) and the recovery scan falls back to the
+next-newest valid one.
 
 Format 2 adds **delta snapshots**: a file whose payload is a
 :data:`repro.ckpt.snapshot.DELTA_KIND` record encoding only the state
@@ -35,7 +36,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..durable import fsync_dir
+from ..durable import atomic_write, fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
 FORMAT_VERSION = 2
@@ -122,17 +123,7 @@ def write_snapshot(directory: str, barrier: int, vclock: float,
         "base_sha256": base_sha256,
         "chain_depth": chain_depth,
     }, sort_keys=True).encode("utf-8")
-    tmp = os.path.join(directory, ".tmp-%s%012d%s" % (_PREFIX, barrier, _SUFFIX))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, header + b"\n" + payload)
-        if durable:
-            os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.rename(tmp, info.path)
-    if durable:
-        fsync_dir(directory)
+    atomic_write(info.path, header + b"\n" + payload, durable=durable)
     return info
 
 

@@ -13,8 +13,8 @@ it with a Merkle tree:
 * unreachable-but-live inodes (unlinked-but-open files, ``rmdir``'d
   working directories) join at the top as a sorted orphan list;
 * every non-filesystem payload section contributes one canonical item
-  digest (via the ``_canonical_*`` helpers shared with
-  :func:`repro.ckpt.snapshot.canonical_state`).
+  digest (via the ``_canonical_*`` helpers of
+  :mod:`repro.ckpt.snapshot`).
 
 The root digest is *the* fingerprint: :func:`merkle_fingerprint`
 computes it from scratch, and :class:`MerkleCursor` maintains it

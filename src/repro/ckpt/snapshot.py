@@ -71,7 +71,7 @@ VOLATILE_KEYS = frozenset((
     "clock_now", "stats", "obs", "events", "sched", "tracer", "processes",
 ))
 
-#: Fingerprint scopes (see :func:`state_fingerprint`).
+#: Fingerprint scopes (see :meth:`Snapshot.fingerprint`).
 GUEST_SCOPE = "guest"
 FULL_SCOPE = "full"
 
@@ -1391,65 +1391,6 @@ def _canonical_sockets(payload: Dict[str, Any],
     }
 
 
-def canonical_state(payload: Dict[str, Any],
-                    scope: str = GUEST_SCOPE) -> Dict[str, Any]:
-    """Reduce a capture payload to a canonical, comparison-safe form.
-
-    Every reference into the unstable namespaces (see
-    :func:`_canonical_maps`) — fd tables, fifo inodes, pipe-channel
-    descriptors in wait lists and the parked map — is rewritten to the
-    dense deterministic index.  The node table is emitted sorted by
-    ``(ino, generation)`` key so a payload materialized from a delta
-    chain canonicalizes identically to a fresh full capture of the
-    same state, whatever dict order composition produced.
-    """
-    if scope not in (GUEST_SCOPE, FULL_SCOPE):
-        raise ValueError("unknown fingerprint scope %r" % scope)
-    pipe_map, of_map = _canonical_maps(payload)
-
-    fs_nodes = [(key, _canonical_node(payload["fs_nodes"][key], pipe_map))
-                for key in sorted(payload["fs_nodes"])]
-
-    state: Dict[str, Any] = {key: payload[key] for key in _GUEST_KEYS}
-    state.update({
-        "fs_nodes": fs_nodes,
-        "pipes": _canonical_pipes(payload, pipe_map),
-        "sockets": _canonical_sockets(payload, pipe_map),
-        "of_records": _canonical_of_records(payload, pipe_map),
-        "processes": _canonical_processes(payload, pipe_map, of_map),
-        "parked": _canonical_parked(payload, pipe_map),
-        "scope": scope,
-    })
-    if scope == FULL_SCOPE:
-        state.update({key: payload[key] for key in _FULL_KEYS})
-        # The tape is reduced to per-entry digests: pickling the list
-        # wholesale memoizes objects shared *across* entries, so a tape
-        # composed from delta-chain segments (where the journal
-        # round-trip severed cross-entry sharing) would compare unequal
-        # to a live capture of the very same entries.
-        state["tape"] = tuple(
-            hashlib.sha256(pickle.dumps(entry, _FP_PROTOCOL)).hexdigest()
-            for entry in payload["tape"])
-        state["pipe_counter"] = len(pipe_map)
-    return state
-
-
-def state_fingerprint(payload: Dict[str, Any],
-                      scope: str = GUEST_SCOPE) -> str:
-    """Merkle-root sha256 of the canonical state of *payload*.
-
-    Deterministic within a pinned pickle protocol: equal captured
-    states — regardless of interpreter object identities or how many
-    runs preceded them in this process — hash equal, and any
-    guest-visible difference hashes different.  The digest is the root
-    of the Merkle tree :mod:`repro.ckpt.merkle` maintains incrementally
-    across delta chains, so chain cursors and from-scratch computation
-    agree byte-for-byte.
-    """
-    from .merkle import merkle_fingerprint
-    return merkle_fingerprint(payload, scope=scope)
-
-
 @dataclasses.dataclass
 class Snapshot:
     """One loaded checkpoint: barrier coordinates plus the live payload.
@@ -1474,5 +1415,13 @@ class Snapshot:
                    payload=pickle.loads(blob), path=path)
 
     def fingerprint(self, scope: str = GUEST_SCOPE) -> str:
-        """Deterministic sha256 of this snapshot's canonical state."""
-        return state_fingerprint(self.payload, scope=scope)
+        """Merkle-root sha256 of this snapshot's canonical state.
+
+        Deterministic within a pinned pickle protocol: equal captured
+        states hash equal regardless of interpreter object identities or
+        earlier runs in this process, and any guest-visible difference
+        hashes different.  :class:`repro.ckpt.merkle.MerkleCursor`
+        maintains the same root incrementally along delta chains.
+        """
+        from .merkle import merkle_fingerprint
+        return merkle_fingerprint(self.payload, scope=scope)

@@ -72,11 +72,6 @@ def _load_faults(args) -> Optional[FaultPlan]:
                          % (args.faults, err))
 
 
-def _wants_obs(args) -> bool:
-    return bool(getattr(args, "metrics", False)
-                or getattr(args, "trace_out", None))
-
-
 def _cache_config(args) -> "Optional[object]":
     directory = getattr(args, "cache_dir", None)
     if not directory:

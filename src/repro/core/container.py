@@ -331,8 +331,14 @@ class DetTrace:
 
     def _execute(self, image: Image, command: str,
                  argv: Optional[List[str]], host: HostEnvironment,
-                 _attempt: int) -> ContainerResult:
-        """One real (uncached) container execution."""
+                 _attempt: int,
+                 restored: Optional[tuple] = None) -> ContainerResult:
+        """One real (uncached) container execution.
+
+        Boots *command* on a fresh kernel, or, given *restored* (the
+        ``(info, payload)`` pair :meth:`RecoveryManager.load` returns),
+        restores the snapshot into it and continues from there.
+        """
         cfg = self.config
         kernel = Kernel(host)
         # The collector exists before anything can fail, so every exit
@@ -345,19 +351,26 @@ class DetTrace:
         try:
             tracer = self._prepare(kernel, image, _attempt)
             if cfg.checkpoint is not None:
-                # Installed before boot: the resume tape must cover the
-                # guest's whole life, starting with the init spawn.
-                from ..ckpt import CheckpointManager
+                from ..ckpt import CheckpointManager, restore
 
-                kernel.ckpt = CheckpointManager(
+                mgr = CheckpointManager(
                     cfg.checkpoint.directory, every=cfg.checkpoint.every,
                     keep=cfg.checkpoint.keep, fingerprint=cfg.fingerprint(),
                     full_every=cfg.checkpoint.full_every)
-                self.active_ckpt = kernel.ckpt
-
-            env = cfg.env_for(host.env)
-            proc = kernel.boot(command, argv=argv, env=env, uid=0,
-                               cwd_path=cfg.working_dir)
+                if restored is not None:
+                    # Before the manager is installed: restore's
+                    # fast-forward must not record into the new tape.
+                    mgr.tape = restore(kernel, restored[1])
+                    mgr.last_barrier = restored[0].barrier
+                # Installed before boot: the resume tape must cover the
+                # guest's whole life, starting with the init spawn.
+                kernel.ckpt = self.active_ckpt = mgr
+            if restored is None:
+                proc = kernel.boot(command, argv=argv,
+                                   env=cfg.env_for(host.env), uid=0,
+                                   cwd_path=cfg.working_dir)
+            elif kernel.processes:
+                proc = kernel.processes[0]
             kernel.run(deadline=cfg.timeout, max_events=cfg.max_events)
         except Exception as err:
             status, error = _classify(err)
@@ -417,36 +430,12 @@ class DetTrace:
         cfg = self.config
         if cfg.checkpoint is None:
             raise ValueError("resume() requires ContainerConfig.checkpoint")
-        from ..ckpt import CheckpointManager, RecoveryManager, restore
+        from ..ckpt import RecoveryManager
 
-        fingerprint = cfg.fingerprint()
-        recovery = RecoveryManager(cfg.checkpoint.directory,
-                                   fingerprint=fingerprint)
-        info, payload = recovery.load()  # JournalError when none valid
-
-        kernel = Kernel(payload["host"])
-        kernel.obs = Collector(trace=cfg.observe, debug=cfg.debug)
-        tracer = None
-        proc = None
-        status, error = OK, ""
-        try:
-            tracer = self._prepare(kernel, image, _attempt)
-            mgr = CheckpointManager(
-                cfg.checkpoint.directory, every=cfg.checkpoint.every,
-                keep=cfg.checkpoint.keep, fingerprint=fingerprint,
-                full_every=cfg.checkpoint.full_every)
-            mgr.tape = restore(kernel, payload)
-            mgr.last_barrier = info.barrier
-            kernel.ckpt = mgr
-            self.active_ckpt = mgr
-            proc = kernel.processes[0] if kernel.processes else None
-            kernel.run(deadline=cfg.timeout, max_events=cfg.max_events)
-        except Exception as err:
-            status, error = _classify(err)
-        exit_code, error = _decode_exit(proc, status, error)
-        result = _finish(kernel, cfg.working_dir, kernel.host, status,
-                         exit_code, error,
-                         tracer.counters if tracer is not None else None)
+        info, payload = RecoveryManager(  # JournalError when none valid
+            cfg.checkpoint.directory, fingerprint=cfg.fingerprint()).load()
+        result = self._execute(image, command, argv, payload["host"],
+                               _attempt, restored=(info, payload))
         if result.status == OK:
             result.status = RESUMED
         return result

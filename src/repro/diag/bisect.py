@@ -12,7 +12,7 @@ The mechanism leans entirely on existing machinery:
   survives (the checkpoint plane was built for crash recovery; here it
   doubles as a state probe);
 * each snapshot's guest-visible state is reduced to a deterministic
-  sha256 via :func:`repro.ckpt.snapshot.state_fingerprint`
+  sha256 via :meth:`repro.ckpt.snapshot.Snapshot.fingerprint`
   (GUEST_SCOPE by default: tracer PRNG, host facts and observability
   state excluded, so two runs seeded differently fingerprint *equal*
   until the first tick at which a guest-visible difference exists);

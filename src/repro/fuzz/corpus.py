@@ -15,6 +15,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
+from ..obs.jsonio import write_json_atomic
 from .grammar import ProgramSpec
 
 #: Default corpus location, relative to the repo root.
@@ -62,10 +63,7 @@ def save_entry(entry: CorpusEntry, corpus_dir: str,
     """Write *entry* as ``<corpus_dir>/<name>.json``; returns the path."""
     os.makedirs(corpus_dir, exist_ok=True)
     path = os.path.join(corpus_dir, (filename or entry.name) + ".json")
-    with open(path, "w") as fh:
-        json.dump(entry.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    return write_json_atomic(path, entry.to_dict())
 
 
 def load_corpus(corpus_dir: str) -> List[CorpusEntry]:

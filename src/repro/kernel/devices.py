@@ -12,7 +12,6 @@ from typing import Callable, List
 
 from ..cpu.machine import HostEnvironment
 from .filesystem import Filesystem
-from .inode import Inode
 
 
 class ConsoleStream:
@@ -70,8 +69,3 @@ def install_standard_devices(fs: Filesystem, host: HostEnvironment,
                      now=host.boot_epoch)
     fs.create_device(dev, "stderr", dev_read=null_read, dev_write=stderr.write,
                      now=host.boot_epoch)
-
-
-def find_device(fs: Filesystem, path: str) -> Inode:
-    """Resolve a device inode by absolute path (image-construction helper)."""
-    return fs.resolve(fs.root, fs.root, path)

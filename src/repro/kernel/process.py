@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -167,11 +166,3 @@ class Process:
 
     def __repr__(self) -> str:
         return "Process(pid=%d, nspid=%d, argv=%r)" % (self.pid, self.nspid, self.argv[:1])
-
-
-@dataclasses.dataclass
-class ExitedChild:
-    """A zombie waiting to be reaped by wait4."""
-
-    process: "Process"
-    status: int

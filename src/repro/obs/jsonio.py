@@ -1,12 +1,13 @@
 """Crash-consistent JSON persistence shared by structured reports.
 
-``crash-report.json`` (:class:`repro.faults.report.CrashReport`) and
+``crash-report.json`` (:class:`repro.faults.report.CrashReport`),
 ``divergence-report.json`` (:class:`repro.diag.report.DivergenceReport`)
-use the same write discipline as the checkpoint journal: write to a
-temp file in the same directory, flush, fsync, atomically rename over
-the final name, then fsync the directory so the rename survives a power
-loss.  A crash mid-write can leave a stale ``.tmp`` file behind but
-never a truncated report at the destination path.
+and fuzz corpus entries are written through the tree's one durable
+writer, :func:`repro.durable.atomic_write`: a temp file in the same
+directory, fsynced, atomically renamed over the final name, then a
+directory fsync so the rename survives a power loss.  A crash mid-write
+can leave a stale ``.tmp-`` file behind but never a truncated report at
+the destination path.
 
 Like :mod:`repro.obs.events`, this module must stay dependency-free
 within the tree (both the fault plane and the diagnosis plane import
@@ -17,10 +18,9 @@ it); its one import, :mod:`repro.durable`, imports nothing from
 from __future__ import annotations
 
 import json
-import os
 from typing import Any
 
-from ..durable import fsync_dir
+from ..durable import atomic_write
 
 
 def dumps_canonical(data: Any) -> str:
@@ -31,12 +31,5 @@ def dumps_canonical(data: Any) -> str:
 
 def write_json_atomic(path: str, data: Any) -> str:
     """Persist *data* as canonical JSON at *path*, atomically."""
-    text = dumps_canonical(data)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.rename(tmp, path)
-    fsync_dir(os.path.dirname(path) or ".")
+    atomic_write(path, dumps_canonical(data).encode("utf-8"))
     return path

@@ -26,7 +26,6 @@ processes.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import multiprocessing
 import os
 import pickle
@@ -132,51 +131,8 @@ def effective_host_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _state_path(directory: str, key: Any) -> str:
-    """The per-key completion file inside a resume-state directory."""
-    return os.path.join(
-        directory, hashlib.sha1(repr(key).encode("utf-8")).hexdigest() + ".done")
-
-
-def _persist_result(directory: str, key: Any, result: Any) -> None:
-    """Atomically record a completed job (write-temp-then-rename, same
-    crash-consistency discipline as the checkpoint journal)."""
-    final = _state_path(directory, key)
-    tmp = final + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.rename(tmp, final)
-    except Exception:
-        # Persistence is best-effort: a failure merely means this key
-        # recomputes on the next resume.
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-
-
-def _load_completed(directory: str, ordered: Sequence[Job]) -> Dict[str, Any]:
-    """Previously completed results keyed by ``repr(key)``; unreadable
-    files are ignored (the key just recomputes)."""
-    done: Dict[str, Any] = {}
-    for job in ordered:
-        path = _state_path(directory, job.key)
-        if not os.path.exists(path):
-            continue
-        try:
-            with open(path, "rb") as fh:
-                done[repr(job.key)] = pickle.load(fh)
-        except Exception:
-            pass
-    return done
-
-
 def run_jobs(jobs: Sequence[Job], workers: int = 1,
-             timeout: Optional[float] = None,
-             resume_state: Optional[str] = None) -> List[Tuple[Any, Any]]:
+             timeout: Optional[float] = None) -> List[Tuple[Any, Any]]:
     """Run every job; return ``[(key, result), ...]`` sorted by key.
 
     The returned list — and any exception raised — is a pure function of
@@ -188,22 +144,12 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
     raised with the usual smallest-key precedence).  With a timeout even
     ``workers=1`` runs jobs in a single-process pool — the only way to
     abandon a hung call.
-
-    *resume_state* names a directory recording completed jobs: keys with
-    a recorded result are not re-run, and each newly completed (ok) key
-    is persisted atomically, so an interrupted fan-out resumes with only
-    its incomplete keys.
     """
     ordered = sorted(jobs, key=lambda j: j.key)
     keys = [j.key for j in ordered]
     if len(set(map(repr, keys))) != len(keys):
         raise ValueError("job keys must be unique: %r" % (keys,))
-    done: Dict[str, Any] = {}
-    if resume_state is not None:
-        os.makedirs(resume_state, exist_ok=True)
-        done = _load_completed(resume_state, ordered)
-    pending = [job for job in ordered if repr(job.key) not in done]
-    workers = max(1, min(int(workers), len(pending) or 1))
+    workers = max(1, min(int(workers), len(ordered) or 1))
     if timeout is None and workers > 1 and effective_host_cores() == 1:
         # Forking a pool on a single effective core only adds process
         # setup and context-switch overhead (speedup < 1 in practice);
@@ -214,7 +160,7 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
     if timeout is None and workers == 1:
         # The plain in-process loop: serial-vs-parallel identity tests
         # compare genuinely different execution paths.
-        outcomes = [_execute(job) for job in pending]
+        outcomes = [_execute(job) for job in ordered]
     else:
         # fork is the bake-in on Linux and keeps job functions' module
         # state (registered binaries, images) available without re-import.
@@ -223,10 +169,10 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
             if timeout is None:
                 # map() preserves input order, so completion races never
                 # reach us; chunksize=1 keeps long jobs load-balanced.
-                outcomes = pool.map(_execute, pending, chunksize=1)
+                outcomes = pool.map(_execute, ordered, chunksize=1)
             else:
                 handles = [(job, pool.apply_async(_execute, (job,)))
-                           for job in pending]
+                           for job in ordered]
                 outcomes = []
                 for job, handle in handles:
                     try:
@@ -236,17 +182,11 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
                             "JobTimeout",
                             "job %r exceeded %.3fs" % (job.key, timeout))))
                 # Leaving the with-block terminates any still-hung worker.
-    if resume_state is not None:
-        for key, tag, payload in outcomes:
-            if tag == "ok":
-                _persist_result(resume_state, key, payload)
     for key, tag, payload in outcomes:  # smallest key first, as serial would
         if tag == "err":
             raise payload
-    results = dict(done)
-    for key, tag, payload in outcomes:
-        results[repr(key)] = payload
-    return [(job.key, results[repr(job.key)]) for job in ordered]
+    return [(job.key, payload)
+            for job, (_key, _tag, payload) in zip(ordered, outcomes)]
 
 
 def fan_out(fn: Callable, arg_tuples: Sequence[Tuple], workers: int = 1) -> List[Any]:

@@ -1,4 +1,5 @@
 """The CAS layer: atomic entries, torn-write detection, refcounted gc."""
+import multiprocessing
 import os
 
 import pytest
@@ -49,6 +50,37 @@ class TestRoundTrip:
         assert stats.keys == 2
         assert stats.objects == 1
         assert stats.deduplicated_keys == 2
+
+
+def _put_many(directory, barrier, times):
+    store = CacheStore(directory)
+    barrier.wait(timeout=60)
+    for _ in range(times):
+        store.put(key(), outcome())
+
+
+class TestConcurrentPuts:
+    def test_workers_storing_one_key_all_succeed(self, store):
+        """Fan-out workers (``repro run --jobs N --repeat M``) store the
+        same key at the same moment: no put may fail or leave a temp
+        file, and the entry must read back whole."""
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(4)
+        procs = [ctx.Process(target=_put_many,
+                             args=(store.directory, barrier, 50),
+                             daemon=True)
+                 for _ in range(4)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.is_alive() for proc in procs] == [False] * 4
+        assert [proc.exitcode for proc in procs] == [0] * 4
+        assert store.get(key()) == outcome()
+        assert store.verify_store() == []
+        assert [name for directory in (store.keys_dir, store.objects_dir)
+                for name in os.listdir(directory)
+                if name.startswith(".tmp-")] == []
 
 
 class TestTornEntries:

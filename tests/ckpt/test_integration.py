@@ -45,7 +45,8 @@ class TestSupervisedResume:
             ckpt_image(), "/bin/main", host=HostEnvironment(entropy_seed=7))
         path = os.path.join(journal_dir, "crash-report.json")
         assert os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
+        assert not [name for name in os.listdir(journal_dir)
+                    if name.startswith(".tmp-")]
         with open(path) as fh:
             data = json.load(fh)
         report = CrashReport.from_dict(data)
@@ -72,7 +73,8 @@ class TestCrashReportWrite:
                              fault_trace=[{"fault": "kill", "index": 3}])
         path = str(tmp_path / "report.json")
         report.write_json(path)
-        assert not os.path.exists(path + ".tmp")
+        assert not [name for name in os.listdir(str(tmp_path))
+                    if name.startswith(".tmp-")]
         with open(path) as fh:
             back = CrashReport.from_dict(json.load(fh))
         assert back.status == "crashed"

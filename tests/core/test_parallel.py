@@ -181,64 +181,6 @@ def test_timeout_untriggered_results_identical_to_untimed():
     assert run_jobs(jobs, workers=2, timeout=30.0) == run_jobs(jobs, workers=2)
 
 
-# -- resume-state: an interrupted fan-out re-runs only incomplete keys ------
-
-
-def _log_and_square(x, log_path):
-    with open(log_path, "a") as fh:
-        fh.write("%d\n" % x)
-    return x * x
-
-
-def _fail_on(x, bad):
-    if x == bad:
-        raise ValueError("injected %d" % x)
-    return x * x
-
-
-def test_resume_state_skips_completed_keys(tmp_path):
-    state = str(tmp_path / "state")
-    log = str(tmp_path / "calls.log")
-    jobs = [Job(key=k, fn=_log_and_square, args=(k, log)) for k in range(4)]
-    first = run_jobs(jobs, resume_state=state)
-    second = run_jobs(jobs, resume_state=state)
-    assert first == second == [(k, k * k) for k in range(4)]
-    with open(log) as fh:
-        calls = [int(line) for line in fh]
-    assert calls == [0, 1, 2, 3]  # nothing re-ran on the second call
-
-
-def test_resume_state_only_persists_ok_results(tmp_path):
-    state = str(tmp_path / "state")
-    jobs = [Job(key=k, fn=_fail_on, args=(k, 1)) for k in range(3)]
-    with pytest.raises(ValueError, match="injected 1"):
-        run_jobs(jobs, resume_state=state)
-    # Keys 0 and 2 completed and were persisted; key 1 must re-run.
-    ok_jobs = [Job(key=k, fn=_fail_on, args=(k, -1)) for k in range(3)]
-    assert run_jobs(ok_jobs, resume_state=state) \
-        == [(0, 0), (1, 1), (2, 4)]
-
-
-def test_resume_state_results_match_fresh_run(tmp_path):
-    jobs = [Job(key=k, fn=_square, args=(k,)) for k in range(5)]
-    fresh = run_jobs(jobs, workers=2)
-    resumed = run_jobs(jobs, workers=2,
-                       resume_state=str(tmp_path / "state"))
-    assert fresh == resumed
-
-
-def test_resume_state_ignores_corrupt_entries(tmp_path):
-    from repro.parallel import _state_path
-
-    state = str(tmp_path / "state")
-    jobs = [Job(key=k, fn=_square, args=(k,)) for k in range(3)]
-    run_jobs(jobs, resume_state=state)
-    # A torn completion record is recomputed, not trusted.
-    with open(_state_path(state, 1), "wb") as fh:
-        fh.write(b"\x80garbage")
-    assert run_jobs(jobs, resume_state=state) == [(0, 0), (1, 1), (2, 4)]
-
-
 def test_reprotest_jobs_identity():
     """A reprotest double-build reaches the same verdict and artifact
     diff whether its two builds run serially or on two workers."""
