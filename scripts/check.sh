@@ -11,6 +11,7 @@
 #   ./scripts/check.sh diag     # just the divergence-diagnosis stage
 #   ./scripts/check.sh sockets  # just the deterministic-networking stage
 #   ./scripts/check.sh cache    # just the run-cache stage
+#   ./scripts/check.sh experiments  # just the paper-reproduction gate
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -223,6 +224,19 @@ PERTURB
     else
         echo "no committed BENCH_cache.json baseline; skipping regression gate"
     fi
+fi
+
+if [ "$stage" = "all" ] || [ "$stage" = "experiments" ]; then
+    echo "== paper-reproduction gate (regenerate at scale 1.0, cmp) =="
+    # Every paper-vs-measured number is deterministic: a change to one
+    # must come from a deliberate regeneration of the committed files.
+    tmp="$work/experiments"
+    mkdir "$tmp"
+    python scripts/run_experiments.py --scale 1.0 --out "$tmp/EXPERIMENTS.md"
+    for f in EXPERIMENTS.md figure5.svg figure6.svg; do
+        cmp "$tmp/$f" "$f"
+    done
+    echo "EXPERIMENTS.md and both figures byte-identical to the committed files"
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "perf" ]; then

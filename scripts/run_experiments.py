@@ -3,6 +3,9 @@
 
 Usage:  python scripts/run_experiments.py [--scale N] [--out FILE]
 
+Writes FILE (default EXPERIMENTS.md) and, in the same directory,
+figure5.svg and figure6.svg.
+
 The implementation lives in :mod:`repro.analysis.experiments` so the test
 suite can smoke it at a tiny scale.
 """

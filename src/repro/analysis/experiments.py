@@ -1,12 +1,14 @@
 """The full evaluation, as a library (regenerates EXPERIMENTS.md).
 
 Each ``*_section`` function runs one experiment for real and renders a
-markdown section with measured-vs-paper numbers.  ``scripts/
+markdown section with measured-vs-paper numbers; the Figure 5 and 6
+sections also write their SVG into a given directory.  ``scripts/
 run_experiments.py`` is a thin wrapper; ``generate(scale, out)`` is the
 API (smoke-tested at a tiny scale in the test suite).
 """
 
 
+import os
 import sys
 import time
 from collections import Counter
@@ -65,26 +67,26 @@ def table1_section(scale):
 
 def table2_section(scale):
     from repro.repro_tools import first_build_host
-    from repro.tracer.events import TraceCounters
+    from repro.obs.metrics import Metrics
     from repro.analysis import PAPER_TABLE2
     from repro.workloads.debian import build_dettrace, generate_population
 
     n = max(20, int(40 * scale))
     specs = [s for s in generate_population(n * 2, seed=7)
              if not s.expect_dt_unsupported and not s.syscall_storm][:n]
-    total = TraceCounters()
-    built = 0
+    total = Metrics(runs=0)
     for spec in specs:
         rec = build_dettrace(spec, host=first_build_host())
         if rec.status == "built":
-            built += 1
-            total.add(rec.result.counters)
-    out = ["## Table 2 — per-package average tracer events (%d builds)" % built, ""]
+            total.add(rec.result.metrics)
+    out = ["## Table 2 — per-package average tracer events (%d builds)"
+           % total.runs, ""]
     out.append("| event | measured avg | paper avg |")
     out.append("|---|---|---|")
-    for label, value in total.as_table2_rows():
-        out.append("| %s | %.2f | %.2f |" % (label, value / max(1, built),
-                                             PAPER_TABLE2[label]))
+    for label, value in total.table2_averages().items():
+        paper = PAPER_TABLE2.get(label)
+        out.append("| %s | %.2f | %s |" % (
+            label, value, "n/a" if paper is None else "%.2f" % paper))
     out.append("")
     out.append("Our packages are ~10³× smaller than Debian's (hundreds of "
                "syscalls per build vs 843k), so compare the *mix*, not the "
@@ -103,7 +105,7 @@ def table2_section(scale):
     return "\n".join(out)
 
 
-def fig5_section(scale):
+def fig5_section(scale, figdir):
     from repro.analysis import format_scatter
     from repro.repro_tools import first_build_host
     from repro.workloads.debian import build_dettrace, build_native, generate_population
@@ -132,7 +134,7 @@ def fig5_section(scale):
     aggregate = float((slows * w).sum() / w.sum())
 
     from .figures import figure5_svg
-    with open("figure5.svg", "w") as fh:
+    with open(os.path.join(figdir, "figure5.svg"), "w") as fh:
         fh.write(figure5_svg(points, thr_flags))
 
     out = ["## Figure 5 — slowdown vs syscall rate (%d packages)" % len(points),
@@ -153,7 +155,7 @@ def fig5_section(scale):
     return "\n".join(out)
 
 
-def fig6_section():
+def fig6_section(figdir):
     from repro.analysis import PAPER_FIG6
     from repro.analysis.figures import figure6_svg
     from repro.cpu.machine import HASWELL_XEON, HostEnvironment
@@ -179,7 +181,7 @@ def fig6_section():
                 tool, mode, " / ".join("%.2f" % v for v in vals),
                 " / ".join("%.2f" % v for v in PAPER_FIG6[tool][mode])))
             collected.setdefault(tool, {})[mode] = vals
-    with open("figure6.svg", "w") as fh:
+    with open(os.path.join(figdir, "figure6.svg"), "w") as fh:
         fh.write(figure6_svg(collected))
     out.append("")
     return "\n".join(out)
@@ -314,14 +316,16 @@ def correctness_section():
     return "\n".join(out)
 
 
+#: (name, section function, does it write a figure?).  Figure sections
+#: take (scale, figdir); the others take only the scale.
 SECTIONS = [
-    ("table1", table1_section, True),
-    ("table2", table2_section, True),
+    ("table1", table1_section, False),
+    ("table2", table2_section, False),
     ("fig5", fig5_section, True),
-    ("fig6", lambda scale: fig6_section(), False),
+    ("fig6", lambda scale, figdir: fig6_section(figdir), True),
     ("tf", lambda scale: tf_section(), False),
-    ("rr", rr_section, True),
-    ("portability", portability_section, True),
+    ("rr", rr_section, False),
+    ("portability", portability_section, False),
     ("correctness", lambda scale: correctness_section(), False),
 ]
 
@@ -343,19 +347,20 @@ DESIGN.md.
 
 def generate(scale: float = 1.0, out: str = "EXPERIMENTS.md",
              sections=None, quiet: bool = False) -> str:
-    """Run the evaluation and write *out*; returns the markdown text."""
+    """Run the evaluation and write *out*, with the figures beside it;
+    returns the markdown text."""
     chosen = SECTIONS if sections is None else [
         s for s in SECTIONS if s[0] in sections]
+    figdir = os.path.dirname(out) or "."
     parts = [HEADER % scale]
-    for name, fn, _takes_scale in chosen:
+    for name, fn, writes_figure in chosen:
         t0 = time.time()
         if not quiet:
             sys.stderr.write("running %s...\n" % name)
-        parts.append(fn(scale))
+        parts.append(fn(scale, figdir) if writes_figure else fn(scale))
         if not quiet:
             sys.stderr.write("  done in %.1fs\n" % (time.time() - t0))
     text = "\n".join(parts)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with open(out, "w") as fh:
+        fh.write(text)
     return text

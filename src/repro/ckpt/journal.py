@@ -15,7 +15,7 @@ never a torn ``.snap``.  A torn or bit-rotted snapshot is *detected*
 (length/checksum mismatch) and the recovery scan falls back to the
 next-newest valid one.
 
-Format 2 adds **delta snapshots**: a file whose payload is a
+A snapshot is either full or a **delta**: a file whose payload is a
 :data:`repro.ckpt.snapshot.DELTA_KIND` record encoding only the state
 changed since a *base* snapshot, named in the header by the base
 payload's sha256 (``base_sha256``).  A delta is only usable when its
@@ -26,6 +26,11 @@ closure of everything it retains so a kept delta is never orphaned.
 Pruning is one pure selection (:func:`prune_selection`) over a journal
 listing plus a removal step, so a writer that tracks its own listing in
 memory prunes by exactly the rule a fresh :func:`scan` would.
+
+Only the current format is read.  Format 3 keeps every counter in the
+pickled collector and drops the pickled kernel stats object of formats
+1 and 2, so their payloads no longer unpickle: a scan reports them
+invalid instead.
 """
 
 from __future__ import annotations
@@ -39,10 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..durable import atomic_write, fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
-FORMAT_VERSION = 2
-
-#: Older formats the reader still accepts (full snapshots only).
-_READABLE_FORMATS = (1, FORMAT_VERSION)
+FORMAT_VERSION = 3
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".snap"
@@ -139,14 +141,9 @@ def read_header(path: str) -> Dict[str, Any]:
         raise JournalError("%s: unparsable header: %s" % (path, err))
     if not isinstance(header, dict):
         raise JournalError("%s: header is not an object" % path)
-    if header.get("format") not in _READABLE_FORMATS:
-        raise JournalError("%s: format %r, expected one of %s"
-                           % (path, header.get("format"),
-                              list(_READABLE_FORMATS)))
-    # Format-1 files predate delta snapshots: they are always full.
-    header.setdefault("snapshot_kind", "full")
-    header.setdefault("base_sha256", "")
-    header.setdefault("chain_depth", 0)
+    if header.get("format") != FORMAT_VERSION:
+        raise JournalError("%s: format %r, expected %d"
+                           % (path, header.get("format"), FORMAT_VERSION))
     return header
 
 

@@ -137,7 +137,7 @@ class CheckpointManager:
     # -- barrier ----------------------------------------------------------
 
     def maybe_barrier(self, kernel) -> None:
-        tick = kernel.stats.events_processed
+        tick = kernel.events_processed
         requested = self.requested
         due = requested or (self.every > 0 and tick % self.every == 0)
         if not due or tick == self.last_barrier:
@@ -185,7 +185,7 @@ class CheckpointManager:
         return self._tape_encoded
 
     def _snapshot_full(self, kernel) -> str:
-        tick = kernel.stats.events_processed
+        tick = kernel.events_processed
         payload = capture(kernel, tape_encoded=self._encode_tape_tail())
         blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         info = self._note_written(journal.write_snapshot(
@@ -203,7 +203,7 @@ class CheckpointManager:
         return info.path
 
     def _snapshot_delta(self, kernel, durable: bool = True) -> str:
-        tick = kernel.stats.events_processed
+        tick = kernel.events_processed
         delta, new_hashes, dirty_objects = capture_delta(
             kernel, self._section_hashes, self._last_tape_len,
             self._device_paths, tape_encoded=self._encode_tape_tail())

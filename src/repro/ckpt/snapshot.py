@@ -14,7 +14,8 @@ tracer not pumping) and produces a picklable payload dict holding
 * the event heap (as descriptors, not closures), the parked-thread map
   and the serialization token state,
 * the reproducible scheduler's heaps, the tracer's PRNG/logical-clock/
-  inode-table state, fault-injector progress, obs collector, stats,
+  inode-table state, fault-injector progress, the obs collector (every
+  counter of the run) and the kernel's event tick,
 * and the resume tape (:mod:`repro.ckpt.tape`).
 
 ``restore(kernel, payload)`` inverts it into a freshly *prepared* kernel
@@ -53,11 +54,11 @@ DELTA_KIND = "repro.ckpt.delta"
 #: byte-equal* to its previous capture); a delta snapshot carries only the
 #: sections whose pickled hash moved since its base.
 SECTION_KEYS = (
-    "host", "clock_now", "stats", "obs", "network", "stdout", "stderr",
-    "timers", "pid_next", "tid_next", "nspid_next", "seq", "cores_busy",
-    "core_queue", "fs_meta", "pipes", "pipe_counter", "sockets",
-    "of_records", "processes", "events", "parked", "sched", "tracer",
-    "faults",
+    "host", "clock_now", "events_processed", "obs", "network", "stdout",
+    "stderr", "timers", "pid_next", "tid_next", "nspid_next", "seq",
+    "cores_busy", "core_queue", "fs_meta", "pipes", "pipe_counter",
+    "sockets", "of_records", "processes", "events", "parked", "sched",
+    "tracer", "faults",
 )
 
 #: Sections that move at (virtually) every event — the clock, the event
@@ -68,7 +69,8 @@ SECTION_KEYS = (
 #: costs a few hundred redundant bytes, not correctness (delta sections
 #: are wholesale replacements).
 VOLATILE_KEYS = frozenset((
-    "clock_now", "stats", "obs", "events", "sched", "tracer", "processes",
+    "clock_now", "events_processed", "obs", "events", "sched", "tracer",
+    "processes",
 ))
 
 #: Fingerprint scopes (see :meth:`Snapshot.fingerprint`).
@@ -356,7 +358,6 @@ def _capture_runtime(kernel) -> Tuple[
     tracer_rec = None
     if tracer is not None:
         tracer_rec = {
-            "counters": tracer.counters,
             "busy_until": tracer.busy_until,
             "span_cost": tracer._span_cost,
             "prng_state": tracer.prng.state,
@@ -381,7 +382,7 @@ def _capture_runtime(kernel) -> Tuple[
     sections: Dict[str, Any] = {
         "host": kernel.host,
         "clock_now": kernel.clock.now,
-        "stats": kernel.stats,
+        "events_processed": kernel.events_processed,
         "obs": kernel.obs,
         "network": dict(kernel.network),
         "stdout": list(kernel.stdout.chunks),
@@ -859,7 +860,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
 
     # -- plain overlays --------------------------------------------------
     kernel.clock.now = payload["clock_now"]
-    kernel.stats = payload["stats"]
+    kernel.events_processed = payload["events_processed"]
     kernel.obs = payload["obs"]
     if tracer is not None:
         tracer.obs = kernel.obs
@@ -1146,7 +1147,6 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     if (tracer is None) != (trec is None):
         raise RestoreError("tracer presence differs from snapshot")
     if tracer is not None:
-        tracer.counters = trec["counters"]
         tracer.busy_until = trec["busy_until"]
         tracer._span_cost = trec["span_cost"]
         # In place: /dev/random's read hook is a bound method of this
@@ -1160,7 +1160,6 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
         tracer._pumping = False
         tracer._ctx_cache.clear()
         if inj is not None:
-            inj.counters = tracer.counters
             inj.obs = kernel.obs
 
     return ff.live_tape
@@ -1284,8 +1283,8 @@ _GUEST_KEYS = (
 #: ``prng_seed``) fingerprint equal until the first tick where the
 #: difference leaks into guest-visible state — which is exactly the
 #: tick divergence bisection wants to find.
-_FULL_KEYS = ("host", "stats", "obs", "fs_meta", "sched", "tracer",
-              "faults", "tape")
+_FULL_KEYS = ("host", "events_processed", "obs", "fs_meta", "sched",
+              "tracer", "faults", "tape")
 
 
 def _canonical_maps(payload: Dict[str, Any],

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional
 from ..cpu.machine import HostEnvironment
 from ..faults.report import AttemptRecord, CrashReport
 from ..kernel.errors import DeadlockError, KernelPanic, SimTimeout
-from ..kernel.kernel import Kernel
+from ..kernel.kernel import EVENTS_PROCESSED, SYSCALL_PREFIX, Kernel
 from ..obs.collector import Collector
 from ..obs.metrics import Metrics
 from ..obs.trace import TraceLog
@@ -77,6 +77,7 @@ class ContainerResult:
     stderr: str
     #: {path relative to the build dir: file bytes} — the artifacts.
     output_tree: Dict[str, bytes]
+    #: The Table 2 view of the run's counters; None when no tracer ran.
     counters: Optional[TraceCounters]
     syscall_count: int
     #: Virtual wall-clock duration of the whole run.
@@ -165,20 +166,22 @@ def _classify(err: BaseException):
 
 
 def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
-            status: str, exit_code: Optional[int], error: str,
-            counters: Optional[TraceCounters]) -> ContainerResult:
+            status: str, exit_code: Optional[int],
+            error: str) -> ContainerResult:
     """Assemble the result from whatever state the kernel ended in.
 
-    Owns *all* result decoration — debug log, metrics, trace, crash
-    report, partial output tree — so every exit path (including
-    timeout/deadlock/crash) carries the kernel's final state.  All
-    observability flows through the kernel's collector (repro.obs),
+    Owns *all* result decoration — debug log, metrics, Table 2 counters,
+    trace, crash report, partial output tree — so every exit path
+    (including timeout/deadlock/crash) carries the kernel's final state.
+    All observability flows through the kernel's collector (repro.obs),
     which exists from the first line of a run: events buffered before a
     panic are never dropped, and crash reports and metrics agree.
     Never raises: collection failures degrade to empty fields recorded
     in the error string.
     """
     obs = kernel.obs
+    # The event loop keeps its tick as a plain int; record it once here.
+    obs.counters[EVENTS_PROCESSED] = kernel.events_processed
     try:
         output_tree = _collect_output_tree(kernel, build_dir)
     except Exception as err:  # pragma: no cover - snapshot never raises today
@@ -189,7 +192,7 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
     except Exception:  # pragma: no cover
         stdout, stderr = "", ""
     try:
-        metrics = Metrics.from_run(obs, counters, kernel.stats)
+        metrics = Metrics.from_run(obs)
     except Exception:  # pragma: no cover
         metrics = None
     trace = obs.trace_log() if obs.trace_enabled else None
@@ -200,7 +203,7 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
             status=status,
             error=error,
             fault_trace=list(injector.trace) if injector is not None else [],
-            last_syscalls=kernel.stats.recent_syscall_events(),
+            last_syscalls=obs.recent_syscalls.events(),
         )
     return ContainerResult(
         status=status,
@@ -209,8 +212,8 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
         stdout=stdout,
         stderr=stderr,
         output_tree=output_tree,
-        counters=counters,
-        syscall_count=kernel.stats.syscalls,
+        counters=TraceCounters.of(obs),
+        syscall_count=obs.total(SYSCALL_PREFIX),
         wall_time=kernel.clock.now,
         host=host,
         debug_log=obs.render_debug(),
@@ -345,11 +348,10 @@ class DetTrace:
         # path — including a crash before the tracer is even built —
         # flows through it (crash reports and metrics always agree).
         kernel.obs = Collector(trace=cfg.observe, debug=cfg.debug)
-        tracer = None
         proc = None
         status, error = OK, ""
         try:
-            tracer = self._prepare(kernel, image, _attempt)
+            self._prepare(kernel, image, _attempt)
             if cfg.checkpoint is not None:
                 from ..ckpt import CheckpointManager, restore
 
@@ -376,10 +378,9 @@ class DetTrace:
             status, error = _classify(err)
         exit_code, error = _decode_exit(proc, status, error)
         return _finish(kernel, cfg.working_dir, host, status, exit_code,
-                       error, tracer.counters if tracer is not None else None)
+                       error)
 
-    def _prepare(self, kernel: Kernel, image: Image,
-                 _attempt: int) -> DetTraceTracer:
+    def _prepare(self, kernel: Kernel, image: Image, _attempt: int) -> None:
         """Configure a fresh kernel up to (but excluding) boot.
 
         Shared verbatim by :meth:`run` and :meth:`resume`: a restored
@@ -409,9 +410,7 @@ class DetTrace:
         tracer.attach(kernel)
         if cfg.fault_plan is not None:
             injector = kernel.install_faults(cfg.fault_plan, attempt=_attempt)
-            injector.counters = tracer.counters
             injector.obs = kernel.obs
-        return tracer
 
     def resume(self, image: Image, command: str,
                argv: Optional[List[str]] = None,
@@ -567,4 +566,4 @@ class NativeRunner:
         except Exception as err:
             status, error = _classify(err)
         exit_code, error = _decode_exit(proc, status, error)
-        return _finish(kernel, build_dir, host, status, exit_code, error, None)
+        return _finish(kernel, build_dir, host, status, exit_code, error)

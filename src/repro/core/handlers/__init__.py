@@ -38,7 +38,6 @@ class HandlerContext:
         self.logical = tracer.logical
         self.inodes = tracer.inodes
         self.uidmap = tracer.uidmap
-        self.counters = tracer.counters
         #: Cross-retry handler state (partial-IO accumulation, Fig. 4).
         self.io_state = tracer.io_state
 

@@ -39,7 +39,7 @@ def handle_open(ctx: HandlerContext, thread, call) -> Outcome:
     path = call.args.get("path", "")
     ctx.peek(1 + len(path) // 32)  # read the path string from the tracee
     if path in RANDOM_DEVICES:
-        ctx.counters.urandom_opens += 1
+        ctx.tracer.obs.count(("tracer", "urandom_opens"))
     existed = ctx.resolve(path) is not None
     tag, payload = ctx.execute(call)
     if tag == "ok" and ctx.config.virtualize_inodes:
@@ -148,7 +148,7 @@ def handle_getdents(ctx: HandlerContext, thread, call) -> Outcome:
             entries = [Dirent(d_ino=ctx.inodes.virtual_ino(d.d_ino),
                               d_name=d.d_name, d_type=d.d_type)
                        for d in entries]
-        ctx.counters.getdents_sorted += 1
+        ctx.tracer.obs.count(("tracer", "getdents_sorted"))
         buffered = {"entries": entries, "pos": 0}
         of._dt_dirents = buffered   # per-description tracer scratch
     entries = buffered["entries"]

@@ -76,7 +76,7 @@ def handle_read(ctx: HandlerContext, thread, call) -> Outcome:
         if tag != "ok":
             raise AssertionError("read: unexpected outcome %r" % tag)
         if not first:
-            ctx.counters.read_retries += 1
+            ctx.tracer.obs.count(("tracer", "read_retries"))
         first = False
         data = payload
         ctx.poke(max(1, len(data) // 512))
@@ -113,7 +113,7 @@ def handle_write(ctx: HandlerContext, thread, call) -> Outcome:
         if tag != "ok":
             raise AssertionError("write: unexpected outcome %r" % tag)
         if not first:
-            ctx.counters.write_retries += 1
+            ctx.tracer.obs.count(("tracer", "write_retries"))
         first = False
         written += payload
         if written >= len(data):

@@ -89,14 +89,14 @@ def handle_connect(ctx: HandlerContext, thread, call) -> Outcome:
         raise UnsupportedSyscallError("connect", "network communication")
     outcome = passthrough(ctx, thread, call)
     if outcome[0] == "value":
-        ctx.counters.socket_connects += 1
+        ctx.tracer.obs.count(("tracer", "socket_connects"))
     return outcome
 
 
 def handle_accept(ctx: HandlerContext, thread, call) -> Outcome:
     outcome = passthrough(ctx, thread, call)
     if outcome[0] == "value":
-        ctx.counters.socket_accepts += 1
+        ctx.tracer.obs.count(("tracer", "socket_accepts"))
     return outcome
 
 

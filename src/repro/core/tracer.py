@@ -25,6 +25,7 @@ from ..kernel.types import CpuidResult
 from ..obs.events import DEBUG, TRAP, ObsEvent
 from ..obs.profiler import HANDLER, INTERCEPTION, SCHEDULER
 from ..obs.trace import Span
+from ..tracer.events import REPLAYS_BLOCKING, SYSCALL_EVENTS
 from ..tracer.ptrace import TracerBase
 from ..tracer.seccomp import SeccompFilter
 from .config import ContainerConfig
@@ -97,6 +98,8 @@ class DetTraceTracer(TracerBase):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
+        for key in (SYSCALL_EVENTS, REPLAYS_BLOCKING):
+            self.obs.counters.setdefault(key, 0)
         self.seccomp = SeccompFilter(
             enabled=self.config.use_seccomp,
             kernel_version=kernel.host.machine.kernel_version)
@@ -132,10 +135,8 @@ class DetTraceTracer(TracerBase):
                                   kind=DEBUG, name=name,
                                   detail="trap %s" % name))
         if name in (insn.RDTSC, insn.RDTSCP):
-            self.counters.rdtsc_intercepted += 1
             return (self.logical.next_rdtsc(thread.process.pid), finish)
         if name == insn.CPUID:
-            self.counters.cpuid_intercepted += 1
             return (CANONICAL_CPUID, finish)
         if name == insn.RDPMC:
             return (0, finish)
@@ -146,7 +147,6 @@ class DetTraceTracer(TracerBase):
     # ------------------------------------------------------------------
 
     def on_process_spawn(self, proc: Process) -> None:
-        self.counters.process_spawns += 1
         self.sched.add(proc.main_thread)
 
     def on_thread_spawn(self, thread: Thread) -> None:
@@ -169,7 +169,7 @@ class DetTraceTracer(TracerBase):
         (§5.3, §5.10)."""
         if self.config.patch_vdso:
             proc.vdso_patched = True
-            self.counters.vdso_patches += 1
+            self.obs.count(("tracer", "vdso_patches"))
             self.charge(EXECVE_TRACER_COST, HANDLER)
             self.charge(self.poke_memory(8))
 
@@ -181,7 +181,7 @@ class DetTraceTracer(TracerBase):
     # ------------------------------------------------------------------
 
     def on_trace_stop(self, thread: Thread) -> None:
-        self.counters.syscall_events += 1
+        self.obs.counters[SYSCALL_EVENTS] += 1
         self.sched.notify_stop(thread)
         self._pump()
 
@@ -245,7 +245,6 @@ class DetTraceTracer(TracerBase):
     def _service(self, thread: Thread) -> bool:
         self.begin_span()
         if thread.process is not self._last_proc:
-            self.counters.sched_requests += 1
             self.obs.count(("sched", "context_switch"))
             self.charge(TRACER_SCHED_COST, SCHEDULER)
             self._last_proc = thread.process
@@ -258,7 +257,7 @@ class DetTraceTracer(TracerBase):
             self._debug_line(thread, outcome, payload)
         if outcome == "block":
             self._memoize_block(thread, epoch)
-            self.counters.replays_blocking += 1
+            self.obs.counters[REPLAYS_BLOCKING] += 1
             self.charge(TRACER_REPLAY_COST, SCHEDULER)
             self._emit_span(thread, outcome)
             self.sched.still_blocked(thread)
@@ -332,7 +331,7 @@ class DetTraceTracer(TracerBase):
         if self.obs.debug_level >= 2:
             self._debug_probe(thread, outcome)
         if outcome == "block":
-            self.counters.replays_blocking += 1
+            self.obs.counters[REPLAYS_BLOCKING] += 1
             self._emit_span(thread, outcome)
             self.sched.still_blocked(thread)
             self.kernel.release_step_token(thread)

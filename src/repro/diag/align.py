@@ -182,9 +182,6 @@ class RunCapture:
         if result.metrics is not None:
             counters = dict(result.metrics.counters)
             totals = dict(result.metrics.totals)
-        elif result.counters is not None:
-            counters = {field.name: getattr(result.counters, field.name)
-                        for field in dataclasses.fields(result.counters)}
         records: List[Dict[str, Any]] = []
         if result.trace is not None:
             records = result.trace.to_chrome()["traceEvents"]

@@ -17,7 +17,7 @@ it at exactly two choke points:
   written: a deterministic coordinate, unlike real free-space probes.
 
 Every firing is appended to :attr:`trace` (the "fault trace" of crash
-reports) and counted on the attached :class:`TraceCounters`.
+reports) and counted as ``fault/<kind>`` in the run's collector.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .plan import (
     DISK_FULL_FAULT,
     ERRNO_FAULTS,
     KILL_FAULT,
-    SHORT_IO_FAULTS,
     SIGNAL_FAULT,
     FaultPlan,
     FaultRule,
@@ -73,10 +72,8 @@ class FaultInjector:
         self.trace: List[Dict[str, Any]] = []
         #: Did any transient-classified rule fire this run?
         self.transient_fired = False
-        #: TraceCounters of the attached tracer (None under NativeRunner).
-        self.counters = None
         #: The run's observability collector (repro.obs); None until the
-        #: container wires it in.
+        #: container wires it in (NativeRunner never does).
         self.obs = None
 
     # ------------------------------------------------------------------
@@ -162,12 +159,6 @@ class FaultInjector:
             "fault": rule.fault,
             "rule": pos,
         })
-        if self.counters is not None:
-            self.counters.faults_injected += 1
-            if rule.fault == SIGNAL_FAULT:
-                self.counters.signals_injected += 1
-            elif rule.fault in SHORT_IO_FAULTS:
-                self.counters.short_io_injected += 1
         if self.obs is not None:
             self.obs.count(("fault", rule.fault))
             self.obs.record(ObsEvent(vts=vts, pid=nspid, index=index,

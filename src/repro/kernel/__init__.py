@@ -8,7 +8,7 @@ from .errors import (
     SimTimeout,
     SyscallError,
 )
-from .kernel import Kernel, KernelStats
+from .kernel import Kernel
 from .ops import Compute, Instr, RerunSyscall, SkipSyscall, Syscall, VdsoCall
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Instr",
     "Kernel",
     "KernelPanic",
-    "KernelStats",
     "RerunSyscall",
     "SimTimeout",
     "SkipSyscall",

@@ -14,12 +14,11 @@ tracer layers above.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cpu.machine import HostEnvironment
 from ..obs.collector import Collector
-from ..obs.events import EXIT, SPAWN, EventRing, ObsEvent
+from ..obs.events import EXIT, SPAWN, ObsEvent
 from .clock import SimClock
 from .costs import (
     COMPUTE_JITTER_FRAC,
@@ -50,43 +49,13 @@ CHILD_START_DELAY = 20e-6
 
 DEFAULT_MAX_EVENTS = 50_000_000
 
-
-#: How many trailing syscall dispatches the kernel remembers for crash
-#: reports ("last N syscalls" — repro.faults.report).
-RECENT_SYSCALL_WINDOW = 32
-
-
-class KernelStats:
-    """Aggregate counters for one kernel run (Figure 5's x-axis, etc.)."""
-
-    def __init__(self):
-        self.syscalls = 0
-        self.syscalls_by_name: Counter = Counter()
-        self.instructions: Counter = Counter()
-        self.vdso_calls = 0
-        self.processes_spawned = 0
-        self.threads_spawned = 0
-        self.events_processed = 0
-        #: The shared recent-events ring (repro.obs.events.EventRing) of
-        #: ``(vts, nspid, index, name)`` tuples: forensics for the crash
-        #: report's "last N syscalls" and the divergence differ's
-        #: context windows.  Entries stay compact because this append
-        #: sits on the per-syscall fast path; they materialize into the
-        #: shared :class:`repro.obs.events.ObsEvent` schema on demand
-        #: via :meth:`recent_syscall_events`, so crash reports, traces
-        #: and divergence reports all agree on coordinates.
-        self.recent_syscalls: EventRing = EventRing(RECENT_SYSCALL_WINDOW)
-
-    def count_syscall(self, name: str) -> None:
-        self.syscalls += 1
-        self.syscalls_by_name[name] += 1
-
-    def recent_syscall_events(self) -> List[ObsEvent]:
-        """The ring as structured events (the crash-forensics view)."""
-        return self.recent_syscalls.events()
-
-    def count_instr(self, name: str) -> None:
-        self.instructions[name] += 1
+#: The kernel's keys in the run's collector (repro.obs).  A dispatch
+#: counts at SYSCALL_PREFIX + (name,) and a spawn at ("process",
+#: "spawn"); EVENTS_PROCESSED records the final event tick.
+SYSCALL_PREFIX = ("kernel", "syscall")
+VDSO_CALLS = ("kernel", "vdso_calls")
+THREADS_SPAWNED = ("kernel", "threads_spawned")
+EVENTS_PROCESSED = ("kernel", "events_processed")
 
 
 class Kernel:
@@ -115,18 +84,22 @@ class Kernel:
         #: The simulated internet: url -> body bytes (set by images).
         self.network: Dict[str, bytes] = {}
         self.processes: List[Process] = []
-        self.stats = KernelStats()
-        #: The run's observability collector (repro.obs).  Containers
-        #: install their own before boot; the default collects aggregates
-        #: that are simply never surfaced.  Purely passive either way.
+        #: Events dispatched so far: the tick that places injected kills
+        #: and checkpoint barriers.
+        self.events_processed = 0
+        #: The run's observability collector (repro.obs): the store of
+        #: every counter.  Containers install their own before boot; the
+        #: default collects aggregates that are simply never surfaced.
         self.obs = Collector()
 
         self._events: List[Tuple[float, int, Callable[[], None], Any]] = []
         self._seq = 0
         #: Per-name caches for the syscall fast path: the resolved base
-        #: cost and the interned counter key for untraced dispatches
-        #: (avoids a dict-miss default and a tuple allocation per call).
+        #: cost and the interned counter keys for every dispatch and for
+        #: untraced ones (avoids a dict-miss default and a tuple
+        #: allocation per call).
         self._cost_cache: Dict[str, float] = {}
+        self._dispatch_key_cache: Dict[str, Tuple[str, str, str]] = {}
         self._untraced_key_cache: Dict[str, Tuple[str, str, str]] = {}
         self._pid_next = host.pid_start
         self._tid_next = host.pid_start + 50_000
@@ -232,13 +205,13 @@ class Kernel:
                     "no progress possible; live pids=%s"
                     % [p.pid for p in self.live_processes()])
             if (self._kill_at is not None
-                    and self.stats.events_processed >= self._kill_at):
+                    and self.events_processed >= self._kill_at):
                 # Injected crash (KILL_AT_TICK): fires *between* events,
                 # exactly where a checkpoint barrier sits, so a resumed
                 # run continues from event tick N as if nothing happened.
                 from ..faults.injector import KilledAtTick
 
-                tick = self.stats.events_processed
+                tick = self.events_processed
                 if self.faults is not None:
                     self.faults.record_kill(tick)
                 self._kill_at = None
@@ -247,8 +220,8 @@ class Kernel:
             if deadline is not None and t > deadline:
                 raise SimTimeout(deadline)
             self.clock.advance_to(t)
-            self.stats.events_processed += 1
-            if self.stats.events_processed > max_events:
+            self.events_processed += 1
+            if self.events_processed > max_events:
                 raise KernelPanic("event budget exhausted (%d)" % max_events)
             fn()
             if self.ckpt is not None:
@@ -288,7 +261,6 @@ class Kernel:
             gid=0, aslr_base=self._aslr_base())
         self._wire_standard_fds(proc)
         self.processes.append(proc)
-        self.stats.processes_spawned += 1
         self.obs.count(("process", "spawn"))
         self.obs.record(ObsEvent(vts=0.0, pid=proc.nspid, index=-1,
                                  kind=SPAWN, name=path))
@@ -363,7 +335,6 @@ class Kernel:
                 self.drop_open_file(child.fdtable.remove(fd))
         parent.children.append(child)
         self.processes.append(child)
-        self.stats.processes_spawned += 1
         self.obs.count(("process", "spawn"))
         self.obs.record(ObsEvent(
             vts=caller.det_clock if caller is not None else 0.0,
@@ -398,7 +369,7 @@ class Kernel:
         if caller is not None:
             thread.det_clock = caller.det_clock
             thread.det_bound = caller.det_clock
-        self.stats.threads_spawned += 1
+        self.obs.count(THREADS_SPAWNED)
         if self.tracer is not None:
             self.tracer.on_thread_spawn(thread)
         if self.serialize_threads and caller is not None:
@@ -520,7 +491,7 @@ class Kernel:
                 if thread.process.vdso_patched:
                     self._dispatch_syscall(thread, Syscall(op.name, op.args))
                     return
-                self.stats.vdso_calls += 1
+                self.obs.count(VDSO_CALLS)
                 value = self.vdso.call(op.name, op.args)
                 continue
             if isinstance(op, VvarRead):
@@ -622,7 +593,6 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _execute_instr(self, thread: Thread, op: Instr) -> Any:
-        self.stats.count_instr(op.name)
         if self.tracer is not None and self.tracer.traps_instruction(thread, op.name):
             value, resume_at = self.tracer.on_instruction(thread, op.name)
             if resume_at <= self.clock.now:
@@ -657,7 +627,13 @@ class Kernel:
         return thread.tid - self.host.pid_start - 50_000
 
     def _dispatch_syscall(self, thread: Thread, call: Syscall) -> None:
-        self.stats.count_syscall(call.name)
+        obs = self.obs
+        key = self._dispatch_key_cache.get(call.name)
+        if key is None:
+            key = self._dispatch_key_cache[call.name] = (
+                SYSCALL_PREFIX + (call.name,))
+        counters = obs.counters
+        counters[key] = counters.get(key, 0) + 1
         proc = thread.process
         index = proc.syscall_index
         proc.syscall_index = index + 1
@@ -666,7 +642,7 @@ class Kernel:
         # carries it even when an injected signal storm kills the thread
         # before the advance happens.
         det_ts = max(thread.det_clock, thread.det_bound) + SYSCALL_TICK
-        self.stats.recent_syscalls.push(det_ts, proc.nspid, index, call.name)
+        obs.recent_syscalls.push(det_ts, proc.nspid, index, call.name)
         if self.faults is not None:
             self.faults.on_dispatch(self, thread, call, index, vts=det_ts)
             if not thread.alive:
@@ -693,13 +669,13 @@ class Kernel:
             key = ("syscall", call.name,
                    "skipped" if self.tracer is not None else "native")
             self._untraced_key_cache[call.name] = key
-        self.obs.count(key)
-        if self.obs.trace_enabled:
+        counters[key] = counters.get(key, 0) + 1
+        if obs.trace_enabled:
             # The structured event is only materialized when someone is
             # listening: the untraced path is the seccomp-optimized
             # common case and must stay allocation-light.
-            self.obs.record(ObsEvent(vts=det_ts, pid=proc.nspid, index=index,
-                                     kind="syscall", name=call.name))
+            obs.record(ObsEvent(vts=det_ts, pid=proc.nspid, index=index,
+                                kind="syscall", name=call.name))
         self._execute_untraced(thread, call)
 
     def _execute_untraced(self, thread: Thread, call: Syscall) -> None:

@@ -4,14 +4,24 @@ One :class:`Collector` is created per container run (before the kernel
 boots) and shared by every layer — kernel dispatch, the DetTrace tracer,
 the reproducible scheduler, the fault injector.  It has two tiers:
 
-* **aggregates** (counters, gauges, histograms, the phase profile) —
-  always on; cheap, bounded memory, and deterministic, so every
-  :class:`~repro.core.container.ContainerResult` carries metrics;
+* **aggregates** (counters, gauges, histograms, the phase profile, the
+  recent-syscall ring) — always on; cheap, bounded memory, and
+  deterministic, so every :class:`~repro.core.container.ContainerResult`
+  carries metrics;
 
 * **the event stream** (structured :class:`~repro.obs.events.ObsEvent`
   instants and tracer :class:`~repro.obs.trace.Span` records) — gated by
   ``ContainerConfig.observe`` (or ``debug`` for the compatibility debug
   log), because it grows with the run.
+
+:attr:`Collector.counters` is the run's only counter store, and each
+event is counted once, under the namespace of the layer that sees it:
+``kernel/`` (dispatches by syscall name, vDSO calls, thread spawns,
+the final event tick), ``tracer/`` (the tracer's own Table-2 events),
+``process/``, ``syscall/<name>/<disposition>``, ``sched/``, ``trap/``
+and ``fault/``.  Table 2, ``syscalls_by_name`` and the run totals are
+views of it (:mod:`repro.tracer.events`,
+:meth:`repro.obs.metrics.Metrics.from_run`).
 
 The collector is passive: it never reads clocks, never seeds randomness,
 and never charges virtual time, so enabling or disabling it cannot
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple, Union
 
-from .events import DEBUG, ObsEvent
+from .events import RECENT_WINDOW, EventRing, ObsEvent
 from .profiler import PhaseProfile
 from .trace import Span, TraceLog
 
@@ -62,6 +72,9 @@ class Collector:
         #: name -> {power-of-two bucket exponent -> count}.
         self.histograms: Dict[str, Dict[int, int]] = {}
         self.profile = PhaseProfile()
+        #: The newest syscall dispatches, as compact (vts, nspid, index,
+        #: name) tuples: the crash report's "last N syscalls".
+        self.recent_syscalls = EventRing(RECENT_WINDOW)
         self.events: List[ObsEvent] = []
         self.spans: List[Span] = []
         self.debug_events: List[ObsEvent] = []
@@ -71,6 +84,11 @@ class Collector:
     def count(self, key: CounterKey, n: int = 1) -> None:
         k = _key(key)
         self.counters[k] = self.counters.get(k, 0) + n
+
+    def total(self, prefix: Tuple[str, ...]) -> int:
+        """The sum of every counter whose key starts with *prefix*."""
+        n = len(prefix)
+        return sum(v for k, v in self.counters.items() if k[:n] == prefix)
 
     def gauge_max(self, name: str, value: float) -> None:
         if value > self.gauges.get(name, float("-inf")):
@@ -112,13 +130,3 @@ class Collector:
     def tail_events(self, limit: int = 32) -> List[ObsEvent]:
         """The newest *limit* structured events (crash forensics)."""
         return self.events[-limit:]
-
-
-#: A shared do-nothing-visible collector for components created outside a
-#: container run (aggregates still accumulate but are never surfaced).
-def null_collector() -> Collector:
-    return Collector(trace=False, debug=0)
-
-
-# Re-export for collector-centric call sites.
-DEBUG_KIND = DEBUG

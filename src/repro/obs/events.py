@@ -93,8 +93,8 @@ RECENT_WINDOW = 32
 class EventRing:
     """A bounded ring of compact event entries.
 
-    This is the one "last N events" buffer in the tree: the kernel keeps
-    its recent-syscall forensics in one (feeding
+    This is the one "last N events" buffer in the tree: each run's
+    collector keeps its recent-syscall forensics in one (feeding
     :class:`repro.faults.report.CrashReport.last_syscalls`) and the
     divergence differ (:mod:`repro.diag.align`) keeps its per-side
     context windows in two more.  Entries stay whatever compact tuple or

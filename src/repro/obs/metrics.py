@@ -2,12 +2,11 @@
 
 A :class:`Metrics` object is plain data assembled at the end of a run
 (on *every* exit path, including crashes — see
-``repro.core.container._finish``) from three deterministic sources: the
-run's :class:`~repro.obs.collector.Collector` aggregates, the tracer's
-Table-2 :class:`~repro.tracer.events.TraceCounters`, and the kernel's
-:class:`~repro.kernel.kernel.KernelStats`.  It deliberately excludes
-every jitter-bearing quantity (simulated wall time, host clocks): two
-runs of the same image and plan produce equal metrics.
+``repro.core.container._finish``) from the run's
+:class:`~repro.obs.collector.Collector`, the one store of its counters.
+It deliberately excludes every jitter-bearing quantity (simulated wall
+time, host clocks): two runs of the same image and plan produce equal
+metrics.
 
 ``add`` accumulates snapshots, which is how the Table-2 benchmark
 aggregates per-package counts without recomputing them.
@@ -37,7 +36,8 @@ class Metrics:
     histograms: Dict[str, Dict[str, int]] = dataclasses.field(default_factory=dict)
     #: Virtual-time phase attribution (interception/handler/scheduler/fs).
     profile: Dict[str, float] = dataclasses.field(default_factory=dict)
-    #: The paper's Table 2 rows (label -> count), from TraceCounters.
+    #: The paper's Table 2 rows (label -> count): the ``tracer``
+    #: namespace and the other keys TraceCounters reads.
     table2: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Kernel-side dispatch counts by syscall name.
     syscalls_by_name: Dict[str, int] = dataclasses.field(default_factory=dict)
@@ -47,32 +47,40 @@ class Metrics:
     runs: int = 1
 
     @classmethod
-    def from_run(cls, collector, trace_counters=None, stats=None) -> "Metrics":
-        """Snapshot one run.  *collector* is a Collector; *trace_counters*
-        a TraceCounters or None; *stats* a KernelStats or None (duck
-        typed to keep this module import-free of the layers it observes).
+    def from_run(cls, collector) -> "Metrics":
+        """Snapshot one run from its Collector.
+
+        The ``kernel`` key namespace renders as ``syscalls_by_name`` and
+        ``totals``, and the ``tracer`` namespace, with the other keys
+        Table 2 reads, as ``table2``; every other key is a flattened
+        counter.  ``table2`` and ``faults/injected`` appear only in
+        traced runs.
         """
-        counters = {"/".join(key): n
-                    for key, n in sorted(collector.counters.items())}
+        # Deferred: the layers whose keys this renders import repro.obs.
+        from ..kernel.kernel import (EVENTS_PROCESSED, SYSCALL_PREFIX,
+                                     THREADS_SPAWNED, VDSO_CALLS)
+        from ..tracer.events import TraceCounters
+
+        items = sorted(collector.counters.items())
+        counters = {"/".join(key): n for key, n in items
+                    if key[0] not in ("kernel", "tracer")}
+        by_name = {key[2]: n for key, n in items if key[:2] == SYSCALL_PREFIX}
         histograms = {
             name: {_bucket_label(exp): n for exp, n in sorted(hist.items())}
             for name, hist in sorted(collector.histograms.items())}
         table2: Dict[str, float] = {}
-        if trace_counters is not None:
-            table2 = dict(trace_counters.as_table2_rows())
-            counters.setdefault("faults/injected",
-                                trace_counters.faults_injected)
-        by_name: Dict[str, int] = {}
-        totals: Dict[str, int] = {}
-        if stats is not None:
-            by_name = dict(sorted(stats.syscalls_by_name.items()))
-            totals = {
-                "syscalls": stats.syscalls,
-                "events_processed": stats.events_processed,
-                "processes_spawned": stats.processes_spawned,
-                "threads_spawned": stats.threads_spawned,
-                "vdso_calls": stats.vdso_calls,
-            }
+        view = TraceCounters.of(collector)
+        if view is not None:
+            table2 = dict(view.as_table2_rows())
+            counters.setdefault("faults/injected", view.faults_injected)
+        get = collector.counters.get
+        totals = {
+            "syscalls": sum(by_name.values()),
+            "events_processed": get(EVENTS_PROCESSED, 0),
+            "processes_spawned": get(("process", "spawn"), 0),
+            "threads_spawned": get(THREADS_SPAWNED, 0),
+            "vdso_calls": get(VDSO_CALLS, 0),
+        }
         return cls(counters=counters, gauges=dict(sorted(collector.gauges.items())),
                    histograms=histograms, profile=collector.profile.as_dict(),
                    table2=table2, syscalls_by_name=by_name, totals=totals)

@@ -7,7 +7,7 @@ from typing import List, Optional
 
 from ..cpu.machine import HostEnvironment
 from ..kernel.errors import DeadlockError, SimTimeout
-from ..kernel.kernel import Kernel
+from ..kernel.kernel import SYSCALL_PREFIX, Kernel
 from ..core.container import _collect_output_tree
 from .recorder import RnrRecorder, SUPPORTED_IOCTLS
 from .replayer import RnrReplayer
@@ -67,7 +67,7 @@ def record(image, command: str, argv: Optional[List[str]] = None,
     return RecordResult(
         status=status, error=error, exit_code=exit_code,
         recording=recorder.recording, wall_time=kernel.clock.now,
-        syscall_count=kernel.stats.syscalls,
+        syscall_count=kernel.obs.total(SYSCALL_PREFIX),
         output_tree=_collect_output_tree(kernel, build_dir))
 
 

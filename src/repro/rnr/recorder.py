@@ -63,7 +63,6 @@ class RnrRecorder(TracerBase):
     # -- lifecycle -------------------------------------------------------
 
     def on_process_spawn(self, proc: Process) -> None:
-        self.counters.process_spawns += 1
         if proc.parent is None:
             key = (0,)
         else:
@@ -90,7 +89,6 @@ class RnrRecorder(TracerBase):
     # -- stops -------------------------------------------------------------
 
     def on_trace_stop(self, thread: Thread) -> None:
-        self.counters.syscall_events += 1
         self._service(thread)
         self._pump_blocked()
 
@@ -137,7 +135,6 @@ class RnrRecorder(TracerBase):
                 if not thread.alive:
                     continue
                 self.charge(TRACER_REPLAY_COST)
-                self.counters.replays_blocking += 1
                 self._service_blocked(thread)
         finally:
             self._pumping = False

@@ -43,7 +43,6 @@ class RnrReplayer(TracerBase):
             enabled=True, kernel_version=kernel.host.machine.kernel_version)
 
     def on_process_spawn(self, proc: Process) -> None:
-        self.counters.process_spawns += 1
         if proc.parent is None:
             index = (0,)
         else:
@@ -81,7 +80,6 @@ class RnrReplayer(TracerBase):
         return (event.payload, finish)
 
     def on_trace_stop(self, thread: Thread) -> None:
-        self.counters.syscall_events += 1
         call = thread.current_syscall
         self.charge(self.seccomp.stop_cost + TRACER_HANDLER_COST + REPLAY_EVENT_COST)
         event = self._next_event(thread)

@@ -1,11 +1,27 @@
-"""Counters for tracer-observed events (the rows of the paper's Table 2)."""
+"""The paper's Table 2, as a view over the run's collector counters.
+
+A tracer counts its own events into ``Collector.counters`` as
+``("tracer", <field>)``, named after the :class:`TraceCounters` field
+they fill.  The other fields read events another layer already counts,
+once, in its own namespace: process spawns (``process/spawn``), context
+switches (``sched/context_switch``), instruction traps (``trap/<insn>``)
+and fault injections (``fault/<kind>``).  :class:`TraceCounters` reads
+them all back at the end of a run.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
+
+#: Counted on every stop or failed probe, so the DetTrace tracer
+#: registers them at zero on attach and increments them in place.  A
+#: registered SYSCALL_EVENTS marks a traced run.
+SYSCALL_EVENTS = ("tracer", "syscall_events")
+REPLAYS_BLOCKING = ("tracer", "replays_blocking")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TraceCounters:
     """Per-run event counts, named after Table 2's rows."""
 
@@ -23,20 +39,29 @@ class TraceCounters:
     vdso_patches: int = 0
     getdents_sorted: int = 0
     memory_writes: int = 0
-    #: Deterministic fault plane (repro.faults): total injections, of
-    #: which signal deliveries and short IO truncations.
+    #: Deterministic fault plane (repro.faults): total injections.
     faults_injected: int = 0
-    signals_injected: int = 0
-    short_io_injected: int = 0
     #: Deterministic in-container sockets (repro.kernel.sockets):
     #: completed connects and accepts serviced under the tracer.
     socket_connects: int = 0
     socket_accepts: int = 0
 
-    def add(self, other: "TraceCounters") -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
+    @classmethod
+    def of(cls, collector) -> Optional["TraceCounters"]:
+        """The view of a run's :class:`~repro.obs.collector.Collector`;
+        None when no tracer ran."""
+        counters = collector.counters
+        if SYSCALL_EVENTS not in counters:
+            return None
+        get = counters.get
+        return cls(
+            rdtsc_intercepted=(get(("trap", "rdtsc"), 0)
+                               + get(("trap", "rdtscp"), 0)),
+            cpuid_intercepted=get(("trap", "cpuid"), 0),
+            sched_requests=get(("sched", "context_switch"), 0),
+            process_spawns=get(("process", "spawn"), 0),
+            faults_injected=collector.total(("fault",)),
+            **{key[1]: n for key, n in counters.items() if key[0] == "tracer"})
 
     def as_table2_rows(self):
         """(label, value) pairs in the paper's Table 2 order."""

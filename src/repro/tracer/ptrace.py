@@ -16,7 +16,6 @@ from ..kernel.ops import Syscall
 from ..kernel.process import Process, Thread
 from ..obs.collector import Collector
 from ..obs.profiler import INTERCEPTION
-from .events import TraceCounters
 from .seccomp import SeccompFilter
 
 
@@ -26,7 +25,6 @@ class TracerBase:
     def __init__(self, seccomp: Optional[SeccompFilter] = None):
         self.kernel = None
         self.seccomp = seccomp or SeccompFilter(enabled=False)
-        self.counters = TraceCounters()
         #: Serial tracer timeline: we are busy until this virtual time.
         self.busy_until = 0.0
         #: Observability collector; replaced by the kernel's on attach.
@@ -65,12 +63,12 @@ class TracerBase:
 
     def peek_memory(self, words: int = 1) -> float:
         """Account for reading tracee memory; returns the time cost."""
-        self.counters.memory_reads += words
+        self.obs.count(("tracer", "memory_reads"), words)
         self.obs.charge(INTERCEPTION, words * TRACER_MEMORY_OP_COST)
         return words * TRACER_MEMORY_OP_COST
 
     def poke_memory(self, words: int = 1) -> float:
-        self.counters.memory_writes += words
+        self.obs.count(("tracer", "memory_writes"), words)
         self.obs.charge(INTERCEPTION, words * TRACER_MEMORY_OP_COST)
         return words * TRACER_MEMORY_OP_COST
 
@@ -89,7 +87,7 @@ class TracerBase:
         raise NotImplementedError
 
     def on_process_spawn(self, proc: Process) -> None:
-        self.counters.process_spawns += 1
+        pass
 
     def on_thread_spawn(self, thread: Thread) -> None:
         pass

@@ -1,6 +1,7 @@
 """Unit tests for the write-ahead snapshot journal (repro.ckpt.journal):
 atomic persistence, torn/corrupt detection, fingerprint scoping, prune."""
 
+import json
 import os
 
 import pytest
@@ -13,6 +14,10 @@ from repro.ckpt.journal import (
     snapshot_path,
     write_snapshot,
 )
+from repro.core import DetTrace
+from repro.cpu.machine import HostEnvironment
+
+from .conftest import ckpt_config, ckpt_image
 
 FP = "cfg-fingerprint"
 
@@ -20,6 +25,39 @@ FP = "cfg-fingerprint"
 def _write(directory, barrier, payload=b"payload-bytes", fp=FP):
     return write_snapshot(directory, barrier, vclock=barrier * 0.5,
                           fingerprint=fp, payload=payload).path
+
+
+def _set_format(path, version):
+    """Rewrite a snapshot's header to claim format *version*."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        payload = fh.read()
+    header["format"] = version
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def test_format_2_snapshot_rejected(journal_dir):
+    """Format-2 payloads pickle the kernel stats object that no longer
+    exists: the header check must refuse them before any unpickling."""
+    path = _write(journal_dir, 7)
+    _set_format(path, 2)
+    with pytest.raises(JournalError, match="format 2"):
+        load_snapshot(path, fingerprint=FP)
+    [info] = scan(journal_dir)
+    assert not info.valid and "format 2" in info.error
+
+
+def test_resume_over_format_2_journal_raises_journal_error(journal_dir):
+    cfg = ckpt_config(journal_dir, tick=60)
+    DetTrace(cfg).run(ckpt_image(), "/bin/main",
+                      host=HostEnvironment(entropy_seed=7))
+    infos = scan(journal_dir)
+    assert any(info.valid for info in infos)
+    for info in infos:
+        _set_format(info.path, 2)
+    with pytest.raises(JournalError):
+        DetTrace(cfg).resume(ckpt_image(), "/bin/main")
 
 
 def test_round_trip(journal_dir):

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.container import _SUCCESS_STATUSES
 from repro.cpu.machine import HostEnvironment
 from repro.faults import FaultPlan, FaultRule, storm
-from repro.kernel.kernel import RECENT_SYSCALL_WINDOW
+from repro.obs.events import RECENT_WINDOW
 
 from tests.conftest import dettrace_run, image_of, native_run
 
@@ -72,7 +72,7 @@ class TestGracefulDegradation:
         cfg = ContainerConfig(max_events=20_000, busy_wait_budget=None)
         r = dettrace_run(_busy_guest, config=cfg)
         last = r.crash_report.last_syscalls
-        assert 0 < len(last) <= RECENT_SYSCALL_WINDOW
+        assert 0 < len(last) <= RECENT_WINDOW
         # (nspid, per-process index, name) coordinates, newest last.
         assert last[-1][2] == "write"
 

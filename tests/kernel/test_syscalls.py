@@ -2,6 +2,7 @@
 import pytest
 
 from repro.kernel.errors import Errno, SyscallError
+from repro.kernel.kernel import SYSCALL_PREFIX, VDSO_CALLS
 from repro.kernel.types import (
     O_APPEND, O_CREAT, O_EXCL, O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_END,
 )
@@ -268,8 +269,9 @@ class TestTimeSyscalls:
             return 0
 
         _, k = returns(prog)
-        assert k.stats.syscalls_by_name.get("gettimeofday", 0) == 0
-        assert k.stats.vdso_calls >= 10
+        counters = k.obs.counters
+        assert counters.get(SYSCALL_PREFIX + ("gettimeofday",), 0) == 0
+        assert counters[VDSO_CALLS] >= 10
 
 
 class TestRandomSyscalls:

@@ -201,12 +201,12 @@ def _child_lifetime(monkeypatch):
 
     def spawned(self, *args, **kwargs):
         nspid = spawn_child(self, *args, **kwargs)
-        ticks.append(self.stats.events_processed)
+        ticks.append(self.events_processed)
         return nspid
 
     def terminated(self, proc, status):
         if proc.parent is not None and proc.exit_status is None:
-            ticks.append(self.stats.events_processed)
+            ticks.append(self.events_processed)
         terminate(self, proc, status)
 
     with monkeypatch.context() as patch:

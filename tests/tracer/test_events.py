@@ -1,4 +1,9 @@
-from repro.tracer.events import TraceCounters
+import dataclasses
+
+import pytest
+
+from repro.obs.collector import Collector
+from repro.tracer.events import SYSCALL_EVENTS, TraceCounters
 
 
 class TestTraceCounters:
@@ -12,10 +17,27 @@ class TestTraceCounters:
         assert ("Socket connects (in-container)", 0) in rows
         assert ("Socket accepts (in-container)", 0) in rows
 
-    def test_add_accumulates(self):
-        a = TraceCounters(syscall_events=5, rdtsc_intercepted=1)
-        b = TraceCounters(syscall_events=7, write_retries=3)
-        a.add(b)
-        assert a.syscall_events == 12
-        assert a.rdtsc_intercepted == 1
-        assert a.write_retries == 3
+    def test_view_reads_collector_keys(self):
+        c = Collector()
+        c.count(("trap", "rdtsc"), 2)
+        assert TraceCounters.of(c) is None  # no tracer namespace
+        c.count(SYSCALL_EVENTS, 7)
+        c.count(("trap", "rdtscp"), 3)
+        c.count(("trap", "cpuid"))
+        c.count(("trap", "rdpmc"))
+        c.count(("fault", "eio"), 2)
+        c.count(("fault", "short_read"))
+        c.count(("faults", "injected"), 100)  # not the fault/ namespace
+        c.count(("process", "spawn"), 4)
+        c.count(("process", "exit"), 4)
+        c.count(("sched", "context_switch"), 5)
+        view = TraceCounters.of(c)
+        assert view.syscall_events == 7
+        assert view.rdtsc_intercepted == 5
+        assert view.cpuid_intercepted == 1
+        assert view.faults_injected == 3
+        assert view.process_spawns == 4
+        assert view.sched_requests == 5
+        assert view.read_retries == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.syscall_events = 8

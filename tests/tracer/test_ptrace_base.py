@@ -22,7 +22,7 @@ class TestSerialTimeline:
         tracer = TracerBase()
         tracer.kernel = Kernel(HostEnvironment())
         cost = tracer.peek_memory(4)
-        assert tracer.counters.memory_reads == 4
+        assert tracer.obs.counters[("tracer", "memory_reads")] == 4
         assert cost > 0
         tracer.poke_memory(2)
-        assert tracer.counters.memory_writes == 2
+        assert tracer.obs.counters[("tracer", "memory_writes")] == 2
