@@ -177,6 +177,34 @@ if [ "$stage" = "all" ] || [ "$stage" = "cache" ]; then
     echo "warm run served from cache, stdout byte-identical to cold run"
     python -m repro cache stats "$tmp/cas"
     python -m repro cache verify "$tmp/cas"
+    echo "== stale-schema gate (gc reclaims entries of an older key schema) =="
+    # Copy the live entry into a fresh store under another key, with its
+    # record written the way it was before records carried key_schema.
+    python - "$tmp/cas" "$tmp/stale" <<'STALE'
+import json
+import os
+import sys
+
+from repro.cache import CacheStore, RunKey
+
+live = CacheStore(sys.argv[1])
+names = [n for n in os.listdir(live.keys_dir) if n.endswith(".key")]
+outcome = live.get(RunKey(digest=names[0][: -len(".key")]))
+stale = CacheStore(sys.argv[2])
+key = RunKey(digest="0" * 64)
+stale.put(key, outcome)
+path = stale.key_path(key.digest)
+with open(path) as fh:
+    record = json.load(fh)
+del record["key_schema"]
+with open(path, "w") as fh:
+    fh.write(json.dumps(record, sort_keys=True) + "\n")
+STALE
+    python -m repro cache stats "$tmp/stale" | grep -q 'stale-schema keys: *1$'
+    python -m repro cache gc "$tmp/stale"
+    [ -z "$(ls -A "$tmp/stale/keys")" ] && [ -z "$(ls -A "$tmp/stale/objects")" ]
+    python -m repro cache verify "$tmp/stale"
+    echo "stale-schema record and its object reclaimed by gc"
     echo "== concurrent cold-store gate (fan-out workers store one key) =="
     # Four workers miss the same key on a fresh store and store it at
     # once.  On a 1-core host run_jobs takes its serial loop instead, so

@@ -10,15 +10,19 @@ run's outcome.
 
 Key composition (the DESIGN "Cache invariants" contract):
 
-* **image fingerprint** — a Merkle root over the image's installed
-  tree (per-inode leaves covering kind/mode/uid/gid and content or
-  symlink target; one interior node per directory over its name-sorted
-  children — the same shape as :mod:`repro.ckpt.merkle`), composed with
-  digests of every registered guest binary (hashed structurally through
-  its code object, so editing a guest program moves the key) and every
-  published download URL body.  The image is installed into a throwaway
-  kernel under a *pinned canonical host*, so nothing host-jittered
-  (boot epochs, inode bases) can leak into the fingerprint.
+* **image fingerprint** — a digest of the image's *declaration*, the
+  inputs ``Image.install`` consumes: the directory list and working
+  directory; every declared file's path, mode and content hash, in
+  declaration order; every registered guest binary and every setup
+  function, hashed structurally through its code object (memoized per
+  code object) and the closure values and defaults it binds, so
+  editing a guest program moves the key; and every published download
+  URL body.  Nothing is installed, so nothing host-jittered (boot
+  epochs, inode bases) can reach the fingerprint.  The declaration is
+  at least as fine as the installed tree: two declarations of one tree
+  may get different keys (a miss, never a wrong hit).  Code reached
+  only through a module global of a binary or setup function is not
+  covered; closure values are keyed by their ``repr``.
 * **config fingerprint** — :meth:`ContainerConfig.fingerprint`, which
   already covers every determinism-relevant knob and excludes the
   operational ones (``checkpoint``, ``cache``).
@@ -34,16 +38,18 @@ Key composition (the DESIGN "Cache invariants" contract):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+import types
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ContainerConfig
 from ..cpu.machine import HostEnvironment
 
 #: Bumped whenever key composition changes incompatibly: old entries
 #: become unreachable instead of wrongly hit.
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 #: Config toggles whose *disabling* can let host identity reach the
 #: output surface; with any of these off the full host identity joins
@@ -61,110 +67,89 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _code_fingerprint(fn: Any, _depth: int = 0) -> str:
-    """Structural digest of a callable's code object.
+@functools.lru_cache(maxsize=4096)
+def _code_digest(code: types.CodeType) -> str:
+    """Structural digest of a code object and the code nested in it.
 
-    Recurses into nested code objects (``repr`` of a code object embeds
-    a memory address, so it must never be hashed directly); constants
-    and names are covered by repr, which is stable for the plain-data
-    constants guest programs use.  Falls back to the qualified name for
-    builtins/callables without code.
+    Memoized: code objects are immutable and compare by value.  Nested
+    code is digested structurally, never through ``repr`` (which embeds
+    a memory address); other constants are covered by ``repr``, except
+    that a frozenset's members are sorted first, since a set literal in
+    a membership test compiles to one and its iteration order follows
+    the hash seed.
     """
+    h = hashlib.sha256(code.co_code)
+    h.update(repr((code.co_names, code.co_varnames,
+                   code.co_argcount)).encode())
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            h.update(_code_digest(const).encode())
+        elif isinstance(const, frozenset):
+            h.update(repr(sorted(map(repr, const))).encode())
+        else:
+            h.update(repr(const).encode())
+    return h.hexdigest()
+
+
+def _code_fingerprint(fn: Any, reprs: Dict[int, Tuple[Any, bytes]],
+                      _depth: int = 0) -> str:
+    """Digest of a callable: its code and the values its closure and
+    defaults bind (the ``with_args`` bindings of every workload binary),
+    or just its code digest when it binds nothing.  Builtins and
+    callables without code fall back to their qualified name."""
     code = getattr(fn, "__code__", None)
     if code is None or _depth > 8:
         return _sha(repr(getattr(fn, "__qualname__", fn)).encode())
-    h = hashlib.sha256()
-    h.update(code.co_code)
-    h.update(repr(code.co_names).encode())
-    h.update(repr(code.co_varnames).encode())
-    h.update(repr(code.co_argcount).encode())
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            h.update(_code_fingerprint_code(const, _depth + 1).encode())
-        else:
-            h.update(repr(const).encode())
-    # functools.partial-style bindings and closures carry run-relevant
-    # parameters; cover their reprs (plain-data by convention).
     closure = getattr(fn, "__closure__", None)
-    if closure:
-        for cell in closure:
-            contents = cell.cell_contents
-            if callable(contents):
-                h.update(_code_fingerprint(contents, _depth + 1).encode())
-            else:
-                h.update(repr(contents).encode())
-    defaults = getattr(fn, "__defaults__", None)
-    if defaults:
-        h.update(repr(defaults).encode())
+    defaults = (getattr(fn, "__defaults__", None),
+                getattr(fn, "__kwdefaults__", None))
+    if closure is None and defaults == (None, None):
+        return _code_digest(code)
+    h = hashlib.sha256(_code_digest(code).encode())
+    for cell in closure or ():
+        _hash_value(h, cell.cell_contents, reprs, _depth)
+    _hash_value(h, defaults, reprs, _depth)
     return h.hexdigest()
 
 
-def _code_fingerprint_code(code: Any, _depth: int) -> str:
-    """Digest of a raw code object (recursion helper)."""
-    h = hashlib.sha256()
-    h.update(code.co_code)
-    h.update(repr(code.co_names).encode())
-    h.update(repr(code.co_varnames).encode())
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            if _depth <= 8:
-                h.update(_code_fingerprint_code(const, _depth + 1).encode())
-        else:
-            h.update(repr(const).encode())
-    return h.hexdigest()
-
-
-def _tree_node_digest(node) -> str:
-    """Merkle digest of one installed inode subtree.
-
-    Leaf = (kind, mode, uid, gid, content-or-target); directory =
-    (leaf, sorted (name, child-digest) sequence).  Timestamps and inode
-    numbers are excluded — under the pinned canonical host they are
-    stable anyway, but they are not image *content*.
-    """
-    h = hashlib.sha256()
-    h.update(("leaf|%s|%o|%d|%d|" % (node.kind.name, node.mode & 0o7777,
-                                     node.uid, node.gid)).encode())
-    if node.is_regular:
-        h.update(bytes(node.data))
-    elif node.kind.name == "SYMLINK":
-        h.update(node.symlink_target.encode())
-    leaf = h.hexdigest()
-    if not node.is_dir:
-        return leaf
-    h = hashlib.sha256()
-    h.update(("dir|" + leaf).encode())
-    for name in sorted(node.entries):
-        h.update(name.encode())
-        h.update(_tree_node_digest(node.entries[name]).encode())
-    return h.hexdigest()
+def _hash_value(h, value: Any, reprs: Dict[int, Tuple[Any, bytes]],
+                depth: int) -> None:
+    """Feed one bound value to *h* as a self-delimiting item: a tuple
+    item by item, a callable by its fingerprint, anything else by its
+    length-prefixed ``repr``, so no two value lists feed *h* alike.
+    *reprs* memoizes each ``repr`` for one image by ``id`` and holds the
+    object, so the id stays unique: every binary of a package binds the
+    same spec."""
+    if type(value) is tuple:
+        h.update(b"T%d|" % len(value))
+        for item in value:
+            _hash_value(h, item, reprs, depth)
+    elif callable(value):
+        h.update(b"F" + _code_fingerprint(value, reprs, depth + 1).encode())
+    else:
+        entry = reprs.get(id(value))
+        if entry is None:
+            entry = reprs[id(value)] = (value, repr(value).encode())
+        h.update(b"R%d|" % len(entry[1]))
+        h.update(entry[1])
 
 
 def image_fingerprint(image, working_dir: str = "/build") -> str:
-    """Merkle fingerprint of *image*: installed tree + binaries + urls.
-
-    Installs into a throwaway kernel under a pinned canonical host so
-    the digest is a pure function of the image itself.
-    """
-    from ..kernel.kernel import Kernel
-
-    canonical = HostEnvironment(entropy_seed=0, boot_epoch=0.0,
-                                pid_start=1, inode_start=1,
-                                dirent_hash_salt=0)
-    kernel = Kernel(canonical)
-    image.install(kernel, working_dir)
-    h = hashlib.sha256()
-    h.update(b"image|")
-    h.update(_tree_node_digest(kernel.fs.root).encode())
-    for path in sorted(image.registry._programs):
-        h.update(path.encode())
-        h.update(_code_fingerprint(image.registry._programs[path]).encode())
-    for url in sorted(image._urls):
-        h.update(url.encode())
-        h.update(_sha(image._urls[url]).encode())
-    for fn in image._setup_fns:
-        h.update(_code_fingerprint(fn).encode())
-    return h.hexdigest()
+    """Digest of *image*'s declaration: what ``Image.install`` consumes,
+    in the order it consumes it (a later file on one path replaces an
+    earlier one's bytes but keeps its mode).  Nothing is installed."""
+    reprs: Dict[int, Tuple[Any, bytes]] = {}
+    declaration = {
+        "dirs": image._dirs,
+        "working_dir": working_dir,
+        "files": [[path, mode, _sha(data)]
+                  for path, data, mode in image._files],
+        "binaries": {path: _code_fingerprint(fn, reprs)
+                     for path, fn in image.registry._programs.items()},
+        "urls": {url: _sha(body) for url, body in image._urls.items()},
+        "setup": [_code_fingerprint(fn, reprs) for fn in image._setup_fns],
+    }
+    return _sha(json.dumps(declaration, sort_keys=True).encode("utf-8"))
 
 
 def _host_component(config: ContainerConfig,

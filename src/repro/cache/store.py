@@ -17,9 +17,11 @@ through :func:`repro.durable.atomic_write` (a dot-tmp name in its final
 directory, fsynced, atomically renamed, the directory fsynced).  A
 crash mid-store leaves a tmp file the reader ignores; a torn or
 bit-rotted entry is *detected* (length/checksum/format mismatch) and
-reads as a miss, never as a wrong hit.  ``gc`` removes torn files and
-unreferenced objects, counting a refcount per object from the key files
-that name it — the same detect-and-drop posture as journal ``prune``.
+reads as a miss, never as a wrong hit.  Each key record names the
+``KEY_SCHEMA`` it was written under.  ``gc`` removes torn files, key
+records of another schema (no lookup can reach them) and unreferenced
+objects, counting a refcount per object from the live key files that
+name it — the same detect-and-drop posture as journal ``prune``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..durable import atomic_write, fsync_dir
-from .key import RunKey
+from .key import KEY_SCHEMA, RunKey
 from .outcome import CachedOutcome
 
 #: On-disk format version for both key and object files; bumped on any
@@ -65,6 +67,9 @@ class StoreStats:
     torn_objects: int = 0
     unreferenced_objects: int = 0
     missing_objects: int = 0
+    #: Key records written under another ``KEY_SCHEMA``: no lookup can
+    #: reach them, so ``gc`` removes them.
+    stale_keys: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -120,6 +125,7 @@ class CacheStore:
         record = json.dumps({
             "format": STORE_FORMAT,
             "kind": "run-key",
+            "key_schema": KEY_SCHEMA,
             "run_key": key.digest,
             "payload_sha256": sha256,
         }, sort_keys=True).encode("utf-8")
@@ -130,8 +136,11 @@ class CacheStore:
     # -- read ----------------------------------------------------------
 
     def _read_key_record(self, path: str) -> Dict[str, Any]:
-        with open(path, "rb") as fh:
-            line = fh.readline(1 << 20)
+        try:
+            with open(path, "rb") as fh:
+                line = fh.readline(1 << 20)
+        except OSError as err:
+            raise CacheEntryError("%s: unreadable: %s" % (path, err))
         if not line.endswith(b"\n"):
             raise CacheEntryError("%s: truncated key record" % path)
         try:
@@ -169,17 +178,16 @@ class CacheStore:
                                   "(torn write?)"
                                   % (path, len(payload),
                                      header.get("payload_len")))
-        if _sha(payload) != header.get("payload_sha256") or _sha(payload) != sha256:
+        digest = _sha(payload)
+        if digest != sha256 or digest != header.get("payload_sha256"):
             raise CacheEntryError("%s: payload checksum mismatch" % path)
         return payload
 
     def get(self, key: RunKey) -> Optional[CachedOutcome]:
-        """Look *key* up; torn/corrupt entries read as a miss (None)."""
-        path = self.key_path(key.digest)
-        if not os.path.exists(path):
-            return None
+        """Look *key* up; absent, unreadable, torn or corrupt entries
+        read as a miss (None)."""
         try:
-            record = self._read_key_record(path)
+            record = self._read_key_record(self.key_path(key.digest))
             payload = self._read_object(record["payload_sha256"])
             outcome = CachedOutcome.from_payload(pickle.loads(payload))
         except (CacheEntryError, pickle.UnpicklingError, TypeError,
@@ -202,10 +210,13 @@ class CacheStore:
         return sorted(n for n in names
                       if n.endswith(suffix) and not n.startswith("."))
 
-    def _survey(self) -> Tuple[StoreStats, List[str], Dict[str, int]]:
-        """One pass over the store: stats + torn paths + object refcounts."""
+    def _survey(self) -> Tuple[StoreStats, List[str], List[str],
+                               Dict[str, int]]:
+        """One pass over the store: stats, torn paths, stale-schema key
+        paths and object refcounts (stale keys hold no reference)."""
         stats = StoreStats(directory=self.directory)
         torn: List[str] = []
+        stale: List[str] = []
         refcounts: Dict[str, int] = {}
         for name in self._listdir(self.objects_dir, _OBJ_SUFFIX):
             sha256 = name[:-len(_OBJ_SUFFIX)]
@@ -227,6 +238,10 @@ class CacheStore:
                 stats.torn_keys += 1
                 torn.append(path)
                 continue
+            if record.get("key_schema", 1) != KEY_SCHEMA:
+                stats.stale_keys += 1
+                stale.append(path)
+                continue
             sha256 = record["payload_sha256"]
             if sha256 not in refcounts:
                 # Dangling pointer: treat like a torn key (gc removes it).
@@ -238,23 +253,26 @@ class CacheStore:
         stats.deduplicated_keys = sum(n for n in refcounts.values() if n > 1)
         stats.unreferenced_objects = sum(
             1 for n in refcounts.values() if n == 0)
-        return stats, torn, refcounts
+        return stats, torn, stale, refcounts
 
     def stats(self) -> StoreStats:
         return self._survey()[0]
 
     def gc(self) -> Dict[str, List[str]]:
-        """Remove torn files, dangling keys and unreferenced objects.
+        """Remove torn files, dangling and stale-schema keys, and
+        unreferenced objects.
 
         Returns ``{"torn": [...], "unreferenced": [...]}`` (paths
-        removed).  Also sweeps leftover dot-tmp files from interrupted
-        writes.
+        removed); ``torn`` lists every key or object file no lookup can
+        use, stale-schema keys and leftover dot-tmp files from
+        interrupted writes included.
         """
-        _stats, torn, refcounts = self._survey()
+        _stats, torn, stale, refcounts = self._survey()
         unreferenced = [self.object_path(sha256)
                         for sha256, n in sorted(refcounts.items()) if n == 0]
         removed: Dict[str, List[str]] = {"torn": [], "unreferenced": []}
-        for bucket, paths in (("torn", torn), ("unreferenced", unreferenced)):
+        for bucket, paths in (("torn", torn + stale),
+                              ("unreferenced", unreferenced)):
             for path in paths:
                 try:
                     os.remove(path)
@@ -280,8 +298,10 @@ class CacheStore:
     def verify_store(self) -> List[str]:
         """Checksum-validate every entry; returns problem descriptions."""
         problems: List[str] = []
-        stats, torn, _refcounts = self._survey()
+        stats, torn, stale, _refcounts = self._survey()
         problems.extend("torn or corrupt: %s" % path for path in torn)
+        problems.extend("stale key schema (run gc): %s" % path
+                        for path in stale)
         if stats.unreferenced_objects:
             problems.append("%d unreferenced object(s) (run gc)"
                             % stats.unreferenced_objects)

@@ -532,11 +532,12 @@ def cmd_cache(args) -> int:
         print("  torn keys/objects:     %d/%d"
               % (stats.torn_keys, stats.torn_objects))
         print("  dangling keys:         %d" % stats.missing_objects)
+        print("  stale-schema keys:     %d" % stats.stale_keys)
         print("  unreferenced objects:  %d" % stats.unreferenced_objects)
         return 0
     if args.action == "gc":
         removed = store.gc()
-        print("gc %s: removed %d torn/dangling, %d unreferenced"
+        print("gc %s: removed %d torn/dangling/stale, %d unreferenced"
               % (args.directory, len(removed["torn"]),
                  len(removed["unreferenced"])))
         for bucket in ("torn", "unreferenced"):

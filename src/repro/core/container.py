@@ -108,7 +108,8 @@ class ContainerResult:
     #: play: {"outcome": "hit"|"miss"|"store"|"verify_ok"|
     #: "verify_mismatch"|"uncacheable", "key": <run-key digest>,
     #: "executed": bool, ...}; verify mismatches also carry "report"
-    #: (a DivergenceReport) and "differs" (the differing surfaces).
+    #: (a DivergenceReport) and "differs" (the differing surfaces), and
+    #: a store the cache directory refused carries "error".
     #: Purely operational — never part of the reproducible surface.
     cache: Optional[Dict[str, Any]] = None
 
@@ -290,12 +291,19 @@ class DetTrace:
             else:
                 self._stamp_cache(result, "verify_ok", key, executed=True)
         elif cache_cfg.mode in ("write", "verify"):
-            sha256 = rc.store_result(key, result)
+            failure: Dict[str, Any] = {}
+            try:
+                sha256 = rc.store_result(key, result)
+            except OSError as err:
+                # A full disk or a broken store loses the entry, never
+                # the result that was just computed.
+                sha256, failure = None, {"error": str(err)}
             if sha256 is not None:
                 self._stamp_cache(result, "store", key, executed=True,
                                   object_sha256=sha256)
             else:
-                self._stamp_cache(result, "uncacheable", key, executed=True)
+                self._stamp_cache(result, "uncacheable", key, executed=True,
+                                  **failure)
         else:  # read-mode miss: executed, nothing written
             self._stamp_cache(result, "miss", key, executed=True)
         return result

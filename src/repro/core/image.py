@@ -58,6 +58,9 @@ class Image:
     # -- installation ------------------------------------------------------------
 
     def install(self, kernel, build_dir: str) -> None:
+        """Build the declared tree in *kernel*.  Every declared input read
+        here must also be hashed by ``repro.cache.key.image_fingerprint``,
+        which keys a cached run by this declaration."""
         now = kernel.host.boot_epoch
         for d in self._dirs:
             kernel.fs.mkdirs(d, now=now)

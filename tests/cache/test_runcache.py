@@ -1,4 +1,7 @@
 """Run-key semantics and the memoized DetTrace run path."""
+import errno
+import os
+
 import pytest
 
 from repro.cache import RunCache, run_key
@@ -198,6 +201,40 @@ class TestMemoizedRun:
         result = DetTrace(cfg).run(_image(), "/bin/main")
         assert result.cache["outcome"] == "store"  # miss → re-store
         assert DetTrace(cfg).run(_image(), "/bin/main").cache["outcome"] == "hit"
+
+    def _assert_executed_uncacheable(self, result):
+        assert result.status == "ok" and result.stdout == "hello\n"
+        assert result.output_tree["out.txt"] == b"artifact\n"
+        assert result.cache["outcome"] == "uncacheable"
+        assert result.cache["executed"] is True
+        assert result.cache["error"]
+
+    def test_directory_at_key_path_is_a_miss(self, tmp_path):
+        cfg = self._cfg(tmp_path)
+        key = RunCache(str(tmp_path)).key_for(_image(), cfg, "/bin/main",
+                                              None, HostEnvironment())
+        os.makedirs(RunCache(str(tmp_path)).store.key_path(key.digest))
+        # The lookup misses; the store cannot replace a directory.
+        self._assert_executed_uncacheable(
+            DetTrace(cfg).run(_image(), "/bin/main"))
+
+    def test_file_at_objects_dir_is_uncacheable(self, tmp_path):
+        (tmp_path / "objects").write_bytes(b"not a directory")
+        self._assert_executed_uncacheable(
+            DetTrace(self._cfg(tmp_path)).run(_image(), "/bin/main"))
+
+    @pytest.mark.parametrize("errno_", [errno.ENOSPC, errno.EROFS],
+                             ids=["ENOSPC", "EROFS"])
+    def test_failed_write_is_uncacheable(self, tmp_path, monkeypatch, errno_):
+        from repro.cache import store as cache_store
+
+        def refuse(path, data, durable=True):
+            raise OSError(errno_, os.strerror(errno_), path)
+
+        monkeypatch.setattr(cache_store, "atomic_write", refuse)
+        result = DetTrace(self._cfg(tmp_path)).run(_image(), "/bin/main")
+        self._assert_executed_uncacheable(result)
+        assert os.strerror(errno_) in result.cache["error"]
 
     def test_retry_attempts_bypass_the_cache(self, tmp_path):
         from repro.faults.plan import FaultPlan, FaultRule

@@ -1,10 +1,11 @@
 """The CAS layer: atomic entries, torn-write detection, refcounted gc."""
+import json
 import multiprocessing
 import os
 
 import pytest
 
-from repro.cache import CachedOutcome, CacheStore, RunKey
+from repro.cache import KEY_SCHEMA, CachedOutcome, CacheStore, RunKey
 
 pytestmark = pytest.mark.cache
 
@@ -117,6 +118,10 @@ class TestTornEntries:
             os.remove(os.path.join(store.objects_dir, name))
         assert store.get(key()) is None
 
+    def test_directory_at_key_path_reads_as_miss(self, store):
+        os.makedirs(store.key_path(key().digest))
+        assert store.get(key()) is None
+
     def test_future_format_reads_as_miss(self, store):
         store.put(key(), outcome())
         path = store.key_path(key().digest)
@@ -144,6 +149,28 @@ class TestGc:
         assert len(removed["unreferenced"]) == 1
         assert store.get(key(1)) is not None
         assert store.stats().unreferenced_objects == 0
+
+    def test_gc_removes_stale_schema_keys(self, store):
+        store.put(key(0), outcome(stdout="a\n"))
+        store.put(key(1), outcome(stdout="b\n"))
+        store.put(key(2), outcome(stdout="b\n"))
+        # Key 0 and key 1 as written before records carried their schema.
+        for n in (0, 1):
+            path = store.key_path(key(n).digest)
+            record = json.loads(open(path).read())
+            assert record.pop("key_schema") == KEY_SCHEMA
+            with open(path, "w") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        stats = store.stats()
+        assert (stats.keys, stats.stale_keys, stats.objects) == (1, 2, 2)
+        assert any("stale key schema" in p for p in store.verify_store())
+        removed = store.gc()
+        assert sorted(removed["torn"]) == sorted(
+            store.key_path(key(n).digest) for n in (0, 1))
+        # Key 0's object goes with it; key 1's stays, key 2 still needs it.
+        assert len(removed["unreferenced"]) == 1
+        assert store.get(key(2)).stdout == "b\n"
+        assert store.verify_store() == []
 
     def test_gc_sweeps_leftover_tmp_files(self, store):
         store.put(key(), outcome())
