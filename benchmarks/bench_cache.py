@@ -11,20 +11,15 @@ every deterministic surface).  A third sweep in ``--cache=verify`` mode
 re-executes everything and must come back all ``verify_ok`` — the
 store's contents agree with reality.
 
-The warm-lookup rate (keys resolved per second, load-normalized the same
-way as the hotpath bench) is the trend-tracked number: it prices the
-fingerprint + CAS read path, which is pure overhead on every hit.
-
-Run as a module with a baseline path to apply the regression gate::
-
-    python -m benchmarks.bench_cache /path/to/baseline.json
+The warm-lookup rate (keys resolved per reference second) is the
+trend-gated number: it prices the fingerprint + CAS read path, which is
+pure overhead on every hit.  Each round sweeps a fresh store cold, then
+warm, timed through :mod:`benchmarks.gate`; the speedup is the median
+of the per-round cold/warm ratios.
 """
-import json
 import os
 import shutil
-import sys
 import tempfile
-import time
 
 import pytest
 
@@ -33,6 +28,7 @@ from repro.cpu.machine import HostEnvironment
 from repro.parallel import Job, cache_tally, run_jobs
 from repro.repro_tools.hashing import tree_digest
 
+from . import gate
 from .conftest import scaled
 
 ROUNDS = scaled(5)
@@ -41,8 +37,7 @@ PACKAGES = scaled(6)
 #: Files each "package build" writes — enough guest work that execution
 #: dwarfs the key computation the warm path still pays.
 FILES = 100
-OUT_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "BENCH_cache.json")
+OUT_PATH = os.path.join(gate.ROOT, "BENCH_cache.json")
 
 
 def _pkg_guest(sys_):
@@ -88,83 +83,62 @@ def _build_package(index: int, cache_dir: str, mode: str):
 
 
 def _sweep(cache_dir: str, mode: str):
-    """One fan-out over every package; returns (wall_s, records)."""
+    """One fan-out over every package; returns the job records."""
     jobs = [Job(key=i, fn=_build_package, args=(i, cache_dir, mode))
             for i in range(PACKAGES)]
-    t0 = time.perf_counter()
-    results = run_jobs(jobs, workers=1)
-    wall = time.perf_counter() - t0
-    return wall, [record for _key, record in results]
+    return [record for _key, record in run_jobs(jobs, workers=1)]
 
 
-def _calibration_ops_per_sec() -> float:
-    """Throughput of a fixed pure-Python loop on this machine right now;
-    dividing by it cancels machine-load swings in the trend gate."""
-    best = 0.0
-    for _ in range(3):
-        t0 = time.perf_counter()
-        x = 0
-        for i in range(200_000):
-            x += i & 7
-        best = max(best, 200_000 / (time.perf_counter() - t0))
-    return best
+def measure_cache_payoff(work):
+    """ROUNDS rounds, each a cold then a warm sweep over a fresh store
+    under *work*; then a verify sweep over the last store."""
+    def sweep(r):
+        return _sweep(os.path.join(work, str(r)), "write")
 
-
-def measure_cache_payoff():
-    cold_walls, warm_walls = [], []
-    cold_tally = warm_tally = verify_tally = {}
-    warm_executed = 0
-    syscalls = 0
-    for _ in range(ROUNDS):
-        directory = tempfile.mkdtemp(prefix="bench-cache-")
-        try:
-            cold_wall, cold = _sweep(directory, "write")
-            warm_wall, warm = _sweep(directory, "write")
-            cold_walls.append(cold_wall)
-            warm_walls.append(warm_wall)
-            cold_tally = cache_tally(cold)
-            warm_tally = cache_tally(warm)
-            warm_executed = sum(1 for rec in warm if rec["cache"]["executed"])
-            syscalls = sum(rec["syscalls"] for rec in cold)
-            # A hit reproduces every deterministic surface bytewise.
-            for a, b in zip(cold, warm):
-                assert (a["tree"], a["stdout"], a["syscalls"]) \
-                    == (b["tree"], b["stdout"], b["syscalls"]), a["index"]
-            _wall, verified = _sweep(directory, "verify")
-            verify_tally = cache_tally(verified)
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
-    # min() is the least-noise estimator for a deterministic run.
-    cold_wall = min(cold_walls)
-    warm_wall = min(warm_walls)
-    calibration = _calibration_ops_per_sec()
-    lookups_per_sec = PACKAGES / warm_wall
+    runs = gate.interleave({"cold": sweep, "warm": sweep}, ROUNDS)
+    for (cold, _), (warm, _) in zip(runs["cold"], runs["warm"]):
+        # A hit reproduces every deterministic surface bytewise.
+        for a, b in zip(cold, warm):
+            assert (a["tree"], a["stdout"], a["syscalls"]) \
+                == (b["tree"], b["stdout"], b["syscalls"]), a["index"]
+    cold, warm = runs["cold"][-1][0], runs["warm"][-1][0]
+    verified = _sweep(os.path.join(work, str(ROUNDS - 1)), "verify")
+    warm_wall = gate.seconds(runs["warm"])
     return {
         "rounds": ROUNDS,
         "packages": PACKAGES,
-        "workload_syscalls": syscalls,
-        "calibration_ops_per_sec": round(calibration, 1),
-        "cold_wall_s": round(cold_wall, 6),
+        "workload_syscalls": sum(rec["syscalls"] for rec in cold),
+        "cold_wall_s": round(gate.seconds(runs["cold"]), 6),
         "warm_wall_s": round(warm_wall, 6),
-        "speedup": round(cold_wall / warm_wall, 2),
-        "warm_reexecutions": warm_executed,
-        "warm_lookups_per_sec": round(lookups_per_sec, 1),
-        "warm_normalized": round(lookups_per_sec / calibration, 6),
-        "cold_tally": cold_tally,
-        "warm_tally": warm_tally,
-        "verify_tally": verify_tally,
+        "speedup": round(gate.median_ratio(runs, "cold", "warm"), 2),
+        "warm_reexecutions": sum(1 for rec in warm
+                                 if rec["cache"]["executed"]),
+        "warm_lookups_per_s": round(PACKAGES / warm_wall, 1),
+        "cold_tally": cache_tally(cold),
+        "warm_tally": cache_tally(warm),
+        "verify_tally": cache_tally(verified),
     }
 
 
 @pytest.mark.cache
-def test_cache_payoff(benchmark, capsys):
-    report = benchmark.pedantic(measure_cache_payoff, rounds=1, iterations=1)
-    with open(OUT_PATH, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def test_cache_payoff(capsys):
+    work = tempfile.mkdtemp(prefix="bench-cache-", dir=gate.TMPFS)
+    try:
+        with gate.pinned():
+            report = measure_cache_payoff(work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    record = gate.write(OUT_PATH, "cache", {
+        "speedup": {"value": report["speedup"], "min": 5.0},
+        # Wide for the same reason as the ckpt trend: it exists to catch
+        # a grossly regressed hit path (e.g. re-executing on hits), not
+        # single-digit drift.
+        "warm_lookups_per_s": {"value": report["warm_lookups_per_s"],
+                               "better": "higher", "bound": 0.40},
+    }, report)
     with capsys.disabled():
         print()
-        print("cache: %d packages cold %.3fs -> warm %.3fs (%.1fx), "
+        print("cache: %d packages cold %.4fs -> warm %.4fs (%.1fx), "
               "%d re-executions"
               % (report["packages"], report["cold_wall_s"],
                  report["warm_wall_s"], report["speedup"],
@@ -179,42 +153,4 @@ def test_cache_payoff(benchmark, capsys):
     assert report["warm_reexecutions"] == 0, \
         "warm sweep re-executed a guest"
     assert report["verify_tally"] == {"verify_ok": PACKAGES}
-    assert report["speedup"] >= 5.0, report
-
-
-def gate_against_baseline(baseline_path: str, tolerance: float = 0.40) -> int:
-    """Compare a fresh BENCH_cache.json against the committed baseline.
-
-    Two gates: the absolute memoization contract (warm sweep >= 5x with
-    zero re-executions — same bar as the pytest gate), and a trend gate
-    on the load-normalized warm-lookup rate, wide for the same reason as
-    the ckpt gate: it exists to catch a grossly regressed hit path (e.g.
-    re-executing on hits), not single-digit drift.
-    """
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    with open(OUT_PATH) as fh:
-        fresh = json.load(fh)
-    print("cache gate: speedup %.2fx, %d warm re-executions"
-          % (fresh["speedup"], fresh["warm_reexecutions"]))
-    if fresh["speedup"] < 5.0 or fresh["warm_reexecutions"] != 0:
-        print("cache gate: FAIL — memoization contract broken")
-        return 1
-    base = baseline["warm_normalized"]
-    now = fresh["warm_normalized"]
-    floor = base * (1.0 - tolerance)
-    print("cache gate: warm_normalized %.6g vs baseline %.6g (floor %.6g)"
-          % (now, base, floor))
-    if now < floor:
-        print("cache gate: FAIL — warm-lookup regression > %d%%"
-              % int(tolerance * 100))
-        return 1
-    print("cache gate: OK")
-    return 0
-
-
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: python -m benchmarks.bench_cache "
-                         "<baseline BENCH_cache.json>")
-    raise SystemExit(gate_against_baseline(sys.argv[1]))
+    gate.check(record)

@@ -8,32 +8,30 @@ dirty-tracked delta snapshots make dense checkpointing affordable: each
 interval is measured in ``full`` mode (``full_every=1``, every snapshot
 a complete image) and ``delta`` mode (``full_every=16``, dirty-set
 deltas chained on periodic fulls), and at the densest interval the
-delta journal must stay under 40% of the full journal — that ratio is
-deterministic, so it is a hard gate here and in ``check.sh ckpt``.
-Third, the disabled path is free: with ``ContainerConfig.checkpoint``
-unset the kernel only ever evaluates an ``is not None`` guard, so
-disabled throughput is the trend-tracked number — ``check.sh ckpt``
-gates fresh runs against the committed ``BENCH_ckpt.json`` baseline the
-same way the hotpath stage does.
+delta journal must stay under 40% of the full journal's bytes (a
+deterministic ratio) and its wall overhead under 3x.  Third, the
+disabled path is free: with ``ContainerConfig.checkpoint`` unset the
+kernel only ever evaluates an ``is not None`` guard, so disabled
+throughput is trend-gated by ``check.sh ckpt`` against the committed
+``BENCH_ckpt.json``.
 
-Run as a module with a baseline path to apply the regression gate::
-
-    python -m benchmarks.bench_ckpt /path/to/baseline.json
+Every case runs once per round, round by round, timed through
+:mod:`benchmarks.gate`; an overhead ratio is the median over rounds of
+the case's time over the disabled run's time in the same round.
 """
-import json
 import os
 import shutil
-import sys
 import tempfile
-import time
 
 import pytest
 
+from repro.ckpt import scan
 from repro.core import ContainerConfig, DetTrace, Image
 from repro.core.config import CheckpointConfig
 from repro.cpu.machine import HostEnvironment
 from repro.repro_tools.hashing import tree_digest
 
+from . import gate
 from .conftest import scaled
 
 ROUNDS = scaled(5)
@@ -45,8 +43,7 @@ INTERVALS = (200, 50, 10)
 #: cost (capture + fsync durability barrier) over more deltas pays, and
 #: the row records its cadence.
 MODES = (("full", 1), ("delta", 16))
-OUT_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "BENCH_ckpt.json")
+OUT_PATH = os.path.join(gate.ROOT, "BENCH_ckpt.json")
 
 
 def _child(sys_):
@@ -80,110 +77,101 @@ def _run(cfg: ContainerConfig):
                              host=HostEnvironment(entropy_seed=7))
 
 
-def _calibration_ops_per_sec() -> float:
-    """Throughput of a fixed pure-Python loop on this machine right now.
-
-    Dividing the bench numbers by this cancels most machine-load and
-    interpreter-speed variation, so the cross-run regression gate
-    compares work-per-event rather than the host's mood."""
-    best = 0.0
-    for _ in range(3):
-        t0 = time.perf_counter()
-        x = 0
-        for i in range(200_000):
-            x += i & 7
-        best = max(best, 200_000 / (time.perf_counter() - t0))
-    return best
+def _journal_shape(directory):
+    """The (deterministic) journal one checkpointed run left behind."""
+    infos = scan(directory)
+    return {
+        "snapshots": len(infos),
+        "journal_bytes": sum(i.payload_len for i in infos),
+        "full_snapshots": sum(i.snapshot_kind == "full" for i in infos),
+        "delta_snapshots": sum(i.snapshot_kind == "delta" for i in infos),
+    }
 
 
-def _measure_case(every, full_every):
-    """Best-of-ROUNDS wall time plus (deterministic) journal shape for
-    one (interval, mode) cell; ``every=None`` is the disabled path."""
-    from repro.ckpt import scan
+def measure_ckpt_cost(work):
+    """Time every case ROUNDS times, round by round, each checkpointed
+    run journaling into its own directory under *work*."""
+    def case(every, full_every):
+        if every is None:
+            return lambda _round: _run(ContainerConfig())
 
-    walls = []
+        def side(r):
+            return _run(ContainerConfig(checkpoint=CheckpointConfig(
+                directory=os.path.join(work, "%d-%d-%d" % (every, full_every, r)),
+                every=every, keep=0, full_every=full_every)))
+        return side
+
+    sides = {"disabled": case(None, 1)}
+    for every in INTERVALS:
+        for mode, full_every in MODES:
+            sides["%d/%s" % (every, mode)] = case(every, full_every)
+    runs = gate.interleave(sides, ROUNDS)
     digests = set()
-    syscalls = 0
-    snapshots = journal_bytes = fulls = deltas = 0
-    for _ in range(ROUNDS):
-        directory = tempfile.mkdtemp(prefix="bench-ckpt-")
-        try:
-            if every is None:
-                cfg = ContainerConfig()
-            else:
-                cfg = ContainerConfig(checkpoint=CheckpointConfig(
-                    directory=directory, every=every, keep=0,
-                    full_every=full_every))
-            t0 = time.perf_counter()
-            result = _run(cfg)
-            walls.append(time.perf_counter() - t0)
+    for side_runs in runs.values():
+        for result, _ in side_runs:
             assert result.exit_code == 0, (result.status, result.error)
             digests.add(tree_digest(result.output_tree))
-            syscalls = result.syscall_count
-            if every is not None:
-                infos = scan(directory)
-                snapshots += len(infos)
-                journal_bytes += sum(i.payload_len for i in infos)
-                fulls += sum(1 for i in infos if i.snapshot_kind == "full")
-                deltas += sum(1 for i in infos if i.snapshot_kind == "delta")
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
-    # min() is the least-noise estimator for a deterministic run.
-    row = {
-        "wall_s": round(min(walls), 6),
-        "snapshots": snapshots // ROUNDS,
-        "journal_bytes": journal_bytes // ROUNDS,
-    }
-    if every is not None:
-        row["full_every"] = full_every
-        row["full_snapshots"] = fulls // ROUNDS
-        row["delta_snapshots"] = deltas // ROUNDS
-    return row, digests, syscalls
+    assert len(digests) == 1, "checkpointing perturbed the output tree"
 
-
-def measure_ckpt_cost():
-    digests = set()
-    disabled, d, syscalls = _measure_case(None, 1)
-    digests |= d
+    disabled = gate.seconds(runs["disabled"])
     intervals = {}
     for every in INTERVALS:
         cell = {}
         for mode, full_every in MODES:
-            row, d, _ = _measure_case(every, full_every)
-            digests |= d
-            row["overhead_ratio"] = round(
-                row["wall_s"] / disabled["wall_s"], 4)
+            side = "%d/%s" % (every, mode)
+            row = _journal_shape(os.path.join(
+                work, "%d-%d-0" % (every, full_every)))
+            row.update(full_every=full_every,
+                       wall_s=round(gate.seconds(runs[side]), 6),
+                       overhead_ratio=round(
+                           gate.median_ratio(runs, side, "disabled"), 4))
             cell[mode] = row
-        # The journal-compression ratio is deterministic (payload bytes,
-        # not wall time), so it is gate-able.
         cell["delta"]["journal_vs_full"] = round(
             cell["delta"]["journal_bytes"] / cell["full"]["journal_bytes"], 4)
         intervals[str(every)] = cell
-    assert len(digests) == 1, "checkpointing perturbed the output tree"
-    calibration = _calibration_ops_per_sec()
-    per_sec = syscalls / disabled["wall_s"]
-    report = {
+    syscalls = runs["disabled"][0][0].syscall_count
+    return {
         "rounds": ROUNDS,
         "workload_syscalls": syscalls,
-        "calibration_ops_per_sec": round(calibration, 1),
-        "disabled_wall_s": disabled["wall_s"],
-        "disabled_syscalls_per_sec": round(per_sec, 1),
-        "disabled_normalized": round(per_sec / calibration, 6),
+        "disabled_wall_s": round(disabled, 6),
+        "disabled_syscalls_per_s": round(syscalls / disabled, 1),
         "intervals": intervals,
     }
-    return report
 
 
 @pytest.mark.ckpt
-def test_ckpt_overhead(benchmark, capsys):
-    report = benchmark.pedantic(measure_ckpt_cost, rounds=1, iterations=1)
-    with open(OUT_PATH, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def test_ckpt_overhead(capsys):
+    work = tempfile.mkdtemp(prefix="bench-ckpt-", dir=gate.TMPFS)
+    try:
+        with gate.pinned():
+            report = measure_ckpt_cost(work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    sparse = report["intervals"][str(max(INTERVALS))]
+    dense = report["intervals"][str(min(INTERVALS))]
+    record = gate.write(OUT_PATH, "ckpt", {
+        # Sparse checkpointing must stay cheap (measured ~1.2x); the
+        # densest interval in full mode is a stress case, reported only.
+        "sparse_full_overhead": {
+            "value": sparse["full"]["overhead_ratio"], "max": 3.0},
+        # The delta-compression contract: at the densest interval the
+        # delta journal carries < 40% of the full journal's bytes, and
+        # the wall overhead stays below the 3x line full mode crosses.
+        "dense_delta_overhead": {
+            "value": dense["delta"]["overhead_ratio"], "max": 3.0},
+        "dense_journal_vs_full": {
+            "value": dense["delta"]["journal_vs_full"], "max": 0.40},
+        # Checkpointing off costs nothing: a trend, with a wide bound to
+        # catch gross mistakes (tape recording with checkpointing off
+        # is a 2x+ hit), not single-digit drift.
+        "disabled_syscalls_per_s": {
+            "value": report["disabled_syscalls_per_s"],
+            "better": "higher", "bound": 0.40},
+    }, report)
     with capsys.disabled():
         print()
         print("ckpt: disabled %.1f syscalls/s (%.3fs)"
-              % (report["disabled_syscalls_per_sec"],
+              % (report["disabled_syscalls_per_s"],
                  report["disabled_wall_s"]))
         for every in sorted(report["intervals"], key=int):
             for mode, _ in MODES:
@@ -202,52 +190,4 @@ def test_ckpt_overhead(benchmark, capsys):
         assert cell["full"]["delta_snapshots"] == 0
         assert cell["delta"]["delta_snapshots"] > 0, \
             "interval %s delta mode wrote no deltas" % every
-    # Sparse checkpointing must stay cheap (measured ~1.4x); the densest
-    # interval is a stress case and is reported, not wall-gated in full
-    # mode.
-    assert report["intervals"][str(max(INTERVALS))]["full"][
-        "overhead_ratio"] < 3.0
-    dense = report["intervals"][str(min(INTERVALS))]
-    # The delta-compression contract: at the densest interval the delta
-    # journal carries < 40% of the full journal's bytes (deterministic),
-    # and the wall overhead stays below the 3x line the full mode blows
-    # through (~5.7x measured).
-    assert dense["delta"]["journal_vs_full"] < 0.40, dense
-    assert dense["delta"]["overhead_ratio"] < 3.0, dense
-
-
-def gate_against_baseline(baseline_path: str, tolerance: float = 0.40) -> int:
-    """Compare a fresh BENCH_ckpt.json against the committed baseline:
-    the *disabled* path regressing more than *tolerance* fails — that is
-    the "checkpointing off costs nothing" contract, enforced as a trend.
-    The tolerance is wide because even the load-normalized metric swings
-    ~25% between a quiet and a saturated host; the gate exists to catch
-    gross mistakes (e.g. tape recording running with checkpointing off,
-    a 2x+ hit), not single-digit drift.
-    """
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    with open(OUT_PATH) as fh:
-        fresh = json.load(fh)
-    # Load-normalized when both sides have the calibration (cancels
-    # machine-load swings); raw throughput for old baselines.
-    key = ("disabled_normalized" if "disabled_normalized" in baseline
-           else "disabled_syscalls_per_sec")
-    base = baseline[key]
-    now = fresh[key]
-    floor = base * (1.0 - tolerance)
-    print("ckpt gate: disabled %s %.6g vs baseline %.6g (floor %.6g)"
-          % (key, now, base, floor))
-    if now < floor:
-        print("ckpt gate: FAIL — disabled-path regression > %d%%"
-              % int(tolerance * 100))
-        return 1
-    print("ckpt gate: OK")
-    return 0
-
-
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: python -m benchmarks.bench_ckpt "
-                         "<baseline BENCH_ckpt.json>")
-    raise SystemExit(gate_against_baseline(sys.argv[1]))
+    gate.check(record)

@@ -1,84 +1,282 @@
-"""Hot-path engine throughput: scheduler, dispatch caches, fan-out.
+"""Hot-path engine throughput: scheduler, serviced syscalls, fan-out.
 
-Wraps :mod:`repro.hotpath` as a pytest bench (``pytest -m perf``),
-emitting ``BENCH_hotpath.json`` at the repo root for trend tracking
-(the ``perf`` stage of scripts/check.sh gates on it).
+Three numbers track whether the engine stays fast without ever bending
+the determinism contract:
 
-The determinism contract is asserted, not sampled: the O(log n)
-scheduler must produce the *identical* decision sequence as the
-``logical-ref`` oracle, and the parallel fan-out must produce
-byte-identical per-run digests versus the serial sweep.  The fan-out
-speedup depends on the host (its core count, and whatever else shares
-those cores), so it is recorded in the report and never asserted.
+* **scheduler decisions/sec** — a steady-state service loop over 16
+  threads, run round by round against both the O(log n) ``logical``
+  scheduler and its quadratic ``logical-ref`` oracle.  The decision
+  *sequences* are asserted identical; the median per-round speedup must
+  be at least 5x;
+* **serviced syscalls per reference second** — end-to-end Debian
+  package builds under DetTrace: the tracer's serviced syscall events
+  over the builds' host time at the reference speed, the median of
+  three passes, plus the filesystem dentry/dirent cache hit rates.
+  ``check.sh perf`` fails when it drops more than 30% below the
+  committed ``BENCH_hotpath.json``;
+* **fan-out speedup** — the same build sample executed serially and via
+  :mod:`repro.parallel` workers, with byte-identical per-run digests
+  required.  The speedup depends on the host (its core count, and
+  whatever else shares those cores), so it is recorded and never gated.
+
+Timing goes through :mod:`benchmarks.gate`; all sizes scale with
+``REPRO_BENCH_SCALE``.
 """
-import json
+
+import gc
+import heapq
 import os
+import statistics
+import time
+from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.hotpath import format_report, run_hotpath_bench
+from repro.core import ContainerConfig
+from repro.core.scheduler import SERVICE, WAIT, make_scheduler
+from repro.kernel.costs import SYSCALL_TICK
+from repro.kernel.ops import Syscall
+from repro.kernel.process import Process, Thread, ThreadState
+from repro.parallel import Job, effective_host_cores, run_jobs
+from repro.repro_tools import first_build_host
+from repro.repro_tools.hashing import tree_digest
+from repro.workloads.debian import build_dettrace, generate_population
 
+from . import gate
 from .conftest import SCALE
 
-OUT_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "BENCH_hotpath.json")
+OUT_PATH = os.path.join(gate.ROOT, "BENCH_hotpath.json")
+ROUNDS = 9
+PASSES = 3
 
+
+# ---------------------------------------------------------------------------
+# scheduler decision throughput
+# ---------------------------------------------------------------------------
+
+def _make_stopped_threads(n: int) -> List[Thread]:
+    threads = []
+    for tid in range(1, n + 1):
+        proc = Process(pid=tid, nspid=tid, parent=None, root=None, cwd=None,
+                       cwd_path="/", env={}, argv=["bench%d" % tid])
+        t = Thread(tid=tid, process=proc, gen=None)
+        proc.threads.append(t)
+        t.det_clock = t.det_bound = float(tid)
+        t.state = ThreadState.TRACE_STOP
+        t.current_syscall = Syscall("write", {})
+        threads.append(t)
+    return threads
+
+
+def _drive_scheduler(kind: str, threads_n: int, decisions: int) -> List[int]:
+    """Steady-state service loop mirroring the tracer's pump: a serviced
+    thread resumes *running* (computing toward its next stop), and when
+    nothing is serviceable the lowest-bound runner reaches its stop —
+    so every decision sees a mix of stopped and running threads, exactly
+    the regime the scheduler operates in.  Returns the serviced-tid
+    sequence so callers can assert schedule identity."""
+    sched = make_scheduler(kind)
+    threads = _make_stopped_threads(threads_n)
+    for t in threads:
+        sched.add(t)
+    order: List[int] = []
+    #: Harness-side wake queue of running threads, (det_bound, tid,
+    #: thread) — O(log n) so the harness never dominates the loop.
+    runners: List[Tuple[float, int, Thread]] = []
+    serviced = 0
+    while serviced < decisions:
+        action, thread = sched.next_action()
+        if action == SERVICE:
+            thread.current_syscall = None
+            thread.state = ThreadState.RUNNING
+            thread.det_clock = thread.det_bound = (
+                thread.det_clock + threads_n * SYSCALL_TICK)
+            sched.completed(thread)
+            heapq.heappush(runners, (thread.det_bound, thread.tid, thread))
+            order.append(thread.tid)
+            serviced += 1
+        elif action == WAIT:
+            # The kernel resumes compute: the lowest-bound runner hits
+            # its next trace stop (deterministically, by (bound, tid)).
+            _, _, nxt = heapq.heappop(runners)
+            nxt.det_clock = nxt.det_bound
+            nxt.state = ThreadState.TRACE_STOP
+            nxt.current_syscall = Syscall("write", {})
+            sched.notify_stop(nxt)
+        else:
+            raise AssertionError("bench loop got unexpected %r" % action)
+    return order
+
+
+def bench_scheduler(threads_n: int, decisions: int) -> Dict[str, object]:
+    """Decisions/sec for logical vs logical-ref at *threads_n* threads,
+    ROUNDS interleaved rounds after an untimed warm-up of each, with GC
+    paused across the timed loops."""
+    def side(kind):
+        return lambda _round: _drive_scheduler(kind, threads_n, decisions)
+
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _drive_scheduler("logical", threads_n, max(500, decisions // 10))
+        _drive_scheduler("logical-ref", threads_n, max(500, decisions // 10))
+        runs = gate.interleave({"logical": side("logical"),
+                                "logical-ref": side("logical-ref")}, ROUNDS)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    orders = {tuple(order) for side_runs in runs.values()
+              for order, _ in side_runs}
+    assert len(orders) == 1, (
+        "schedule divergence between logical and logical-ref in the "
+        "bench loop")
+    return {
+        "threads": threads_n,
+        "decisions": decisions,
+        "logical_decisions_per_s": round(
+            decisions / gate.seconds(runs["logical"]), 1),
+        "logical_ref_decisions_per_s": round(
+            decisions / gate.seconds(runs["logical-ref"]), 1),
+        "speedup": round(gate.median_ratio(runs, "logical-ref", "logical"), 2),
+    }
+
+
+# ---------------------------------------------------------------------------
+# end-to-end serviced-syscall throughput + cache hit rates
+# ---------------------------------------------------------------------------
+
+def _build_sample(sample: int, seed: int = 33):
+    return [s for s in generate_population(sample * 2, seed=seed)
+            if not s.expect_dt_unsupported and not s.syscall_storm][:sample]
+
+
+def _build(spec):
+    return build_dettrace(spec, config=ContainerConfig(),
+                          host=first_build_host())
+
+
+def bench_serviced_syscalls(sample: int) -> Dict[str, object]:
+    """Serviced syscalls per reference second over a package-build
+    sample: each build :func:`gate.timed`, the median of PASSES passes.
+    The counters are deterministic, identical every pass."""
+    specs = _build_sample(sample)
+    walls = []
+    for _ in range(PASSES):
+        records = [gate.timed(_build, spec) for spec in specs]
+        walls.append(sum(t for _, t in records))
+    built = [rec.result for rec, _ in records if rec.status == "built"]
+    wall = statistics.median(walls)
+    serviced = sum(r.counters.syscall_events for r in built)
+    stats = [r.fs_cache_stats for r in built]
+    lookups = {key: sum(s.get(key, 0) for s in stats)
+               for key in ("resolve_hits", "resolve_misses",
+                           "dirent_hits", "dirent_misses")}
+    resolves = lookups["resolve_hits"] + lookups["resolve_misses"]
+    listings = lookups["dirent_hits"] + lookups["dirent_misses"]
+    return {
+        "packages": len(built),
+        "wall_s": round(wall, 6),
+        "serviced_syscalls": serviced,
+        "total_syscalls": sum(r.syscall_count for r in built),
+        "serviced_syscalls_per_s": round(serviced / wall, 1),
+        "resolve_hit_rate": (round(lookups["resolve_hits"] / resolves, 4)
+                             if resolves else None),
+        "dirent_hit_rate": (round(lookups["dirent_hits"] / listings, 4)
+                            if listings else None),
+    }
+
+
+# ---------------------------------------------------------------------------
+# container fan-out speedup
+# ---------------------------------------------------------------------------
+
+def _fanout_build(spec) -> Dict[str, object]:
+    """Worker: build one spec, return only the digest-reduced record
+    (keeps the cross-process payload small and definitely picklable)."""
+    record = _build(spec)
+    return {
+        "package": spec.name,
+        "status": record.status,
+        "digest": tree_digest(record.result.output_tree),
+        "virtual_wall": record.result.wall_time,
+    }
+
+
+def bench_fanout(sample: int, jobs: int = 4) -> Dict[str, object]:
+    """Wall-clock speedup of a *jobs*-worker sweep vs the serial sweep,
+    with per-run digest identity required.
+
+    The speedup is physically bounded by ``host_cores`` (the builds are
+    CPU-bound simulations): on a single-core host :func:`run_jobs`
+    falls back to the serial loop (pool overhead only ever loses there),
+    the record reports ``"fallback": "serial"``.  Only the identity
+    property is asserted; the speedup is recorded, never gated.
+    """
+    cores = effective_host_cores()
+    specs = _build_sample(sample, seed=47)
+    job_list = [Job(key=i, fn=_fanout_build, args=(spec,))
+                for i, spec in enumerate(specs)]
+    t0 = time.perf_counter()
+    serial = run_jobs(job_list, workers=1)
+    serial_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    parallel = run_jobs(job_list, workers=jobs)
+    parallel_s = time.perf_counter() - t1
+    assert serial == parallel, (
+        "serial and %d-worker fan-out produced different results: %r"
+        % (jobs, [(a, b) for a, b in zip(serial, parallel) if a != b]))
+    return {
+        "runs": len(specs),
+        "jobs": jobs,
+        "host_cores": cores,
+        "fallback": ("serial" if jobs > 1 and cores == 1 else None),
+        "serial_wall_s": round(serial_s, 6),
+        "parallel_wall_s": round(parallel_s, 6),
+        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the bench
+# ---------------------------------------------------------------------------
 
 @pytest.mark.perf
 def test_hotpath(capsys):
-    report = run_hotpath_bench(scale=SCALE, out_path=OUT_PATH)
+    sample = max(2, int(8 * SCALE))
+    with gate.pinned():
+        sched = bench_scheduler(threads_n=16,
+                                decisions=max(2_000, int(20_000 * SCALE)))
+        served = bench_serviced_syscalls(sample)
+    # Outside the pin: the workers must see every core.
+    fan = bench_fanout(sample)
+    record = gate.write(OUT_PATH, "hotpath", {
+        # The heap scheduler must beat the quadratic reference decisively
+        # at 16 threads.
+        "scheduler_speedup": {"value": sched["speedup"], "min": 5.0},
+        "serviced_syscalls_per_s": {
+            "value": served["serviced_syscalls_per_s"],
+            "better": "higher", "bound": 0.30},
+    }, {"scheduler": sched, "serviced": served, "fanout": fan})
     with capsys.disabled():
         print()
-        print(format_report(report))
+        print("hot-path bench:")
+        print("  scheduler @%d threads: %.0f decisions/s vs ref %.0f "
+              "(%.2fx), orders identical"
+              % (sched["threads"], sched["logical_decisions_per_s"],
+                 sched["logical_ref_decisions_per_s"], sched["speedup"]))
+        print("  serviced syscalls: %.0f/s over %d packages (resolve hit "
+              "rate %s, dirent %s)"
+              % (served["serviced_syscalls_per_s"], served["packages"],
+                 served["resolve_hit_rate"], served["dirent_hit_rate"]))
+        print("  fan-out: %d runs, %d jobs on %d cores: %.2fs serial vs "
+              "%.2fs parallel (%.2fx), digests identical"
+              % (fan["runs"], fan["jobs"], fan["host_cores"],
+                 fan["serial_wall_s"], fan["parallel_wall_s"],
+                 fan["speedup"] or 0.0))
         print("-> %s" % os.path.basename(OUT_PATH))
-
-    sched = report["scheduler"]
-    served = report["serviced"]
-    fan = report["fanout"]
-
-    # Identity first: speed never at the cost of the schedule.
-    assert sched["orders_identical"] is True
-    assert fan["digests_identical"] is True
-
-    # The heap scheduler must beat the quadratic reference decisively
-    # at 16 threads (acceptance: >= 5x decision throughput).
-    assert sched["threads"] == 16
-    assert sched["speedup"] >= 5.0
-
-    # End-to-end throughput sanity: the sample built and was serviced.
+    # End-to-end sanity: the sample built, was serviced and hit the caches.
     assert served["packages"] >= 2
     assert served["serviced_syscalls_per_s"] > 0
     assert served["resolve_hit_rate"] is not None
-
-    # The fan-out speedup is a property of the host, not of the code:
-    # it stays in the report and is not asserted.
-
-
-def regression_check(baseline_path: str, current_path: str = OUT_PATH,
-                     tolerance: float = 0.30) -> str:
-    """Compare serviced-syscalls/sec against a committed baseline.
-
-    Returns a human-readable verdict line; raises ``SystemExit`` when
-    throughput regressed more than *tolerance* (scripts/check.sh perf
-    stage calls this).  Scheduler decision throughput is reported but
-    not gated here — it is asserted against its own 5x floor above.
-    """
-    with open(baseline_path) as fh:
-        base = json.load(fh)
-    with open(current_path) as fh:
-        cur = json.load(fh)
-    old = base["serviced"]["serviced_syscalls_per_s"]
-    new = cur["serviced"]["serviced_syscalls_per_s"]
-    ratio = new / old if old else 1.0
-    line = ("serviced syscalls/s: baseline %.0f -> current %.0f (%.2fx)"
-            % (old, new, ratio))
-    if ratio < 1.0 - tolerance:
-        raise SystemExit("perf regression: %s exceeds the %d%% budget"
-                         % (line, int(tolerance * 100)))
-    return line
-
-
-if __name__ == "__main__":
-    import sys
-
-    print(regression_check(sys.argv[1]))
+    gate.check(record)

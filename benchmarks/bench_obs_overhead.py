@@ -2,19 +2,19 @@
 
 The observer-effect invariant (tests/obs) guarantees the event stream
 never changes *virtual* behaviour — same output hashes, same schedules.
-This bench quantifies what observability costs in *host* time: the same
-package sample is built with ``observe=False`` and ``observe=True`` and
-the wall-clock ratio is reported, plus a machine-readable
-``BENCH_obs_overhead.json`` at the repo root for trend tracking.
+This bench quantifies what observability costs in *host* time: each
+package of the sample is built with ``observe=False`` and then with
+``observe=True``, round by round through :mod:`benchmarks.gate`, and the
+median per-package ratio is gated below 3x.
 
 The diagnosis plane rides the same budget: a run-pair diff
 (``diff_captures``) and a checkpoint bisection over the known-leak
-harness are timed as well, so a slow alignment or an extra bisection
-probe shows up in the same trend file.
+harness are timed as well, and the diff, pure alignment with no reruns,
+must cost less than the bisection.
 """
-import json
 import os
-import time
+
+import pytest
 
 from repro.core import ContainerConfig
 from repro.diag import bisect_divergence, content_leak_pair, diff_captures
@@ -22,84 +22,83 @@ from repro.repro_tools import first_build_host
 from repro.repro_tools.hashing import tree_digest
 from repro.workloads.debian import build_dettrace, generate_population
 
+from . import gate
 from .conftest import scaled
 
 SAMPLE = scaled(12)
-OUT_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                        "BENCH_obs_overhead.json")
+#: Rounds of the diff-vs-bisect comparison.
+DIAG_ROUNDS = 3
+OUT_PATH = os.path.join(gate.ROOT, "BENCH_obs_overhead.json")
 
 
 def measure_obs_overhead():
     specs = [s for s in generate_population(SAMPLE * 2, seed=21)
              if not s.expect_dt_unsupported and not s.syscall_storm][:SAMPLE]
-    off_s = on_s = 0.0
-    built = 0
-    events = 0
-    for spec in specs:
-        t0 = time.perf_counter()
-        off = build_dettrace(spec, config=ContainerConfig(observe=False),
-                             host=first_build_host())
-        t1 = time.perf_counter()
-        on = build_dettrace(spec, config=ContainerConfig(observe=True),
-                            host=first_build_host())
-        t2 = time.perf_counter()
-        if off.status != "built" or on.status != "built":
-            continue
+
+    def build(observe):
+        return lambda r: build_dettrace(
+            specs[r], config=ContainerConfig(observe=observe),
+            host=first_build_host())
+
+    runs = gate.interleave({"off": build(False), "on": build(True)},
+                           len(specs))
+    built = [(off, on) for (off, _), (on, _) in zip(runs["off"], runs["on"])
+             if off.status == "built" and on.status == "built"]
+    for off, on in built:
         # The observer effect must be nil: identical trees either way.
         assert (tree_digest(off.result.output_tree)
                 == tree_digest(on.result.output_tree))
-        built += 1
-        off_s += t1 - t0
-        on_s += t2 - t1
-        if on.result.trace is not None:
-            events += len(on.result.trace)
     return {
-        "packages": built,
-        "obs_off_wall_s": round(off_s, 6),
-        "obs_on_wall_s": round(on_s, 6),
-        "overhead_ratio": round(on_s / off_s, 4) if off_s else None,
-        "trace_events": events,
+        "packages": len(built),
+        "obs_off_wall_s": round(sum(t for _, t in runs["off"]), 6),
+        "obs_on_wall_s": round(sum(t for _, t in runs["on"]), 6),
+        "overhead_ratio": round(gate.median_ratio(runs, "on", "off"), 4),
+        "trace_events": sum(len(on.result.trace) for _, on in built
+                            if on.result.trace is not None),
     }
 
 
 def measure_diag_cost():
-    """Wall cost of the diagnosis plane on the known-leak harness."""
+    """Host cost of the diagnosis plane on the known-leak harness."""
     spec_a, spec_b = content_leak_pair()
     cap_a, cap_b = spec_a.capture(), spec_b.capture()
-    t0 = time.perf_counter()
-    report = diff_captures(cap_a, cap_b)
-    t1 = time.perf_counter()
-    assert report.diverged
-    t2 = time.perf_counter()
-    result = bisect_divergence(*content_leak_pair(), coarse=16)
-    t3 = time.perf_counter()
-    assert result.diverged and result.hi - result.lo == 1
+    runs = gate.interleave({
+        "diff": lambda _round: diff_captures(cap_a, cap_b),
+        "bisect": lambda _round: bisect_divergence(*content_leak_pair(),
+                                                   coarse=16),
+    }, DIAG_ROUNDS)
+    for (report, _), (result, _) in zip(runs["diff"], runs["bisect"]):
+        assert report.diverged
+        assert result.diverged and result.hi - result.lo == 1
     return {
-        "diff_wall_s": round(t1 - t0, 6),
-        "bisect_wall_s": round(t3 - t2, 6),
-        "bisect_probes": result.probes,
+        "diff_wall_s": round(gate.seconds(runs["diff"]), 6),
+        "bisect_wall_s": round(gate.seconds(runs["bisect"]), 6),
+        "diff_vs_bisect": round(gate.median_ratio(runs, "diff", "bisect"), 6),
+        "bisect_probes": runs["bisect"][0][0].probes,
     }
 
 
-def test_obs_overhead(benchmark, capsys):
-    row = benchmark.pedantic(measure_obs_overhead, rounds=1, iterations=1)
-    row.update(measure_diag_cost())
-    with open(OUT_PATH, "w") as fh:
-        json.dump(row, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@pytest.mark.obs
+def test_obs_overhead(capsys):
+    with gate.pinned():
+        report = measure_obs_overhead()
+        report.update(measure_diag_cost())
+    record = gate.write(OUT_PATH, "obs_overhead", {
+        # Collecting the stream should stay cheap relative to the run.
+        "overhead_ratio": {"value": report["overhead_ratio"], "max": 3.0},
+        # Diffing an already-captured pair is pure alignment — no reruns.
+        "diff_vs_bisect": {"value": report["diff_vs_bisect"], "max": 1.0},
+    }, report)
     with capsys.disabled():
         print()
         print("obs overhead: %d packages, off %.3fs vs on %.3fs "
               "(ratio %.2fx, %d trace events) -> %s"
-              % (row["packages"], row["obs_off_wall_s"], row["obs_on_wall_s"],
-                 row["overhead_ratio"] or 0.0, row["trace_events"],
-                 os.path.basename(OUT_PATH)))
-        print("diag cost: diff %.3fs, bisect %.3fs (%d probes)"
-              % (row["diff_wall_s"], row["bisect_wall_s"],
-                 row["bisect_probes"]))
-    assert row["packages"] >= SAMPLE * 0.8
-    assert row["trace_events"] > 0
-    # Collecting the stream should stay cheap relative to the run itself.
-    assert row["overhead_ratio"] is not None and row["overhead_ratio"] < 3.0
-    # Diffing an already-captured pair is pure alignment — no reruns.
-    assert row["diff_wall_s"] < row["bisect_wall_s"]
+              % (report["packages"], report["obs_off_wall_s"],
+                 report["obs_on_wall_s"], report["overhead_ratio"],
+                 report["trace_events"], os.path.basename(OUT_PATH)))
+        print("diag cost: diff %.4fs, bisect %.3fs (%d probes)"
+              % (report["diff_wall_s"], report["bisect_wall_s"],
+                 report["bisect_probes"]))
+    assert report["packages"] >= SAMPLE * 0.8
+    assert report["trace_events"] > 0
+    gate.check(record)

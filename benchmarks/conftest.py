@@ -1,10 +1,10 @@
 """Benchmark harness configuration.
 
-Population sizes are scaled for laptop runtimes; set REPRO_BENCH_SCALE=2
-(or more) for larger samples.  Every bench prints the paper-style table
-next to the paper's own numbers — the claim being reproduced is the
-*shape* (who wins, by what factor), not the absolute values, since the
-substrate is a simulator with scaled-down package sizes (see DESIGN.md).
+Sample sizes are scaled for laptop runtimes; set REPRO_BENCH_SCALE=2
+(or more) for larger samples.  The paper's evaluation is not here:
+``scripts/run_experiments.py`` runs it and checks its shapes.  These
+benches are the design-choice ablations, the §2 cache experiment, and
+the timing benches, which gate host time through ``gate.py``.
 """
 
 import os

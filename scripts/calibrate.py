@@ -18,25 +18,15 @@ import numpy as np
 
 
 def current_fit():
-    """Where the current constants land vs the paper targets."""
-    from repro.analysis import PAPER_FIG6
-    from repro.cpu.machine import HASWELL_XEON, HostEnvironment
-    from repro.repro_tools import first_build_host
-    from repro.workloads.bioinf import ALL_TOOLS, run_dettrace, run_native, tool_image
-    from repro.workloads.debian import build_dettrace, build_native, generate_population
+    """Where the current constants land vs the paper targets, on the
+    Figure 5 and 6 measurements EXPERIMENTS.md reports (scale 1.0)."""
+    from repro.analysis import PAPER_BUILD_AGGREGATE, PAPER_FIG6
+    from repro.analysis.experiments import fig5_points, fig6_speedups
 
     print("== Figure 6 fit (speedups at 1/4/16 procs) ==")
-    for tool, spec in ALL_TOOLS.items():
-        img = tool_image(spec)
-        seq = None
-        for mode, runner in (("native", run_native), ("dettrace", run_dettrace)):
-            vals = []
-            for nprocs in (1, 4, 16):
-                host = HostEnvironment(machine=HASWELL_XEON, entropy_seed=nprocs)
-                r = runner(img, tool, nprocs, host=host)
-                if mode == "native" and nprocs == 1:
-                    seq = r.wall_time
-                vals.append(seq / r.wall_time)
+    speedups, _succeeded = fig6_speedups()
+    for tool, modes in speedups.items():
+        for mode, vals in modes.items():
             paper = PAPER_FIG6[tool][mode]
             err = max(abs(a - b) / max(b, 0.1) for a, b in zip(vals, paper))
             print("  %-8s %-9s ours %s  paper %s  (max rel err %.0f%%)" % (
@@ -45,22 +35,12 @@ def current_fit():
 
     print()
     print("== Figure 5 fit (build slowdowns) ==")
-    specs = [s for s in generate_population(60, seed=13)
-             if not s.expect_dt_unsupported and not s.syscall_storm][:30]
-    rates, slows, walls = [], [], []
-    for spec in specs:
-        base = build_native(spec, host=first_build_host())
-        det = build_dettrace(spec, host=first_build_host())
-        if base.status != "built" or det.status != "built":
-            continue
-        rates.append(base.result.syscall_count / base.result.wall_time)
-        slows.append(det.result.wall_time / base.result.wall_time)
-        walls.append(base.result.wall_time)
-    rates, slows, walls = map(np.array, (rates, slows, walls))
+    points = fig5_points(1.0)
+    rates, slows, walls = (np.array([p[i] for p in points]) for i in range(3))
     print("  correlation %.2f (target: positive)"
           % np.corrcoef(rates, slows)[0, 1])
-    print("  aggregate %.2fx (paper 3.49x)"
-          % ((slows * walls).sum() / walls.sum()))
+    print("  aggregate %.2fx (paper %.2fx)"
+          % ((slows * walls).sum() / walls.sum(), PAPER_BUILD_AGGREGATE))
     print("  per-syscall effective overhead: %.0f us (median)"
           % np.median((slows - 1) * walls / (rates * walls) * 1e6))
 

@@ -24,6 +24,19 @@ stage="${1:-all}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
+# bench_gate NAME: run benchmarks/bench_NAME.py, which asserts its floors
+# and ceilings and rewrites BENCH_NAME.json, then gate that fresh record
+# against the committed one, trends included (benchmarks/gate.py).
+bench_gate() {
+    if [ ! -f "BENCH_$1.json" ]; then
+        echo "no committed BENCH_$1.json baseline"
+        exit 1
+    fi
+    cp "BENCH_$1.json" "$work/BENCH_$1.baseline.json"
+    python -m pytest -x -q "benchmarks/bench_$1.py"
+    python -m benchmarks.gate "BENCH_$1.json" "$work/BENCH_$1.baseline.json"
+}
+
 if [ "$stage" = "all" ]; then
     echo "== compileall =="
     python -m compileall -q src
@@ -49,6 +62,8 @@ if [ "$stage" = "all" ] || [ "$stage" = "obs" ]; then
     cmp "$tmp/a.json" "$tmp/b.json"
     cmp "$tmp/a.out" "$tmp/b.out"
     echo "trace JSON and stdout byte-identical across reruns"
+    echo "== obs overhead bench + gates (obs on/off, diff vs bisect) =="
+    bench_gate obs_overhead
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
@@ -95,28 +110,8 @@ PLAN
         "pruned 0 file(s) "*) ;;
         *) echo "manifest prune and scan prune disagree"; exit 1 ;;
     esac
-    echo "== ckpt overhead bench + disabled-path regression gate =="
-    if [ -f BENCH_ckpt.json ]; then
-        cp BENCH_ckpt.json "$tmp/baseline.json"
-    fi
-    python -m pytest -x -q benchmarks/bench_ckpt.py
-    if [ -f "$tmp/baseline.json" ]; then
-        python -m benchmarks.bench_ckpt "$tmp/baseline.json"
-    else
-        echo "no committed BENCH_ckpt.json baseline; skipping regression gate"
-    fi
-    echo "== delta-compression gate (interval 10: delta journal < 40% of full) =="
-    python - <<'GATE'
-import json
-report = json.load(open("BENCH_ckpt.json"))
-cell = report["intervals"]["10"]
-full = cell["full"]["journal_bytes"]
-delta = cell["delta"]["journal_bytes"]
-ratio = delta / full
-print("delta gate: interval-10 journal %d bytes vs full %d (%.1f%%)"
-      % (delta, full, 100 * ratio))
-raise SystemExit(0 if ratio < 0.40 else 1)
-GATE
+    echo "== ckpt overhead bench + gates (overheads, delta journal, disabled-path trend) =="
+    bench_gate ckpt
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "diag" ]; then
@@ -242,16 +237,8 @@ PERTURB
         [ $? -eq 70 ]
     grep -q 'verify_mismatch' "$tmp/tamper.err"
     echo "tampered entry detected as divergence (exit 70)"
-    echo "== cache payoff bench + warm-lookup regression gate =="
-    if [ -f BENCH_cache.json ]; then
-        cp BENCH_cache.json "$tmp/baseline.json"
-    fi
-    python -m pytest -x -q benchmarks/bench_cache.py
-    if [ -f "$tmp/baseline.json" ]; then
-        python -m benchmarks.bench_cache "$tmp/baseline.json"
-    else
-        echo "no committed BENCH_cache.json baseline; skipping regression gate"
-    fi
+    echo "== cache payoff bench + gates (speedup, warm-lookup trend) =="
+    bench_gate cache
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "experiments" ]; then
@@ -268,23 +255,10 @@ if [ "$stage" = "all" ] || [ "$stage" = "experiments" ]; then
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "perf" ]; then
-    echo "== hot-path perf stage (-m perf) =="
-    # Stash the committed baseline, run the bench (which rewrites
-    # BENCH_hotpath.json), then gate: >30% serviced-syscalls/sec
-    # regression vs the baseline fails the stage.  The bench itself
-    # asserts the determinism identities (schedule + digest) and the
-    # 5x scheduler-decision floor.
-    tmp="$work/perf"
-    mkdir "$tmp"
-    if [ -f BENCH_hotpath.json ]; then
-        cp BENCH_hotpath.json "$tmp/baseline.json"
-    fi
-    python -m pytest -x -q -m perf benchmarks/bench_hotpath.py
-    if [ -f "$tmp/baseline.json" ]; then
-        python -m benchmarks.bench_hotpath "$tmp/baseline.json"
-    else
-        echo "no committed BENCH_hotpath.json baseline; skipping regression gate"
-    fi
+    echo "== hot-path perf stage (scheduler floor, serviced-syscalls trend) =="
+    # The bench asserts the determinism identities (schedule + fan-out
+    # digests) itself.
+    bench_gate hotpath
 fi
 
 echo "check.sh: OK"

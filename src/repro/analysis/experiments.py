@@ -1,19 +1,25 @@
 """The full evaluation, as a library (regenerates EXPERIMENTS.md).
 
-Each ``*_section`` function runs one experiment for real and renders a
-markdown section with measured-vs-paper numbers; the Figure 5 and 6
-sections also write their SVG into a given directory.  ``scripts/
-run_experiments.py`` is a thin wrapper; ``generate(scale, out)`` is the
-API (smoke-tested at a tiny scale in the test suite).
+Each ``*_section`` function runs one experiment for real and returns a
+markdown section with measured-vs-paper numbers, together with the
+paper's shape claims checked on those same numbers, as ``(claim,
+measured, holds)`` triples; the Figure 5 and 6 sections also write
+their SVG into a given directory.  ``generate`` closes the document with
+a table of every claim.  ``scripts/run_experiments.py`` is a thin
+wrapper that fails when a claim does not hold; ``generate(scale, out)``
+is the API (smoke-tested at a tiny scale in the test suite).
 """
 
 
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
+
+#: One shape claim of the evaluation, as ``generate`` reports it.
+Claim = namedtuple("Claim", "section claim measured holds")
 
 
 def table1_section(scale):
@@ -37,6 +43,8 @@ def table1_section(scale):
             stock += 1
     bl_irr = sum(v for (b, _), v in matrix.items() if b == "irreproducible")
     rendered = matrix.get(("irreproducible", "reproducible"), 0)
+    regressions = matrix.get(("reproducible", "irreproducible"), 0)
+    dt_irr = matrix.get(("irreproducible", "irreproducible"), 0)
 
     out = ["## Table 1 — build-status transitions (population: %d packages)" % n, ""]
     out.append("```")
@@ -51,9 +59,8 @@ def table1_section(scale):
     out.append("| BL-irreproducible rendered reproducible by DetTrace | %.1f%% | 72.65%% |"
                % (100 * rendered / max(1, bl_irr)))
     out.append("| reproducible→irreproducible regressions | %d | 0 |"
-               % matrix.get(("reproducible", "irreproducible"), 0))
-    out.append("| irreproducible under DetTrace | %d | 0 |"
-               % matrix.get(("irreproducible", "irreproducible"), 0))
+               % regressions)
+    out.append("| irreproducible under DetTrace | %d | 0 |" % dt_irr)
     out.append("")
     total_causes = sum(causes.values()) or 1
     out.append("§7.1.1 unsupported causes (paper: busy-wait 45.8%, sockets 15.8%, "
@@ -62,7 +69,17 @@ def table1_section(scale):
     for cause, count in causes.most_common():
         out.append("* %s: %d (%.0f%%)" % (cause, count, 100 * count / total_causes))
     out.append("")
-    return "\n".join(out)
+    claims = [
+        ("stock system (no tar workaround) reproducible = 0",
+         "%d" % stock, stock == 0),
+        ("reproducible→irreproducible regressions = 0",
+         "%d" % regressions, regressions == 0),
+        ("irreproducible under DetTrace = 0", "%d" % dt_irr, dt_irr == 0),
+        ("BL-irreproducible rendered reproducible > 60%",
+         "%.1f%%" % (100 * rendered / max(1, bl_irr)),
+         rendered / max(1, bl_irr) > 0.6),
+    ]
+    return "\n".join(out), claims
 
 
 def table2_section(scale):
@@ -83,7 +100,8 @@ def table2_section(scale):
            % total.runs, ""]
     out.append("| event | measured avg | paper avg |")
     out.append("|---|---|---|")
-    for label, value in total.table2_averages().items():
+    averages = total.table2_averages()
+    for label, value in averages.items():
         paper = PAPER_TABLE2.get(label)
         out.append("| %s | %.2f | %s |" % (
             label, value, "n/a" if paper is None else "%.2f" % paper))
@@ -102,20 +120,35 @@ def table2_section(scale):
                "no notification since its last attempt only skips "
                "re-executing the call on the host.")
     out.append("")
-    return "\n".join(out)
+    syscalls = averages["System call events"]
+    reads = averages["User process memory reads"]
+    rdtsc = averages["rdtsc intercepted"]
+    retries = averages["read retries"]
+    urandom = averages["/dev/urandom opens"]
+    claims = [
+        ("at least 80%% of the %d sampled packages build" % n,
+         "%d" % total.runs, total.runs >= n * 0.8),
+        ("system call events > user memory reads",
+         "%.2f > %.2f" % (syscalls, reads), syscalls > reads),
+        ("user memory reads > rdtsc intercepted",
+         "%.2f > %.2f" % (reads, rdtsc), reads > rdtsc),
+        ("system call events > 100 × read retries",
+         "%.2f vs %.2f" % (syscalls, retries), syscalls > 100 * retries),
+        ("/dev/urandom opens ≥ 0", "%.2f" % urandom, urandom >= 0),
+    ]
+    return "\n".join(out), claims
 
 
-def fig5_section(scale, figdir):
-    from repro.analysis import format_scatter
+def fig5_points(scale):
+    """Figure 5's measurement: ``(syscall rate, slowdown, native wall,
+    threaded)`` for every sampled package that built both ways."""
     from repro.repro_tools import first_build_host
     from repro.workloads.debian import build_dettrace, build_native, generate_population
 
     n = max(25, int(40 * scale))
     specs = [s for s in generate_population(n * 2, seed=13)
              if not s.expect_dt_unsupported and not s.syscall_storm][:n]
-    points, thr, nothr = [], [], []
-    thr_flags = []
-    walls = []
+    points = []
     for spec in specs:
         base = build_native(spec, host=first_build_host())
         det = build_dettrace(spec, host=first_build_host())
@@ -123,13 +156,21 @@ def fig5_section(scale, figdir):
             continue
         rate = base.result.syscall_count / base.result.wall_time
         slow = det.result.wall_time / base.result.wall_time
-        points.append((rate, slow))
-        walls.append(base.result.wall_time)
-        thr_flags.append(spec.uses_threads)
-        (thr if spec.uses_threads else nothr).append(slow)
+        points.append((rate, slow, base.result.wall_time, spec.uses_threads))
+    return points
+
+
+def fig5_section(scale, figdir):
+    from repro.analysis import PAPER_BUILD_AGGREGATE, format_scatter
+
+    measured = fig5_points(scale)
+    points = [(rate, slow) for rate, slow, _, _ in measured]
+    thr_flags = [threaded for _, _, _, threaded in measured]
+    thr = [slow for _, slow, _, threaded in measured if threaded]
+    nothr = [slow for _, slow, _, threaded in measured if not threaded]
     rates = np.array([p[0] for p in points])
     slows = np.array([p[1] for p in points])
-    w = np.array(walls)
+    w = np.array([wall for _, _, wall, _ in measured])
     corr = float(np.corrcoef(rates, slows)[0, 1])
     aggregate = float((slows * w).sum() / w.sum())
 
@@ -146,26 +187,32 @@ def fig5_section(scale, figdir):
     out.append("| §7.4 claim | measured | paper |")
     out.append("|---|---|---|")
     out.append("| rate/slowdown correlation | %.2f | positive |" % corr)
-    out.append("| aggregate slowdown | %.2fx | 3.49x |" % aggregate)
+    out.append("| aggregate slowdown | %.2fx | %.2fx |"
+               % (aggregate, PAPER_BUILD_AGGREGATE))
     out.append("| slowdown range | %.1f–%.1fx | ~1–30x |" % (slows.min(), slows.max()))
     if thr and nothr:
         out.append("| threaded vs non-threaded mean | %.2fx vs %.2fx | threaded slower |"
                    % (float(np.mean(thr)), float(np.mean(nothr))))
     out.append("")
-    return "\n".join(out)
+    claims = [
+        ("rate/slowdown correlation > 0.6", "%.2f" % corr, corr > 0.6),
+        ("aggregate slowdown within 1.5–6.0x (paper %.2fx)"
+         % PAPER_BUILD_AGGREGATE, "%.2fx" % aggregate,
+         1.5 < aggregate < 6.0),
+        ("no package builds faster under DetTrace (slowdown ≥ 1.0)",
+         "%.2fx" % slows.min(), slows.min() >= 1.0),
+    ]
+    return "\n".join(out), claims
 
 
-def fig6_section(figdir):
-    from repro.analysis import PAPER_FIG6
-    from repro.analysis.figures import figure6_svg
+def fig6_speedups():
+    """Figure 6's measurement: tool -> mode -> speedups over sequential
+    native at 1/4/16 processes, and how many of its runs succeeded."""
     from repro.cpu.machine import HASWELL_XEON, HostEnvironment
     from repro.workloads.bioinf import ALL_TOOLS, run_dettrace, run_native, tool_image
 
-    out = ["## Figure 6 — bioinformatics speedups (1/4/16 processes)",
-           "", "Rendered to `figure6.svg`.", ""]
-    out.append("| tool | mode | measured | paper |")
-    out.append("|---|---|---|---|")
     collected = {}
+    succeeded = 0
     for tool, spec in ALL_TOOLS.items():
         img = tool_image(spec)
         seq = None
@@ -174,17 +221,55 @@ def fig6_section(figdir):
             for nprocs in (1, 4, 16):
                 host = HostEnvironment(machine=HASWELL_XEON, entropy_seed=nprocs * 7)
                 r = runner(img, tool, nprocs, host=host)
+                succeeded += bool(r.succeeded)
                 if mode == "native" and nprocs == 1:
                     seq = r.wall_time
                 vals.append(seq / r.wall_time)
+            collected.setdefault(tool, {})[mode] = vals
+    return collected, succeeded
+
+
+def fig6_section(figdir):
+    from repro.analysis import PAPER_FIG6
+    from repro.analysis.figures import figure6_svg
+
+    collected, succeeded = fig6_speedups()
+    out = ["## Figure 6 — bioinformatics speedups (1/4/16 processes)",
+           "", "Rendered to `figure6.svg`.", ""]
+    out.append("| tool | mode | measured | paper |")
+    out.append("|---|---|---|---|")
+    for tool, modes in collected.items():
+        for mode, vals in modes.items():
             out.append("| %s | %s | %s | %s |" % (
                 tool, mode, " / ".join("%.2f" % v for v in vals),
                 " / ".join("%.2f" % v for v in PAPER_FIG6[tool][mode])))
-            collected.setdefault(tool, {})[mode] = vals
     with open(os.path.join(figdir, "figure6.svg"), "w") as fh:
         fh.write(figure6_svg(collected))
     out.append("")
-    return "\n".join(out)
+    runs = sum(len(vals) for modes in collected.values()
+               for vals in modes.values())
+    clustal, hmmer, raxml = (collected[t]["dettrace"]
+                             for t in ("clustal", "hmmer", "raxml"))
+    native16 = collected["clustal"]["native"][2]
+    claims = [
+        ("every run succeeds", "%d/%d" % (succeeded, runs),
+         succeeded == runs),
+        ("clustal: DetTrace@16 > 0.75 × native@16",
+         "%.2f vs %.2f" % (clustal[2], native16),
+         clustal[2] > 0.75 * native16),
+        ("raxml: DetTrace@1 < 0.5", "%.2f" % raxml[0], raxml[0] < 0.5),
+        ("raxml: DetTrace@16 > 2 × DetTrace@1",
+         "%.2f vs %.2f" % (raxml[2], raxml[0]), raxml[2] > raxml[0] * 2),
+        ("DetTrace@1: clustal > hmmer > raxml",
+         "%.2f > %.2f > %.2f" % (clustal[0], hmmer[0], raxml[0]),
+         clustal[0] > hmmer[0] > raxml[0]),
+        ("native speedup rises from 1 to 4 to 16 processes, every tool",
+         "; ".join("%s %s" % (tool, "/".join("%.2f" % v for v in modes["native"]))
+                   for tool, modes in collected.items()),
+         all(a < b < c for a, b, c in
+             (modes["native"] for modes in collected.values()))),
+    ]
+    return "\n".join(out), claims
 
 
 def tf_section():
@@ -201,23 +286,49 @@ def tf_section():
     out.append("| model | DT vs parallel (paper) | DT vs serial (paper) | "
                "DT losses reproducible | native reproducible |")
     out.append("|---|---|---|---|---|")
+    rows = {}
     for cfg in (ALEXNET, CIFAR10):
         par = run_parallel_native(cfg, host=host(1))
         ser = run_serial_native(cfg, host=host(2))
         det = run_dettrace(cfg, host=host(3))
         det2 = run_dettrace(cfg, host=host(4, 500.0))
         par2 = run_parallel_native(cfg, host=host(5, 900.0))
+        row = rows[cfg.name] = (
+            det.wall_time / par.wall_time, det.wall_time / ser.wall_time,
+            losses_of(det) == losses_of(det2),
+            losses_of(par) == losses_of(par2))
         out.append("| %s | %.2fx (%.2fx) | %.2fx (%.2fx) | %s | %s |" % (
             cfg.name,
-            det.wall_time / par.wall_time, PAPER_TF[cfg.name]["vs_parallel"],
-            det.wall_time / ser.wall_time, PAPER_TF[cfg.name]["vs_serial"],
-            losses_of(det) == losses_of(det2),
-            losses_of(par) == losses_of(par2)))
+            row[0], PAPER_TF[cfg.name]["vs_parallel"],
+            row[1], PAPER_TF[cfg.name]["vs_serial"], row[2], row[3]))
     out.append("")
-    return "\n".join(out)
+
+    def count(index):
+        return "%d/%d models" % (sum(row[index] for row in rows.values()),
+                                 len(rows))
+
+    def each(index):
+        return ", ".join("%s %.2fx" % (name, row[index])
+                         for name, row in rows.items())
+
+    claims = [
+        ("DetTrace losses reproducible across boots, both models",
+         count(2), all(row[2] for row in rows.values())),
+        ("native losses reproducible across boots, neither model",
+         count(3), not any(row[3] for row in rows.values())),
+        ("DetTrace vs parallel native > 6.0x, both models",
+         each(0), all(row[0] > 6.0 for row in rows.values())),
+        ("DetTrace vs serialized native < 2.5x, both models",
+         each(1), all(row[1] < 2.5 for row in rows.values())),
+        ("alexnet slows more than cifar10 vs parallel native",
+         "%.2fx vs %.2fx" % (rows["alexnet"][0], rows["cifar10"][0]),
+         rows["alexnet"][0] > rows["cifar10"][0]),
+    ]
+    return "\n".join(out), claims
 
 
 def rr_section(scale):
+    from repro.analysis import PAPER_RR
     from repro.repro_tools import first_build_host
     from repro.rnr import record, replay
     from repro.workloads.debian import (TOOLS, build_native,
@@ -250,14 +361,29 @@ def rr_section(scale):
     out.append("|---|---|---|")
     out.append("| crashed on unsupported ioctl | %d/%d (%.0f%%) | 46/81 (57%%) |"
                % (crashes, n, 100 * crashes / n))
-    out.append("| mean record overhead | %.2fx | 5.8x |" % o.mean())
-    out.append("| overhead range | %.1f–%.1fx | 3.3–22.7x |" % (o.min(), o.max()))
+    out.append("| mean record overhead | %.2fx | %.1fx |"
+               % (o.mean(), PAPER_RR["mean_overhead"]))
+    out.append("| overhead range | %.1f–%.1fx | %.1f–%.1fx |" % (
+        o.min(), o.max(), PAPER_RR["min_overhead"], PAPER_RR["max_overhead"]))
     out.append("| replays completed faithfully | %d/%d | n/a |"
                % (replays_ok, len(overheads)))
     out.append("| mean trace size | %.0f KB | 'much more than source' |"
                % (np.mean(sizes) / 1024))
     out.append("")
-    return "\n".join(out)
+    claims = [
+        ("crash fraction within 30–85%% (paper %.0f%%)"
+         % (100 * PAPER_RR["crash_fraction"]),
+         "%d/%d" % (crashes, len(specs)),
+         0.3 < crashes / len(specs) < 0.85),
+        ("mean record overhead > 2.0x (paper %.1fx)"
+         % PAPER_RR["mean_overhead"], "%.2fx" % o.mean(), o.mean() > 2.0),
+        ("every completed recording replays faithfully",
+         "%d/%d" % (replays_ok, len(overheads)),
+         replays_ok == len(overheads)),
+        ("every recording stores a non-empty trace",
+         "%d B smallest" % min(sizes), min(sizes) > 0),
+    ]
+    return "\n".join(out), claims
 
 
 def portability_section(scale):
@@ -286,7 +412,13 @@ def portability_section(scale):
     out.append("| broken with the directory-size extension ablated | %d/%d | "
                "extension was required |" % (broken, n))
     out.append("")
-    return "\n".join(out)
+    claims = [
+        ("every package bitwise identical across machines",
+         "%d/%d" % (identical, len(specs)), identical == len(specs)),
+        ("the directory-size extension is load-bearing (≥ 1 breaks without it)",
+         "%d" % broken, broken >= 1),
+    ]
+    return "\n".join(out), claims
 
 
 def correctness_section():
@@ -311,13 +443,17 @@ def correctness_section():
     out.append("")
     out.append("* native build: `%s`" % outcome(native))
     out.append("* DetTrace build: `%s`" % outcome(det))
-    out.append("* match: **%s**" % (outcome(native) == outcome(det)))
+    match = outcome(native) == outcome(det)
+    out.append("* match: **%s**" % match)
     out.append("")
-    return "\n".join(out)
+    claims = [("native and DetTrace builds report the same test outcome",
+               "same" if match else "different", match)]
+    return "\n".join(out), claims
 
 
 #: (name, section function, does it write a figure?).  Figure sections
-#: take (scale, figdir); the others take only the scale.
+#: take (scale, figdir); the others take only the scale.  Each returns
+#: ``(markdown, [(claim, measured, holds), ...])``.
 SECTIONS = [
     ("table1", table1_section, False),
     ("table2", table2_section, False),
@@ -345,22 +481,38 @@ DESIGN.md.
 """
 
 
+CLAIMS_HEADER = """## Shape claims
+
+The paper's shapes, each checked on the numbers above;
+`scripts/run_experiments.py` exits 1 when one does not hold.
+
+| section | claim | measured | holds |
+|---|---|---|---|"""
+
+
 def generate(scale: float = 1.0, out: str = "EXPERIMENTS.md",
-             sections=None, quiet: bool = False) -> str:
+             sections=None, quiet: bool = False):
     """Run the evaluation and write *out*, with the figures beside it;
-    returns the markdown text."""
+    returns the markdown text and every section's :class:`Claim`."""
     chosen = SECTIONS if sections is None else [
         s for s in SECTIONS if s[0] in sections]
     figdir = os.path.dirname(out) or "."
     parts = [HEADER % scale]
+    claims = []
     for name, fn, writes_figure in chosen:
         t0 = time.time()
         if not quiet:
             sys.stderr.write("running %s...\n" % name)
-        parts.append(fn(scale, figdir) if writes_figure else fn(scale))
+        text, section_claims = fn(scale, figdir) if writes_figure else fn(scale)
+        parts.append(text)
+        claims += [Claim(name, *claim) for claim in section_claims]
         if not quiet:
             sys.stderr.write("  done in %.1fs\n" % (time.time() - t0))
+    parts.append("\n".join([CLAIMS_HEADER] + [
+        "| %s | %s | %s | %s |" % (
+            c.section, c.claim, c.measured, "yes" if c.holds else "**no**")
+        for c in claims] + [""]))
     text = "\n".join(parts)
     with open(out, "w") as fh:
         fh.write(text)
-    return text
+    return text, claims

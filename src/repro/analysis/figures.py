@@ -147,17 +147,3 @@ def figure6_svg(speedups: Dict[str, Dict[str, List[float]]]) -> str:
             % (canvas.width - 134, legend_y + j * 16, label))
     return canvas.finish()
 
-
-def write_figures(fig5_points, fig5_threaded, fig6_speedups,
-                  directory: str = ".") -> List[str]:
-    """Write figure5.svg / figure6.svg into *directory*."""
-    import os
-
-    written = []
-    for name, svg in (("figure5.svg", figure5_svg(fig5_points, fig5_threaded)),
-                      ("figure6.svg", figure6_svg(fig6_speedups))):
-        path = os.path.join(directory, name)
-        with open(path, "w") as fh:
-            fh.write(svg)
-        written.append(path)
-    return written

@@ -1,8 +1,9 @@
 """Render the paper's tables and figures as text.
 
-Each benchmark computes raw rows/series; these helpers format them the
-way the paper presents them, side by side with the paper's own numbers
-where available.
+The experiments (``repro.analysis.experiments``) compute raw rows and
+series; these helpers format them the way the paper presents them, side
+by side with the paper's own numbers where available.  The ``PAPER_*``
+constants are the one transcription of the paper's numbers.
 """
 
 from __future__ import annotations
@@ -87,34 +88,6 @@ def format_table1(matrix: Dict[Tuple[str, str], int]) -> str:
     return format_table(
         ["given", "outcome", "count", "measured", "paper"], rows,
         title="Table 1 (top): build status moving from baseline to DetTrace")
-
-
-def format_table2(averages: Dict[str, float], scale_note: str = "") -> str:
-    rows = []
-    for label, paper in PAPER_TABLE2.items():
-        measured = averages.get(label, 0.0)
-        rows.append([label, "%.2f" % measured, "%.2f" % paper])
-    out = format_table(["event", "measured avg", "paper avg"], rows,
-                       title="Table 2: per-package average tracer events")
-    if scale_note:
-        out += "\n" + scale_note
-    return out
-
-
-def format_fig6(speedups: Dict[str, Dict[str, List[float]]]) -> str:
-    rows = []
-    for tool in ("clustal", "hmmer", "raxml"):
-        for mode in ("native", "dettrace"):
-            ours = speedups.get(tool, {}).get(mode, [])
-            paper = PAPER_FIG6[tool][mode]
-            rows.append([
-                tool, mode,
-                " ".join("%.2f" % v for v in ours),
-                " ".join("%.2f" % v for v in paper),
-            ])
-    return format_table(
-        ["tool", "mode", "measured (1/4/16 procs)", "paper (1/4/16 procs)"],
-        rows, title="Figure 6: bioinformatics speedup over sequential native")
 
 
 def format_scatter(points: List[Tuple[float, float]], width: int = 64,

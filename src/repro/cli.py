@@ -397,17 +397,6 @@ def cmd_obs(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Built-in benchmarks: currently the hot-path engine report."""
-    from .hotpath import format_report, run_hotpath_bench
-
-    report = run_hotpath_bench(scale=args.scale, out_path=args.out)
-    print(format_report(report))
-    if args.out:
-        _sys.stderr.write("bench: wrote %s\n" % args.out)
-    return 0
-
-
 def cmd_fuzz(args) -> int:
     """Differential determinism fuzzing (repro.fuzz)."""
     from .fuzz import format_report, replay_corpus, run_fuzz
@@ -847,15 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--replay-corpus", metavar="DIR", default=None,
                       help="re-check every entry in DIR instead of fuzzing")
     fuzz.set_defaults(fn=cmd_fuzz)
-
-    bench = sub.add_parser("bench", help="run a built-in benchmark")
-    bench.add_argument("what", choices=["hotpath"],
-                       help="which benchmark to run")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="scale workload sizes (0.25 = quick smoke)")
-    bench.add_argument("--out", metavar="FILE",
-                       help="also write the machine-readable JSON report")
-    bench.set_defaults(fn=cmd_bench)
 
     diff = sub.add_parser("diff",
                           help="first-divergence diff of two trace files")

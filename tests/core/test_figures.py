@@ -1,5 +1,5 @@
 """SVG figure renderers."""
-from repro.analysis import figure5_svg, figure6_svg, write_figures
+from repro.analysis import figure5_svg, figure6_svg
 
 
 def sample_speedups():
@@ -35,13 +35,3 @@ class TestFigure6:
         assert svg.count("<rect") == 20
         assert "clus/16" in svg
         assert "DetTrace" in svg
-
-
-class TestWriter:
-    def test_writes_files(self, tmp_path):
-        paths = write_figures([(1000, 2.0)], [False], sample_speedups(),
-                              directory=str(tmp_path))
-        assert len(paths) == 2
-        for path in paths:
-            content = open(path).read()
-            assert content.startswith("<svg")

@@ -2,9 +2,10 @@
 
 The end-to-end schedule identity is covered by the differential suite
 (tests/properties/test_sched_differential.py) and the bench loop
-(repro.hotpath); these tests pin the *mechanisms* — lazy heap repair,
-the probe stash, stamp refresh, O(1) removal — with hand-built states,
-plus a randomized lockstep drive against the reference oracle.
+(benchmarks/bench_hotpath.py); these tests pin the *mechanisms* — lazy
+heap repair, the probe stash, stamp refresh, O(1) removal — with
+hand-built states, plus a randomized lockstep drive against the
+reference oracle.
 """
 import random
 

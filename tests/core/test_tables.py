@@ -1,11 +1,9 @@
 """Table/figure text formatting."""
 from repro.analysis import (
     PAPER_TABLE1_TOP,
-    format_fig6,
     format_scatter,
     format_table,
     format_table1,
-    format_table2,
 )
 
 
@@ -28,18 +26,6 @@ class TestFormatTable:
         text = format_table1(matrix)
         assert "72.0%" in text
         assert "72.7%" in text  # the paper column
-
-    def test_table2_rows(self):
-        text = format_table2({"System call events": 500.0})
-        assert "System call events" in text
-        assert "843621.53" in text
-
-    def test_fig6_columns(self):
-        speedups = {tool: {"native": [1, 2, 4], "dettrace": [0.5, 1, 2]}
-                    for tool in ("clustal", "hmmer", "raxml")}
-        text = format_fig6(speedups)
-        assert "clustal" in text and "dettrace" in text
-        assert "4.24" in text  # paper value present
 
     def test_scatter_renders_points(self):
         text = format_scatter([(100, 1.0), (10_000, 5.0)], width=40, height=8)

@@ -1,9 +1,11 @@
 """Smoke the EXPERIMENTS.md generator at a tiny scale, every section."""
 import hashlib
+import importlib.util
 import os
 
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import SECTIONS, generate
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
@@ -25,11 +27,19 @@ def _committed_figures():
 
 class TestGenerator:
     @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
+    def generated(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("exp") / "EXPERIMENTS.md"
         before = _committed_figures()
-        text = generate(scale=0.15, out=str(out), quiet=True)
-        return text, out, before
+        text, claims = generate(scale=0.15, out=str(out), quiet=True)
+        return text, out, before, claims
+
+    @pytest.fixture(scope="class")
+    def run(self, generated):
+        return generated[:3]
+
+    @pytest.fixture(scope="class")
+    def claims(self, generated):
+        return generated[3]
 
     @pytest.fixture(scope="class")
     def text(self, run):
@@ -65,3 +75,38 @@ class TestGenerator:
 
     def test_committed_figures_untouched(self, run):
         assert _committed_figures() == run[2]
+
+    def test_every_section_yields_a_claim(self, claims):
+        assert {c.section for c in claims} == {name for name, _, _ in SECTIONS}
+
+    def test_claims_table_renders(self, text, claims):
+        table = text[text.index("## Shape claims"):]
+        for c in claims:
+            assert "| %s | %s | %s | %s |" % (
+                c.section, c.claim, c.measured,
+                "yes" if c.holds else "**no**") in table
+
+
+def _run_experiments_script():
+    path = os.path.join(REPO, "scripts", "run_experiments.py")
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("holds, status", [(True, 0), (False, 1)])
+def test_script_writes_its_output_then_fails_on_a_false_claim(
+        tmp_path, monkeypatch, holds, status):
+    def fake_section(scale):
+        return "## Fake\n", [("the fake shape", "42", holds)]
+
+    monkeypatch.setattr(experiments, "SECTIONS",
+                        [("fake", fake_section, False)])
+    out = tmp_path / "EXPERIMENTS.md"
+    script = _run_experiments_script()
+    assert script.main(["--scale", "0.15", "--out", str(out)]) == status
+    text = out.read_text()
+    assert "## Fake" in text
+    assert "| fake | the fake shape | 42 | %s |" % (
+        "yes" if holds else "**no**") in text
