@@ -284,7 +284,7 @@ def _capture_runtime(kernel) -> Tuple[
         if squeue is not None:
             step_queue = [(t.tid, encode_value(v), encode_value(e))
                           for t, v, e in squeue]
-        token = getattr(proc, "_step_token", None)
+        token = proc.step_token
         threads = []
         for th in proc.threads:
             threads.append({
@@ -1117,7 +1117,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
                  decode_value(e, ff._sub(tid)))
                 for tid, v, e in prec["step_queue"]]
         if prec["step_token"] is not None:
-            proc._step_token = threads_by_tid[prec["step_token"]]
+            proc.step_token = threads_by_tid[prec["step_token"]]
         proc.live_thread_count = len(proc.live_threads())
 
     # -- event heap ------------------------------------------------------

@@ -9,7 +9,7 @@ deterministic order chosen by the three-queue scheduler of §5.6.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..cpu import instructions as insn
 from ..kernel.costs import (
@@ -22,6 +22,7 @@ from ..kernel.costs import (
 )
 from ..kernel.process import Process, Thread
 from ..kernel.types import CpuidResult
+from ..obs.collector import _bucket
 from ..obs.events import DEBUG, TRAP, ObsEvent
 from ..obs.profiler import HANDLER, INTERCEPTION, SCHEDULER
 from ..obs.trace import Span
@@ -47,15 +48,6 @@ CANONICAL_CPUID = CpuidResult(
     cores=1,
     features=["avx"],
 )
-
-#: Blocking calls whose would-block answer only a channel notification
-#: can change, so a failed probe may be replayed instead of re-executed
-#: while ``Kernel.wake_epoch`` holds still.  A blocked wait4 returns once
-#: a candidate child exits, and every exit notifies the child's exit
-#: channel.  futex stays out: its word changes through plain guest
-#: memory writes, which notify nothing.  So do read and write: their
-#: handlers touch io_state and may report progress on every re-probe.
-WAKE_GATED_CALLS = frozenset(("wait4",))
 
 
 class DetTraceTracer(TracerBase):
@@ -85,10 +77,13 @@ class DetTraceTracer(TracerBase):
         #: completion counts without building a key tuple.
         self._syscall_keys: Dict[str, Dict[str, Tuple[str, str, str]]] = {
             "injected": {}, "rewritten": {}, "passthrough": {}}
-        #: thread -> the wake epoch read just before its gated call last
-        #: blocked.  Host-side only: never snapshotted, and dropped when
-        #: the call completes or the thread exits.
-        self._wake_memo: Dict[Thread, int] = {}
+        #: thread -> the kernel's replay test for its blocked call
+        #: (SyscallTable.replay_test), taken when the call last blocked.
+        #: Only wait4 and FUTEX_WAIT have one; read and write, whose
+        #: handlers touch io_state, and pause and accept are executed at
+        #: every probe.  Host-side only: never snapshotted, and dropped
+        #: when the call completes or the thread exits.
+        self._replay_tests: Dict[Thread, Callable[[], bool]] = {}
 
     @property
     def debug_log(self) -> list:
@@ -155,13 +150,13 @@ class DetTraceTracer(TracerBase):
     def on_thread_exit(self, thread: Thread) -> None:
         self.sched.remove(thread)
         self._ctx_cache.pop(thread, None)
-        self._wake_memo.pop(thread, None)
+        self._replay_tests.pop(thread, None)
 
     def on_process_exit(self, proc: Process) -> None:
         for thread in proc.threads:
             self.sched.remove(thread)
             self._ctx_cache.pop(thread, None)
-            self._wake_memo.pop(thread, None)
+            self._replay_tests.pop(thread, None)
         self.logical.forget_process(proc.pid)
 
     def on_execve(self, proc: Process) -> None:
@@ -243,21 +238,33 @@ class DetTraceTracer(TracerBase):
         return handler(ctx, thread, call)
 
     def _service(self, thread: Thread) -> bool:
-        self.begin_span()
+        # A new span and the stop's three fixed charges (context switch,
+        # seccomp stop, handler) in one pass: the additions charge()
+        # makes, in its order.  After the first, busy_until is past the
+        # clock, so one max() serves all three, and busy_until, the span
+        # cost and the phase totals stay bit-identical.
+        obs = self.obs
+        totals = obs.profile.totals
+        busy = max(self.kernel.clock.now, self.busy_until)
+        span = 0.0
         if thread.process is not self._last_proc:
-            self.obs.count(("sched", "context_switch"))
-            self.charge(TRACER_SCHED_COST, SCHEDULER)
+            obs.count(("sched", "context_switch"))
+            busy += TRACER_SCHED_COST
+            span += TRACER_SCHED_COST
+            totals[SCHEDULER] = totals.get(SCHEDULER, 0.0) + TRACER_SCHED_COST
             self._last_proc = thread.process
-        self.charge(self.seccomp.stop_cost, INTERCEPTION)
-        self.charge(TRACER_HANDLER_COST, HANDLER)
+        stop = self.seccomp.stop_cost
+        totals[INTERCEPTION] = totals.get(INTERCEPTION, 0.0) + stop
+        totals[HANDLER] = totals.get(HANDLER, 0.0) + TRACER_HANDLER_COST
+        self.busy_until = busy + stop + TRACER_HANDLER_COST
+        self._span_cost = span + stop + TRACER_HANDLER_COST
         thread.obs_attempt += 1
-        epoch = self.kernel.wake_epoch
         outcome, payload = self._run_handler(thread)
         if self.config.debug:
             self._debug_line(thread, outcome, payload)
         if outcome == "block":
-            self._memoize_block(thread, epoch)
-            self.obs.counters[REPLAYS_BLOCKING] += 1
+            self._memoize_block(thread)
+            obs.counters[REPLAYS_BLOCKING] += 1
             self.charge(TRACER_REPLAY_COST, SCHEDULER)
             self._emit_span(thread, outcome)
             self.sched.still_blocked(thread)
@@ -314,45 +321,55 @@ class DetTraceTracer(TracerBase):
     def _probe(self, thread: Thread) -> bool:
         """Re-try a blocked thread's syscall; True if it completed.
 
-        A gated call that blocked at the current wake epoch is not
-        re-executed: its would-block answer is replayed, with every
-        deterministic effect of a failed probe (charge, count, span,
-        debug line, scheduler verdict, token release)."""
-        self.begin_span()
-        self.charge(TRACER_REPLAY_COST, SCHEDULER)
+        While the kernel's replay test for the blocked call holds, the
+        call is not re-executed: its would-block answer is replayed, with
+        every deterministic effect of a failed probe (charge, count,
+        span, debug line, scheduler verdict, token release)."""
+        # A new span and charge(TRACER_REPLAY_COST, SCHEDULER) in one
+        # pass, with the same additions.
+        obs = self.obs
+        self.busy_until = (max(self.kernel.clock.now, self.busy_until)
+                           + TRACER_REPLAY_COST)
+        self._span_cost = TRACER_REPLAY_COST
+        totals = obs.profile.totals
+        totals[SCHEDULER] = totals.get(SCHEDULER, 0.0) + TRACER_REPLAY_COST
         thread.obs_attempt += 1
-        if self._memo_hit(thread):
+        replayed = self._memo_hit(thread)
+        if replayed:
             outcome, payload = "block", None
         else:
-            epoch = self.kernel.wake_epoch
             outcome, payload = self._run_handler(thread)
-            if outcome == "block":
-                self._memoize_block(thread, epoch)
-        if self.obs.debug_level >= 2:
+        if obs.debug_level >= 2:
             self._debug_probe(thread, outcome)
         if outcome == "block":
-            self.obs.counters[REPLAYS_BLOCKING] += 1
-            self._emit_span(thread, outcome)
+            if not replayed:
+                self._memoize_block(thread)
+            obs.counters[REPLAYS_BLOCKING] += 1
+            # Calls whose gate is closed are skipped: for a block,
+            # _emit_span records only the span, and release_step_token
+            # acts only for the token's holder.
+            if obs.trace_enabled:
+                self._emit_span(thread, outcome)
             self.sched.still_blocked(thread)
-            self.kernel.release_step_token(thread)
+            if thread.process.step_token is thread:
+                self.kernel.release_step_token(thread)
             return False
-        self._wake_memo.pop(thread, None)
+        self._replay_tests.pop(thread, None)
         self._emit_span(thread, outcome)
         self._complete(thread, outcome, payload)
         return True
 
-    def _memoize_block(self, thread: Thread, epoch: int) -> None:
-        """Remember the epoch at which a gated call just blocked."""
-        if thread.current_syscall.name in WAKE_GATED_CALLS:
-            self._wake_memo[thread] = epoch
+    def _memoize_block(self, thread: Thread) -> None:
+        """Keep the kernel's replay test for the call that just blocked."""
+        test = self.kernel.table.replay_test(thread, thread.current_syscall)
+        if test is not None:
+            self._replay_tests[thread] = test
 
     def _memo_hit(self, thread: Thread) -> bool:
         """True when re-executing *thread*'s blocked call must block
-        again: it blocked at the current wake epoch, and no process is
-        between showing wait4 its zombie and notifying its exit."""
-        kernel = self.kernel
-        return (self._wake_memo.get(thread) == kernel.wake_epoch
-                and not kernel.exits_in_flight)
+        again, by the test the kernel gave when it last blocked."""
+        test = self._replay_tests.get(thread)
+        return test is not None and test()
 
     def _debug_probe(self, thread: Thread, outcome: str) -> None:
         """The level-2 line for one probe, built from deterministic
@@ -372,11 +389,16 @@ class DetTraceTracer(TracerBase):
         sched, obs = self.sched, self.obs
         sched.completed(thread)
         blocked = sched.blocked_count()
-        obs.observe("sched/blocked", blocked)
-        obs.gauge_max("sched/blocked_peak", blocked)
+        # Collector.observe and gauge_max, in place.
+        hist = obs.histograms.setdefault("sched/blocked", {})
+        bucket = _bucket(blocked)
+        hist[bucket] = hist.get(bucket, 0) + 1
+        gauges = obs.gauges
+        if blocked > gauges.get("sched/blocked_peak", -1):
+            gauges["sched/blocked_peak"] = blocked
         # live <= members, so the O(threads) live scan can only raise the
         # peak when the membership exceeds it.
-        if sched.member_count > obs.gauges.get("sched/threads_peak", -1):
+        if sched.member_count > gauges.get("sched/threads_peak", -1):
             obs.gauge_max("sched/threads_peak", sched.live_count())
         if outcome == "exited":
             # terminate_process already removed the thread from the

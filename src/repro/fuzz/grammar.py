@@ -5,9 +5,10 @@ op dicts over a small shared namespace of directories and files, biased
 toward the operations whose fast paths the repo optimizes (namei-heavy
 rename/link/rmdir churn, getdents listings, thread interleavings,
 signal/timer delivery, pipe traffic, time/random reads, child processes
-reaped by a blocked wait4).  Generation is a pure function of the seed
-— the same seed always yields the same program on every machine, which
-is what lets a corpus entry name a divergence by ``(seed, ops)`` alone.
+reaped by a blocked wait4, threads blocked in FUTEX_WAIT on a lock).
+Generation is a pure function of the seed — the same seed always yields
+the same program on every machine, which is what lets a corpus entry
+name a divergence by ``(seed, ops)`` alone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _MAIN_MENU = (
     ("time", 4), ("random", 4), ("pipe", 3), ("sleep", 2),
     ("compute", 3), ("threads", 5), ("alarm", 2), ("killself", 2),
     ("audit", 4), ("sock", 5), ("dup2pipe", 2), ("sigpipe", 2),
-    ("spawnwait", 3),
+    ("spawnwait", 3), ("lockwait", 3),
 )
 
 #: Restricted menu for thread bodies: no nested threads, no slot ops
@@ -90,7 +91,7 @@ class ProgramSpec:
     def uses_threads(self) -> bool:
         """Multi-threaded programs are excluded from the rnr axis (the
         recorder predates the thread story, mirroring the paper)."""
-        return any(op["op"] == "threads"
+        return any(op["op"] in ("threads", "lockwait")
                    or (op["op"] == "spawnwait" and op["late"])
                    for op in self.ops)
 
@@ -199,6 +200,10 @@ def _gen_op(rng: random.Random, name: str) -> Dict[str, Any]:
                 for _ in range(rng.randint(1, 3))]
         return {"op": "spawnwait", "body": body,
                 "late": rng.choice((False, True))}
+    if name == "lockwait":
+        return {"op": "lockwait", "threads": rng.randint(2, 3),
+                "rounds": rng.randint(1, 3),
+                "store": rng.choice((False, True))}
     raise ValueError("unknown op template %r" % name)  # pragma: no cover
 
 

@@ -22,7 +22,9 @@ a small POSIX oracle:
   ``st_nlink == 0``) shares an inode number with a live named file —
   the unlink-while-open recycling bug in one line of output;
 * the late ``spawnwait`` variant checks that a blocked ``wait4(-1)``
-  reaps a child spawned after it first blocked.
+  reaps a child spawned after it first blocked;
+* ``lockwait`` checks that a futex lock loses no update of the counter
+  it guards, also when a release is a plain store with no FUTEX_WAKE.
 
 Harnesses treat any ``VIOLATION`` line (or nonzero exit) as a failed
 run, independent of the cross-config comparison.
@@ -217,6 +219,8 @@ def _interpret(sys, op, slots, tag, who):
             return (yield from _threads(sys, op, tag))
         if kind == "spawnwait":
             return (yield from _spawnwait(sys, op, tag))
+        if kind == "lockwait":
+            return (yield from _lockwait(sys, op, tag))
         if kind == "audit":
             return (yield from _audit(sys, slots))
         if kind == "sock":
@@ -446,6 +450,42 @@ def _spawnwait(sys, op, tag):
     if (first.pid, second.pid) != (sys.mem[late_key], early):
         return "VIOLATION spawnwait-late-child-not-reaped-first"
     return "ok:status=%d,%d" % (first.status, second.status)
+
+
+def _lockwait(sys, op, tag):
+    """Worker threads add to a shared counter under a futex lock
+    (``lock_acquire``/``lock_release``), while main joins on a
+    shared-memory count as ``threads`` does.
+
+    Each worker makes two syscalls while it holds the lock.  Each
+    serviced call hands the step token on, so the other workers run,
+    and their acquires block in FUTEX_WAIT.  With ``store``, a worker
+    releases by a plain store of 0 and makes no FUTEX_WAKE, so its
+    waiters can only learn of the release by probing the word.  A lost
+    update prints VIOLATION."""
+    lock = "lockwait_lock_" + tag
+    count_key, done_key = "lockwait_n_" + tag, "lockwait_done_" + tag
+
+    def worker(wsys):
+        for _ in range(op["rounds"]):
+            yield from wsys.lock_acquire(lock)
+            seen = wsys.mem.get(count_key, 0)
+            yield from wsys.stat(".")
+            yield from wsys.stat(".")
+            wsys.mem[count_key] = seen + 1
+            if op["store"]:
+                wsys.mem[lock] = 0
+            else:
+                yield from wsys.lock_release(lock)
+        wsys.mem[done_key] = wsys.mem.get(done_key, 0) + 1
+
+    for _ in range(op["threads"]):
+        yield from sys.spawn_thread(worker)
+    while sys.mem.get(done_key, 0) < op["threads"]:
+        yield from sys.sleep(0.01)
+    if sys.mem[count_key] != op["threads"] * op["rounds"]:
+        return "VIOLATION lockwait-lost-update"
+    return "ok:count=%d" % sys.mem[count_key]
 
 
 def _audit(sys, slots):

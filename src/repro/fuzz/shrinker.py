@@ -113,4 +113,10 @@ def _simpler_versions(op: Dict) -> List[Dict]:
             out.append(dict(op, late=False))
         if len(op["body"]) > 1:
             out.append(dict(op, body=op["body"][:1]))
+    if op.get("op") == "lockwait":
+        if op["store"]:
+            out.append(dict(op, store=False))
+        for field, least in (("threads", 2), ("rounds", 1)):
+            if op[field] > least:
+                out.append(dict(op, **{field: least}))
     return out

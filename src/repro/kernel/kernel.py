@@ -121,9 +121,9 @@ class Kernel:
         self._core_queue: List[Tuple[Thread, float]] = []
         self._parked: Dict[Channel, List[Thread]] = {}
         #: Wake epoch: advanced by every channel notification.  A blocked
-        #: call whose answer only a notification can change (wait4, freed
-        #: by a child exit) may be replayed instead of re-executed while
-        #: the epoch holds still.  Host-side only: never snapshotted.
+        #: wait4, whose answer only a child's exit notification can
+        #: change, is replayed while the epoch holds still
+        #: (SyscallTable.replay_test).  Host-side only: never snapshotted.
         self.wake_epoch = 0
         #: Processes between setting exit_status and notifying their exit
         #: channel: zombies wait4 can already see before the epoch moves.
@@ -379,8 +379,8 @@ class Kernel:
             # the serialized spawn syscall — keeps the queue order a pure
             # function of guest behaviour (a timed start event would race
             # with jittered compute).
-            if getattr(proc, "_step_token", None) is None:
-                proc._step_token = caller
+            if proc.step_token is None:
+                proc.step_token = caller
             proc.memory.setdefault("_step_queue", []).append((thread, None, None))
             thread.state = ThreadState.RUNNABLE
             thread.token_queued = True
@@ -400,26 +400,26 @@ class Kernel:
             return
         proc = thread.process
         if self.serialize_threads and proc.live_thread_count > 1:
-            holder = getattr(proc, "_step_token", None)
+            holder = proc.step_token
             if holder is not None and holder is not thread and holder.alive:
                 queue = proc.memory.setdefault("_step_queue", [])
                 queue.append((thread, value, exc))
                 thread.state = ThreadState.RUNNABLE
                 thread.token_queued = True
                 return
-            proc._step_token = thread
+            proc.step_token = thread
         self._step(thread, value, exc)
 
     def _release_token(self, thread: Thread) -> None:
         proc = thread.process
-        if getattr(proc, "_step_token", None) is not thread:
+        if proc.step_token is not thread:
             return
-        proc._step_token = None
+        proc.step_token = None
         queue = proc.memory.get("_step_queue") or []
         while queue:
             nxt, value, exc = queue.pop(0)
             if nxt.alive:
-                proc._step_token = nxt
+                proc.step_token = nxt
                 nxt.token_queued = False
                 if self.tracer is not None:
                     # The grantee re-enters the running set here — the
@@ -919,7 +919,7 @@ class Kernel:
         thread.current_syscall = None
         proc = thread.process
         if (self.serialize_threads and proc.live_thread_count > 1
-                and getattr(proc, "_step_token", None) is thread):
+                and proc.step_token is thread):
             queue = proc.memory.setdefault("_step_queue", [])
             queue.append((thread, value, exc))
             thread.state = ThreadState.RUNNABLE

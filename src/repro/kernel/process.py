@@ -144,6 +144,9 @@ class Process:
         #: Count of syscalls this process has dispatched — the
         #: deterministic per-process coordinate fault plans key on.
         self.syscall_index = 0
+        #: The thread holding the thread-serialization step token
+        #: (§5.7), or None; its queue is ``memory["_step_queue"]``.
+        self.step_token: Optional[Thread] = None
 
     @property
     def alive(self) -> bool:

@@ -17,7 +17,7 @@ Control flow out of a syscall body:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .errors import Errno, SyscallError
 from .fds import FdKind, FDTable, OpenFile
@@ -821,6 +821,34 @@ class SyscallTable:
         if op == FUTEX_WAKE:
             return self.kernel.notify(proc.futex_channel(addr))
         raise SyscallError(Errno.EINVAL, "futex")
+
+    def replay_test(self, t: Thread,
+                    call: Syscall) -> Optional[Callable[[], bool]]:
+        """For *call*, which just returned would-block: a test that holds
+        while executing it again must block again, so a probe may replay
+        the answer instead.  None when only executing it can tell.
+
+        Each test is its syscall's own blocking decision, read without
+        running the call:
+
+        * ``wait4`` blocks until a candidate child exits, and every exit
+          notifies the child's exit channel, so it blocks again while
+          the wake epoch holds still and no exiting process is between
+          showing its zombie and that notification;
+        * ``FUTEX_WAIT`` blocks exactly while the word holds the value
+          waited on.  That is a read of plain memory, so a store needs
+          to notify nothing.
+        """
+        if call.name == "futex" and call.args["op"] == FUTEX_WAIT:
+            memory, addr = t.process.memory, call.args["addr"]
+            val = call.args.get("val", 0)
+            return lambda: memory.get(addr, 0) == val
+        if call.name == "wait4":
+            kernel = self.kernel
+            epoch = kernel.wake_epoch
+            return lambda: (kernel.wake_epoch == epoch
+                            and not kernel.exits_in_flight)
+        return None
 
     # ------------------------------------------------------------------
     # sockets & ioctl

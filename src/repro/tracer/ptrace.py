@@ -57,10 +57,6 @@ class TracerBase:
             totals[phase] = totals.get(phase, 0.0) + cost
         return self.busy_until
 
-    def begin_span(self) -> None:
-        """Reset the deterministic cost accumulator for a new span."""
-        self._span_cost = 0.0
-
     def peek_memory(self, words: int = 1) -> float:
         """Account for reading tracee memory; returns the time cost."""
         self.obs.count(("tracer", "memory_reads"), words)

@@ -20,6 +20,7 @@ import json
 import pytest
 
 from repro.core import ContainerConfig, DetTrace, Image
+from repro.core.tracer import DetTraceTracer
 from repro.cpu.machine import HostEnvironment
 from repro.workloads.bioinf import RAXML, tool_image
 from repro.workloads.debian import BUILT, build_dettrace, generate_population
@@ -133,6 +134,43 @@ GOLDEN = {
 @pytest.mark.parametrize("case,observe", sorted(GOLDEN))
 def test_stop_path_outputs_match_golden(case, observe):
     assert digests(case, observe) == GOLDEN[(case, observe)]
+
+
+#: case -> sha256 of the tracer's charge state after every service and
+#: probe (see test_stop_charges_match_golden), pinned while each stop
+#: still made one charge() call per fixed cost.
+CHARGE_GOLDEN = {
+    "alexnet":
+        "c59c5b4e837bd640a242e7642e96c7fd62332f78737dae652f94c160bf383653",
+    "debian":
+        "c3667da3dfd098672a2d25048b1d3d3adb7fb420bf46762fd80f46ff396a6411",
+    "exec-siblings":
+        "4f5031f56782843ea7554bd1f80da2b75801480e46403a3920067d2b804a014e",
+    "raxml":
+        "7237d6ae71347f718893fb1084a49c75bd85d9b863ebf8f31d7b3f6759d65bea",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARGE_GOLDEN))
+def test_stop_charges_match_golden(monkeypatch, case):
+    """busy_until, the span cost and the phase totals, bit for bit
+    (float.hex), after every service and probe.  The digests above miss
+    a busy_until that falls behind the clock, because the kernel never
+    schedules a resume before the clock."""
+    seen = []
+    for name in ("_service", "_probe"):
+        def recorded(self, thread, step=getattr(DetTraceTracer, name),
+                     name=name):
+            done = step(self, thread)
+            seen.append("%s %s %s %s %s" % (
+                name, done, self.busy_until.hex(), self._span_cost.hex(),
+                ",".join("%s=%s" % (phase, cost.hex()) for phase, cost
+                         in self.obs.profile.totals.items())))
+            return done
+
+        monkeypatch.setattr(DetTraceTracer, name, recorded)
+    assert _run(case, ContainerConfig()).succeeded
+    assert _sha("\n".join(seen)) == CHARGE_GOLDEN[case]
 
 
 if __name__ == "__main__":

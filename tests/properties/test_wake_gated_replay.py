@@ -1,25 +1,32 @@
-"""Oracle for replaying blocked probes from the tracer's wake-epoch memo.
+"""Oracle for replaying blocked probes from the kernel's replay tests.
 
-A failed probe of a call in ``WAKE_GATED_CALLS`` (wait4) is replayed,
-not re-executed, while ``Kernel.wake_epoch`` still reads what it read
-when the call last blocked: only a channel notification (a child's
-exit) can change a blocked wait4's answer.  Four checks:
+A failed probe is replayed, not re-executed, while the test
+``SyscallTable.replay_test`` gave when the call last blocked still
+holds: for wait4, ``Kernel.wake_epoch`` still reads what it read then
+(only a child's exit notification can change a blocked wait4's
+answer); for FUTEX_WAIT, the word still holds the value waited on.
+Five checks:
 
 * every replay is also executed here and must block again, over the
-  golden runs of ``test_hotpath_identity.py``, 24 package builds and
-  the fuzz programs that spawn and wait for children;
+  golden runs of ``test_hotpath_identity.py``, 24 package builds, the
+  fuzz programs that spawn and wait for children and those that wait
+  on a futex lock;
 * emptying the gate, so every probe executes, changes no metric, trace
   or debug line, no full-scope checkpoint fingerprint at any barrier,
   and not the output of a run resumed after a kill while its child
-  runs: the memo never reaches a snapshot;
+  runs or its futex waiters are blocked: the memo never reaches a
+  snapshot;
 * a probe re-armed during a child's teardown, after wait4 can see the
   zombie but before the exit notification, executes;
-* an ungated futex waiter whose word a sibling changes by a plain
-  store, with no FUTEX_WAKE, sees EAGAIN at its next probe.
+* a futex waiter whose word a sibling changes by a plain store, with
+  no FUTEX_WAKE, sees EAGAIN at its next probe;
+* on golden alexnet, a futex probe runs the handler only when it
+  completes (a count guard of the gate).
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import re
@@ -28,17 +35,19 @@ import pytest
 
 from repro.ckpt import FULL_SCOPE, RecoveryManager
 from repro.core import ContainerConfig, DetTrace, Image
-from repro.core import tracer as tracer_mod
 from repro.core.tracer import DetTraceTracer
 from repro.cpu.machine import HostEnvironment
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.grammar import generate_program
+from repro.fuzz.guest import build_image
 from repro.fuzz.runner import check_program
 from repro.kernel.errors import Errno, SyscallError
 from repro.kernel.kernel import Kernel
+from repro.kernel.syscalls import SyscallTable
 from repro.workloads.debian import BUILT, build_dettrace, generate_population
 from tests.ckpt.conftest import ckpt_config, ckpt_image, result_fp, run_baseline
 from tests.fuzz.test_corpus import CORPUS_DIR
+from tests.fuzz.test_lockwait_fuzz import entry_spec, futex_waits
 from tests.properties.test_hotpath_identity import GOLDEN, _run
 
 CASES = sorted({case for case, _observe in GOLDEN})
@@ -68,13 +77,15 @@ def memo_hits(monkeypatch):
 @pytest.fixture
 def executed_replays(monkeypatch):
     """Executes the probe behind every memo hit as well; a replayed call
-    that would not have blocked again is recorded as stale."""
-    seen = {"hits": 0, "stale": []}
+    that would not have blocked again is recorded as stale.  ``calls``
+    counts the hits by syscall name."""
+    seen = {"hits": 0, "stale": [], "calls": collections.Counter()}
     probe = DetTraceTracer._probe
 
     def checked(self, thread):
         if self._memo_hit(thread):
             seen["hits"] += 1
+            seen["calls"][thread.current_syscall.name] += 1
             outcome, _payload = self._run_handler(thread)
             if outcome != "block":
                 seen["stale"].append((thread.current_syscall.name, outcome))
@@ -85,7 +96,9 @@ def executed_replays(monkeypatch):
 
 
 def _empty_gate(monkeypatch):
-    monkeypatch.setattr(tracer_mod, "WAKE_GATED_CALLS", frozenset())
+    """No call gets a replay test: every probe executes (both rules off)."""
+    monkeypatch.setattr(SyscallTable, "replay_test",
+                        lambda self, t, call: None)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -98,6 +111,44 @@ def test_replays_of_golden_runs_would_block(executed_replays, case):
     # Executing each replayed probe as well moves no digest.
     metrics = _sha(json.dumps(result.metrics.to_dict(), sort_keys=True))
     assert metrics == GOLDEN[(case, False)][0]
+
+
+def test_futex_replays_of_golden_alexnet_would_block(executed_replays):
+    result = _run("alexnet", ContainerConfig())
+    assert result.succeeded, (result.status, result.error)
+    assert executed_replays["stale"] == []
+    assert executed_replays["calls"]["futex"] > 0
+
+
+def test_futex_probes_run_the_handler_only_to_complete(monkeypatch):
+    """A count guard of the futex gate on golden alexnet: of its 422
+    futex probes, 420 block again and 2 complete, and only those 2 run
+    the handler.  Every one still counts as a Table 2 replay."""
+    probes, running = [], []
+    probe, run_handler = DetTraceTracer._probe, DetTraceTracer._run_handler
+
+    def probed(self, thread):
+        if thread.current_syscall.name != "futex":
+            return probe(self, thread)
+        running.append(False)
+        completed = probe(self, thread)
+        probes.append((running.pop(), completed))
+        return completed
+
+    def handled(self, thread):
+        if running:
+            running[-1] = True
+        return run_handler(self, thread)
+
+    monkeypatch.setattr(DetTraceTracer, "_probe", probed)
+    monkeypatch.setattr(DetTraceTracer, "_run_handler", handled)
+    result = _run("alexnet", ContainerConfig())
+    assert result.succeeded, (result.status, result.error)
+    assert len(probes) == 422
+    assert sum(not completed for _ran, completed in probes) == 420
+    assert [ran for ran, completed in probes if completed] == [True, True]
+    assert sum(ran for ran, _completed in probes) == 2
+    assert result.counters.replays_blocking == 422
 
 
 def test_replays_of_package_builds_would_block(executed_replays):
@@ -125,6 +176,24 @@ def test_replays_of_fuzzed_waits_would_block(executed_replays):
         assert report.ok, (spec.seed, report.failures)
     assert executed_replays["stale"] == []
     assert executed_replays["hits"] > 0
+
+
+def test_replays_of_fuzzed_futex_waits_would_block(executed_replays):
+    """The fuzz walk's lockwait programs and the banked lockwait corpus
+    entry, over every matrix cell and the crash/resume axis; each one
+    replays futex probes."""
+    specs = [spec for spec in map(generate_program, range(40))
+             if any(op["op"] == "lockwait" for op in spec.ops)]
+    specs.append(entry_spec())
+    assert len(specs) >= 6
+    assert {op["store"] for spec in specs for op in spec.ops
+            if op["op"] == "lockwait"} == {False, True}
+    for spec in specs:
+        before = executed_replays["calls"]["futex"]
+        report = check_program(spec, workers=1, rnr=False)
+        assert report.ok, (spec.seed, report.failures)
+        assert executed_replays["calls"]["futex"] > before, spec.seed
+    assert executed_replays["stale"] == []
 
 
 def _outputs(result):
@@ -247,6 +316,46 @@ def test_empty_gate_changes_no_checkpoint(monkeypatch, tmp_path, memo_hits):
     assert without == with_memo
     assert len(with_memo[0]) > 10
     assert with_memo[1] == result_fp(run_baseline())
+
+
+def _kill_and_resume_futex(directory, tick, memo_hits):
+    """The lockwait corpus entry killed at *tick* and resumed: (memo
+    hits before the kill, (crashed run's outputs, full-scope fingerprint
+    per barrier, resumed run's outputs and fingerprint))."""
+    cfg = ckpt_config(directory, tick=tick, every=3, keep=0, observe=True,
+                      debug=2)
+    before = memo_hits["hits"]
+    crashed = DetTrace(cfg).run(build_image(entry_spec()), "/bin/fuzz",
+                                host=HostEnvironment(entropy_seed=7))
+    assert crashed.status == "crashed", (crashed.status, crashed.error)
+    hits = memo_hits["hits"] - before
+    fingerprints = RecoveryManager(directory).chain_fingerprints(FULL_SCOPE)
+    resumed = DetTrace(cfg).resume(build_image(entry_spec()), "/bin/fuzz")
+    assert resumed.status == "resumed", (resumed.status, resumed.error)
+    return hits, (_outputs(crashed), fingerprints, _outputs(resumed),
+                  result_fp(resumed))
+
+
+def test_empty_gate_changes_no_futex_checkpoint(monkeypatch, tmp_path,
+                                                memo_hits):
+    """The futex twin: a kill while the store variant's waiters are
+    blocked, whose probes the memo replayed before the kill."""
+    straight, waits = futex_waits(
+        monkeypatch, entry_spec(), ContainerConfig(observe=True, debug=2),
+        HostEnvironment(entropy_seed=7))
+    start, end = max(waits, key=lambda wait: wait[1] - wait[0])
+    tick = (start + end) // 2
+    assert start <= tick < end
+    hits, with_memo = _kill_and_resume_futex(str(tmp_path / "memo"), tick,
+                                             memo_hits)
+    assert hits > 0
+    _empty_gate(monkeypatch)
+    hits, without = _kill_and_resume_futex(str(tmp_path / "gate"), tick,
+                                           memo_hits)
+    assert hits == 0
+    assert without == with_memo
+    assert len(with_memo[1]) > 10
+    assert with_memo[2]["stdout"] == straight.stdout
 
 
 def _futex_main(sys_):
