@@ -172,9 +172,47 @@ if [ "$stage" = "all" ] || [ "$stage" = "cache" ]; then
     echo "warm run served from cache, stdout byte-identical to cold run"
     python -m repro cache stats "$tmp/cas"
     python -m repro cache verify "$tmp/cas"
-    echo "== stale-schema gate (gc reclaims entries of an older key schema) =="
+    echo "== cold/warm trace gate (a hit writes the stored run's trace) =="
+    python -m repro run --cache-dir "$tmp/traced" --trace-out "$tmp/cold.json" \
+        -- date > /dev/null 2> "$tmp/tcold.err"
+    python -m repro run --cache-dir "$tmp/traced" --trace-out "$tmp/warm.json" \
+        -- date > /dev/null 2> "$tmp/twarm.err"
+    grep -q '\[cache store ' "$tmp/tcold.err"
+    grep -q '\[cache hit ' "$tmp/twarm.err"
+    cmp "$tmp/cold.json" "$tmp/warm.json"
+    echo "warm run wrote the trace byte-identical to the cold run's"
+    echo "== code-edit gate (an edited simulator misses the old entry) =="
+    # Store `date`, then rerun it on the same store from a copy of src/
+    # whose format_date prints EDITED first: the code digest in the key
+    # moves, so the run must miss, execute and store.
+    python -m repro run --cache-dir "$tmp/code" -- date \
+        > /dev/null 2> "$tmp/orig.err"
+    grep -q '\[cache store ' "$tmp/orig.err"
+    python - src "$tmp/src" <<'EDIT'
+import os
+import shutil
+import sys
+
+shutil.copytree(sys.argv[1], sys.argv[2],
+                ignore=shutil.ignore_patterns("__pycache__"))
+path = os.path.join(sys.argv[2], "repro", "guest", "libc.py")
+with open(path) as fh:
+    text = fh.read()
+old = "def format_date("
+assert text.count(old) == 1
+with open(path, "w") as fh:
+    fh.write(text.replace(old, "def format_date(*args, **kwargs):\n"
+                               "    return 'EDITED ' + _format_date(*args, **kwargs)\n"
+                               "\n\ndef _format_date("))
+EDIT
+    PYTHONPATH="$tmp/src" python -m repro run --cache-dir "$tmp/code" \
+        -- date > "$tmp/edited.out" 2> "$tmp/edited.err"
+    grep -q '\[cache store ' "$tmp/edited.err"
+    grep -q '^EDITED ' "$tmp/edited.out"
+    echo "edited code missed the old entry and ran: $(cat "$tmp/edited.out")"
+    echo "== stale-key gate (gc reclaims entries written by other code) =="
     # Copy the live entry into a fresh store under another key, with its
-    # record written the way it was before records carried key_schema.
+    # record naming another code digest.
     python - "$tmp/cas" "$tmp/stale" <<'STALE'
 import json
 import os
@@ -191,15 +229,15 @@ stale.put(key, outcome)
 path = stale.key_path(key.digest)
 with open(path) as fh:
     record = json.load(fh)
-del record["key_schema"]
+record["code"] = "0" * 64
 with open(path, "w") as fh:
     fh.write(json.dumps(record, sort_keys=True) + "\n")
 STALE
-    python -m repro cache stats "$tmp/stale" | grep -q 'stale-schema keys: *1$'
+    python -m repro cache stats "$tmp/stale" | grep -q 'stale keys: *1$'
     python -m repro cache gc "$tmp/stale"
     [ -z "$(ls -A "$tmp/stale/keys")" ] && [ -z "$(ls -A "$tmp/stale/objects")" ]
     python -m repro cache verify "$tmp/stale"
-    echo "stale-schema record and its object reclaimed by gc"
+    echo "stale record and its object reclaimed by gc"
     echo "== concurrent cold-store gate (fan-out workers store one key) =="
     # Four workers miss the same key on a fresh store and store it at
     # once.  On a 1-core host run_jobs takes its serial loop instead, so

@@ -2,11 +2,10 @@
 
 DetTrace makes a run a pure function of (image, config, program, host);
 this package makes that purity *pay rent*: hash the inputs into a
-:class:`RunKey`, store the captured outcome in an on-disk CAS, and
+:class:`RunKey`, store the run's result itself in an on-disk CAS, and
 serve later identical runs from the cache with zero guest execution.
-``--cache=verify`` inverts the bet — always re-execute, byte-compare
-against the entry, and report any mismatch through the divergence
-diagnosis engine.
+``--cache=verify`` inverts the bet — always re-execute, compare the
+fresh run's capture with the entry's, and report any divergence.
 
 See DESIGN.md "Cache invariants" for the key-composition and
 durability contract.
@@ -16,8 +15,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .key import KEY_SCHEMA, RunKey, image_fingerprint, run_key
-from .outcome import OUTCOME_VERSION, CachedOutcome
+from ..core.container import ContainerResult
+from .key import RunKey, code_digest, image_fingerprint, run_key
 from .store import (
     STORE_FORMAT,
     CacheEntryError,
@@ -34,9 +33,9 @@ class RunCache:
 
     The container core and the CLI both speak through this: ``key_for``
     computes the content address of a prospective run, ``lookup`` reads
-    (torn entries are misses), ``store_result`` captures and writes a
-    finished result — refusing anything but a clean ``ok`` run, so a
-    transient failure can never become sticky.
+    (torn entries are misses), ``store_result`` writes a finished result
+    — refusing anything but a clean ``ok`` run, so a transient failure
+    can never become sticky.
     """
 
     def __init__(self, directory: str):
@@ -50,27 +49,25 @@ class RunCache:
                 argv: Optional[List[str]], host) -> RunKey:
         return run_key(image, config, command, argv, host)
 
-    def lookup(self, key: RunKey) -> Optional[CachedOutcome]:
+    def lookup(self, key: RunKey) -> Optional[ContainerResult]:
         return self.store.get(key)
 
     def store_result(self, key: RunKey, result) -> Optional[str]:
-        """Capture *result* under *key*; None when it is not cacheable."""
+        """Store *result* under *key*; None when it is not cacheable."""
         if result.status != "ok":
             return None
-        return self.store.put(key, CachedOutcome.capture(result))
+        return self.store.put(key, result)
 
 
 __all__ = [
     "CACHE_MODES",
     "CacheEntryError",
     "CacheStore",
-    "CachedOutcome",
-    "KEY_SCHEMA",
-    "OUTCOME_VERSION",
     "RunCache",
     "RunKey",
     "STORE_FORMAT",
     "StoreStats",
+    "code_digest",
     "image_fingerprint",
     "run_key",
 ]

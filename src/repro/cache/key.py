@@ -33,6 +33,10 @@ Key composition (the DESIGN "Cache invariants" contract):
   determinism mechanism is ablated the run may genuinely depend on the
   boot, so the *full* host identity joins the key and distinct boots
   simply never collide.
+* **code component** — :func:`code_digest`, one digest of every
+  ``.py`` source of the ``repro`` package (kernel, handlers, guest
+  runtime and libc) and the interpreter version, so only the code that
+  wrote an entry can read it back.
 """
 
 from __future__ import annotations
@@ -41,15 +45,16 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import sys
 import types
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ContainerConfig
 from ..cpu.machine import HostEnvironment
 
-#: Bumped whenever key composition changes incompatibly: old entries
-#: become unreachable instead of wrongly hit.
-KEY_SCHEMA = 2
+#: The ``repro`` package: the code every run executes.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Config toggles whose *disabling* can let host identity reach the
 #: output surface; with any of these off the full host identity joins
@@ -65,6 +70,29 @@ _DETERMINISM_TOGGLES = (
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """One sha256 over ``sys.version`` and every ``.py`` file of the
+    ``repro`` package, each as its relative path, length and bytes, in
+    path order.  Computed once per process.
+
+    Any edit to the simulator moves every key, which costs misses,
+    never a wrong hit.
+    """
+    sources = []
+    for dirpath, _dirnames, filenames in os.walk(_PACKAGE_DIR):
+        rel = os.path.relpath(dirpath, _PACKAGE_DIR).replace(os.sep, "/")
+        sources.extend((rel + "/" + name, os.path.join(dirpath, name))
+                       for name in filenames if name.endswith(".py"))
+    h = hashlib.sha256(sys.version.encode())
+    for rel, path in sorted(sources):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(b"%s\0%d\0" % (rel.encode(), len(data)))
+        h.update(data)
+    return h.hexdigest()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -184,7 +212,7 @@ def run_key(image, config: ContainerConfig, command: str,
     """Compute the :class:`RunKey` for ``DetTrace(config).run(image,
     command, argv, host)``."""
     components = {
-        "schema": KEY_SCHEMA,
+        "code": code_digest(),
         "image": image_fingerprint(image, config.working_dir),
         "config": config.fingerprint(),
         "command": command,

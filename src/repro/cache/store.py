@@ -6,11 +6,12 @@ Layout, under one cache directory::
     objects/<payload sha256>.obj    <header JSON>\\n<payload bytes>
 
 A *key file* maps a :class:`~repro.cache.key.RunKey` digest to the
-sha256 of the payload holding its outcome; an *object file* stores the
-pickled :class:`~repro.cache.outcome.CachedOutcome` under its own
-content hash.  Splitting the two gives structural dedup for free —
-distinct keys whose runs produced identical outcomes share one object —
-and makes every payload self-verifying.
+sha256 of the payload holding its result; an *object file* stores the
+pickled :class:`~repro.core.container.ContainerResult` itself, with its
+host description, fs-cache hit counts and cache disposition cleared,
+under its own content hash.  Splitting the two gives structural dedup
+for free — distinct keys whose runs produced identical results share
+one object — and makes every payload self-verifying.
 
 Durability discipline is the checkpoint journal's: every file goes
 through :func:`repro.durable.atomic_write` (a dot-tmp name in its final
@@ -18,10 +19,11 @@ directory, fsynced, atomically renamed, the directory fsynced).  A
 crash mid-store leaves a tmp file the reader ignores; a torn or
 bit-rotted entry is *detected* (length/checksum/format mismatch) and
 reads as a miss, never as a wrong hit.  Each key record names the
-``KEY_SCHEMA`` it was written under.  ``gc`` removes torn files, key
-records of another schema (no lookup can reach them) and unreferenced
-objects, counting a refcount per object from the live key files that
-name it — the same detect-and-drop posture as journal ``prune``.
+:func:`~repro.cache.key.code_digest` of the code that wrote it, and only
+that code reads it back.  ``gc`` removes torn files, key records written
+by other code (no lookup can reach them) and unreferenced objects,
+counting a refcount per object from the live key files that name it —
+the same detect-and-drop posture as journal ``prune``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import os
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.container import ContainerResult
 from ..durable import atomic_write, fsync_dir
-from .key import KEY_SCHEMA, RunKey
-from .outcome import CachedOutcome
+from .key import RunKey, code_digest
 
 #: On-disk format version for both key and object files; bumped on any
 #: incompatible change so old entries miss instead of mis-hitting.
@@ -67,8 +69,8 @@ class StoreStats:
     torn_objects: int = 0
     unreferenced_objects: int = 0
     missing_objects: int = 0
-    #: Key records written under another ``KEY_SCHEMA``: no lookup can
-    #: reach them, so ``gc`` removes them.
+    #: Key records written by other code: no lookup can reach them,
+    #: so ``gc`` removes them.
     stale_keys: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -93,14 +95,16 @@ class CacheStore:
 
     # -- write ---------------------------------------------------------
 
-    def put(self, key: RunKey, outcome: CachedOutcome) -> str:
-        """Store *outcome* under *key*; returns the object sha256.
+    def put(self, key: RunKey, result: ContainerResult) -> str:
+        """Store *result* under *key*; returns the object sha256.
 
         Object first, key second: a crash between the two leaves an
         unreferenced object (gc fodder), never a dangling key.
         """
-        payload = pickle.dumps(outcome.to_payload(),
-                               protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(
+            dataclasses.replace(result, host=None, fs_cache_stats={},
+                                cache=None),
+            protocol=pickle.HIGHEST_PROTOCOL)
         sha256 = _sha(payload)
         obj_path = self.object_path(sha256)
         # Dedup: an existing object with this address already holds these
@@ -125,7 +129,7 @@ class CacheStore:
         record = json.dumps({
             "format": STORE_FORMAT,
             "kind": "run-key",
-            "key_schema": KEY_SCHEMA,
+            "code": code_digest(),
             "run_key": key.digest,
             "payload_sha256": sha256,
         }, sort_keys=True).encode("utf-8")
@@ -183,22 +187,17 @@ class CacheStore:
             raise CacheEntryError("%s: payload checksum mismatch" % path)
         return payload
 
-    def get(self, key: RunKey) -> Optional[CachedOutcome]:
-        """Look *key* up; absent, unreadable, torn or corrupt entries
-        read as a miss (None)."""
+    def get(self, key: RunKey) -> Optional[ContainerResult]:
+        """Look *key* up: the stored result, its ``host`` None.  Absent,
+        unreadable, torn or corrupt entries read as a miss (None)."""
         try:
             record = self._read_key_record(self.key_path(key.digest))
-            payload = self._read_object(record["payload_sha256"])
-            outcome = CachedOutcome.from_payload(pickle.loads(payload))
+            result = pickle.loads(
+                self._read_object(record["payload_sha256"]))
         except (CacheEntryError, pickle.UnpicklingError, TypeError,
                 EOFError, AttributeError):
             return None
-        if outcome.version != CachedOutcome.version:
-            return None
-        return outcome
-
-    def contains(self, key: RunKey) -> bool:
-        return self.get(key) is not None
+        return result if isinstance(result, ContainerResult) else None
 
     # -- maintenance ---------------------------------------------------
 
@@ -212,8 +211,8 @@ class CacheStore:
 
     def _survey(self) -> Tuple[StoreStats, List[str], List[str],
                                Dict[str, int]]:
-        """One pass over the store: stats, torn paths, stale-schema key
-        paths and object refcounts (stale keys hold no reference)."""
+        """One pass over the store: stats, torn paths, stale key paths
+        and object refcounts (stale keys hold no reference)."""
         stats = StoreStats(directory=self.directory)
         torn: List[str] = []
         stale: List[str] = []
@@ -238,7 +237,7 @@ class CacheStore:
                 stats.torn_keys += 1
                 torn.append(path)
                 continue
-            if record.get("key_schema", 1) != KEY_SCHEMA:
+            if record.get("code") != code_digest():
                 stats.stale_keys += 1
                 stale.append(path)
                 continue
@@ -259,13 +258,13 @@ class CacheStore:
         return self._survey()[0]
 
     def gc(self) -> Dict[str, List[str]]:
-        """Remove torn files, dangling and stale-schema keys, and
-        unreferenced objects.
+        """Remove torn files, dangling and stale keys, and unreferenced
+        objects.
 
         Returns ``{"torn": [...], "unreferenced": [...]}`` (paths
         removed); ``torn`` lists every key or object file no lookup can
-        use, stale-schema keys and leftover dot-tmp files from
-        interrupted writes included.
+        use, stale keys and leftover dot-tmp files from interrupted
+        writes included.
         """
         _stats, torn, stale, refcounts = self._survey()
         unreferenced = [self.object_path(sha256)
@@ -300,8 +299,8 @@ class CacheStore:
         problems: List[str] = []
         stats, torn, stale, _refcounts = self._survey()
         problems.extend("torn or corrupt: %s" % path for path in torn)
-        problems.extend("stale key schema (run gc): %s" % path
-                        for path in stale)
+        problems.extend("stale key, written by other code (run gc): %s"
+                        % path for path in stale)
         if stats.unreferenced_objects:
             problems.append("%d unreferenced object(s) (run gc)"
                             % stats.unreferenced_objects)

@@ -91,12 +91,10 @@ def _report_cache(result) -> Optional[int]:
                       % (record["outcome"], record["key"][:16]))
     if record["outcome"] != "verify_mismatch":
         return None
-    report = record.get("report")
-    if report is not None:
-        _sys.stderr.write(report.format() + "\n")
+    report = record["report"]
+    _sys.stderr.write(report.format() + "\n")
     _sys.stderr.write("repro: cached entry does not match re-execution "
-                      "(surfaces: %s)\n"
-                      % ", ".join(record.get("differs", [])))
+                      "(%s)\n" % report.classification)
     return 70
 
 
@@ -219,9 +217,9 @@ def _emit_obs(args, result) -> None:
 
 def _parallel_run_worker(payload) -> dict:
     """Fan-out worker for ``repro run --jobs/--repeat`` (module-level so
-    it pickles).  Returns a digest-reduced record: cross-process results
-    stay small, and the digests are what the identity check compares."""
-    from .repro_tools.hashing import tree_digest
+    it pickles).  Returns the run's capture, which the identity check
+    compares, and its cache disposition, which it does not."""
+    from .diag import RunCapture
 
     args = argparse.Namespace(**payload["args"])
     result = _run_container(args, base_image(), payload["path"],
@@ -231,64 +229,51 @@ def _parallel_run_worker(payload) -> dict:
         cache = {"outcome": result.cache["outcome"],
                  "key": result.cache["key"],
                  "executed": result.cache["executed"]}
-    return {
-        "status": result.status,
-        "exit_code": result.exit_code,
-        "stdout": result.stdout,
-        "stderr": result.stderr,
-        "tree_digest": tree_digest(result.output_tree),
-        "virtual_wall": result.wall_time,
-        "syscalls": result.syscall_count,
-        "cache": cache,
-    }
+    return {"capture": RunCapture.from_result(result, "run %d"
+                                              % payload["index"]),
+            "cache": cache}
 
 
 def _cmd_run_parallel(args, path: str, argv: List[str]) -> int:
     """Run the same container --repeat times across --jobs workers.
 
-    Every run is an independent pure function of the same inputs, so all
-    records must come back byte-identical; any divergence is a
-    determinism bug and exits 70.
+    Every run is an independent pure function of the same inputs on
+    the same host, so every capture must equal the first in full; the
+    first divergence is printed and exits 70.
     """
+    from .diag import diff_captures
     from .parallel import Job, cache_tally, default_workers, run_jobs
 
     repeat = max(args.repeat, 1)
     workers = args.jobs if args.jobs > 0 else default_workers()
-    payload = {
-        "args": {k: v for k, v in vars(args).items()
-                 if k not in ("fn", "command")},
-        "path": path,
-        "argv": argv,
-    }
     records = [rec for _key, rec in run_jobs(
-        [Job(key=i, fn=_parallel_run_worker, args=(payload,))
+        [Job(key=i, fn=_parallel_run_worker, args=(dict(
+            args={k: v for k, v in vars(args).items()
+                  if k not in ("fn", "command")},
+            path=path, argv=argv, index=i),))
          for i in range(repeat)],
         workers=workers)]
-    first = records[0]
-    _sys.stdout.write(first["stdout"])
-    _sys.stderr.write(first["stderr"])
-
-    # The cache disposition legitimately differs across repeats (the
-    # first run stores, later ones hit) — it is operational, not part of
-    # the reproducible surface, so it is excluded from the identity check.
-    def _surface(rec):
-        return {k: v for k, v in rec.items() if k != "cache"}
-
-    identical = all(_surface(rec) == _surface(first) for rec in records[1:])
+    first = records[0]["capture"]
+    _sys.stdout.write(first.stdout)
+    _sys.stderr.write(first.stderr)
+    divergent = [report for report in (
+        diff_captures(first, rec["capture"]) for rec in records[1:])
+        if report.diverged]
     _sys.stderr.write(
         "[%d runs on %d workers: outputs %s, tree digest %s]\n"
         % (repeat, min(workers, repeat),
-           "identical" if identical else "DIVERGENT", first["tree_digest"][:16]))
+           "DIVERGENT" if divergent else "identical", first.tree_digest[:16]))
     tally = cache_tally(records)
     if tally:
         _sys.stderr.write("[cache: %s]\n" % ", ".join(
             "%d %s" % (n, outcome) for outcome, n in sorted(tally.items())))
-    if not identical:
+    if divergent:
+        _sys.stderr.write(divergent[0].format() + "\n")
         return 70
-    if first["status"] not in (OK, RETRIED, RESUMED):
-        _sys.stderr.write("container error: %s\n" % first["status"])
+    if first.status not in (OK, RETRIED, RESUMED):
+        _sys.stderr.write("container error: %s\n" % first.status)
         return 70
-    return first["exit_code"] if first["exit_code"] is not None else 1
+    return first.exit_code if first.exit_code is not None else 1
 
 
 def cmd_run(args) -> int:
@@ -521,7 +506,7 @@ def cmd_cache(args) -> int:
         print("  torn keys/objects:     %d/%d"
               % (stats.torn_keys, stats.torn_objects))
         print("  dangling keys:         %d" % stats.missing_objects)
-        print("  stale-schema keys:     %d" % stats.stale_keys)
+        print("  stale keys:            %d" % stats.stale_keys)
         print("  unreferenced objects:  %d" % stats.unreferenced_objects)
         return 0
     if args.action == "gc":
@@ -656,11 +641,10 @@ def _diag_fuzz(args) -> int:
     container PRNG seeds — the localization smoke for banked entries."""
     import json as _json
 
-    from .diag import RunCapture, diff_captures
+    from .diag import diff_captures
     from .fuzz.corpus import CorpusEntry
     from .fuzz.grammar import generate_program
-    from .fuzz.guest import build_image
-    from .fuzz.runner import Cell, _host_for
+    from .fuzz.runner import Cell, run_cell
 
     if args.entry:
         try:
@@ -672,14 +656,10 @@ def _diag_fuzz(args) -> int:
             return 2
     else:
         spec = generate_program(args.fuzz_seed)
-    host = _host_for(spec.seed, 0)
-    captures = []
-    for seed in (args.seed_a, args.seed_b):
-        cell = Cell("diag-seed%d" % seed, observe=True, prng_seed=seed)
-        result = DetTrace(cell.config()).run(build_image(spec),
-                                             "/bin/fuzz", host=host)
-        captures.append(RunCapture.from_result(result, cell.name))
-    report = diff_captures(captures[0], captures[1])
+    report = diff_captures(*(
+        run_cell(spec.to_dict(), Cell("diag-seed%d" % seed, observe=True,
+                                      prng_seed=seed).to_dict())
+        for seed in (args.seed_a, args.seed_b)))
     print(report.format())
     if args.report:
         report.write_json(args.report)

@@ -108,8 +108,8 @@ class ContainerResult:
     #: play: {"outcome": "hit"|"miss"|"store"|"verify_ok"|
     #: "verify_mismatch"|"uncacheable", "key": <run-key digest>,
     #: "executed": bool, ...}; verify mismatches also carry "report"
-    #: (a DivergenceReport) and "differs" (the differing surfaces), and
-    #: a store the cache directory refused carries "error".
+    #: (a DivergenceReport), and a store the cache directory refused
+    #: carries "error".
     #: Purely operational — never part of the reproducible surface.
     cache: Optional[Dict[str, Any]] = None
 
@@ -252,10 +252,10 @@ class DetTrace:
         partial output tree and a crash report.
 
         When ``config.cache`` is set the run is memoized by its content
-        address (:mod:`repro.cache`): a hit returns the stored outcome
+        address (:mod:`repro.cache`): a hit returns the stored result
         with zero guest execution; ``verify`` mode executes anyway and
-        byte-compares.  Retry attempts (``_attempt > 0``) bypass the
-        cache — their fault coordinates differ from the keyed run.
+        compares.  Retry attempts (``_attempt > 0``) bypass the cache —
+        their fault coordinates differ from the keyed run.
         """
         cfg = self.config
         host = host or HostEnvironment()
@@ -276,18 +276,24 @@ class DetTrace:
         cached = rc.lookup(key)
 
         if cache_cfg.mode in ("read", "write") and cached is not None:
-            result = cached.to_result(host)
-            self._stamp_cache(result, "hit", key, executed=False)
-            return result
+            cached.host = host
+            self._stamp_cache(cached, "hit", key, executed=False)
+            return cached
 
         result = self._execute(image, command, argv, host, 0)
 
         if cache_cfg.mode == "verify" and cached is not None:
-            differs = cached.compare_surfaces(result)
-            if differs:
+            # The key leaves out the boot, so the entry may come from
+            # another host: compare across hosts.
+            from ..diag import ACROSS_HOSTS, RunCapture, diff_captures
+
+            report = diff_captures(
+                RunCapture.from_result(result, "fresh-run"),
+                RunCapture.from_result(cached, "cached-entry"),
+                scope=ACROSS_HOSTS)
+            if report.diverged:
                 self._stamp_cache(result, "verify_mismatch", key,
-                                  executed=True, differs=differs,
-                                  report=self._divergence(result, cached, host))
+                                  executed=True, report=report)
             else:
                 self._stamp_cache(result, "verify_ok", key, executed=True)
         elif cache_cfg.mode in ("write", "verify"):
@@ -313,9 +319,9 @@ class DetTrace:
                      executed: bool, **extra) -> None:
         """Attach the cache disposition + its metrics counters.
 
-        The counters land on the *returned* result only — stored
-        outcomes strip ``cache/`` counters, so a lookup can never
-        poison the deterministic metrics of a future hit.
+        The counters land on the *returned* result only, after any
+        store, and captures leave ``cache/`` counters out, so a lookup
+        can never poison the deterministic metrics of a future hit.
         """
         record: Dict[str, Any] = {"outcome": outcome, "key": key.digest,
                                   "executed": executed}
@@ -328,17 +334,6 @@ class DetTrace:
                        "verify_ok": "cache/verify_ok",
                        "verify_mismatch": "cache/verify_mismatch"}[outcome]
             counters[counter] = counters.get(counter, 0) + 1
-
-    @staticmethod
-    def _divergence(fresh: ContainerResult, cached,
-                    host: HostEnvironment):
-        """Diff a fresh verify run against the cached outcome (repro.diag)."""
-        from ..diag import RunCapture, diff_captures
-
-        return diff_captures(
-            RunCapture.from_result(fresh, label="fresh-run"),
-            RunCapture.from_result(cached.to_result(host),
-                                   label="cached-entry"))
 
     def _execute(self, image: Image, command: str,
                  argv: Optional[List[str]], host: HostEnvironment,

@@ -28,7 +28,9 @@ traces and snapshots — enabling it never perturbs the observed run.
 """
 
 from .align import (
+    ACROSS_HOSTS,
     CONTEXT_WINDOW,
+    SAME_HOST,
     RunCapture,
     align_records,
     diff_captures,
@@ -59,6 +61,7 @@ from .report import (
 )
 
 __all__ = [
+    "ACROSS_HOSTS",
     "BisectResult",
     "CLASSIFICATIONS",
     "CONTEXT_WINDOW",
@@ -70,6 +73,7 @@ __all__ = [
     "NONE",
     "RunCapture",
     "RunSpec",
+    "SAME_HOST",
     "SCHEDULE",
     "STREAM_CONTENT",
     "SYSCALL_RESULT",

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..obs.events import EventRing
-from ..repro_tools.hashing import sha256, tree_digest
+from ..repro_tools.hashing import hashdeep, sha256, tree_digest
 from .report import (
     COUNTERS,
     EXIT_STATUS,
@@ -152,10 +152,33 @@ def diff_trace_files(path_a: str, path_b: str,
 
 # -- whole-run capture diffing -----------------------------------------
 
+#: Comparison scopes: the capture fields each one leaves out.  *Same
+#: host* compares everything.  *Across hosts* leaves out virtual wall
+#: time, the one field that moved with the boot: over fuzz walk seeds
+#: 0-699 it differed on 554 of 1,400 runs on two other hosts, and every
+#: other field was equal on all of them.
+SAME_HOST: FrozenSet[str] = frozenset()
+ACROSS_HOSTS: FrozenSet[str] = frozenset({"wall_time"})
+
+#: The fields a failure shows on; a difference here is ``exit-status``.
+_FAILURE_FIELDS = ("status", "exit_code", "error", "attempts",
+                   "transient_faults", "crash_report")
+
+#: Delta-name prefixes of two metrics sections; the other sections'
+#: deltas are named ``<section>/<name>``.
+_SECTION_PREFIX = {"counters": "counter/", "totals": "total/"}
+
 
 @dataclasses.dataclass
 class RunCapture:
-    """The comparable surface of one run, reduced to plain data."""
+    """Every deterministic field of one run, reduced to plain data.
+
+    The one surface two runs are compared on: every identity check
+    (the fuzz matrix, the fault verifier, ``repro run --repeat``, cache
+    ``verify``) captures both runs and calls :func:`diff_captures`.
+    The host description, the fs-cache hit counts, the cache
+    disposition and the debug log (a config toggle) are left out.
+    """
 
     label: str
     status: str
@@ -164,9 +187,21 @@ class RunCapture:
     stderr: str
     tree_files: Dict[str, str]
     tree_digest: str
-    counters: Dict[str, int]
-    totals: Dict[str, int]
-    records: List[Dict[str, Any]]
+    #: ``Metrics.to_dict()`` less the ``cache/`` counters, which
+    #: describe a lookup, not the run.
+    metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    records: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
+    error: str = ""
+    syscall_count: int = 0
+    #: Virtual wall time; None once a scope has left it out.
+    wall_time: Optional[float] = 0.0
+    attempts: int = 1
+    transient_faults: bool = False
+    crash_report: Optional[Dict[str, Any]] = None
+    #: The Table 2 view (``ContainerResult.counters``): three of its
+    #: fields (memory writes, vDSO patches, sorted getdents) have no
+    #: metrics entry.
+    trace_counters: Optional[Dict[str, int]] = None
 
     @classmethod
     def from_result(cls, result, label: str) -> "RunCapture":
@@ -175,21 +210,27 @@ class RunCapture:
         Pure observation: reads the result, never mutates it — part of
         the obs invariant that diagnosing a run cannot perturb it.
         """
-        tree_files = {path: sha256(data)
-                      for path, data in sorted(result.output_tree.items())}
-        counters: Dict[str, int] = {}
-        totals: Dict[str, int] = {}
+        metrics: Dict[str, Any] = {}
         if result.metrics is not None:
-            counters = dict(result.metrics.counters)
-            totals = dict(result.metrics.totals)
-        records: List[Dict[str, Any]] = []
-        if result.trace is not None:
-            records = result.trace.to_chrome()["traceEvents"]
-        return cls(label=label, status=result.status,
-                   exit_code=result.exit_code, stdout=result.stdout,
-                   stderr=result.stderr, tree_files=tree_files,
-                   tree_digest=tree_digest(result.output_tree),
-                   counters=counters, totals=totals, records=records)
+            metrics = result.metrics.to_dict()
+            metrics["counters"] = {
+                name: n for name, n in metrics["counters"].items()
+                if not name.startswith("cache/")}
+        return cls(
+            label=label, status=result.status, exit_code=result.exit_code,
+            stdout=result.stdout, stderr=result.stderr,
+            tree_files=hashdeep(result.output_tree),
+            tree_digest=tree_digest(result.output_tree),
+            metrics=metrics,
+            records=(result.trace.to_chrome()["traceEvents"]
+                     if result.trace is not None else []),
+            error=result.error, syscall_count=result.syscall_count,
+            wall_time=result.wall_time, attempts=result.attempts,
+            transient_faults=result.transient_faults,
+            crash_report=(result.crash_report.to_dict()
+                          if result.crash_report is not None else None),
+            trace_counters=(dataclasses.asdict(result.counters)
+                            if result.counters is not None else None))
 
     def surface(self) -> Dict[str, Any]:
         return {
@@ -203,26 +244,33 @@ class RunCapture:
 
 
 def diff_captures(cap_a: RunCapture, cap_b: RunCapture,
+                  scope: FrozenSet[str] = SAME_HOST,
                   context: int = CONTEXT_WINDOW) -> DivergenceReport:
-    """First divergence between two whole-run captures.
+    """First divergence between two whole-run captures, on the fields
+    *scope* keeps.
 
     Precedence: the trace is the finest-grained surface, so a trace
-    finding (with its virtual-time coordinate) wins; then exit status,
-    filesystem content, stream content, and finally bare counters —
+    finding (with its virtual-time coordinate) wins; then the failure
+    fields (exit status), filesystem content, stream content, and
+    finally the numbers (metrics, syscall count, virtual wall time) —
     each later class only reported when every earlier surface agrees.
+    The trace is compared only when both runs recorded one.
     """
     labels = (cap_a.label, cap_b.label)
     surface = {"a": cap_a.surface(), "b": cap_b.surface()}
+    cap_a, cap_b = (dataclasses.replace(cap, **dict.fromkeys(scope))
+                    for cap in (cap_a, cap_b))
     report: Optional[DivergenceReport] = None
     if cap_a.records and cap_b.records:
         report = align_records(cap_a.records, cap_b.records,
                                labels=labels, context=context)
-    if report is None and (cap_a.status != cap_b.status
-                           or cap_a.exit_code != cap_b.exit_code):
+    failed = [name for name in _FAILURE_FIELDS
+              if getattr(cap_a, name) != getattr(cap_b, name)]
+    if report is None and failed:
         report = DivergenceReport(
             classification=EXIT_STATUS, labels=labels,
-            summary=("exit surfaces differ: %s/%s vs %s/%s"
-                     % (cap_a.status, cap_a.exit_code,
+            summary=("exit surfaces differ on %s: %s/%s vs %s/%s"
+                     % (", ".join(failed), cap_a.status, cap_a.exit_code,
                         cap_b.status, cap_b.exit_code)))
     if report is None and cap_a.tree_files != cap_b.tree_files:
         first_path = _first_tree_difference(cap_a.tree_files,
@@ -239,37 +287,43 @@ def diff_captures(cap_a: RunCapture, cap_b: RunCapture,
             summary="%s contents differ (offset %d)"
             % (stream, _first_str_difference(
                 getattr(cap_a, stream), getattr(cap_b, stream))))
-    if report is None:
-        deltas = _counter_deltas(cap_a, cap_b)
-        if deltas:
-            first = sorted(deltas)[0]
-            report = DivergenceReport(
-                classification=COUNTERS, labels=labels,
-                summary=("observable surfaces match but %d counter(s) "
-                         "differ, e.g. %s: %s != %s"
-                         % (len(deltas), first, deltas[first][0],
-                            deltas[first][1])),
-                counter_deltas=deltas)
+    deltas = _counter_deltas(cap_a, cap_b)
+    if report is None and deltas:
+        first = sorted(deltas)[0]
+        report = DivergenceReport(
+            classification=COUNTERS, labels=labels,
+            summary=("observable surfaces match but %d counter(s) "
+                     "differ, e.g. %s: %s != %s"
+                     % (len(deltas), first, deltas[first][0],
+                        deltas[first][1])))
     if report is None:
         report = DivergenceReport(
             labels=labels,
             detail="status, streams, tree, counters and trace all agree")
-    else:
-        report.counter_deltas = report.counter_deltas or _counter_deltas(
-            cap_a, cap_b)
+    report.counter_deltas = report.counter_deltas or deltas
     report.surface = surface
     return report
 
 
 def _counter_deltas(cap_a: RunCapture,
                     cap_b: RunCapture) -> Dict[str, List[Any]]:
+    """Every differing number: each metrics entry, the Table 2 view,
+    the syscall count and the virtual wall time."""
     deltas: Dict[str, List[Any]] = {}
-    for prefix, da, db in (("counter/", cap_a.counters, cap_b.counters),
-                           ("total/", cap_a.totals, cap_b.totals)):
-        for name in sorted(set(da) | set(db)):
-            va, vb = da.get(name), db.get(name)
+    numbers_a, numbers_b = (
+        dict(cap.metrics, syscall_count=cap.syscall_count,
+             wall_time=cap.wall_time, trace_counters=cap.trace_counters)
+        for cap in (cap_a, cap_b))
+    for section in sorted(set(numbers_a) | set(numbers_b)):
+        va, vb = numbers_a.get(section), numbers_b.get(section)
+        if not (isinstance(va, dict) and isinstance(vb, dict)):
             if va != vb:
-                deltas[prefix + name] = [va, vb]
+                deltas[section] = [va, vb]
+            continue
+        prefix = _SECTION_PREFIX.get(section, section + "/")
+        for name in sorted(set(va) | set(vb)):
+            if va.get(name) != vb.get(name):
+                deltas[prefix + name] = [va.get(name), vb.get(name)]
     return deltas
 
 
@@ -292,8 +346,7 @@ def _first_str_difference(text_a: str, text_b: str) -> int:
 def diff_trees(tree_a: Dict[str, bytes], tree_b: Dict[str, bytes],
                labels: Tuple[str, str] = ("a", "b")) -> DivergenceReport:
     """Diff two raw output trees (the reprotest double-build hook)."""
-    files_a = {path: sha256(data) for path, data in tree_a.items()}
-    files_b = {path: sha256(data) for path, data in tree_b.items()}
+    files_a, files_b = hashdeep(tree_a), hashdeep(tree_b)
     if files_a == files_b:
         return DivergenceReport(labels=labels,
                                 detail="output trees are identical")

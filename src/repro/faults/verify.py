@@ -2,17 +2,24 @@
 
 The paper's guarantee is that a DetTrace run either produces a
 bit-identical result or fails *reproducibly*.  With the fault plane this
-becomes checkable for arbitrary environment misbehaviour:
+becomes checkable for arbitrary environment misbehaviour.  Each run is
+reduced to its :class:`~repro.diag.RunCapture` (every deterministic
+field: status, exit code, error, streams, output tree, metrics, syscall
+count, virtual wall time, attempts, transient faults, crash report and,
+when observed, the trace) and two captures are compared with
+:func:`~repro.diag.diff_captures`:
 
 * **replay identity** — same image + same :class:`FaultPlan`, run on two
-  different simulated machine boots, must produce byte-identical
-  fingerprints (status, exit code, error, stdout/stderr, output tree,
-  counters, fault trace) — *including the failure*, when the plan makes
-  the run fail;
+  different simulated machine boots, must capture identically
+  *including the failure*, when the plan makes the run fail.  The boots
+  are two hosts, so this compares across hosts (all but virtual wall
+  time);
+
+* **rerun identity** — the same boot twice, compared in full;
 
 * **empty-plan invariance** — wiring in an empty plan must be
   observationally identical to not wiring the fault plane in at all
-  (the plane itself perturbs nothing).
+  (the plane itself perturbs nothing), compared in full.
 
 This module is kept import-separate from :mod:`repro.faults` because it
 depends on :mod:`repro.core` (which imports the faults package).
@@ -21,13 +28,13 @@ depends on :mod:`repro.core` (which imports the faults package).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.config import ContainerConfig
-from ..core.container import ContainerResult, DetTrace
+from ..core.container import DetTrace
 from ..cpu.machine import HostEnvironment
+from ..diag import (ACROSS_HOSTS, SAME_HOST, DivergenceReport, RunCapture,
+                    diff_captures)
 from .plan import FaultPlan
 
 #: Two deliberately different simulated boots: different entropy, epoch,
@@ -46,48 +53,14 @@ def boot_host(boot: int) -> HostEnvironment:
     )
 
 
-def result_fingerprint(result: ContainerResult) -> Dict[str, Any]:
-    """The determinized observable surface of a run, as plain data.
-
-    Excludes wall time and the host description (virtual duration is
-    jitter-dependent by design) and the debug log (a config toggle) —
-    everything else must be a pure function of image + config + plan.
-    """
-    counters = (dataclasses.asdict(result.counters)
-                if result.counters is not None else None)
-    return {
-        "status": result.status,
-        "exit_code": result.exit_code,
-        "error": result.error,
-        "stdout": result.stdout,
-        "stderr": result.stderr,
-        "output_tree": {path: hashlib.sha256(content).hexdigest()
-                        for path, content in sorted(result.output_tree.items())},
-        "counters": counters,
-        "syscall_count": result.syscall_count,
-        "attempts": result.attempts,
-        "transient_faults": result.transient_faults,
-        "crash_report": (result.crash_report.to_dict()
-                         if result.crash_report is not None else None),
-    }
-
-
-def fingerprint_digest(fingerprint: Dict[str, Any]) -> str:
-    """A stable hash of a fingerprint (byte-identity in one string)."""
-    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def diff_fingerprints(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
-    """Top-level keys on which two fingerprints disagree."""
-    return [key for key in a if a.get(key) != b.get(key)]
-
-
 @dataclasses.dataclass
 class Check:
     name: str
-    ok: bool
-    detail: str = ""
+    report: DivergenceReport
+
+    @property
+    def ok(self) -> bool:
+        return not self.report.diverged
 
 
 @dataclasses.dataclass
@@ -96,16 +69,15 @@ class VerifyReport:
 
     ok: bool
     checks: List[Check]
-    #: Digest of the canonical (boot 1, with plan) fingerprint.
-    digest: str
 
     def format(self) -> str:
         lines = ["quasi-determinism: %s" % ("PASS" if self.ok else "FAIL")]
         for check in self.checks:
-            lines.append("  [%s] %s%s" % ("ok" if check.ok else "FAIL",
-                                          check.name,
-                                          (": " + check.detail) if check.detail else ""))
-        lines.append("  fingerprint %s" % self.digest[:16])
+            lines.append("  [%s] %s" % ("ok" if check.ok else "FAIL",
+                                        check.name))
+            if not check.ok:
+                lines.append("    " + check.report.format().replace(
+                    "\n", "\n    "))
         return "\n".join(lines)
 
 
@@ -126,39 +98,32 @@ def verify_quasi_determinism(
     """
     plan = plan if plan is not None else FaultPlan()
 
-    def run_once(fault_plan: Optional[FaultPlan], boot: int) -> ContainerResult:
+    def capture(fault_plan: Optional[FaultPlan], boot: int,
+                label: str) -> RunCapture:
         config = config_factory() if config_factory is not None else ContainerConfig()
         config = dataclasses.replace(config, fault_plan=fault_plan)
         container = DetTrace(config)
         runner = container.run_supervised if supervised else container.run
-        return runner(image_factory(), command, argv=argv, host=boot_host(boot))
+        return RunCapture.from_result(
+            runner(image_factory(), command, argv=argv, host=boot_host(boot)),
+            label)
 
-    checks: List[Check] = []
-
-    # 1. Replay identity: same plan, two different boots, same bytes.
-    fp_a = result_fingerprint(run_once(plan, boots[0]))
-    fp_b = result_fingerprint(run_once(plan, boots[1]))
-    delta = diff_fingerprints(fp_a, fp_b)
-    checks.append(Check(
-        "replay-identity (plan, boots %s vs %s)" % boots,
-        not delta, "differs on: %s" % ", ".join(delta) if delta else ""))
-
-    # 2. Rerun identity: literally the same inputs twice — guards against
-    #    hidden global state inside the plane itself.
-    fp_a2 = result_fingerprint(run_once(plan, boots[0]))
-    delta = diff_fingerprints(fp_a, fp_a2)
-    checks.append(Check(
-        "rerun-identity (plan, boot %s twice)" % boots[0],
-        not delta, "differs on: %s" % ", ".join(delta) if delta else ""))
-
-    # 3. Empty-plan invariance: wiring an empty plane changes nothing
-    #    relative to no plane at all.
-    fp_empty = result_fingerprint(run_once(FaultPlan(), boots[0]))
-    fp_none = result_fingerprint(run_once(None, boots[0]))
-    delta = diff_fingerprints(fp_empty, fp_none)
-    checks.append(Check(
-        "empty-plan invariance (wired vs unwired)",
-        not delta, "differs on: %s" % ", ".join(delta) if delta else ""))
-
-    return VerifyReport(ok=all(c.ok for c in checks), checks=checks,
-                        digest=fingerprint_digest(fp_a))
+    base = capture(plan, boots[0], "boot %d" % boots[0])
+    empty = capture(FaultPlan(), boots[0], "empty plan")
+    checks = [
+        # Same plan, two different boots, same bytes.
+        Check("replay-identity (plan, boots %s vs %s)" % boots,
+              diff_captures(base, capture(plan, boots[1],
+                                          "boot %d" % boots[1]),
+                            scope=ACROSS_HOSTS)),
+        # Literally the same inputs twice: guards against hidden global
+        # state inside the plane itself.
+        Check("rerun-identity (plan, boot %s twice)" % boots[0],
+              diff_captures(base, capture(plan, boots[0], "rerun"),
+                            scope=SAME_HOST)),
+        # Wiring an empty plane changes nothing relative to no plane.
+        Check("empty-plan invariance (wired vs unwired)",
+              diff_captures(empty, capture(None, boots[0], "no plan"),
+                            scope=SAME_HOST)),
+    ]
+    return VerifyReport(ok=all(c.ok for c in checks), checks=checks)

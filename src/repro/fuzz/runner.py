@@ -4,30 +4,33 @@ The determinism claim under test: a container's guest-visible outcome is
 a pure function of (image, config-surface, nothing else).  The repo's
 internal knobs — which scheduler implementation runs, whether the namei/
 dirent caches are on, whether the observability plane records — and the
-host the container happens to boot on must all be invisible.  Two
-comparisons express that:
+host the container happens to boot on must all be invisible.  Every run
+is reduced to its :class:`~repro.diag.RunCapture` and every comparison
+is one :func:`~repro.diag.diff_captures`, whose first divergence becomes
+the failure line:
 
 * **cell axis** — every cell of :data:`MATRIX` runs the program on the
-  *same* host with different internal knobs; the full fingerprint
-  (stdout, tree, virtual wall time, syscall counts, metrics, trace)
-  must match byte for byte;
+  *same* host with different internal knobs; each cell must capture
+  like the base cell in full (``SAME_HOST``: streams, tree, failure
+  fields, metrics, syscall count, virtual wall time), and the observed
+  cells' traces must match each other;
 * **host axis** — the base cell re-runs on two more hosts (different
-  entropy, boot epoch, pid/inode bases, getdents salt); the
-  guest-visible surface (exit/stdout/stderr/tree) must match.
+  entropy, boot epoch, pid/inode bases, getdents salt); everything but
+  virtual wall time must match (``ACROSS_HOSTS``).
 
 Four further axes ride on top:
 
 * **serial vs parallel** — the exact cell list re-runs through
-  ``repro.parallel.run_jobs`` on a worker pool; the records must equal
+  ``repro.parallel.run_jobs`` on a worker pool; the captures must equal
   the serial ones (this is what caught the unpicklable-error bug);
 * **record/replay** — thread-free programs are recorded natively via
   ``repro.rnr`` and replayed on a different boot; a
   ``ReplayDivergence`` is a failure;
 * **crash/resume** — the program re-runs under checkpointing with a
   kill injected mid-run (the newest surviving snapshot is usually a
-  dirty-tracked delta), resumes from the journal, and must reproduce
-  the straight base record byte for byte — the resume-identity
-  contract, fuzzed;
+  dirty-tracked delta), resumes from the journal, and must capture
+  like the straight base run in full, its ``resumed`` status counting
+  as ``ok`` — the resume-identity contract, fuzzed;
 * **guest oracle** — any ``VIOLATION`` line the in-guest POSIX auditor
   printed fails the program outright, even if every cell agrees.
 """
@@ -35,15 +38,14 @@ Four further axes ride on top:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ContainerConfig
 from ..core.container import CRASHED, RESUMED, DetTrace, OK
 from ..cpu.machine import HostEnvironment
+from ..diag import (ACROSS_HOSTS, SAME_HOST, DivergenceReport, RunCapture,
+                    diff_captures)
 from ..parallel import Job, run_jobs
-from ..repro_tools.hashing import tree_digest
 from .grammar import ProgramSpec
 from .guest import build_image
 
@@ -103,62 +105,34 @@ def _host_for(spec_seed: int, index: int) -> HostEnvironment:
     )
 
 
-#: Fields every matrix cell (same host, different internal knobs) must
-#: agree on.  ``trace`` is deliberately absent (it only exists under
-#: observe=True; the observe cells compare it among themselves).
-COMPARED_FIELDS = ("status", "exit_code", "stdout", "stderr", "tree",
-                   "wall_time", "syscalls", "counters", "totals")
-
-#: Fields that must survive a change of *host* (different boot, entropy,
-#: pid/inode bases): the guest-visible surface.  Host wall time and raw
-#: syscall counts may legitimately absorb scheduling jitter once threads
-#: are involved, so they are excluded here — matching what the repo's
-#: cross-host property tests guarantee.
-HOST_INVARIANT_FIELDS = ("status", "exit_code", "stdout", "stderr", "tree")
-
-#: Fields a kill+resume run must reproduce from the straight base run.
-#: ``status`` is excluded by construction — a successful resume reports
-#: the more specific ``resumed`` — and checked separately.
-CKPT_INVARIANT_FIELDS = tuple(f for f in COMPARED_FIELDS if f != "status")
-
-
 def run_cell(spec_dict: Dict[str, Any], cell_dict: Dict[str, Any],
-             host_index: int = 0) -> Dict[str, Any]:
-    """Run one program in one cell; return its fingerprint record.
+             host_index: int = 0) -> RunCapture:
+    """Run one program in one cell; return its capture.
 
-    Module-level and dict-in/dict-out on purpose: the parallel axis
-    ships exactly this function to forked workers, so only JSON-able
-    payloads ever cross the pickle boundary.
+    Module-level and dict-in on purpose: the parallel axis ships exactly
+    this function to forked workers, and the capture it returns is
+    plain data.
     """
     spec = ProgramSpec.from_dict(spec_dict)
     cell = Cell.from_dict(cell_dict)
     host = _host_for(spec.seed, host_index)
     result = DetTrace(cell.config()).run(build_image(spec), "/bin/fuzz",
                                          host=host)
-    return _record(cell.name, result)
+    label = cell.name if host_index == 0 else (
+        "%s@host%d" % (cell.name, host_index))
+    return RunCapture.from_result(result, label)
 
 
-def _record(cell_name: str, result) -> Dict[str, Any]:
-    """The comparable fingerprint record of one container result."""
-    record: Dict[str, Any] = {
-        "cell": cell_name,
-        "status": result.status,
-        "exit_code": result.exit_code,
-        "stdout": result.stdout,
-        "stderr": result.stderr,
-        "tree": tree_digest(result.output_tree),
-        "wall_time": result.wall_time,
-        "syscalls": result.syscall_count,
-        "counters": dict(result.metrics.counters) if result.metrics else {},
-        "totals": dict(result.metrics.totals) if result.metrics else {},
-        "trace": None,
-        "violations": [line for line in result.stdout.splitlines()
-                       if "VIOLATION" in line],
-    }
-    if result.trace is not None:
-        chrome = json.dumps(result.trace.to_chrome(), sort_keys=True)
-        record["trace"] = hashlib.sha256(chrome.encode()).hexdigest()
-    return record
+def violations(capture: RunCapture) -> List[str]:
+    """The ``VIOLATION`` lines the in-guest auditor printed."""
+    return [line for line in capture.stdout.splitlines()
+            if "VIOLATION" in line]
+
+
+def _failure(report: DivergenceReport) -> str:
+    """One failure line: the pair and its first divergence."""
+    return "%s!=%s [%s] %s" % (report.labels[0], report.labels[1],
+                               report.classification, report.summary)
 
 
 @dataclasses.dataclass
@@ -166,13 +140,12 @@ class MatrixReport:
     """Everything :func:`check_program` learned about one program."""
 
     spec: ProgramSpec
-    records: List[Dict[str, Any]]
+    captures: List[RunCapture]
     failures: List[str]
-    #: First-divergence diagnosis (a :class:`repro.diag.DivergenceReport`)
-    #: of the first mismatching pair, when ``check_program(...,
-    #: diagnose=True)`` found one.  Typed loosely to keep the fuzz plane
-    #: importable without repro.diag.
-    divergence: Optional[Any] = None
+    #: First-divergence diagnosis of the first mismatching pair,
+    #: re-run observed, when ``check_program(..., diagnose=True)`` found
+    #: one.
+    divergence: Optional[DivergenceReport] = None
 
     @property
     def ok(self) -> bool:
@@ -188,15 +161,6 @@ class MatrixReport:
         return text
 
 
-def _diff_records(base: Dict[str, Any], other: Dict[str, Any],
-                  fields) -> List[str]:
-    out = []
-    for field in fields:
-        if base[field] != other[field]:
-            out.append("%s!=%s on %r" % (base["cell"], other["cell"], field))
-    return out
-
-
 def diagnose_pair(spec: ProgramSpec, cell_a: Cell, cell_b: Cell,
                   host_a: int = 0, host_b: int = 0):
     """Re-run one mismatching pair with event capture forced on and
@@ -205,27 +169,21 @@ def diagnose_pair(spec: ProgramSpec, cell_a: Cell, cell_b: Cell,
     Observation is obs-invariant (the observe matrix cells prove it
     every fuzz run), so forcing ``observe=True`` here reproduces the
     divergence while adding the trace coordinates needed to localize
-    it.  Lazy import: the fuzz plane must not hard-depend on diag.
+    it.
     """
-    from ..diag import RunCapture, diff_captures
-
-    captures = []
-    for cell, host_index in ((cell_a, host_a), (cell_b, host_b)):
-        observed = dataclasses.replace(cell, observe=True)
-        result = DetTrace(observed.config()).run(
-            build_image(spec), "/bin/fuzz",
-            host=_host_for(spec.seed, host_index))
-        label = cell.name if host_a == host_b else (
-            "%s@host%d" % (cell.name, host_index))
-        captures.append(RunCapture.from_result(result, label))
-    return diff_captures(captures[0], captures[1])
+    captures = [
+        run_cell(spec.to_dict(), dataclasses.replace(cell, observe=True)
+                 .to_dict(), host_index=host_index)
+        for cell, host_index in ((cell_a, host_a), (cell_b, host_b))]
+    scope = SAME_HOST if host_a == host_b else ACROSS_HOSTS
+    return diff_captures(captures[0], captures[1], scope=scope)
 
 
 def _check_ckpt_resume(spec: ProgramSpec, cell: Cell,
-                       base: Dict[str, Any]) -> List[str]:
+                       base: RunCapture) -> List[str]:
     """Axis 4: crash on a mid-run delta checkpoint, resume, compare.
 
-    The straight base record doubles as the uninterrupted reference —
+    The straight base capture doubles as the uninterrupted reference —
     the resume-identity contract says kill + resume must be
     indistinguishable from a run that was never interrupted (or even
     checkpointed).  The kill lands at half the program's event count
@@ -239,7 +197,7 @@ def _check_ckpt_resume(spec: ProgramSpec, cell: Cell,
     from ..core.config import CheckpointConfig
     from ..faults.plan import FaultPlan, FaultRule
 
-    events = int(base.get("totals", {}).get("events_processed", 0))
+    events = int(base.metrics.get("totals", {}).get("events_processed", 0))
     if events < 8:
         return []  # too short to interrupt mid-run
     tick = events // 2
@@ -266,9 +224,11 @@ def _check_ckpt_resume(spec: ProgramSpec, cell: Cell,
             return ["ckpt: resumed run failed: status=%s exit=%r stderr=%r"
                     % (resumed.status, resumed.exit_code,
                        resumed.stderr[-200:])]
-        record = _record("ckpt-resume", resumed)
-        return ["ckpt: " + diff for diff in
-                _diff_records(base, record, CKPT_INVARIANT_FIELDS)]
+        # Checked above: the resume finished, so it counts as ``ok``.
+        capture = dataclasses.replace(
+            RunCapture.from_result(resumed, "ckpt-resume"), status=OK)
+        report = diff_captures(base, capture, scope=SAME_HOST)
+        return ["ckpt: " + _failure(report)] if report.diverged else []
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
@@ -291,65 +251,64 @@ def check_program(spec: ProgramSpec, workers: int = 2,
     #: (cell_a, cell_b, host_a, host_b) of the first comparison mismatch.
     first_pair: Optional[Tuple[Cell, Cell, int, int]] = None
 
-    # Axis 1: the cell matrix, serially.
-    records = [run_cell(spec_dict, cell.to_dict()) for cell in matrix]
-    base = records[0]
-    if base["status"] != OK or base["exit_code"] != 0:
+    # Axis 1: the cell matrix, serially.  Every cell against the base
+    # cell, then the observed cells against each other, which adds
+    # their traces.
+    captures = [run_cell(spec_dict, cell.to_dict()) for cell in matrix]
+    base = captures[0]
+    if base.status != OK or base.exit_code != 0:
         failures.append("base run failed: status=%s exit=%r stderr=%r"
-                        % (base["status"], base["exit_code"],
-                           base["stderr"][-200:]))
-    for rec in records:
-        if rec["violations"]:
-            failures.append("%s: %s" % (rec["cell"], rec["violations"][0]))
+                        % (base.status, base.exit_code, base.stderr[-200:]))
+    for capture in captures:
+        lines = violations(capture)
+        if lines:
+            failures.append("%s: %s" % (capture.label, lines[0]))
             break  # one oracle line is enough; cells agree or also fail below
-    for position, other in enumerate(records[1:], start=1):
-        diffs = _diff_records(base, other, COMPARED_FIELDS)
-        failures.extend(diffs)
-        if diffs and first_pair is None:
-            first_pair = (matrix[0], matrix[position], 0, 0)
-    observed = [r for r in records if r["trace"] is not None]
-    for other in observed[1:]:
-        if other["trace"] != observed[0]["trace"]:
-            failures.append("%s!=%s on 'trace'" % (observed[0]["cell"],
-                                                   other["cell"]))
+    observed = [k for k, capture in enumerate(captures) if capture.records]
+    pairs = [(0, k) for k in range(1, len(matrix))]
+    pairs += [(observed[0], k) for k in observed[1:]]
+    for i, k in pairs:
+        report = diff_captures(captures[i], captures[k], scope=SAME_HOST)
+        if report.diverged:
+            failures.append(_failure(report))
             if first_pair is None:
-                by_name = {cell.name: cell for cell in matrix}
-                first_pair = (by_name[observed[0]["cell"]],
-                              by_name[other["cell"]], 0, 0)
+                first_pair = (matrix[i], matrix[k], 0, 0)
 
-    # Axis 1b: same knobs, different hosts — guest-visible surface only.
+    # Axis 1b: same knobs, different hosts — all but virtual wall time.
     for host_index in (1, 2):
-        rec = run_cell(spec_dict, matrix[0].to_dict(), host_index=host_index)
-        host_diffs = _diff_records(base, rec, HOST_INVARIANT_FIELDS)
-        for failure in host_diffs:
-            failures.append("host%d: %s" % (host_index, failure))
-        if host_diffs and first_pair is None:
-            first_pair = (matrix[0], matrix[0], 0, host_index)
+        report = diff_captures(
+            base, run_cell(spec_dict, matrix[0].to_dict(),
+                           host_index=host_index), scope=ACROSS_HOSTS)
+        if report.diverged:
+            failures.append(_failure(report))
+            if first_pair is None:
+                first_pair = (matrix[0], matrix[0], 0, host_index)
 
-    # Axis 2: the same cells through the parallel fan-out.  Exact record
+    # Axis 2: the same cells through the parallel fan-out.  Exact capture
     # equality — fan-out must be a pure reordering of serial execution.
     if workers > 1:
         jobs = [Job(key=i, fn=run_cell, args=(spec_dict, cell.to_dict()))
                 for i, cell in enumerate(matrix)]
         try:
-            pooled = [rec for _k, rec in run_jobs(jobs, workers=workers)]
+            pooled = [capture for _k, capture in run_jobs(jobs, workers=workers)]
         except Exception as err:
             failures.append("parallel axis raised: %s: %s"
                             % (type(err).__name__, err))
         else:
-            for serial_rec, pooled_rec in zip(records, pooled):
-                if serial_rec != pooled_rec:
-                    failures.append("serial!=parallel on cell %r"
-                                    % serial_rec["cell"])
+            for serial, parallel in zip(captures, pooled):
+                if serial != parallel:
+                    failures.append("serial!=parallel on cell %r: %s" % (
+                        serial.label,
+                        diff_captures(serial, parallel).summary))
 
     # Axis 3: record natively, replay on a different boot.
     if rnr and not spec.uses_threads() and spec.rnr_compatible():
         failures.extend(_check_rnr(spec))
 
     # Axis 4: kill mid-run on a delta checkpoint, resume, compare
-    # against the straight base record.  Only meaningful when the base
+    # against the straight base capture.  Only meaningful when the base
     # run itself succeeded (a failing base already reported above).
-    if ckpt and base["status"] == OK:
+    if ckpt and base.status == OK:
         failures.extend(_check_ckpt_resume(spec, matrix[0], base))
 
     divergence = None
@@ -357,7 +316,7 @@ def check_program(spec: ProgramSpec, workers: int = 2,
         cell_a, cell_b, host_a, host_b = first_pair
         divergence = diagnose_pair(spec, cell_a, cell_b,
                                    host_a=host_a, host_b=host_b)
-    return MatrixReport(spec=spec, records=records, failures=failures,
+    return MatrixReport(spec=spec, captures=captures, failures=failures,
                         divergence=divergence)
 
 

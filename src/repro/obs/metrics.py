@@ -129,22 +129,3 @@ class Metrics:
             "totals": dict(sorted(self.totals.items())),
             "runs": self.runs,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Metrics":
-        """Rebuild a snapshot from :meth:`to_dict` output.
-
-        The run cache stores metrics this way, so a cache hit surfaces
-        the producing run's deterministic counters unchanged.
-        """
-        return cls(
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            histograms={k: dict(v)
-                        for k, v in data.get("histograms", {}).items()},
-            profile=dict(data.get("profile", {})),
-            table2=dict(data.get("table2", {})),
-            syscalls_by_name=dict(data.get("syscalls_by_name", {})),
-            totals=dict(data.get("totals", {})),
-            runs=int(data.get("runs", 1)),
-        )

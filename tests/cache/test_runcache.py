@@ -179,10 +179,14 @@ class TestMemoizedRun:
         result = DetTrace(self._cfg(tmp_path, mode="verify")).run(
             _image(), "/bin/main")
         assert result.cache["outcome"] == "verify_mismatch"
-        assert result.cache["differs"] == ["tree"]
         report = result.cache["report"]
         assert report.diverged
         assert report.classification == "fs-content"
+        assert report.first_path == "out.txt"
+        # Only the tree differs: exit status and both streams agree.
+        for name in ("status", "exit_code", "stdout_sha256",
+                     "stderr_sha256"):
+            assert report.surface["a"][name] == report.surface["b"][name]
         assert "out.txt" in report.format()
         # The fresh (correct) result is what the caller gets back.
         assert result.output_tree["out.txt"] == b"artifact\n"

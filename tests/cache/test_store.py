@@ -5,17 +5,17 @@ import os
 
 import pytest
 
-from repro.cache import KEY_SCHEMA, CachedOutcome, CacheStore, RunKey
+from repro.cache import CacheStore, RunKey, code_digest
+from repro.core import ContainerResult
 
 pytestmark = pytest.mark.cache
 
 
-def outcome(stdout="hello\n", tree=None) -> CachedOutcome:
-    return CachedOutcome(
+def outcome(stdout="hello\n", tree=None) -> ContainerResult:
+    return ContainerResult(
         status="ok", exit_code=0, error="", stdout=stdout, stderr="",
         output_tree=tree if tree is not None else {"out.txt": b"artifact\n"},
-        syscall_count=12, wall_time=0.5,
-        digests={"tree": "t", "stdout_sha256": "s", "stderr_sha256": "e"})
+        counters=None, syscall_count=12, wall_time=0.5, host=None)
 
 
 def key(n=0) -> RunKey:
@@ -154,16 +154,17 @@ class TestGc:
         store.put(key(0), outcome(stdout="a\n"))
         store.put(key(1), outcome(stdout="b\n"))
         store.put(key(2), outcome(stdout="b\n"))
-        # Key 0 and key 1 as written before records carried their schema.
+        # Key 0 and key 1 as written by other code.
         for n in (0, 1):
             path = store.key_path(key(n).digest)
             record = json.loads(open(path).read())
-            assert record.pop("key_schema") == KEY_SCHEMA
+            assert record["code"] == code_digest()
+            record["code"] = "f" * 64
             with open(path, "w") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         stats = store.stats()
         assert (stats.keys, stats.stale_keys, stats.objects) == (1, 2, 2)
-        assert any("stale key schema" in p for p in store.verify_store())
+        assert any("written by other code" in p for p in store.verify_store())
         removed = store.gc()
         assert sorted(removed["torn"]) == sorted(
             store.key_path(key(n).digest) for n in (0, 1))

@@ -37,6 +37,47 @@ class TestRun:
         assert "hostname" in capsys.readouterr().out
 
 
+class TestRepeat:
+    """``repro run --jobs 1 --repeat M``: the in-process fan-out loop."""
+
+    def test_repeats_are_identical(self, capsys):
+        assert main(["run", "--jobs", "1", "--repeat", "3", "--",
+                     "date"]) == 0
+        out = capsys.readouterr()
+        assert out.out == "Aug  8 22:00:00 1993 UTC\n"
+        assert "outputs identical" in out.err
+
+    def test_planted_divergence_exits_70(self, capsys, monkeypatch):
+        from repro import cli
+
+        run_container = cli._run_container
+        results = []
+
+        def planted(*args):
+            results.append(run_container(*args))
+            if len(results) == 2:
+                results[-1].stdout += "planted line\n"
+            return results[-1]
+
+        monkeypatch.setattr(cli, "_run_container", planted)
+        assert main(["run", "--jobs", "1", "--repeat", "3", "--",
+                     "date"]) == 70
+        err = capsys.readouterr().err
+        assert len(results) == 3
+        assert "outputs DIVERGENT" in err
+        assert "DIVERGENCE [stream-content]" in err
+
+    def test_cached_repeats_store_once_and_hit_twice(self, tmp_path,
+                                                     capsys):
+        """The ``cache/*`` counters a hit stamps are not part of the
+        compared surface."""
+        assert main(["run", "--cache-dir", str(tmp_path), "--jobs", "1",
+                     "--repeat", "3", "--", "date"]) == 0
+        err = capsys.readouterr().err
+        assert "outputs identical" in err
+        assert "[cache: 2 hit, 1 store]" in err
+
+
 class TestScript:
     def test_script_runs_reproducibly(self, tmp_path, capsys):
         script = tmp_path / "job.sh"

@@ -83,8 +83,8 @@ def capture(label="x", status="ok", exit_code=0, stdout="out",
     return RunCapture(
         label=label, status=status, exit_code=exit_code, stdout=stdout,
         stderr=stderr, tree_files=dict(tree_files or {"a.txt": "h1"}),
-        tree_digest=tree, counters=dict(counters or {"c": 1}),
-        totals=dict(totals or {"syscalls": 5}),
+        tree_digest=tree, metrics={"counters": dict(counters or {"c": 1}),
+                                   "totals": dict(totals or {"syscalls": 5})},
         records=list(stream(3) if records is None else records))
 
 

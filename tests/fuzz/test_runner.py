@@ -1,11 +1,13 @@
 """The matrix harness itself: identical runs pass, a genuinely
 different config surface is detected, the parallel axis equals serial,
 and the guest oracle fails a program on its own."""
+import dataclasses
+
 import pytest
 
+from repro.diag import RunCapture
 from repro.fuzz.grammar import ProgramSpec, generate_program
 from repro.fuzz.runner import (
-    COMPARED_FIELDS,
     MATRIX,
     Cell,
     _check_ckpt_resume,
@@ -22,16 +24,19 @@ class TestRunCell:
     def test_fingerprint_fields_present(self):
         rec = run_cell(_spec({"op": "audit"}).to_dict(),
                        MATRIX[0].to_dict())
-        for field in COMPARED_FIELDS:
-            assert field in rec
-        assert rec["status"] == "ok" and rec["exit_code"] == 0
+        assert isinstance(rec, RunCapture)
+        for field in ("counters", "totals"):
+            assert rec.metrics[field]
+        assert rec.tree_digest and rec.wall_time > 0
+        assert rec.syscall_count == rec.metrics["totals"]["syscalls"] > 0
+        assert rec.status == "ok" and rec.exit_code == 0
 
     def test_trace_only_under_observe(self):
         spec = _spec({"op": "time"}, {"op": "audit"}).to_dict()
         plain = run_cell(spec, Cell("base").to_dict())
         observed = run_cell(spec, Cell("obs", observe=True).to_dict())
-        assert plain["trace"] is None
-        assert observed["trace"] is not None
+        assert plain.records == []
+        assert observed.records != []
 
     def test_same_cell_is_reproducible(self):
         spec = generate_program(1).to_dict()
@@ -76,15 +81,15 @@ class TestCheckProgram:
         # formatting keeps "VIOLATION" out of healthy output.
         report = check_program(generate_program(2), workers=1, rnr=False)
         assert report.ok
-        for rec in report.records:
-            assert "VIOLATION" not in rec["stdout"]
+        for rec in report.captures:
+            assert "VIOLATION" not in rec.stdout
 
     def test_serial_matches_parallel_axis(self):
         spec = generate_program(3)
         serial = check_program(spec, workers=1, rnr=False)
         pooled = check_program(spec, workers=2, rnr=False)
         assert serial.ok and pooled.ok
-        assert serial.records == pooled.records
+        assert serial.captures == pooled.captures
 
     def test_ckpt_resume_axis_clean_on_deterministic_program(self):
         """The crash/resume axis kills the run on a mid-chain delta
@@ -92,7 +97,7 @@ class TestCheckProgram:
         straight base record exactly."""
         spec = generate_program(2)
         base = run_cell(spec.to_dict(), MATRIX[0].to_dict())
-        assert base["totals"]["events_processed"] >= 8
+        assert base.metrics["totals"]["events_processed"] >= 8
         assert _check_ckpt_resume(spec, MATRIX[0], base) == []
 
     def test_ckpt_resume_axis_detects_divergence(self):
@@ -100,8 +105,7 @@ class TestCheckProgram:
         record on any compared field must be flagged."""
         spec = generate_program(2)
         base = run_cell(spec.to_dict(), MATRIX[0].to_dict())
-        tampered = dict(base)
-        tampered["stdout"] = base["stdout"] + "tampered\n"
+        tampered = dataclasses.replace(base, stdout=base.stdout + "tampered\n")
         failures = _check_ckpt_resume(spec, MATRIX[0], tampered)
         assert failures and "stdout" in failures[0]
 

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.fuzz.grammar import ProgramSpec, generate_program
-from repro.fuzz.runner import MATRIX, check_program, run_cell
+from repro.fuzz.runner import MATRIX, check_program, run_cell, violations
 from repro.kernel.errors import Errno, SyscallError
 from repro.kernel.fds import FDTable
 from repro.kernel.syscalls import SyscallTable
@@ -38,13 +38,13 @@ class TestSocketMatrix:
         spec = _load("sock-echo-deterministic-ports.json")
         report = check_program(spec, workers=1, rnr=False, ckpt=False)
         assert report.ok, report.failures
-        assert len(report.records) == len(MATRIX) == 5
-        base = report.records[0]
+        assert len(report.captures) == len(MATRIX) == 5
+        base = report.captures[0]
         # The port-0 draw and the unnamed-client peers resolve to the
         # monotonic ephemeral counter, identically in every cell.
-        assert "127.0.0.1:32768" in base["stdout"]
-        for rec in report.records[1:]:
-            assert rec["stdout"] == base["stdout"]
+        assert "127.0.0.1:32768" in base.stdout
+        for rec in report.captures[1:]:
+            assert rec.stdout == base.stdout
 
     def test_sock_ops_are_rnr_compatible(self):
         spec = _load("sock-echo-deterministic-ports.json")
@@ -85,7 +85,7 @@ class TestBugReintroduction:
         monkeypatch.setattr(FDTable, "dup2", plain_decrement)
         spec = _load("dup2-over-pipe.json")
         record = run_cell(spec.to_dict(), MATRIX[0].to_dict())
-        assert record["status"] == "deadlock"
+        assert record.status == "deadlock"
 
     def test_epipe_without_signal_trips_the_oracle(self, monkeypatch):
         """Revert _broken_pipe to the bare-EPIPE behaviour (no SIGPIPE
@@ -99,12 +99,11 @@ class TestBugReintroduction:
         spec = _load("sigpipe-ignored-writer.json")
         record = run_cell(spec.to_dict(), MATRIX[0].to_dict())
         assert any("sigpipe-not-delivered fired=0" in line
-                   for line in record["violations"])
+                   for line in violations(record))
 
     def test_fixed_tree_passes_both_reproducers(self):
         """The same two programs on the unpatched tree: clean."""
         for filename in ("dup2-over-pipe.json", "sigpipe-ignored-writer.json"):
             record = run_cell(_load(filename).to_dict(), MATRIX[0].to_dict())
-            assert record["status"] == "ok", (filename, record["stderr"])
-            assert record["violations"] == [], (filename,
-                                                record["violations"])
+            assert record.status == "ok", (filename, record.stderr)
+            assert violations(record) == [], (filename, violations(record))

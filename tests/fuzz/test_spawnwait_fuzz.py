@@ -70,4 +70,4 @@ class TestCorpusEntry:
 
         monkeypatch.setattr(Kernel, "notify", frozen)
         record = run_cell(_entry().to_dict(), MATRIX[0].to_dict())
-        assert record["status"] == "deadlock"
+        assert record.status == "deadlock"

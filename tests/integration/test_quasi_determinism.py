@@ -6,11 +6,8 @@ import pytest
 from repro.core import ContainerConfig, DetTrace, Image
 from repro.cpu.machine import HostEnvironment
 from repro.faults import ALL_FAULT_KINDS, FaultPlan, FaultRule, storm
-from repro.faults.verify import (
-    diff_fingerprints,
-    result_fingerprint,
-    verify_quasi_determinism,
-)
+from repro.diag import SAME_HOST, RunCapture, diff_captures
+from repro.faults.verify import verify_quasi_determinism
 from repro.workloads.debian import PackageSpec, package_image
 from repro.workloads.debian.buildtools import TOOLS
 
@@ -135,9 +132,10 @@ class TestFaultMatrix:
         faulted = DetTrace(ContainerConfig(fault_plan=inert)).run(
             workload_image(), "/bin/main", host=host)
         assert faulted.counters.faults_injected == 0
-        delta = diff_fingerprints(result_fingerprint(base),
-                                  result_fingerprint(faulted))
-        assert not delta, delta
+        report = diff_captures(RunCapture.from_result(base, "no plan"),
+                               RunCapture.from_result(faulted, "inert plan"),
+                               scope=SAME_HOST)
+        assert not report.diverged, report.format()
 
     def test_combined_storm_still_reproducible(self):
         """All the kinds at once — adversity compounds, determinism holds."""
