@@ -91,6 +91,17 @@ PLAN
         --faults "$tmp/plan.json" \
         --trace-out "$tmp/crash.json" -- ls -l /bin \
         > "$tmp/crash.out" 2> /dev/null && exit 1 || true
+    echo "== journal-identity gate (the same crash run twice -> cmp every snapshot) =="
+    python -m repro run --checkpoint-dir "$tmp/journal2" \
+        --checkpoint-every 9 --checkpoint-full-every 3 \
+        --faults "$tmp/plan.json" \
+        --trace-out "$tmp/crash2.json" -- ls -l /bin \
+        > "$tmp/crash2.out" 2> /dev/null && exit 1 || true
+    [ "$(ls "$tmp/journal")" = "$(ls "$tmp/journal2")" ]
+    for snap in "$tmp/journal"/*; do
+        cmp "$snap" "$tmp/journal2/${snap##*/}"
+    done
+    echo "journals of two identical crash runs byte-identical"
     python -m repro run --checkpoint-dir "$tmp/journal" \
         --checkpoint-every 9 --faults "$tmp/plan.json" --resume \
         --trace-out "$tmp/resumed.json" -- ls -l /bin \

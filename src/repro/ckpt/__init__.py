@@ -24,8 +24,9 @@ Layout:
   a torn write is always detectable and never shadows an older valid
   snapshot.
 * :mod:`repro.ckpt.merkle` — Merkle fingerprints over payloads:
-  per-inode leaves, directory interior nodes, maintained incrementally
-  along delta chains so verification and bisection hash O(changed).
+  per-inode leaves, directory interior nodes and one digest per section
+  as captured, maintained incrementally along delta chains so
+  verification and bisection hash O(changed).
 * :mod:`repro.ckpt.manager` — the barrier hook the kernel drives
   (``kernel.ckpt``) and the startup recovery scan.
 
@@ -34,6 +35,10 @@ and **delta** records between them, carrying only the inodes the
 kernel's dirty-epoch tracking stamped plus the payload sections whose
 hashes moved — making checkpoint cost proportional to state *changed*,
 not state *held*.
+
+Journals are outputs: every id a payload records (pipe ids, open
+description keys) is a function of the run, so two runs of the same
+command, config and host write byte-identical journals.
 """
 
 from .journal import JournalError, SnapshotInfo, prune, scan, write_snapshot

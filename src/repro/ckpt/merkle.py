@@ -1,6 +1,6 @@
 """Incremental Merkle fingerprints over checkpoint payloads.
 
-The flat v1 fingerprint pickled the whole canonical state and hashed it:
+The flat v1 fingerprint pickled the whole state and hashed it:
 O(state) per barrier, twice per bisection probe.  This module replaces
 it with a Merkle tree:
 
@@ -12,9 +12,11 @@ it with a Merkle tree:
   and nothing else;
 * unreachable-but-live inodes (unlinked-but-open files, ``rmdir``'d
   working directories) join at the top as a sorted orphan list;
-* every non-filesystem payload section contributes one canonical item
-  digest (via the ``_canonical_*`` helpers of
-  :mod:`repro.ckpt.snapshot`).
+* every non-filesystem payload section contributes one item digest of
+  its value as captured: every id a payload records (pipe ids,
+  description keys) is a function of the run, so no section needs
+  rewriting first.  Only the sockets section's mutation ``version``
+  stays out, since it counts mutations, not state.
 
 The root digest is *the* fingerprint: :func:`merkle_fingerprint`
 computes it from scratch, and :class:`MerkleCursor` maintains it
@@ -39,33 +41,20 @@ from .snapshot import (
     _FP_PROTOCOL,
     _FULL_KEYS,
     _GUEST_KEYS,
-    _canonical_maps,
-    _canonical_node,
-    _canonical_of_records,
-    _canonical_parked,
-    _canonical_pipes,
-    _canonical_processes,
-    _canonical_sockets,
     materialize_delta,
 )
 
 Key = Tuple[int, int]
 
+#: Node-record fields a leaf leaves out: the entries map (the interior
+#: node hashes the children instead) and the device-path hint (a
+#: restore-graft detail a rename makes stale; the live name lives in the
+#: parent's entries).
+_UNHASHED_NODE_FIELDS = ("entries", "path")
+
 
 def _hash(obj: Any) -> str:
     return hashlib.sha256(pickle.dumps(obj, _FP_PROTOCOL)).hexdigest()
-
-
-#: Canonical items derived from more than just their own section: when a
-#: delta replaces the key'd section, these item digests go stale too.
-#: (The pipe/of identity maps are handled separately — see ``advance``.)
-_SECTION_ITEMS: Dict[str, Tuple[str, ...]] = {
-    "pipes": ("pipes",),
-    "sockets": ("sockets",),
-    "of_records": ("of_records",),
-    "processes": ("processes",),
-    "parked": ("parked",),
-}
 
 
 class MerkleCursor:
@@ -82,7 +71,6 @@ class MerkleCursor:
             raise ValueError("unknown fingerprint scope %r" % scope)
         self.scope = scope
         self.payload = payload
-        self._pipe_map, self._of_map = _canonical_maps(payload)
         #: Subtree digest memo, keyed (ino, generation).
         self._subtree: Dict[Key, str] = {}
         #: Reverse entry links: child key -> set of directory keys.
@@ -90,13 +78,8 @@ class MerkleCursor:
         #: Keys with no parent link (excluding the root): the live
         #: unreachable inodes that join the fs hash as a sorted list.
         self._orphans: Set[Key] = set()
-        #: FIFO leaves reference the pipe remap, so a pipe-id reshuffle
-        #: invalidates exactly these.
-        self._fifo_keys: Set[Key] = set()
         root_key = tuple(payload["fs_root"])
         for key, rec in payload["fs_nodes"].items():
-            if rec.get("fifo") is not None:
-                self._fifo_keys.add(key)
             if rec.get("entries"):
                 for ckey in rec["entries"].values():
                     self._parents.setdefault(tuple(ckey), set()).add(key)
@@ -113,45 +96,25 @@ class MerkleCursor:
         self._tape_hashes: List[str] = (
             [_hash(entry) for entry in payload["tape"]]
             if scope == FULL_SCOPE else [])
-        self._items: Dict[str, str] = {}
-        for name in self._item_names():
-            self._items[name] = self._item_digest(name)
+        names = list(_GUEST_KEYS) + ["scope", "fs_nodes"]
+        if scope == FULL_SCOPE:
+            names += _FULL_KEYS
+        self._items: Dict[str, str] = {
+            name: self._item_digest(name) for name in names}
         self.root = self._compose()
 
-    # -- item plumbing ---------------------------------------------------
-
-    def _item_names(self) -> List[str]:
-        names = list(_GUEST_KEYS)
-        names += ["pipes", "sockets", "of_records", "processes", "parked",
-                  "scope", "fs_nodes"]
-        if self.scope == FULL_SCOPE:
-            names += list(_FULL_KEYS)
-            names.append("pipe_counter")
-        return names
-
     def _item_digest(self, name: str) -> str:
-        payload = self.payload
         if name == "scope":
             value: Any = self.scope
         elif name == "fs_nodes":
             return self._fs_digest()
-        elif name == "pipes":
-            value = _canonical_pipes(payload, self._pipe_map)
-        elif name == "sockets":
-            value = _canonical_sockets(payload, self._pipe_map)
-        elif name == "of_records":
-            value = _canonical_of_records(payload, self._pipe_map)
-        elif name == "processes":
-            value = _canonical_processes(payload, self._pipe_map,
-                                         self._of_map)
-        elif name == "parked":
-            value = _canonical_parked(payload, self._pipe_map)
-        elif name == "pipe_counter":
-            value = len(self._pipe_map)
         elif name == "tape":
             value = tuple(self._tape_hashes)
+        elif name == "sockets":
+            value = dict(self.payload["sockets"])
+            del value["version"]
         else:
-            value = payload[name]
+            value = self.payload[name]
         return _hash((name, value))
 
     # -- filesystem tree -------------------------------------------------
@@ -162,15 +125,15 @@ class MerkleCursor:
         if digest is not None:
             return digest
         rec = self.payload["fs_nodes"][key]
-        canon = _canonical_node(rec, self._pipe_map)
-        entries = canon.pop("entries", None)
-        leaf = _hash(("leaf", key, canon))
+        leaf = _hash(("leaf", key, {
+            field: value for field, value in rec.items()
+            if field not in _UNHASHED_NODE_FIELDS}))
         if rec["entries"] is None:
             digest = leaf
         else:
             digest = _hash(("dir", leaf,
                             tuple((name, self._subtree_digest(tuple(ckey)))
-                                  for name, ckey in (entries or {}).items())))
+                                  for name, ckey in rec["entries"].items())))
         memo[key] = digest
         return digest
 
@@ -201,27 +164,15 @@ class MerkleCursor:
         """Compose *delta* onto the cursor's payload; return the new root.
 
         Re-hashes only the delta's dirty/dead leaves, the directory
-        paths above them, and the changed canonical items.
+        paths above them, and the sections the delta replaced.
         """
         old_nodes = self.payload["fs_nodes"]
-        old_pipe_map, old_of_map = self._pipe_map, self._of_map
         self.payload = materialize_delta(self.payload, delta)
-        self._pipe_map, self._of_map = _canonical_maps(self.payload)
         root_key = tuple(self.payload["fs_root"])
 
         stale: Set[str] = {"fs_nodes"}
-        for section in delta["sections"]:
-            for name in _SECTION_ITEMS.get(section, (section,)):
-                if name in self._items:
-                    stale.add(name)
-        fifo_stale: Set[Key] = set()
-        if self._pipe_map != old_pipe_map:
-            stale.update(n for n in ("pipes", "sockets", "of_records",
-                                     "processes", "parked", "pipe_counter")
-                         if n in self._items)
-            fifo_stale = set(self._fifo_keys)
-        if self._of_map != old_of_map and "processes" in self._items:
-            stale.add("processes")
+        stale.update(name for name in delta["sections"]
+                     if name in self._items)
         if "tape" in self._items and delta["tape_tail"]:
             stale.add("tape")
             self._tape_hashes.extend(
@@ -232,7 +183,7 @@ class MerkleCursor:
 
         # Invalidate under the *old* link structure first (a moved or
         # deleted node's former ancestors must re-hash too) ...
-        invalid: Set[Key] = set(dirty) | set(dead) | fifo_stale
+        invalid: Set[Key] = set(dirty) | set(dead)
         invalid |= self._ancestors(invalid)
 
         # ... then update the reverse links from the entry diffs.
@@ -255,7 +206,6 @@ class MerkleCursor:
                     unlink(tuple(ckey), key)
             self._parents.pop(key, None)
             self._orphans.discard(key)
-            self._fifo_keys.discard(key)
         for key, rec in dirty.items():
             old = old_nodes.get(key)
             old_children = (set(map(tuple, old["entries"].values()))
@@ -267,10 +217,6 @@ class MerkleCursor:
                 unlink(ckey, key)
             for ckey in new_children - old_children:
                 link(ckey, key)
-            if rec.get("fifo") is not None:
-                self._fifo_keys.add(key)
-            else:
-                self._fifo_keys.discard(key)
 
         nodes = self.payload["fs_nodes"]
         for key in touched:
@@ -281,7 +227,7 @@ class MerkleCursor:
                 self._orphans.discard(key)
 
         # New ancestors as well (rename targets, fresh creations).
-        invalid |= self._ancestors(set(dirty) | fifo_stale)
+        invalid |= self._ancestors(dirty)
         for key in invalid:
             self._subtree.pop(key, None)
 

@@ -8,8 +8,9 @@ tracer not pumping) and produces a picklable payload dict holding
   open inodes dedup through object identity; device nodes record their
   path so restore can graft the live read/write hooks from a freshly
   installed image),
-* pipes, open file descriptions (shared across forked fd tables by
-  identity) and per-process fd tables,
+* pipes (by their per-container ids), open file descriptions (shared
+  across forked fd tables by identity, keyed by discovery order) and
+  per-process fd tables,
 * process/thread records with every scheduler-visible scalar,
 * the event heap (as descriptors, not closures), the parked-thread map
   and the serialization token state,
@@ -42,7 +43,6 @@ from ..kernel.ops import Syscall, VdsoCall
 from ..kernel.pipes import Pipe
 from ..kernel.process import Process, Thread, ThreadState
 from ..kernel.waiting import Channel
-from . import journal
 from .tape import OPAQUE, decode_value, encode_tape, encode_value
 
 PAYLOAD_KIND = "repro.ckpt.payload"
@@ -78,7 +78,7 @@ GUEST_SCOPE = "guest"
 FULL_SCOPE = "full"
 
 #: Pickle protocol pinned for fingerprint stability: the digest of a
-#: canonical state must not change when the interpreter's
+#: captured state must not change when the interpreter's
 #: HIGHEST_PROTOCOL does.
 _FP_PROTOCOL = 4
 
@@ -176,9 +176,13 @@ def _capture_runtime(kernel) -> Tuple[
     inodes the root walk cannot see.
 
     Discovery order is deterministic (process list order, fd-table
-    insertion order, pipe ids sorted), so an unchanged section pickles
-    byte-identically barrier after barrier — the property the delta
-    encoder's section-hash comparison rests on.
+    insertion order, pipe ids sorted), and every id a section records
+    is a function of the run: pipe ids come from the kernel's
+    per-container counter and open descriptions are numbered in
+    discovery order.  So an unchanged section pickles byte-identically
+    barrier after barrier — the property the delta encoder's
+    section-hash comparison rests on — and two runs of the same command
+    write byte-identical payloads.
     """
     tracer = kernel.tracer
     fs = kernel.fs
@@ -218,11 +222,12 @@ def _capture_runtime(kernel) -> Tuple[
     referenced: Dict[Tuple[int, int], Tuple[Inode, Optional[str]]] = {}
 
     # -- open file descriptions (shared by identity across fdtables) ----
+    of_keys: Dict[OpenFile, int] = {}
     of_records: Dict[int, Dict[str, Any]] = {}
 
     def visit_of(of: OpenFile) -> int:
-        key = id(of)
-        if key not in of_records:
+        key = of_keys.get(of)
+        if key is None:
             if getattr(of, "socket", None) is not None:
                 # In-guest loopback/unix sockets are plain pipe-backed
                 # descriptions and snapshot fine; only the fake
@@ -237,6 +242,7 @@ def _capture_runtime(kernel) -> Tuple[
                 inode_key = (of.inode.ino, of.inode.generation)
                 if inode_key not in referenced:
                     referenced[inode_key] = (of.inode, of.path or None)
+            key = of_keys[of] = len(of_keys)
             of_records[key] = {
                 "kind": of.kind, "flags": of.flags, "offset": of.offset,
                 "path": of.path,
@@ -406,7 +412,7 @@ def _capture_runtime(kernel) -> Tuple[
             "dirent_misses": fs.dirent_misses,
         },
         "pipes": pipe_records,
-        "pipe_counter": Pipe._counter,
+        "pipe_counter": kernel._pipe_counter,
         "sockets": _capture_sockets(kernel.sockets),
         "of_records": of_records,
         "processes": proc_records,
@@ -875,21 +881,15 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
 
     # -- pipes -----------------------------------------------------------
     pipes_by_id: Dict[int, Pipe] = {}
-    for pid_, rec in payload["pipes"].items():
-        p = Pipe.__new__(Pipe)
-        p.pipe_id = pid_
-        p.capacity = rec["capacity"]
-        p.buffer = bytearray(rec["buffer"])
-        p.readers = rec["readers"]
-        p.writers = rec["writers"]
-        p.readable = Channel("pipe%d.readable" % pid_)
-        p.writable = Channel("pipe%d.writable" % pid_)
-        p.reader_arrived = Channel("pipe%d.reader_arrived" % pid_)
-        p.writer_arrived = Channel("pipe%d.writer_arrived" % pid_)
-        p.ever_had_reader = rec["ever_had_reader"]
-        p.ever_had_writer = rec["ever_had_writer"]
-        pipes_by_id[pid_] = p
-    Pipe._counter = payload["pipe_counter"]
+    for pipe_id, rec in payload["pipes"].items():
+        pipe = Pipe(pipe_id, rec["capacity"])
+        pipe.buffer = bytearray(rec["buffer"])
+        pipe.readers = rec["readers"]
+        pipe.writers = rec["writers"]
+        pipe.ever_had_reader = rec["ever_had_reader"]
+        pipe.ever_had_writer = rec["ever_had_writer"]
+        pipes_by_id[pipe_id] = pipe
+    kernel._pipe_counter = payload["pipe_counter"]
 
     # -- socket registry (before of_records: listener identity) ---------
     kernel.sockets = _restore_sockets(payload.get("sockets"), pipes_by_id)
@@ -947,7 +947,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     # dirty set starts empty and FIFO registrations are rebuilt.
     fs.reset_dirty_state(objs.values())
 
-    # -- open file descriptions -----------------------------------------
+    # -- open file descriptions (keys are opaque: any distinct ints) ----
     ofs_by_id: Dict[int, OpenFile] = {}
     for ofid, rec in payload["of_records"].items():
         of = OpenFile(
@@ -1270,10 +1270,12 @@ def _restore_sched(sched, rec: Optional[Dict[str, Any]],
 
 #: Payload keys whose values describe the *guest-visible machine* — the
 #: surface two runs of the same program must agree on tick for tick.
+#: (``fs_nodes`` joins both scopes as its own Merkle tree.)
 _GUEST_KEYS = (
     "clock_now", "network", "stdout", "stderr", "timers",
     "pid_next", "tid_next", "nspid_next", "seq",
     "cores_busy", "core_queue", "fs_root", "events",
+    "pipes", "sockets", "of_records", "processes", "parked",
 )
 
 #: Additional keys for :data:`FULL_SCOPE`: determinization machinery
@@ -1284,110 +1286,7 @@ _GUEST_KEYS = (
 #: difference leaks into guest-visible state — which is exactly the
 #: tick divergence bisection wants to find.
 _FULL_KEYS = ("host", "events_processed", "obs", "fs_meta", "sched",
-              "tracer", "faults", "tape")
-
-
-def _canonical_maps(payload: Dict[str, Any],
-                    ) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Identity-erasing remaps for the two unstable namespaces.
-
-    * pipe ids come from a *process-global* counter
-      (``Pipe._counter``), so the Nth run in one interpreter hands out
-      different ids than the first for identical state;
-    * open-file-description keys are ``id(of)`` memory addresses.
-
-    Both are remapped to dense, deterministic indices (pipes by sorted
-    creation order, descriptions by capture order, which follows the
-    deterministic process/fd walk).
-    """
-    pipe_map = {pid: i for i, pid in enumerate(sorted(payload["pipes"]))}
-    of_map = {ofid: i for i, ofid in enumerate(payload["of_records"])}
-    return pipe_map, of_map
-
-
-def _canonical_chan(desc: Tuple, pipe_map: Dict[int, int]) -> Tuple:
-    if desc and desc[0] == "pipe":
-        return ("pipe", pipe_map.get(desc[1], -1), desc[2])
-    return tuple(desc)
-
-
-def _canonical_node(rec: Dict[str, Any],
-                    pipe_map: Dict[int, int]) -> Dict[str, Any]:
-    """One node record with unstable identifiers erased.
-
-    Drops the device ``path`` hint (a restore-graft detail that a
-    rename would make stale — the live name lives in the parent's
-    ``entries``) and remaps the fifo pipe id.  Entries stay keyed by
-    ``(ino, generation)``, which the deterministic allocator makes
-    run-stable.
-    """
-    rec = dict(rec)
-    rec.pop("path", None)
-    if rec.get("fifo") is not None:
-        rec["fifo"] = pipe_map.get(rec["fifo"], -1)
-    return rec
-
-
-def _canonical_pipes(payload: Dict[str, Any],
-                     pipe_map: Dict[int, int]) -> List[Tuple]:
-    return [(pipe_map[pid], payload["pipes"][pid])
-            for pid in sorted(payload["pipes"])]
-
-
-def _canonical_of_records(payload: Dict[str, Any],
-                          pipe_map: Dict[int, int]) -> List[Dict[str, Any]]:
-    of_records = []
-    for rec in payload["of_records"].values():
-        rec = dict(rec)
-        for key in ("pipe", "peer_pipe"):
-            if rec.get(key) is not None:
-                rec[key] = pipe_map.get(rec[key], -1)
-        of_records.append(rec)
-    return of_records
-
-
-def _canonical_processes(payload: Dict[str, Any], pipe_map: Dict[int, int],
-                         of_map: Dict[int, int]) -> List[Dict[str, Any]]:
-    processes = []
-    for prec in payload["processes"]:
-        prec = dict(prec)
-        prec["fdtable"] = [(fd, of_map[ofid])
-                           for fd, ofid in sorted(prec["fdtable"].items())]
-        threads = []
-        for trec in prec["threads"]:
-            trec = dict(trec)
-            trec["wait_channels"] = [_canonical_chan(d, pipe_map)
-                                     for d in trec["wait_channels"]]
-            threads.append(trec)
-        prec["threads"] = threads
-        processes.append(prec)
-    return processes
-
-
-def _canonical_parked(payload: Dict[str, Any],
-                      pipe_map: Dict[int, int]) -> List[Tuple]:
-    return [(_canonical_chan(d, pipe_map), list(tids))
-            for d, tids in payload["parked"]]
-
-
-def _canonical_sockets(payload: Dict[str, Any],
-                       pipe_map: Dict[int, int]) -> Optional[Dict[str, Any]]:
-    """The sockets section with unstable identifiers erased: pending
-    pipe ids remapped, the internal dirty epoch dropped (it counts
-    mutations, not guest-visible state)."""
-    srec = payload.get("sockets")
-    if srec is None:  # pre-sockets payload
-        return None
-    return {
-        "port_next": srec["port_next"],
-        "bound": [tuple(key) for key in srec["bound"]],
-        "listeners": [
-            {"family": lrec["family"], "address": lrec["address"],
-             "backlog": lrec["backlog"],
-             "pending": [(pipe_map.get(ts, -1), pipe_map.get(tc, -1), peer)
-                         for ts, tc, peer in lrec["pending"]]}
-            for lrec in srec["listeners"]],
-    }
+              "tracer", "faults", "tape", "pipe_counter")
 
 
 @dataclasses.dataclass
@@ -1395,7 +1294,7 @@ class Snapshot:
     """One loaded checkpoint: barrier coordinates plus the live payload.
 
     The object the diagnosis plane works with: :meth:`fingerprint`
-    exposes the canonical state digest that checkpoint bisection
+    exposes the state digest that checkpoint bisection
     compares across two runs, and ``repro ckpt verify`` prints.
     """
 
@@ -1404,23 +1303,15 @@ class Snapshot:
     payload: Dict[str, Any]
     path: str = ""
 
-    @classmethod
-    def load(cls, path: str,
-             fingerprint: Optional[str] = None) -> "Snapshot":
-        """Load (and validate) a journal snapshot file."""
-        header, blob = journal.load_snapshot(path, fingerprint=fingerprint)
-        return cls(barrier=int(header["barrier"]),
-                   vclock=float(header["vclock"]),
-                   payload=pickle.loads(blob), path=path)
-
     def fingerprint(self, scope: str = GUEST_SCOPE) -> str:
-        """Merkle-root sha256 of this snapshot's canonical state.
+        """Merkle-root sha256 of this snapshot's state.
 
-        Deterministic within a pinned pickle protocol: equal captured
-        states hash equal regardless of interpreter object identities or
-        earlier runs in this process, and any guest-visible difference
-        hashes different.  :class:`repro.ckpt.merkle.MerkleCursor`
-        maintains the same root incrementally along delta chains.
+        Deterministic within a pinned pickle protocol: every id the
+        payload records is a function of the run, so equal captured
+        states hash equal regardless of earlier runs in this process,
+        and any guest-visible difference hashes different.
+        :class:`repro.ckpt.merkle.MerkleCursor` maintains the same root
+        incrementally along delta chains.
         """
         from .merkle import merkle_fingerprint
         return merkle_fingerprint(self.payload, scope=scope)

@@ -22,7 +22,6 @@ from .container import (
 )
 from .errors import (
     BusyWaitError,
-    ContainerDeadlock,
     ContainerError,
     ContainerTimeout,
     UnsupportedSyscallError,
@@ -43,7 +42,6 @@ __all__ = [
     "RESUMED",
     "RETRIED",
     "ContainerConfig",
-    "ContainerDeadlock",
     "ContainerError",
     "ContainerResult",
     "ContainerTimeout",

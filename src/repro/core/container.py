@@ -38,7 +38,6 @@ from ..tracer.events import TraceCounters
 from .config import ContainerConfig, FIXED_ASLR_BASE
 from .errors import (
     BusyWaitError,
-    ContainerDeadlock,
     ContainerError,
     ContainerTimeout,
     UnsupportedSyscallError,
@@ -157,7 +156,7 @@ def _classify(err: BaseException):
         return TIMEOUT, str(err)
     if isinstance(err, (UnsupportedSyscallError, BusyWaitError)):
         return UNSUPPORTED, str(err)
-    if isinstance(err, (DeadlockError, ContainerDeadlock)):
+    if isinstance(err, DeadlockError):
         return DEADLOCK, str(err)
     if isinstance(err, KernelPanic):
         return CRASHED, "kernel panic: %s" % err

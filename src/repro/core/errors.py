@@ -28,10 +28,6 @@ class BusyWaitError(ContainerError):
         super().__init__("busy-waiting detected in pid %d (tid %d)" % (pid, tid))
 
 
-class ContainerDeadlock(ContainerError):
-    """All container processes are blocked with no possible waker."""
-
-
 class ContainerTimeout(ContainerError):
     """The containerized run exceeded its virtual-time budget."""
 

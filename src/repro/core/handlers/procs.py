@@ -136,5 +136,4 @@ HANDLERS = {
     "getsockname": passthrough,
     "setuid": passthrough,
     "setgid": passthrough,
-    "getrandom_unused": passthrough,
 }

@@ -169,7 +169,8 @@ class DetTraceTracer(TracerBase):
             self.charge(self.poke_memory(8))
 
     def on_busy_wait(self, thread: Thread) -> None:
-        raise BusyWaitError(thread.process.nspid, thread.tid)
+        # Namespace pid and thread ordinal: no host id in the error.
+        raise BusyWaitError(thread.process.nspid, self.kernel.det_tid(thread))
 
     # ------------------------------------------------------------------
     # the scheduling pump (§5.6)

@@ -26,13 +26,15 @@ class FdKind(enum.Enum):
     SOCKET = "socket"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class OpenFile:
     """An open file description (shared across dup'd descriptors).
 
     ``path`` records the absolute container path the description was
     opened with; DetTrace's inode virtualization reads it back the way the
-    real system reads ``/proc/self/fd`` (paper §5.5).
+    real system reads ``/proc/self/fd`` (paper §5.5).  A description is
+    an identity, not a value: two opens of one file are two descriptions
+    however alike their fields, so equality and hashing are by object.
     """
 
     kind: FdKind

@@ -32,6 +32,7 @@ from .errors import DeadlockError, Errno, GuestCrash, KernelPanic, SimTimeout, S
 from .filesystem import Filesystem
 from .fds import OpenFile, FdKind
 from .ops import Compute, Instr, Syscall, VdsoCall, VvarRead
+from .pipes import Pipe
 from .process import Process, Thread, ThreadState
 from .syscalls import ExecveReplace, ExitProcess, ExitThread, Sleep, SyscallTable
 from .signals import Disposition, classify
@@ -103,6 +104,8 @@ class Kernel:
         self._untraced_key_cache: Dict[str, Tuple[str, str, str]] = {}
         self._pid_next = host.pid_start
         self._tid_next = host.pid_start + 50_000
+        #: Pipes made so far, and so the id of the newest (new_pipe).
+        self._pipe_counter = 0
 
         #: Container PID namespace: when set, children get sequential
         #: namespace PIDs starting at this counter (DetTrace, §5.1).
@@ -201,9 +204,11 @@ class Kernel:
                     return
                 if self.tracer is not None and self.tracer.on_quiescent():
                     continue
+                # Namespace pids: a container run fails the same way
+                # on every host (a native run's nspid is its pid).
                 raise DeadlockError(
                     "no progress possible; live pids=%s"
-                    % [p.pid for p in self.live_processes()])
+                    % [p.nspid for p in self.live_processes()])
             if (self._kill_at is not None
                     and self.events_processed >= self._kill_at):
                 # Injected crash (KILL_AT_TICK): fires *between* events,
@@ -235,6 +240,11 @@ class Kernel:
         from ..guest.runtime import Sys  # lazy: guest layer sits above us
 
         return Sys(thread)
+
+    def new_pipe(self) -> Pipe:
+        """A fresh pipe, numbered by this container's own counter."""
+        self._pipe_counter += 1
+        return Pipe(self._pipe_counter)
 
     def _alloc_nspid(self) -> int:
         if self._nspid_next is None:

@@ -17,13 +17,15 @@ PIPE_CAPACITY = 65536
 
 
 class Pipe:
-    """A unidirectional byte channel with a bounded kernel buffer."""
+    """A unidirectional byte channel with a bounded kernel buffer.
 
-    _counter = 0
+    *pipe_id* comes from the owning kernel's per-container counter
+    (:meth:`repro.kernel.kernel.Kernel.new_pipe`), so it is a function
+    of the run alone.
+    """
 
-    def __init__(self, capacity: int = PIPE_CAPACITY):
-        Pipe._counter += 1
-        self.pipe_id = Pipe._counter
+    def __init__(self, pipe_id: int, capacity: int = PIPE_CAPACITY):
+        self.pipe_id = pipe_id
         self.capacity = capacity
         self.buffer = bytearray()
         self.readers = 0

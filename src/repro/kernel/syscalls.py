@@ -395,7 +395,7 @@ class SyscallTable:
         return of.offset
 
     def sys_pipe(self, t: Thread):
-        pipe = Pipe()
+        pipe = self.kernel.new_pipe()
         pipe.open_reader()
         pipe.open_writer()
         r = OpenFile(kind=FdKind.PIPE_READ, pipe=pipe, path="pipe:[%d]" % pipe.pipe_id)
@@ -454,7 +454,6 @@ class SyscallTable:
         """Create a named pipe — the mechanism DetTrace itself uses to
         feed /dev/[u]random from its PRNG (§5.2)."""
         from .inode import Inode
-        from .pipes import Pipe
 
         proc = t.process
         parent, name = self._resolve_parent(proc, path)
@@ -464,7 +463,7 @@ class SyscallTable:
                      mode=mode & ~proc.umask & 0o7777,
                      uid=proc.uid, gid=proc.gid,
                      atime=self._now, mtime=self._now, ctime=self._now)
-        node.fifo_pipe = Pipe()
+        node.fifo_pipe = self.kernel.new_pipe()
         parent.add_entry(name, node)
         parent.mtime = parent.ctime = self._now
         self._fs.register_new_inode(node)
@@ -879,9 +878,7 @@ class SyscallTable:
         which is why it is determinizable where network sockets are not
         (the paper's §5.9 future-work item).
         """
-        from .pipes import Pipe
-
-        a_to_b, b_to_a = Pipe(), Pipe()
+        a_to_b, b_to_a = self.kernel.new_pipe(), self.kernel.new_pipe()
         for pipe in (a_to_b, b_to_a):
             pipe.open_reader()
             pipe.open_writer()
@@ -1012,7 +1009,8 @@ class SyscallTable:
             # check precedes every side effect because a retry re-runs
             # the whole body.
             raise WouldBlock([listener.accept_slot])
-        to_server, to_client = Pipe(), Pipe()
+        to_server = self.kernel.new_pipe()
+        to_client = self.kernel.new_pipe()
         for pipe in (to_server, to_client):
             pipe.open_reader()
             pipe.open_writer()

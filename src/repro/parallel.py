@@ -30,7 +30,7 @@ import multiprocessing
 import os
 import pickle
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 
 class WorkerError(Exception):
@@ -131,33 +131,24 @@ def effective_host_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_jobs(jobs: Sequence[Job], workers: int = 1,
-             timeout: Optional[float] = None) -> List[Tuple[Any, Any]]:
+def run_jobs(jobs: Sequence[Job], workers: int = 1) -> List[Tuple[Any, Any]]:
     """Run every job; return ``[(key, result), ...]`` sorted by key.
 
     The returned list — and any exception raised — is a pure function of
     the jobs themselves, independent of *workers*.
-
-    *timeout* bounds each job's host-time execution, on the serial path
-    and the pool path alike (a hung job is abandoned in its worker
-    process and surfaces as a ``WorkerError`` with type ``JobTimeout``,
-    raised with the usual smallest-key precedence).  With a timeout even
-    ``workers=1`` runs jobs in a single-process pool — the only way to
-    abandon a hung call.
     """
     ordered = sorted(jobs, key=lambda j: j.key)
     keys = [j.key for j in ordered]
     if len(set(map(repr, keys))) != len(keys):
         raise ValueError("job keys must be unique: %r" % (keys,))
     workers = max(1, min(int(workers), len(ordered) or 1))
-    if timeout is None and workers > 1 and effective_host_cores() == 1:
+    if workers > 1 and effective_host_cores() == 1:
         # Forking a pool on a single effective core only adds process
         # setup and context-switch overhead (speedup < 1 in practice);
         # the serial loop produces identical, key-ordered results by
-        # contract, so fall back.  Timeouts still need the pool: a hung
-        # job can only be abandoned in a worker process.
+        # contract, so fall back.
         workers = 1
-    if timeout is None and workers == 1:
+    if workers == 1:
         # The plain in-process loop: serial-vs-parallel identity tests
         # compare genuinely different execution paths.
         outcomes = [_execute(job) for job in ordered]
@@ -166,22 +157,9 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
         # state (registered binaries, images) available without re-import.
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            if timeout is None:
-                # map() preserves input order, so completion races never
-                # reach us; chunksize=1 keeps long jobs load-balanced.
-                outcomes = pool.map(_execute, ordered, chunksize=1)
-            else:
-                handles = [(job, pool.apply_async(_execute, (job,)))
-                           for job in ordered]
-                outcomes = []
-                for job, handle in handles:
-                    try:
-                        outcomes.append(handle.get(timeout))
-                    except multiprocessing.TimeoutError:
-                        outcomes.append((job.key, "err", WorkerError(
-                            "JobTimeout",
-                            "job %r exceeded %.3fs" % (job.key, timeout))))
-                # Leaving the with-block terminates any still-hung worker.
+            # map() preserves input order, so completion races never
+            # reach us; chunksize=1 keeps long jobs load-balanced.
+            outcomes = pool.map(_execute, ordered, chunksize=1)
     for key, tag, payload in outcomes:  # smallest key first, as serial would
         if tag == "err":
             raise payload
@@ -200,17 +178,14 @@ def fan_out(fn: Callable, arg_tuples: Sequence[Tuple], workers: int = 1) -> List
 def cache_tally(records: Sequence[Any]) -> Dict[str, int]:
     """Run-cache disposition counts across fan-out *records*.
 
-    Accepts the record shapes the sweeps produce — dicts carrying a
-    ``"cache"`` sub-record or objects with a ``.cache`` attribute
-    (:class:`~repro.core.container.ContainerResult` included) — and
-    ignores records that carried no cache at all, so callers can apply
-    it unconditionally.  Shared by ``repro run --repeat`` and the cache
+    Each record is a dict carrying a ``"cache"`` sub-record; records
+    that carried no cache at all are ignored, so callers can apply it
+    unconditionally.  Shared by ``repro run --repeat`` and the cache
     benchmark to report hit/store breakdowns.
     """
     tally: Dict[str, int] = {}
     for rec in records:
-        cache = (rec.get("cache") if isinstance(rec, dict)
-                 else getattr(rec, "cache", None))
+        cache = rec.get("cache")
         if not cache:
             continue
         outcome = cache.get("outcome", "?")

@@ -64,7 +64,7 @@ class TestRegistryRoundTrip:
         reg.listen(AF_UNIX, "/run/a.sock", 4)
         addr = reg.bind(AF_INET, "127.0.0.1:0")
         listener = reg.listen(AF_INET, addr, 2)
-        to_server, to_client = Pipe(), Pipe()
+        to_server, to_client = Pipe(1), Pipe(2)
         for pipe in (to_server, to_client):
             pipe.open_reader()
             pipe.open_writer()

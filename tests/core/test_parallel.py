@@ -140,47 +140,6 @@ def test_default_workers_bounds():
     assert 1 <= n <= 8
 
 
-# -- per-item timeout (serial and pool paths alike) -------------------------
-
-
-def _hang(x):
-    import time
-    time.sleep(60)
-    return x
-
-
-def _slow_ok(x):
-    return x + 100
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_timeout_fires_on_both_paths(workers):
-    """A hung job surfaces as a JobTimeout carrier whether run
-    'serially' or pooled — serial mode must not block forever."""
-    jobs = [Job(key=0, fn=_hang, args=(0,)),
-            Job(key=1, fn=_slow_ok, args=(1,))]
-    with pytest.raises(WorkerError) as exc_info:
-        run_jobs(jobs, workers=workers, timeout=0.5)
-    assert exc_info.value.type_name == "JobTimeout"
-    assert "job 0" in exc_info.value.message
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_timeout_error_precedence_is_smallest_key(workers):
-    """Key 0 times out, key 1 raises: the smallest key's failure wins,
-    exactly as on the untimed serial path."""
-    jobs = [Job(key=1, fn=_boom, args=(1,)),
-            Job(key=0, fn=_hang, args=(0,))]
-    with pytest.raises(WorkerError) as exc_info:
-        run_jobs(jobs, workers=workers, timeout=0.5)
-    assert exc_info.value.type_name == "JobTimeout"
-
-
-def test_timeout_untriggered_results_identical_to_untimed():
-    jobs = [Job(key=k, fn=_square, args=(k,)) for k in range(6)]
-    assert run_jobs(jobs, workers=2, timeout=30.0) == run_jobs(jobs, workers=2)
-
-
 def test_reprotest_jobs_identity():
     """A reprotest double-build reaches the same verdict and artifact
     diff whether its two builds run serially or on two workers."""

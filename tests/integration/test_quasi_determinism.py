@@ -6,8 +6,8 @@ import pytest
 from repro.core import ContainerConfig, DetTrace, Image
 from repro.cpu.machine import HostEnvironment
 from repro.faults import ALL_FAULT_KINDS, FaultPlan, FaultRule, storm
-from repro.diag import SAME_HOST, RunCapture, diff_captures
-from repro.faults.verify import verify_quasi_determinism
+from repro.diag import ACROSS_HOSTS, SAME_HOST, RunCapture, diff_captures
+from repro.faults.verify import boot_host, verify_quasi_determinism
 from repro.workloads.debian import PackageSpec, package_image
 from repro.workloads.debian.buildtools import TOOLS
 
@@ -161,4 +161,49 @@ class TestSupervisedQuasiDeterminism:
         plan = storm("enospc", syscall="write", start=0, count=500)
         report = verify_quasi_determinism(workload_image, "/bin/main",
                                           plan=plan, supervised=True)
+        assert report.ok, report.format()
+
+
+# ---------------------------------------------------------------------------
+# A failing run fails the same way on every host (§5.9): its error names
+# namespace pids and thread ordinals, never the host's ids.
+# ---------------------------------------------------------------------------
+
+def _reads_own_empty_pipe(sys):
+    rfd, _wfd = yield from sys.pipe()
+    yield from sys.read(rfd, 1)
+    return 0
+
+
+def _computes_without_syscalls(sys):
+    yield from sys.compute(5.0)
+    return 0
+
+
+def _single_binary_image(program):
+    def factory() -> Image:
+        image = Image()
+        image.add_binary("/bin/main", program)
+        return image
+    return factory
+
+
+@pytest.mark.faults
+class TestFailuresReproduceAcrossHosts:
+    @pytest.mark.parametrize("program,status", [
+        (_reads_own_empty_pipe, "deadlock"),
+        (_computes_without_syscalls, "unsupported"),
+    ], ids=["deadlock", "busy-wait"])
+    def test_failure_captures_equal_across_hosts(self, program, status):
+        image = _single_binary_image(program)
+        results = [DetTrace(ContainerConfig()).run(image(), "/bin/main",
+                                                   host=boot_host(boot))
+                   for boot in (1, 2)]
+        assert [r.status for r in results] == [status, status]
+        report = diff_captures(
+            RunCapture.from_result(results[0], "boot 1"),
+            RunCapture.from_result(results[1], "boot 2"),
+            scope=ACROSS_HOSTS)
+        assert not report.diverged, report.format()
+        report = verify_quasi_determinism(image, "/bin/main")
         assert report.ok, report.format()

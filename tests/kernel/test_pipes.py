@@ -6,7 +6,7 @@ from repro.kernel.waiting import WouldBlock
 
 
 def open_pipe(capacity=16):
-    p = Pipe(capacity=capacity)
+    p = Pipe(1, capacity=capacity)
     p.open_reader()
     p.open_writer()
     return p
