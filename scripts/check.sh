@@ -121,6 +121,29 @@ PLAN
         "pruned 0 file(s) "*) ;;
         *) echo "manifest prune and scan prune disagree"; exit 1 ;;
     esac
+    echo "== resume-from-delta gate (resumed guest state = uninterrupted, every barrier) =="
+    # Killed at tick 50, the newest snapshot is the delta at barrier 45;
+    # the resumed run and an uninterrupted one on the same cadence must
+    # fingerprint equal at every barrier the two journals hold.
+    cat > "$tmp/plan50.json" <<'PLAN'
+{"rules": [{"fault": "kill", "at_tick": 50, "transient": true}]}
+PLAN
+    python -m repro run --checkpoint-dir "$tmp/delta" --checkpoint-keep 0 \
+        --checkpoint-every 9 --checkpoint-full-every 3 \
+        --faults "$tmp/plan50.json" -- ls -l /bin \
+        > /dev/null 2> /dev/null && exit 1 || true
+    python -m repro run --checkpoint-dir "$tmp/delta" --checkpoint-keep 0 \
+        --checkpoint-every 9 --checkpoint-full-every 3 \
+        --faults "$tmp/plan50.json" --resume -- ls -l /bin \
+        > /dev/null 2> /dev/null
+    python -m repro run --checkpoint-dir "$tmp/straight" --checkpoint-keep 0 \
+        --checkpoint-every 9 --checkpoint-full-every 3 -- ls -l /bin \
+        > /dev/null 2> /dev/null
+    python -m repro ckpt verify "$tmp/delta" | grep guest-state > "$tmp/delta.fp"
+    python -m repro ckpt verify "$tmp/straight" | grep guest-state \
+        > "$tmp/straight.fp"
+    cmp "$tmp/delta.fp" "$tmp/straight.fp"
+    echo "resumed-from-delta guest state equals the uninterrupted run's at $(wc -l < "$tmp/delta.fp") barriers"
     echo "== ckpt overhead bench + gates (overheads, delta journal, disabled-path trend) =="
     bench_gate ckpt
 fi

@@ -17,7 +17,11 @@ Layout:
   append-only tape.  Restore rebuilds the frames by *fast-forwarding*:
   re-driving the (pure) guest code with the taped inputs.
 * :mod:`repro.ckpt.snapshot` — capture/restore of everything else,
-  which is plain data and snapshots wholesale.
+  which is plain data and snapshots wholesale.  It records the kernel's
+  own data once: a pending event as the name of one of the kernel's
+  five event methods, a target id and its arguments, and a device node
+  by its inode key like any other inode (restore grafts its live hooks
+  from the fresh kernel's node with that key).
 * :mod:`repro.ckpt.journal` — the on-disk write-ahead journal: snapshots
   are written temp-file + fsync + atomic rename under a header carrying
   the format version, the config fingerprint and a content checksum, so
@@ -26,7 +30,9 @@ Layout:
 * :mod:`repro.ckpt.merkle` — Merkle fingerprints over payloads:
   per-inode leaves, directory interior nodes and one digest per section
   as captured, maintained incrementally along delta chains so
-  verification and bisection hash O(changed).
+  verification and bisection hash O(changed).  Digests hash values,
+  not pickle's sharing of objects, so a run resumed from any barrier
+  fingerprints equal to the uninterrupted run.
 * :mod:`repro.ckpt.manager` — the barrier hook the kernel drives
   (``kernel.ckpt``) and the startup recovery scan.
 
@@ -48,7 +54,6 @@ from .snapshot import (
     FULL_SCOPE,
     GUEST_SCOPE,
     CheckpointUnsupported,
-    DeltaUnsupported,
     RestoreError,
     Snapshot,
     capture,
@@ -62,7 +67,6 @@ from .tape import OPAQUE, encode_value, decode_value
 __all__ = [
     "CheckpointManager",
     "CheckpointUnsupported",
-    "DeltaUnsupported",
     "FULL_SCOPE",
     "GUEST_SCOPE",
     "JournalError",

@@ -27,10 +27,8 @@ Pruning is one pure selection (:func:`prune_selection`) over a journal
 listing plus a removal step, so a writer that tracks its own listing in
 memory prunes by exactly the rule a fresh :func:`scan` would.
 
-Only the current format is read.  Format 3 keeps every counter in the
-pickled collector and drops the pickled kernel stats object of formats
-1 and 2, so their payloads no longer unpickle: a scan reports them
-invalid instead.
+Only the current format is read: a scan reports a file of any other
+format invalid.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..durable import atomic_write, fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".snap"

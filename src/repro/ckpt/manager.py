@@ -29,7 +29,6 @@ from .merkle import MerkleCursor
 from .snapshot import (
     GUEST_SCOPE,
     CheckpointUnsupported,
-    DeltaUnsupported,
     Snapshot,
     capture,
     capture_delta,
@@ -97,9 +96,6 @@ class CheckpointManager:
         self._last_chain_depth = 0
         self._since_full = 0
         self._last_tape_len = 0
-        #: Device-path hints by (ino, generation): deltas of device
-        #: nodes need the graft path a full capture records.
-        self._device_paths: Dict[Tuple[int, int], str] = {}
 
     # -- external trigger -----------------------------------------------
 
@@ -166,10 +162,7 @@ class CheckpointManager:
         :func:`repro.ckpt.journal.write_snapshot`).
         """
         if self._delta_due():
-            try:
-                return self._snapshot_delta(kernel, durable=durable)
-            except DeltaUnsupported:
-                pass  # fall through to a self-contained full snapshot
+            return self._snapshot_delta(kernel, durable=durable)
         return self._snapshot_full(kernel)
 
     def _delta_due(self) -> bool:
@@ -178,7 +171,9 @@ class CheckpointManager:
                 and bool(self._last_payload_sha)
                 and self._since_full < self.full_every - 1)
 
-    def _encode_tape_tail(self) -> List[Tuple]:
+    def _encoded_tape(self) -> List[Tuple]:
+        """The whole tape, encoded: the one tape both capture paths
+        read.  Entries recorded since the last call are encoded now."""
         new = self.tape[len(self._tape_encoded):]
         if new:
             self._tape_encoded.extend(encode_tape(new))
@@ -186,7 +181,7 @@ class CheckpointManager:
 
     def _snapshot_full(self, kernel) -> str:
         tick = kernel.events_processed
-        payload = capture(kernel, tape_encoded=self._encode_tape_tail())
+        payload = capture(kernel, self._encoded_tape())
         blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         info = self._note_written(journal.write_snapshot(
             self.directory, tick, kernel.clock.now, self.fingerprint, blob))
@@ -195,9 +190,6 @@ class CheckpointManager:
         self._last_chain_depth = 0
         self._since_full = 0
         self._last_tape_len = len(self.tape)
-        self._device_paths = {
-            key: rec["path"] for key, rec in payload["fs_nodes"].items()
-            if rec["device"]}
         self.snapshots_full += 1
         self._finish(kernel, tick, len(blob))
         return info.path
@@ -205,8 +197,8 @@ class CheckpointManager:
     def _snapshot_delta(self, kernel, durable: bool = True) -> str:
         tick = kernel.events_processed
         delta, new_hashes, dirty_objects = capture_delta(
-            kernel, self._section_hashes, self._last_tape_len,
-            self._device_paths, tape_encoded=self._encode_tape_tail())
+            kernel, self._section_hashes, self._encoded_tape(),
+            self._last_tape_len)
         blob = pickle.dumps(delta, pickle.HIGHEST_PROTOCOL)
         info = self._note_written(journal.write_snapshot(
             self.directory, tick, kernel.clock.now, self.fingerprint, blob,
@@ -217,11 +209,6 @@ class CheckpointManager:
         self._last_chain_depth += 1
         self._since_full += 1
         self._last_tape_len = len(self.tape)
-        for key, rec in delta["fs_dirty"].items():
-            if rec["device"]:
-                self._device_paths[key] = rec["path"]
-        for key in delta["fs_dead"]:
-            self._device_paths.pop(key, None)
         self.snapshots_delta += 1
         self.last_dirty_objects = dirty_objects
         self._finish(kernel, tick, len(blob))

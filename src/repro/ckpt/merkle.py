@@ -5,7 +5,7 @@ O(state) per barrier, twice per bisection probe.  This module replaces
 it with a Merkle tree:
 
 * one **leaf** per filesystem inode record (hashed without its entries
-  map or device-path hint);
+  map);
 * one **interior node** per directory, hashing its leaf together with
   the ``(name, child-subtree)`` sequence in entry order — so a change
   anywhere under a directory moves every hash on the path to the root
@@ -17,6 +17,12 @@ it with a Merkle tree:
   description keys) is a function of the run, so no section needs
   rewriting first.  Only the sockets section's mutation ``version``
   stays out, since it counts mutations, not state.
+
+Every digest hashes values: it is taken over a pickle written without a
+memo, so how a payload's objects share references never reaches it.  A
+live capture shares one string between a process's ``exe_path`` and
+``argv[0]``; a run restored from a delta chain holds two copies, one
+unpickled from each journal file, and must still fingerprint equal.
 
 The root digest is *the* fingerprint: :func:`merkle_fingerprint`
 computes it from scratch, and :class:`MerkleCursor` maintains it
@@ -32,6 +38,7 @@ recovery path uses and memoizes subtree hashes keyed by
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 from typing import Any, Dict, Iterable, List, Set, Tuple
 
@@ -47,14 +54,19 @@ from .snapshot import (
 Key = Tuple[int, int]
 
 #: Node-record fields a leaf leaves out: the entries map (the interior
-#: node hashes the children instead) and the device-path hint (a
-#: restore-graft detail a rename makes stale; the live name lives in the
-#: parent's entries).
-_UNHASHED_NODE_FIELDS = ("entries", "path")
+#: node hashes the children instead).
+_UNHASHED_NODE_FIELDS = ("entries",)
 
 
 def _hash(obj: Any) -> str:
-    return hashlib.sha256(pickle.dumps(obj, _FP_PROTOCOL)).hexdigest()
+    """sha256 of *obj*'s value: a pickle with no memo, so shared and
+    separate copies of equal objects hash the same (cyclic data raises;
+    a payload holds none)."""
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, _FP_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(obj)
+    return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
 class MerkleCursor:
@@ -86,13 +98,8 @@ class MerkleCursor:
         for key in payload["fs_nodes"]:
             if key != root_key and not self._parents.get(key):
                 self._orphans.add(key)
-        #: Per-entry tape hashes (FULL scope only).  The tape must be
-        #: hashed entry-by-entry: pickling the whole list memoizes
-        #: objects shared *across* entries, so a tape composed from
-        #: chain segments (where cross-entry sharing was severed by the
-        #: journal round-trip) would pickle differently from a live
-        #: capture of the same entries.  Per-entry digests are immune —
-        #: and appends extend the list in O(new entries).
+        #: Per-entry tape hashes (FULL scope only), so an append
+        #: extends the list in O(new entries).
         self._tape_hashes: List[str] = (
             [_hash(entry) for entry in payload["tape"]]
             if scope == FULL_SCOPE else [])

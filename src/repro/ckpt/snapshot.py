@@ -4,16 +4,17 @@
 tracer not pumping) and produces a picklable payload dict holding
 
 * the host environment (with its RNG streams mid-state),
-* the filesystem as a node-record table (hard links and unlinked-but-
-  open inodes dedup through object identity; device nodes record their
-  path so restore can graft the live read/write hooks from a freshly
-  installed image),
+* the filesystem as a node-record table keyed by ``(ino, generation)``
+  (hard links and unlinked-but-open inodes dedup through object
+  identity; a device node's live read/write hooks are grafted back from
+  the fresh kernel's node with the same key),
 * pipes (by their per-container ids), open file descriptions (shared
   across forked fd tables by identity, keyed by discovery order) and
   per-process fd tables,
 * process/thread records with every scheduler-visible scalar,
-* the event heap (as descriptors, not closures), the parked-thread map
-  and the serialization token state,
+* the event heap (each event is ``(time, seq, method, target, args)``
+  data, recorded with the method's name and the target's id), the
+  parked-thread map and the serialization token state,
 * the reproducible scheduler's heaps, the tracer's PRNG/logical-clock/
   inode-table state, fault-injector progress, the obs collector (every
   counter of the run) and the kernel's event tick,
@@ -22,6 +23,10 @@ tracer not pumping) and produces a picklable payload dict holding
 ``restore(kernel, payload)`` inverts it into a freshly *prepared* kernel
 (image installed, tracer attached, faults wired — the same code path a
 normal run uses, so device closures and handler tables are live objects).
+Every device inode is made in ``Kernel.__init__``, before any image is
+installed, by an allocator seeded only from the host the payload
+carries, so the fresh kernel holds each device under the key the
+snapshot recorded, wherever a guest has since renamed it.
 Guest generator frames are rebuilt by **fast-forward**: re-driving fresh
 generators with the taped input sequence in global order.  Everything
 else is overlaid directly.  Restore performs no host-RNG draws: the
@@ -43,7 +48,7 @@ from ..kernel.ops import Syscall, VdsoCall
 from ..kernel.pipes import Pipe
 from ..kernel.process import Process, Thread, ThreadState
 from ..kernel.waiting import Channel
-from .tape import OPAQUE, decode_value, encode_tape, encode_value
+from .tape import decode_value, encode_value
 
 PAYLOAD_KIND = "repro.ckpt.payload"
 DELTA_KIND = "repro.ckpt.delta"
@@ -90,13 +95,15 @@ class CheckpointUnsupported(RuntimeError):
 
 class RestoreError(RuntimeError):
     """A snapshot could not be faithfully rehydrated (divergent replay,
-    missing binary, unknown descriptor)."""
+    missing binary, unknown event method or device)."""
 
 
-class DeltaUnsupported(RuntimeError):
-    """The dirty set cannot be encoded against the cached base (e.g. a
-    dirty device inode with no cached path).  Internal signal: the
-    manager falls back to a full snapshot, never an error to the run."""
+#: The kernel methods an event may name (``Kernel.schedule``); restore
+#: refuses any other name, so a payload can call nothing else.
+EVENT_METHODS = frozenset((
+    "_step_or_wait", "_finish_compute", "_retry_parked", "_release_token",
+    "_fire_timer",
+))
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +147,12 @@ def _encode_call(call: Optional[Syscall]) -> Optional[Tuple]:
 # capture
 # ----------------------------------------------------------------------
 
-def _node_record(node: Inode, path: Optional[str]) -> Dict[str, Any]:
+def _node_record(node: Inode) -> Dict[str, Any]:
     """One inode as a picklable record.
 
-    ``path`` is recorded for device nodes only (restore grafts the live
-    read/write hooks from a freshly installed image by path); everything
-    else is path-free so a record never goes stale under rename.
-    Directory entries reference children by ``(ino, generation)`` key.
+    Path-free, so a record never goes stale under rename: directory
+    entries reference children by ``(ino, generation)`` key, and restore
+    grafts a device's live read/write hooks by that key too.
     """
     is_device = node.dev_read is not None or node.dev_write is not None
     return {
@@ -155,7 +161,7 @@ def _node_record(node: Inode, path: Optional[str]) -> Dict[str, Any]:
         "atime": node.atime, "mtime": node.mtime, "ctime": node.ctime,
         "data": bytes(node.data), "symlink_target": node.symlink_target,
         "generation": node.generation, "open_count": node.open_count,
-        "device": is_device, "path": path if is_device else None,
+        "device": is_device,
         "proc_pos": _procfs_pos(node) if is_device else None,
         "fifo": (node.fifo_pipe.pipe_id
                  if node.fifo_pipe is not None else None),
@@ -166,14 +172,14 @@ def _node_record(node: Inode, path: Optional[str]) -> Dict[str, Any]:
 
 
 def _capture_runtime(kernel) -> Tuple[
-        Dict[str, Any], Dict[Tuple[int, int], Tuple[Inode, Optional[str]]]]:
+        Dict[str, Any], Dict[Tuple[int, int], Inode]]:
     """Build every payload section except the fs node table and the tape.
 
     Returns ``(sections, referenced)`` where *referenced* maps the
     ``(ino, generation)`` key of every inode reachable through runtime
-    references (open descriptions, process cwds) to the live object and
-    a path hint — the capture paths use it to include unlinked-but-open
-    inodes the root walk cannot see.
+    references (open descriptions, process cwds) to the live object —
+    the capture paths use it to include unlinked-but-open inodes the
+    root walk cannot see.
 
     Discovery order is deterministic (process list order, fd-table
     insertion order, pipe ids sorted), and every id a section records
@@ -219,7 +225,7 @@ def _capture_runtime(kernel) -> Tuple[
             note_pipe(to_server)
             note_pipe(to_client)
 
-    referenced: Dict[Tuple[int, int], Tuple[Inode, Optional[str]]] = {}
+    referenced: Dict[Tuple[int, int], Inode] = {}
 
     # -- open file descriptions (shared by identity across fdtables) ----
     of_keys: Dict[OpenFile, int] = {}
@@ -240,8 +246,7 @@ def _capture_runtime(kernel) -> Tuple[
             inode_key = None
             if of.inode is not None:
                 inode_key = (of.inode.ino, of.inode.generation)
-                if inode_key not in referenced:
-                    referenced[inode_key] = (of.inode, of.path or None)
+                referenced[inode_key] = of.inode
             key = of_keys[of] = len(of_keys)
             of_records[key] = {
                 "kind": of.kind, "flags": of.flags, "offset": of.offset,
@@ -283,8 +288,7 @@ def _capture_runtime(kernel) -> Tuple[
     for proc in kernel.processes:
         fdt = {fd: visit_of(of) for fd, of in proc.fdtable.items()}
         cwd_key = (proc.cwd.ino, proc.cwd.generation)
-        if cwd_key not in referenced:
-            referenced[cwd_key] = (proc.cwd, proc.cwd_path)
+        referenced[cwd_key] = proc.cwd
         step_queue = None
         squeue = proc.memory.get("_step_queue")
         if squeue is not None:
@@ -303,7 +307,6 @@ def _capture_runtime(kernel) -> Tuple[
                 "token_queued": th.token_queued,
                 "current_syscall_index": th.current_syscall_index,
                 "obs_attempt": th.obs_attempt, "obs_faulted": th.obs_faulted,
-                "signal_interrupted": getattr(th, "signal_interrupted", False),
                 "io_cost": getattr(th, "_io_cost", 0.0),
                 "on_core": getattr(th, "_on_core", False),
                 "wait_channels": [chan_ref(ch) for ch in th.wait_channels],
@@ -332,17 +335,11 @@ def _capture_runtime(kernel) -> Tuple[
             "threads": threads,
         })
 
-    # -- event heap (descriptors, verbatim heap order) ------------------
-    events = []
-    for entry in kernel._events:
-        t, seq, _fn, desc = entry
-        if desc is None:
-            raise CheckpointUnsupported(
-                "scheduled event without a descriptor: %r" % (_fn,))
-        if desc[0] == "step":
-            desc = ("step", desc[1], encode_value(desc[2]),
-                    encode_value(desc[3]))
-        events.append((t, seq, desc))
+    # -- event heap (verbatim heap order; timers target a process) -----
+    events = [(t, seq, method.__name__,
+               target.pid if isinstance(target, Process) else target.tid,
+               encode_value(args))
+              for t, seq, method, target, args in kernel._events]
 
     parked = [(chan_ref(ch), [t.tid for t in ts])
               for ch, ts in kernel._parked.items()]
@@ -406,10 +403,6 @@ def _capture_runtime(kernel) -> Tuple[
             "alloc_gens": dict(fs._alloc._gen),
             "device_id": fs.device_id,
             "bytes_written": fs._bytes_written,
-            "resolve_hits": fs.resolve_hits,
-            "resolve_misses": fs.resolve_misses,
-            "dirent_hits": fs.dirent_hits,
-            "dirent_misses": fs.dirent_misses,
         },
         "pipes": pipe_records,
         "pipe_counter": kernel._pipe_counter,
@@ -425,8 +418,7 @@ def _capture_runtime(kernel) -> Tuple[
     return sections, referenced
 
 
-def capture(kernel, tape_encoded: Optional[List[Tuple]] = None,
-            ) -> Dict[str, Any]:
+def capture(kernel, tape: List[Tuple]) -> Dict[str, Any]:
     """Serialize the complete deterministic state of *kernel*.
 
     Must be called at a barrier: between events, tracer not mid-pump.
@@ -437,46 +429,33 @@ def capture(kernel, tape_encoded: Optional[List[Tuple]] = None,
     number recycling, so delta snapshots can reference base records
     without positional coupling.
 
-    *tape_encoded* is the manager's incrementally-maintained encoding of
-    the whole tape (one ``encode_tape`` per entry ever, instead of
-    re-encoding the full history at every full snapshot); it is used
-    only when its length matches the live tape.
+    *tape* is the whole resume tape, encoded: the checkpoint manager
+    encodes each entry once and passes its running encoding.
     """
-    mgr = kernel.ckpt
-    if mgr is None:
-        raise CheckpointUnsupported(
-            "capture requires tape recording enabled from boot "
-            "(ContainerConfig.checkpoint)")
     sections, referenced = _capture_runtime(kernel)
     fs = kernel.fs
     nodes: Dict[Tuple[int, int], Dict[str, Any]] = {}
 
-    def visit(node: Inode, path: str) -> None:
+    def visit(node: Inode) -> None:
         key = (node.ino, node.generation)
         if key in nodes:
             return
-        nodes[key] = _node_record(node, path)
+        nodes[key] = _node_record(node)
         if node.is_dir:
-            base = path.rstrip("/")
-            for name, child in node.entries.items():
-                visit(child, base + "/" + name)
+            for child in node.entries.values():
+                visit(child)
 
-    visit(fs.root, "/")
-    for key, (node, path) in referenced.items():
-        if key not in nodes:
-            # Unlinked-but-open inodes (and rmdir'd cwds) are unreachable
-            # from the root walk; runtime references discover them.
-            visit(node, path or "?")
+    visit(fs.root)
+    # Unlinked-but-open inodes (and rmdir'd cwds) are unreachable from
+    # the root walk; runtime references discover them.
+    for node in referenced.values():
+        visit(node)
 
-    if tape_encoded is not None and len(tape_encoded) == len(mgr.tape):
-        tape = list(tape_encoded)
-    else:
-        tape = encode_tape(mgr.tape)
     payload: Dict[str, Any] = {
         "kind": PAYLOAD_KIND,
         "fs_nodes": nodes,
         "fs_root": (fs.root.ino, fs.root.generation),
-        "tape": tape,
+        "tape": list(tape),
     }
     payload.update(sections)
     return payload
@@ -488,7 +467,11 @@ def _section_digest(key: str, value: Any) -> str:
     The host environment gets an O(1) special case: its only run-time
     mutable state is its RNG streams, every draw bumps its
     ``_state_version``, and pickling Mersenne state every barrier was
-    the single most expensive hash in a delta capture."""
+    the single most expensive hash in a delta capture.
+
+    Unlike a fingerprint, this digest keeps pickle's memo: equal values
+    shared differently read as "changed", which costs delta bytes,
+    never a wrong restore, and the memo pickle is the cheaper one."""
     if key == "host":
         version = getattr(value, "_state_version", None)
         if version is not None:
@@ -510,25 +493,16 @@ def section_hashes(payload: Dict[str, Any]) -> Dict[str, str]:
 
 
 def capture_delta(kernel, base_section_hashes: Dict[str, str],
-                  tape_base_len: int,
-                  device_paths: Dict[Tuple[int, int], str],
-                  tape_encoded: Optional[List[Tuple]] = None,
+                  tape: List[Tuple], tape_from: int,
                   ) -> Tuple[Dict[str, Any], Dict[str, str], int]:
     """Serialize only the state changed since the last snapshot.
 
     Returns ``(delta, new_section_hashes, dirty_count)``.  The delta
     carries the sections whose pickled hash moved, the records of inodes
     stamped dirty since the filesystem's last ``clear_dirty()``, the
-    keys of fully-released inodes, and the tape tail past
-    *tape_base_len*.  Raises :class:`DeltaUnsupported` when the dirty
-    set cannot be encoded against the base (the manager then takes a
-    full snapshot instead).
+    keys of fully-released inodes, and the entries of the encoded
+    *tape* from *tape_from* on (the base's tape length).
     """
-    mgr = kernel.ckpt
-    if mgr is None:
-        raise CheckpointUnsupported(
-            "capture requires tape recording enabled from boot "
-            "(ContainerConfig.checkpoint)")
     sections, referenced = _capture_runtime(kernel)
     new_hashes: Dict[str, str] = {}
     changed: Dict[str, Any] = {}
@@ -542,17 +516,6 @@ def capture_delta(kernel, base_section_hashes: Dict[str, str],
             changed[key] = sections[key]
 
     fs = kernel.fs
-
-    def delta_record(node: Inode, key: Tuple[int, int],
-                     path_hint: Optional[str]) -> Dict[str, Any]:
-        path = None
-        if node.dev_read is not None or node.dev_write is not None:
-            path = device_paths.get(key, path_hint)
-            if path is None:
-                raise DeltaUnsupported(
-                    "dirty device inode %r has no cached path" % (key,))
-        return _node_record(node, path)
-
     dirty: Dict[Tuple[int, int], Dict[str, Any]] = {}
     for key, node in fs.dirty_nodes().items():
         # Inclusion rule: a dirty record enters the delta iff the node is
@@ -560,29 +523,24 @@ def capture_delta(kernel, base_section_hashes: Dict[str, str],
         # open description).  This makes the materialized node set equal
         # to what a fresh full capture would enumerate.
         if node.nlink > 0 or node.open_count > 0 or key in referenced:
-            dirty[key] = delta_record(node, key, None)
+            dirty[key] = _node_record(node)
     dead: List[Tuple[int, int]] = []
     for key in fs.dead_keys():
         if key in referenced:
             # Released inode number, but a cwd/description still holds
             # the object (e.g. a process inside an rmdir'd directory):
             # resurrect the record instead of dropping it.
-            node, path_hint = referenced[key]
-            dirty[key] = delta_record(node, key, path_hint)
+            dirty[key] = _node_record(referenced[key])
         elif key not in dirty:
             dead.append(key)
 
-    if tape_encoded is not None and len(tape_encoded) == len(mgr.tape):
-        tape_tail = list(tape_encoded[tape_base_len:])
-    else:
-        tape_tail = encode_tape(mgr.tape[tape_base_len:])
     delta: Dict[str, Any] = {
         "kind": DELTA_KIND,
         "sections": changed,
         "fs_dirty": dirty,
         "fs_dead": dead,
-        "tape_from": tape_base_len,
-        "tape_tail": tape_tail,
+        "tape_from": tape_from,
+        "tape_tail": tape[tape_from:],
     }
     return delta, new_hashes, len(dirty) + len(dead)
 
@@ -635,13 +593,10 @@ def _capture_sockets(reg) -> Dict[str, Any]:
     }
 
 
-def _restore_sockets(srec: Optional[Dict[str, Any]],
-                     pipes_by_id: Dict[int, Pipe]):
+def _restore_sockets(srec: Dict[str, Any], pipes_by_id: Dict[int, Pipe]):
     from ..kernel.sockets import Listener, SocketRegistry
 
     reg = SocketRegistry()
-    if srec is None:  # pre-sockets snapshot
-        return reg
     reg.version = srec["version"]
     reg.port_next = srec["port_next"]
     reg.bound = {tuple(key): True for key in srec["bound"]}
@@ -892,14 +847,14 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     kernel._pipe_counter = payload["pipe_counter"]
 
     # -- socket registry (before of_records: listener identity) ---------
-    kernel.sockets = _restore_sockets(payload.get("sockets"), pipes_by_id)
+    kernel.sockets = _restore_sockets(payload["sockets"], pipes_by_id)
 
     # -- filesystem ------------------------------------------------------
     fs = kernel.fs
-    fresh_devices: Dict[str, Inode] = {}
-    for path, node in fs.walk():
-        if node.dev_read is not None or node.dev_write is not None:
-            fresh_devices[path] = node
+    fresh_devices = {(node.ino, node.generation): node
+                     for _path, node in fs.walk()
+                     if node.dev_read is not None
+                     or node.dev_write is not None}
     recs = payload["fs_nodes"]
     objs: Dict[Tuple[int, int], Inode] = {}
     for key, rec in recs.items():
@@ -914,11 +869,11 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
         if rec["fifo"] is not None:
             node.fifo_pipe = pipes_by_id[rec["fifo"]]
         if rec["device"]:
-            fresh = fresh_devices.get(rec["path"])
+            fresh = fresh_devices.get(key)
             if fresh is None:
                 raise RestoreError(
-                    "device %r in snapshot has no counterpart in the "
-                    "freshly installed image" % rec["path"])
+                    "device inode %r in snapshot has no counterpart in "
+                    "the fresh kernel" % (key,))
             node.dev_read = fresh.dev_read
             node.dev_write = fresh.dev_write
             if rec["proc_pos"] is not None:
@@ -935,13 +890,12 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     fs._alloc._gen = dict(meta["alloc_gens"])
     fs.device_id = meta["device_id"]
     fs._bytes_written = meta["bytes_written"]
-    fs.resolve_hits = meta["resolve_hits"]
-    fs.resolve_misses = meta["resolve_misses"]
-    fs.dirent_hits = meta["dirent_hits"]
-    fs.dirent_misses = meta["dirent_misses"]
-    # Identity-keyed caches cannot survive object replacement.
+    # Identity-keyed caches cannot survive object replacement; their
+    # host-side hit counters are not snapshotted and restart with them.
     fs._namei_cache.clear()
     fs._namei_epoch_seen = Inode.namei_epoch
+    fs.resolve_hits = fs.resolve_misses = 0
+    fs.dirent_hits = fs.dirent_misses = 0
     # Re-arm dirty tracking over the rebuilt objects: the resumed run's
     # checkpoint manager starts from a full snapshot anyway, so the
     # dirty set starts empty and FIFO registrations are rebuilt.
@@ -960,13 +914,10 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             peer_pipe=(None if rec["peer_pipe"] is None
                        else pipes_by_id[rec["peer_pipe"]]),
             counts_inode=rec["counts_inode"],
-            sock_local=rec.get("sock_local", ""),
-            sock_peer=rec.get("sock_peer", ""),
-            sock_family=rec.get("sock_family", 0),
-            sock_bound=rec.get("sock_bound", False),
-            shut_rd=rec.get("shut_rd", False),
-            shut_wr=rec.get("shut_wr", False))
-        lkey = rec.get("listener")
+            sock_local=rec["sock_local"], sock_peer=rec["sock_peer"],
+            sock_family=rec["sock_family"], sock_bound=rec["sock_bound"],
+            shut_rd=rec["shut_rd"], shut_wr=rec["shut_wr"])
+        lkey = rec["listener"]
         if lkey is not None:
             of.listener = kernel.sockets.lookup(lkey[0], lkey[1])
             if of.listener is None:
@@ -988,9 +939,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
         proc.reaped = prec["reaped"]
         proc.vdso_patched = prec["vdso_patched"]
         proc.syscall_index = prec["syscall_index"]
-        # Pre-umask snapshots carry no mask; the kernel default matches
-        # what every process effectively had then.
-        proc.umask = prec.get("umask", 0o022)
+        proc.umask = prec["umask"]
         proc.fdtable = FDTable()
         for fd, ofid in prec["fdtable"].items():
             proc.fdtable._fds[fd] = ofs_by_id[ofid]
@@ -1077,8 +1026,6 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             th.current_syscall_index = trec["current_syscall_index"]
             th.obs_attempt = trec["obs_attempt"]
             th.obs_faulted = trec["obs_faulted"]
-            if trec["signal_interrupted"]:
-                th.signal_interrupted = True
             if trec["io_cost"]:
                 th._io_cost = trec["io_cost"]
             if trec["on_core"]:
@@ -1120,13 +1067,16 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             proc.step_token = threads_by_tid[prec["step_token"]]
         proc.live_thread_count = len(proc.live_threads())
 
-    # -- event heap ------------------------------------------------------
+    # -- event heap (a literal heap snapshot: order is preserved) -------
     kernel._events = []
-    for t, seq, desc in payload["events"]:
-        kernel._events.append(
-            (t, seq, _event_fn(kernel, desc, threads_by_tid, procs_by_pid, ff),
-             _decode_desc(desc, ff)))
-    # The captured array was a literal heap snapshot; order is preserved.
+    for t, seq, name, ident, args in payload["events"]:
+        if name not in EVENT_METHODS:
+            raise RestoreError("event names %r, not a kernel event method"
+                               % (name,))
+        target = (procs_by_pid[ident] if name == "_fire_timer"
+                  else threads_by_tid[ident])
+        kernel._events.append((t, seq, getattr(kernel, name), target,
+                               decode_value(args, ff._sub(ident))))
 
     kernel._parked = {}
     for desc, tids in payload["parked"]:
@@ -1163,41 +1113,6 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             inj.obs = kernel.obs
 
     return ff.live_tape
-
-
-def _decode_desc(desc: Tuple, ff: _FastForward) -> Tuple:
-    if desc[0] == "step":
-        tid = desc[1]
-        return ("step", tid, decode_value(desc[2], ff._sub(tid)),
-                decode_value(desc[3], ff._sub(tid)))
-    return desc
-
-
-def _event_fn(kernel, desc: Tuple, threads: Dict[int, Thread],
-              procs: Dict[int, Process], ff: _FastForward) -> Callable[[], None]:
-    kind = desc[0]
-    if kind == "timer":
-        proc = procs[desc[1]]
-        generation = desc[2]
-        return lambda: kernel._fire_timer(proc, generation)
-    th = threads.get(desc[1])
-    if th is None:
-        # The thread object was dropped (execve sibling teardown); the
-        # live event would have been a no-op on the dead thread, but it
-        # still consumes a tick and advances the clock.
-        return lambda: None
-    if kind == "step":
-        tid = desc[1]
-        value = decode_value(desc[2], ff._sub(tid))
-        exc = decode_value(desc[3], ff._sub(tid))
-        return lambda: kernel._step_or_wait(th, value, exc)
-    if kind == "finish_compute":
-        return lambda: kernel._finish_compute(th)
-    if kind == "retry_parked":
-        return lambda: kernel._retry_parked(th)
-    if kind == "release_token":
-        return lambda: kernel._release_token(th)
-    raise RestoreError("unknown event descriptor %r" % (desc,))
 
 
 def _restore_sched(sched, rec: Optional[Dict[str, Any]],
@@ -1307,9 +1222,11 @@ class Snapshot:
         """Merkle-root sha256 of this snapshot's state.
 
         Deterministic within a pinned pickle protocol: every id the
-        payload records is a function of the run, so equal captured
-        states hash equal regardless of earlier runs in this process,
-        and any guest-visible difference hashes different.
+        payload records is a function of the run and every digest
+        hashes values, not object sharing, so equal captured states hash
+        equal regardless of earlier runs in this process or of the
+        journal files they were read from, and any guest-visible
+        difference hashes different.
         :class:`repro.ckpt.merkle.MerkleCursor` maintains the same root
         incrementally along delta chains.
         """

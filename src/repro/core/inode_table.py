@@ -56,9 +56,6 @@ class InodeTable:
         """0 for initial-image files, else the creation-time stamp."""
         return self._vmtime.get(real_ino, 0)
 
-    def set_virtual_mtime(self, real_ino: int, value: int) -> None:
-        self._vmtime[real_ino] = value
-
     def touch(self, real_ino: int) -> int:
         """An explicit utime: stamp the file with the next virtual mtime
         (the "could easily be added" extension of §5.5 that keeps

@@ -73,10 +73,6 @@ class MachineSpec:
     def has_rdrand(self) -> bool:
         return FEATURE_RDRAND in self.features
 
-    @property
-    def kernel_at_least(self) -> "MachineSpec":
-        return self
-
     def kernel_version_at_least(self, major: int, minor: int) -> bool:
         return self.kernel_version >= (major, minor)
 

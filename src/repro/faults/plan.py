@@ -237,10 +237,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.rules)
 
-    @property
-    def has_transient(self) -> bool:
-        return any(rule.transient for rule in self.rules)
-
     def disk_cap(self, attempt: int = 0) -> Optional[int]:
         """The tightest ``disk_full`` cap active on *attempt*, if any."""
         caps = [rule.bytes for rule in self.rules

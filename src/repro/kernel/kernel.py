@@ -93,7 +93,11 @@ class Kernel:
         #: default collects aggregates that are simply never surfaced.
         self.obs = Collector()
 
-        self._events: List[Tuple[float, int, Callable[[], None], Any]] = []
+        #: Pending events as data: ``(time, seq, method, target, args)``
+        #: runs ``method(target, *args)``, where *method* is one of the
+        #: five event methods below and *target* a thread (a process for
+        #: ``_fire_timer``) — what a checkpoint records by name and id.
+        self._events: List[Tuple[float, int, Callable, Any, Tuple]] = []
         self._seq = 0
         #: Per-name caches for the syscall fast path: the resolved base
         #: cost and the interned counter keys for every dispatch and for
@@ -178,13 +182,12 @@ class Kernel:
     # event loop
     # ------------------------------------------------------------------
 
-    def schedule(self, time: float, fn: Callable[[], None],
-                 desc: Any = None) -> None:
-        # *desc* is a picklable descriptor of *fn* for checkpointing;
-        # (time, seq) is unique so fn/desc never participate in heap
-        # comparisons.
-        heapq.heappush(self._events,
-                       (max(time, self.clock.now), self._seq, fn, desc))
+    def schedule(self, time: float, method: Callable, target: Any,
+                 *args: Any) -> None:
+        # (time, seq) is unique, so method/target/args never take part
+        # in heap comparisons.
+        heapq.heappush(self._events, (max(time, self.clock.now), self._seq,
+                                      method, target, args))
         self._seq += 1
 
     def live_processes(self) -> List[Process]:
@@ -221,14 +224,14 @@ class Kernel:
                     self.faults.record_kill(tick)
                 self._kill_at = None
                 raise KilledAtTick(tick)
-            t, _seq, fn, _desc = heapq.heappop(self._events)
+            t, _seq, method, target, args = heapq.heappop(self._events)
             if deadline is not None and t > deadline:
                 raise SimTimeout(deadline)
             self.clock.advance_to(t)
             self.events_processed += 1
             if self.events_processed > max_events:
                 raise KernelPanic("event budget exhausted (%d)" % max_events)
-            fn()
+            method(target, *args)
             if self.ckpt is not None:
                 self.ckpt.maybe_barrier(self)
 
@@ -280,9 +283,7 @@ class Kernel:
         if self.tracer is not None:
             self.tracer.on_process_spawn(proc)
             self.tracer.on_execve(proc)
-        self.schedule(self.clock.now,
-                      lambda: self._step_or_wait(thread, None, None),
-                      ("step", thread.tid, None, None))
+        self.schedule(self.clock.now, self._step_or_wait, thread, None, None)
         return proc
 
     def _aslr_base(self) -> int:
@@ -363,8 +364,7 @@ class Kernel:
             self.tracer.on_process_spawn(child)
             self.tracer.on_execve(child)
         start = self.clock.now + CHILD_START_DELAY * (1 + self.host.sched_jitter())
-        self.schedule(start, lambda: self._step_or_wait(thread, None, None),
-                      ("step", thread.tid, None, None))
+        self.schedule(start, self._step_or_wait, thread, None, None)
         return child.nspid
 
     def spawn_thread(self, proc: Process, func: Callable,
@@ -396,8 +396,7 @@ class Kernel:
             thread.token_queued = True
             return thread.tid
         start = self.clock.now + CHILD_START_DELAY * (1 + self.host.sched_jitter())
-        self.schedule(start, lambda: self._step_or_wait(thread, None, None),
-                      ("step", thread.tid, None, None))
+        self.schedule(start, self._step_or_wait, thread, None, None)
         return thread.tid
 
     # ------------------------------------------------------------------
@@ -565,9 +564,8 @@ class Kernel:
             thread.state = ThreadState.RUNNING
             thread._on_core = True
             thread.cpu_time += duration
-            self.schedule(self.clock.now + duration,
-                          lambda: self._finish_compute(thread),
-                          ("finish_compute", thread.tid))
+            self.schedule(self.clock.now + duration, self._finish_compute,
+                          thread)
         else:
             thread.state = ThreadState.RUNNABLE
             self._core_queue.append((thread, duration))
@@ -594,9 +592,8 @@ class Kernel:
             thread.state = ThreadState.RUNNING
             thread._on_core = True
             thread.cpu_time += duration
-            self.schedule(self.clock.now + duration,
-                          lambda t=thread: self._finish_compute(t),
-                          ("finish_compute", thread.tid))
+            self.schedule(self.clock.now + duration, self._finish_compute,
+                          thread)
 
     # ------------------------------------------------------------------
     # instructions & vDSO
@@ -608,9 +605,7 @@ class Kernel:
             if resume_at <= self.clock.now:
                 return value
             thread.state = ThreadState.TRACE_STOP
-            self.schedule(resume_at,
-                          lambda: self._step_or_wait(thread, value, None),
-                          ("step", thread.tid, value, None))
+            self.schedule(resume_at, self._step_or_wait, thread, value, None)
             return _SUSPENDED
         return self.cpu.execute(op.name, self.clock.now)
 
@@ -697,9 +692,8 @@ class Kernel:
         except Sleep as s:
             thread.state = ThreadState.BLOCKED
             self._release_token(thread)
-            self.schedule(self.clock.now + s.seconds,
-                          lambda: self._step_or_wait(thread, 0, None),
-                          ("step", thread.tid, 0, None))
+            self.schedule(self.clock.now + s.seconds, self._step_or_wait,
+                          thread, 0, None)
             return
         except SyscallError as err:
             self._resume_after(thread, self.syscall_cost(thread, call.name), exc=err)
@@ -718,9 +712,8 @@ class Kernel:
     def _resume_after(self, thread: Thread, delay: float, value: Any = None,
                       exc: Optional[BaseException] = None) -> None:
         thread.state = ThreadState.DISPATCH
-        self.schedule(self.clock.now + delay,
-                      lambda: self._step_or_wait(thread, value, exc),
-                      ("step", thread.tid, value, exc))
+        self.schedule(self.clock.now + delay, self._step_or_wait, thread,
+                      value, exc)
 
     # -- blocking ------------------------------------------------------------
 
@@ -745,8 +738,7 @@ class Kernel:
                     self._parked[ch].remove(thread)
             thread.wait_channels = []
             count += 1
-            self.schedule(self.clock.now, lambda t=thread: self._retry_parked(t),
-                          ("retry_parked", thread.tid))
+            self.schedule(self.clock.now, self._retry_parked, thread)
         return count
 
     def _retry_parked(self, thread: Thread) -> None:
@@ -786,8 +778,7 @@ class Kernel:
         at = resume_at if resume_at is not None else (
             self.clock.now + self.syscall_cost(thread, "execve"))
         thread.state = ThreadState.DISPATCH
-        self.schedule(at, lambda: self._step_or_wait(thread, None, None),
-                      ("step", thread.tid, None, None))
+        self.schedule(at, self._step_or_wait, thread, None, None)
 
     # ------------------------------------------------------------------
     # signals & alarms
@@ -807,7 +798,6 @@ class Kernel:
             return
         target = live[0]
         target.pending_signals.append(signum)
-        target.signal_interrupted = True
         proc._signals_delivered = getattr(proc, "_signals_delivered", 0) + 1
         self.notify(proc.signal_channel)
         # A blocked thread with no channel connection still gets the
@@ -822,9 +812,8 @@ class Kernel:
             self.timers.cancel(proc.pid)
             return remaining
         generation = self.timers.arm(proc.pid, self.clock.now + seconds, signum)
-        self.schedule(self.clock.now + seconds,
-                      lambda: self._fire_timer(proc, generation),
-                      ("timer", proc.pid, generation))
+        self.schedule(self.clock.now + seconds, self._fire_timer, proc,
+                      generation)
         return remaining
 
     def _fire_timer(self, proc: Process, generation: int) -> None:
@@ -934,11 +923,9 @@ class Kernel:
             queue.append((thread, value, exc))
             thread.state = ThreadState.RUNNABLE
             thread.token_queued = True
-            self.schedule(at, lambda: self._release_token(thread),
-                          ("release_token", thread.tid))
+            self.schedule(at, self._release_token, thread)
             return
-        self.schedule(at, lambda: self._step_or_wait(thread, value, exc),
-                      ("step", thread.tid, value, exc))
+        self.schedule(at, self._step_or_wait, thread, value, exc)
 
     def tracer_execve(self, thread: Thread, ex: ExecveReplace, at: float) -> None:
         self._do_execve(thread, ex, resume_at=at)

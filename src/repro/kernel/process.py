@@ -38,9 +38,6 @@ class Thread:
         self.process = process
         self.gen_stack: List[Generator[Any, Any, Any]] = [gen]
         self.state = ThreadState.DISPATCH
-        #: What to send into the generator on next resume.
-        self.pending_value: Any = None
-        self.pending_exception: Optional[BaseException] = None
         #: Channels this thread is parked on (BLOCKED state).
         self.wait_channels: List[Channel] = []
         #: The in-flight syscall (set during syscall handling / trace stop).
@@ -77,10 +74,6 @@ class Thread:
         self.current_syscall_index = -1
         self.obs_attempt = 0
         self.obs_faulted = False
-
-    @property
-    def is_main(self) -> bool:
-        return self.process.threads and self.process.threads[0] is self
 
     @property
     def alive(self) -> bool:

@@ -2,8 +2,8 @@
 write byte-identical journals, because every id a payload records is a
 function of the run — pipe ids come from the container's own counter and
 open descriptions are keyed by discovery order.  Restore treats both as
-opaque, so a format-3 journal keyed by other distinct ints (host
-addresses, as older writers recorded) still resumes identically."""
+opaque, so a journal keyed by other distinct ints (host addresses, as
+older writers recorded) still resumes identically."""
 
 import os
 import pickle

@@ -91,13 +91,6 @@ class TestRegistryRoundTrip:
         assert peer == "127.0.0.1:32770"
         assert ts.read(64) == b"queued-bytes"
 
-    def test_missing_section_restores_empty_registry(self):
-        from repro.ckpt.snapshot import _restore_sockets
-
-        back = _restore_sockets(None, {})
-        assert isinstance(back, SocketRegistry)
-        assert not back.listeners and not back.bound
-
     def test_section_digest_tracks_version_only(self):
         from repro.ckpt.snapshot import _section_digest
 
