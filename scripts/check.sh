@@ -91,6 +91,11 @@ PLAN
         --faults "$tmp/plan.json" \
         --trace-out "$tmp/crash.json" -- ls -l /bin \
         > "$tmp/crash.out" 2> /dev/null && exit 1 || true
+    echo "== chain-file gate (one .snap file per chain: one per full snapshot listed) =="
+    fulls="$(python -m repro ckpt inspect "$tmp/journal" | grep -c ' full ')"
+    files="$(ls "$tmp/journal" | grep -c '\.snap$')"
+    echo "$files chain file(s), $fulls full snapshot(s)"
+    [ "$fulls" -gt 0 ] && [ "$fulls" = "$files" ]
     echo "== journal-identity gate (the same crash run twice -> cmp every snapshot) =="
     python -m repro run --checkpoint-dir "$tmp/journal2" \
         --checkpoint-every 9 --checkpoint-full-every 3 \
@@ -144,6 +149,28 @@ PLAN
         > "$tmp/straight.fp"
     cmp "$tmp/delta.fp" "$tmp/straight.fp"
     echo "resumed-from-delta guest state equals the uninterrupted run's at $(wc -l < "$tmp/delta.fp") barriers"
+    echo "== torn-tail gate (newest chain file cut 5 bytes short -> resume = uninterrupted) =="
+    # The resume-from-delta gate's crash run, traced (a resume keeps the
+    # crashed run's config, observation included): its newest record is
+    # the delta at barrier 45, appended to the chain file of the full at
+    # 36.  Torn, it is detected and never used, and the resume from
+    # barrier 36 ends as the uninterrupted run.
+    python -m repro run --checkpoint-dir "$tmp/torn" --checkpoint-keep 0 \
+        --checkpoint-every 9 --checkpoint-full-every 3 \
+        --faults "$tmp/plan50.json" --trace-out "$tmp/torn-crash.json" \
+        -- ls -l /bin > /dev/null 2> /dev/null && exit 1 || true
+    newest="$tmp/torn/$(ls "$tmp/torn" | sort | tail -n 1)"
+    truncate -s -5 "$newest"
+    python -m repro ckpt inspect "$tmp/torn" > "$tmp/torn.list"
+    grep -q "^INVALID  $newest@" "$tmp/torn.list"
+    python -m repro run --checkpoint-dir "$tmp/torn" --checkpoint-keep 0 \
+        --checkpoint-every 9 --checkpoint-full-every 3 \
+        --faults "$tmp/plan50.json" --resume \
+        --trace-out "$tmp/torn.json" -- ls -l /bin \
+        > "$tmp/torn.out" 2> /dev/null
+    cmp "$tmp/torn.json" "$tmp/base.json"
+    cmp "$tmp/torn.out" "$tmp/base.out"
+    echo "resume past a torn append: trace and stdout byte-identical to uninterrupted run"
     echo "== ckpt overhead bench + gates (overheads, delta journal, disabled-path trend) =="
     bench_gate ckpt
 fi

@@ -22,11 +22,12 @@ Layout:
   five event methods, a target id and its arguments, and a device node
   by its inode key like any other inode (restore grafts its live hooks
   from the fresh kernel's node with that key).
-* :mod:`repro.ckpt.journal` — the on-disk write-ahead journal: snapshots
-  are written temp-file + fsync + atomic rename under a header carrying
-  the format version, the config fingerprint and a content checksum, so
-  a torn write is always detectable and never shadows an older valid
-  snapshot.
+* :mod:`repro.ckpt.journal` — the on-disk journal, one file per chain:
+  a full snapshot starts the file (temp file + fsync + atomic rename)
+  and each delta on it is appended as one more record, every record
+  under a header carrying the format version, the config fingerprint
+  and a content checksum, so a torn record is always detected and
+  never used.
 * :mod:`repro.ckpt.merkle` — Merkle fingerprints over payloads:
   per-inode leaves, directory interior nodes and one digest per section
   as captured, maintained incrementally along delta chains so
@@ -39,8 +40,8 @@ Layout:
 Snapshots come in two kinds since format 2: periodic **full** captures
 and **delta** records between them, carrying only the inodes the
 kernel's dirty-epoch tracking stamped plus the payload sections whose
-hashes moved — making checkpoint cost proportional to state *changed*,
-not state *held*.
+version stamps moved — making checkpoint cost proportional to state
+*changed*, not state *held*.
 
 Journals are outputs: every id a payload records (pipe ids, open
 description keys) is a function of the run, so two runs of the same
@@ -60,7 +61,7 @@ from .snapshot import (
     capture_delta,
     materialize_delta,
     restore,
-    section_hashes,
+    section_stamps,
 )
 from .tape import OPAQUE, encode_value, decode_value
 
@@ -85,6 +86,6 @@ __all__ = [
     "prune",
     "restore",
     "scan",
-    "section_hashes",
+    "section_stamps",
     "write_snapshot",
 ]

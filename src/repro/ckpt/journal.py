@@ -1,33 +1,44 @@
-"""The on-disk checkpoint journal: torn-write-proof snapshot files.
+"""The on-disk checkpoint journal: one append-only file per chain.
 
-One snapshot is one file, ``ckpt-<barrier>.snap``::
+A **chain** is one full snapshot and the delta snapshots taken on top
+of it, and it lives in one file, ``ckpt-<barrier>.snap``, named after
+the barrier of its full snapshot.  The file is a sequence of records::
 
     <header JSON>\\n<payload bytes>
+    <header JSON>\\n<payload bytes>
+    ...
 
-The header is a single JSON line carrying the format version, the
+Each header is a single JSON line carrying the format version, the
 config fingerprint, the barrier coordinates (event tick + virtual
-clock) and a SHA-256 checksum + length of the payload.  Files are
-written write-ahead style through :func:`repro.durable.atomic_write` —
-to a temp file in the same directory, fsynced, then atomically renamed
-over the final name, followed by a directory fsync — so a crash
-mid-write leaves either the old state or a temp file the scan ignores,
-never a torn ``.snap``.  A torn or bit-rotted snapshot is *detected*
-(length/checksum mismatch) and the recovery scan falls back to the
-next-newest valid one.
+clock), the record's kind and chain depth, and a SHA-256 checksum +
+length of its payload.  A record is addressed as ``path@offset``.
 
-A snapshot is either full or a **delta**: a file whose payload is a
-:data:`repro.ckpt.snapshot.DELTA_KIND` record encoding only the state
-changed since a *base* snapshot, named in the header by the base
-payload's sha256 (``base_sha256``).  A delta is only usable when its
-whole chain back to a full snapshot validates — the scan computes this
-transitively (``chain_valid``), recovery falls back past torn chains to
-the newest fully-valid one, and :func:`prune` keeps the transitive base
-closure of everything it retains so a kept delta is never orphaned.
-Pruning is one pure selection (:func:`prune_selection`) over a journal
-listing plus a removal step, so a writer that tracks its own listing in
-memory prunes by exactly the rule a fresh :func:`scan` would.
+* The first record is a **full** snapshot.  It creates the file through
+  :func:`repro.durable.atomic_write` (temp file, fsync, rename,
+  directory fsync), so a crash mid-write leaves the old state or a temp
+  file the scan ignores, never a torn full snapshot.
+* Every later record is a **delta**: a
+  :data:`repro.ckpt.snapshot.DELTA_KIND` payload encoding only the state
+  changed since the record before it, which the header names by
+  payload sha256 (``base_sha256``).  Deltas are appended with
+  :func:`repro.durable.append`: no fsync for a periodic delta (the next
+  full snapshot is the durability barrier), fsync for a requested one.
 
-Only the current format is read: a scan reports a file of any other
+A host crash or a torn append can cost only records at the end of a
+chain file: the scan reads each file's records in order, and the first
+one that fails validation (truncated header, short or corrupt payload,
+foreign fingerprint when scoped, a record that does not extend its
+chain) is listed invalid and ends that file's listing.  Bytes after it
+are never read.  Every listed valid record can therefore be
+materialized from the valid records before it in the same file.
+
+Pruning keeps the newest *keep* valid records and removes a file once
+none of its records is kept: one pure selection (:func:`prune_selection`)
+over a journal listing plus a removal step, so a writer that tracks its
+own listing in memory prunes by exactly the rule a fresh :func:`scan`
+would.
+
+Only the current format is read: a scan reports a record of any other
 format invalid.
 """
 
@@ -39,24 +50,28 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..durable import atomic_write, fsync_dir
+from ..durable import append, atomic_write, fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".snap"
+#: Longest header line a reader accepts.
+_MAX_HEADER = 1 << 20
 
 
 class JournalError(ValueError):
-    """A snapshot file is unreadable, torn, or from a different world."""
+    """A snapshot record is unreadable, torn, or from a different world."""
 
 
 @dataclasses.dataclass
 class SnapshotInfo:
-    """One scanned journal entry (valid or not)."""
+    """One scanned journal record (valid or not)."""
 
     path: str
+    #: Byte offset of the record's header in its chain file.
+    offset: int = 0
     barrier: int = -1
     vclock: float = 0.0
     fingerprint: str = ""
@@ -65,17 +80,18 @@ class SnapshotInfo:
     error: str = ""
     #: ``"full"`` or ``"delta"``.
     snapshot_kind: str = "full"
-    #: For deltas: sha256 of the base snapshot's payload bytes.
+    #: For deltas: sha256 of the previous record's payload bytes.
     base_sha256: str = ""
-    #: Number of deltas between this snapshot and its full base
-    #: (0 for a full snapshot).
+    #: Number of deltas between this record and its chain's full
+    #: snapshot (0 for the full snapshot itself).
     chain_depth: int = 0
-    #: sha256 of this file's payload bytes (how deltas name their base).
+    #: sha256 of this record's payload bytes (how a delta names its base).
     payload_sha256: str = ""
-    #: True when this file *and every base under it* validate: the only
-    #: state a snapshot can actually be materialized from.  For a full
-    #: snapshot ``chain_valid == valid``.
-    chain_valid: bool = False
+
+    @property
+    def address(self) -> str:
+        """``path@offset``: where the record starts."""
+        return "%s@%d" % (self.path, self.offset)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -87,31 +103,31 @@ def snapshot_path(directory: str, barrier: int) -> str:
 
 def write_snapshot(directory: str, barrier: int, vclock: float,
                    fingerprint: str, payload: bytes,
-                   snapshot_kind: str = "full", base_sha256: str = "",
-                   chain_depth: int = 0, durable: bool = True) -> SnapshotInfo:
-    """Atomically persist *payload* as the snapshot for *barrier*.
+                   base: Optional[SnapshotInfo] = None,
+                   durable: bool = True) -> SnapshotInfo:
+    """Persist *payload* as the snapshot for *barrier*.
 
-    Returns the new file's entry as :func:`scan` would read it back
-    (``chain_valid`` is left to :func:`link_chains`, which needs the
-    rest of the journal), so a writer can track the journal without
-    re-reading what it just wrote.
+    Without *base*, the payload is a full snapshot and starts a new
+    chain file in *directory* (which must exist) through
+    :func:`repro.durable.atomic_write`.  With *base* (the newest record
+    of a chain), the payload is a delta on it, appended to the base's
+    file through :func:`repro.durable.append`.
 
-    ``durable=False`` skips both fsyncs (group commit): the write is
-    still atomic-via-rename and checksummed, but a host crash may lose
-    it — the next durable snapshot's directory fsync retroactively
-    persists earlier renames.  The manager uses this for delta
-    snapshots, whose loss recovery already tolerates: a missing or torn
-    delta merely chain-breaks its descendants, and recovery falls back
-    to the newest chain-valid snapshot.  Full snapshots are always
-    durability barriers.
+    Returns the new record's entry as :func:`scan` would read it back,
+    so a writer can track the journal without re-reading what it just
+    wrote.  ``durable=False`` skips the fsyncs: a host crash may then
+    lose the record, which recovery already tolerates (it falls back to
+    the newest record that validates).
     """
-    os.makedirs(directory, exist_ok=True)
     info = SnapshotInfo(
-        path=snapshot_path(directory, barrier), barrier=int(barrier),
-        vclock=float(vclock), fingerprint=fingerprint,
-        payload_len=len(payload), valid=True, snapshot_kind=snapshot_kind,
-        base_sha256=base_sha256, chain_depth=chain_depth,
+        path=snapshot_path(directory, barrier) if base is None else base.path,
+        barrier=int(barrier), vclock=float(vclock), fingerprint=fingerprint,
+        payload_len=len(payload), valid=True,
         payload_sha256=hashlib.sha256(payload).hexdigest())
+    if base is not None:
+        info.snapshot_kind = "delta"
+        info.base_sha256 = base.payload_sha256
+        info.chain_depth = base.chain_depth + 1
     header = json.dumps({
         "format": FORMAT_VERSION,
         "barrier": barrier,
@@ -119,173 +135,203 @@ def write_snapshot(directory: str, barrier: int, vclock: float,
         "fingerprint": fingerprint,
         "payload_len": info.payload_len,
         "payload_sha256": info.payload_sha256,
-        "snapshot_kind": snapshot_kind,
-        "base_sha256": base_sha256,
-        "chain_depth": chain_depth,
+        "snapshot_kind": info.snapshot_kind,
+        "base_sha256": info.base_sha256,
+        "chain_depth": info.chain_depth,
     }, sort_keys=True).encode("utf-8")
-    atomic_write(info.path, header + b"\n" + payload, durable=durable)
+    record = header + b"\n" + payload
+    if base is None:
+        atomic_write(info.path, record, durable=durable)
+    else:
+        info.offset = append(info.path, record, durable=durable)
     return info
 
 
-def read_header(path: str) -> Dict[str, Any]:
-    """Parse and sanity-check the header line of a snapshot file."""
-    with open(path, "rb") as fh:
-        line = fh.readline(1 << 20)
-    if not line.endswith(b"\n"):
-        raise JournalError("%s: truncated header" % path)
+def _parse_header(data: bytes, offset: int,
+                  where: str) -> Tuple[Dict[str, Any], int]:
+    """The header at *offset* of *data*, and the offset just past its
+    newline."""
+    end = data.find(b"\n", offset, offset + _MAX_HEADER)
+    if end < 0:
+        raise JournalError("%s: truncated header" % where)
     try:
-        header = json.loads(line.decode("utf-8"))
+        header = json.loads(data[offset:end].decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as err:
-        raise JournalError("%s: unparsable header: %s" % (path, err))
+        raise JournalError("%s: unparsable header: %s" % (where, err))
     if not isinstance(header, dict):
-        raise JournalError("%s: header is not an object" % path)
+        raise JournalError("%s: header is not an object" % where)
     if header.get("format") != FORMAT_VERSION:
         raise JournalError("%s: format %r, expected %d"
-                           % (path, header.get("format"), FORMAT_VERSION))
-    return header
+                           % (where, header.get("format"), FORMAT_VERSION))
+    return header, end + 1
 
 
-def load_snapshot(path: str,
-                  fingerprint: Optional[str] = None) -> Tuple[Dict[str, Any], bytes]:
-    """Read and *validate* one snapshot; returns (header, payload).
-
-    Raises :class:`JournalError` on any torn/corrupt/mismatched file.
-    """
-    header = read_header(path)
-    with open(path, "rb") as fh:
-        fh.readline(1 << 20)
-        payload = fh.read()
-    want_len = header.get("payload_len")
-    if not isinstance(want_len, int) or len(payload) != want_len:
+def _read_record(data: bytes, view: memoryview, info: SnapshotInfo,
+                 prev: Optional[SnapshotInfo], fingerprint: Optional[str],
+                 ) -> Tuple[Dict[str, Any], memoryview, int]:
+    """Validate the record at ``info.offset`` of the chain file *data*
+    (*view* is a memoryview of it), filling *info*; returns ``(header,
+    payload view, end offset)``.  *prev* is the valid record before it
+    in the same file (None for the first).  Raises
+    :class:`JournalError` when the record is not usable."""
+    where = info.address
+    header, start = _parse_header(data, info.offset, where)
+    try:
+        info.barrier = int(header.get("barrier", -1))
+        info.vclock = float(header.get("vclock", 0.0))
+        info.fingerprint = str(header.get("fingerprint", ""))
+        info.payload_len = int(header.get("payload_len", 0))
+        info.snapshot_kind = str(header.get("snapshot_kind", "full"))
+        info.base_sha256 = str(header.get("base_sha256", ""))
+        info.chain_depth = int(header.get("chain_depth", 0))
+        info.payload_sha256 = str(header.get("payload_sha256", ""))
+    except (TypeError, ValueError) as err:
+        raise JournalError("%s: malformed header: %s" % (where, err))
+    end = start + info.payload_len
+    payload = view[start:end]
+    if info.payload_len < 0 or len(payload) != info.payload_len:
         raise JournalError("%s: payload length %d != header %r (torn write?)"
-                           % (path, len(payload), want_len))
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
+                           % (where, len(payload), info.payload_len))
+    if hashlib.sha256(payload).hexdigest() != info.payload_sha256:
         raise JournalError("%s: payload checksum mismatch (corrupt snapshot)"
-                           % path)
-    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+                           % where)
+    if fingerprint is not None and info.fingerprint != fingerprint:
         raise JournalError(
             "%s: config fingerprint %s does not match this run's %s"
-            % (path, header.get("fingerprint"), fingerprint))
-    return header, payload
+            % (where, info.fingerprint, fingerprint))
+    if prev is None:
+        if info.snapshot_kind != "full":
+            raise JournalError("%s: a chain file must start with a full "
+                               "snapshot" % where)
+    elif (info.snapshot_kind != "delta"
+          or info.base_sha256 != prev.payload_sha256):
+        raise JournalError("%s: record does not extend its chain (base "
+                           "%s... is not the record before it)"
+                           % (where, info.base_sha256[:12]))
+    return header, payload, end
+
+
+def read_chain(path: str, fingerprint: Optional[str] = None,
+               ) -> List[Tuple[SnapshotInfo, Optional[memoryview]]]:
+    """Every record of one chain file, in file order, each with its
+    payload bytes (a view; None for an invalid record).
+
+    The file is opened and read once.  The first record that fails
+    validation is listed invalid and ends the listing.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        return [(SnapshotInfo(path=path, error="%s: %s" % (path, err)), None)]
+    view = memoryview(data)
+    out: List[Tuple[SnapshotInfo, Optional[memoryview]]] = []
+    prev: Optional[SnapshotInfo] = None
+    offset = 0
+    while True:
+        info = SnapshotInfo(path=path, offset=offset)
+        try:
+            _header, payload, offset = _read_record(data, view, info, prev,
+                                                    fingerprint)
+        except JournalError as err:
+            info.error = str(err)
+            out.append((info, None))
+            return out
+        info.valid = True
+        out.append((info, payload))
+        prev = info
+        if offset == len(data):
+            return out
+
+
+def read_journal(directory: str, fingerprint: Optional[str] = None,
+                 ) -> Dict[str, List[Tuple[SnapshotInfo,
+                                           Optional[memoryview]]]]:
+    """:func:`read_chain` of every chain file in *directory*, by path."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return {}
+    return {path: read_chain(path, fingerprint)
+            for path in (os.path.join(directory, name) for name in names
+                         if name.startswith(_PREFIX)
+                         and name.endswith(_SUFFIX))}
+
+
+def newest_first(infos: List[SnapshotInfo]) -> List[SnapshotInfo]:
+    """Sort *infos* in place the way :func:`scan` lists them."""
+    infos.sort(key=lambda i: (i.barrier, i.path, i.offset), reverse=True)
+    return infos
 
 
 def scan(directory: str,
          fingerprint: Optional[str] = None) -> List[SnapshotInfo]:
-    """Scan the journal, newest barrier first, validating every file.
+    """Every record of the journal, newest barrier first, validated.
 
-    Per-file validation (length/checksum/fingerprint) fills ``valid``;
-    a second pass resolves every delta's base by ``base_sha256`` and
-    fills ``chain_valid`` transitively, so callers can tell a readable
-    delta from a *materializable* one.
+    Each chain file is read once, its records in order; the first that
+    fails validation (length, checksum, format, fingerprint when given,
+    chain linkage) is listed invalid and ends that file's listing, so
+    every valid entry can be materialized.
     """
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    out: List[SnapshotInfo] = []
-    for name in names:
-        if not (name.startswith(_PREFIX) and name.endswith(_SUFFIX)):
-            continue
-        path = os.path.join(directory, name)
-        info = SnapshotInfo(path=path)
-        try:
-            header, _payload = load_snapshot(path, fingerprint=fingerprint)
-            info.barrier = int(header.get("barrier", -1))
-            info.vclock = float(header.get("vclock", 0.0))
-            info.fingerprint = str(header.get("fingerprint", ""))
-            info.payload_len = int(header.get("payload_len", 0))
-            info.snapshot_kind = str(header.get("snapshot_kind", "full"))
-            info.base_sha256 = str(header.get("base_sha256", ""))
-            info.chain_depth = int(header.get("chain_depth", 0))
-            info.payload_sha256 = str(header.get("payload_sha256", ""))
-            info.valid = True
-        except JournalError as err:
-            info.error = str(err)
-            try:
-                header = read_header(path)
-                info.barrier = int(header.get("barrier", -1))
-                info.fingerprint = str(header.get("fingerprint", ""))
-                info.snapshot_kind = str(header.get("snapshot_kind", "full"))
-                info.base_sha256 = str(header.get("base_sha256", ""))
-                info.chain_depth = int(header.get("chain_depth", 0))
-            except JournalError:
-                pass
-        out.append(info)
-    return link_chains(out)
+    return newest_first([info for chain in read_journal(
+        directory, fingerprint).values() for info, _payload in chain])
 
 
-def link_chains(infos: List[SnapshotInfo]) -> List[SnapshotInfo]:
-    """Sort *infos* newest first and fill every ``chain_valid``.
+def load_snapshot(path: str, fingerprint: Optional[str] = None,
+                  offset: int = 0) -> Tuple[Dict[str, Any], bytes]:
+    """Read and *validate* the record at ``path@offset``; returns
+    (header, payload).
 
-    Reads no files: a delta is chain-valid when it validates and the
-    newest older valid entry whose payload hash is its ``base_sha256``
-    is chain-valid.  :func:`scan` ends here, and a writer tracking the
-    journal in memory re-runs it after each change, so an overwritten
-    base chain-breaks its old descendants exactly as a re-scan would.
+    Raises :class:`JournalError` when the record, or one before it in
+    its chain file, is torn, corrupt or mismatched.
     """
-    infos.sort(key=lambda i: (i.barrier, i.path), reverse=True)
-    by_sha: Dict[str, SnapshotInfo] = {}
-    # Oldest first, so a base is resolved before any delta on it.
-    for info in reversed(infos):
-        info.chain_valid = False
-        if info.valid:
-            if info.snapshot_kind != "delta":
-                info.chain_valid = True
-            else:
-                base = by_sha.get(info.base_sha256)
-                info.chain_valid = base is not None and base.chain_valid
-            if info.payload_sha256:
-                by_sha[info.payload_sha256] = info
-    return infos
+    with open(path, "rb") as fh:
+        data = fh.read()
+    view = memoryview(data)
+    prev: Optional[SnapshotInfo] = None
+    pos = 0
+    while pos <= offset:
+        info = SnapshotInfo(path=path, offset=pos)
+        header, payload, end = _read_record(data, view, info, prev,
+                                            fingerprint)
+        if pos == offset:
+            return header, bytes(payload)
+        prev, pos = info, end
+    raise JournalError("%s@%d: no record starts there" % (path, offset))
 
 
 def latest_valid(directory: str,
                  fingerprint: Optional[str] = None) -> Optional[SnapshotInfo]:
-    """The newest *materializable* snapshot, or None.
+    """The newest valid, and so materializable, record, or None."""
+    return next((info for info in scan(directory, fingerprint=fingerprint)
+                 if info.valid), None)
 
-    For a full snapshot that means it validates; for a delta, that its
-    whole chain does — a readable delta over a torn base is skipped.
+
+def prune_selection(infos: List[SnapshotInfo], keep: int) -> List[str]:
+    """The chain files pruning to the newest *keep* valid records
+    removes, given a newest-first journal listing.
+
+    A file goes once none of its records is kept: a kept delta keeps
+    its whole file, and so its chain down to the full snapshot.  A file
+    with no valid record at all is always selected (unrecoverable dead
+    weight).
     """
-    for info in scan(directory, fingerprint=fingerprint):
-        if info.chain_valid:
-            return info
-    return None
+    kept = set(info.path for info in
+               [info for info in infos if info.valid][:max(0, keep)])
+    doomed: List[str] = []
+    for info in infos:
+        if info.path not in kept and info.path not in doomed:
+            doomed.append(info.path)
+    return doomed
 
 
-def prune_selection(infos: List[SnapshotInfo],
-                    keep: int) -> List[SnapshotInfo]:
-    """The entries pruning to the newest *keep* materializable
-    snapshots deletes, given a newest-first journal listing.
-
-    Invalid and chain-broken files are always selected (they are
-    unrecoverable dead weight); for every kept delta the transitive
-    base closure is kept too, so pruning never orphans a delta it
-    retains.
-    """
-    by_sha = {i.payload_sha256: i for i in infos
-              if i.valid and i.payload_sha256}
-    keep_paths: set = set()
-    kept = 0
-    for info in infos:  # newest first
-        if not info.chain_valid or kept >= keep:
-            continue
-        kept += 1
-        node: Optional[SnapshotInfo] = info
-        while node is not None and node.path not in keep_paths:
-            keep_paths.add(node.path)
-            node = (by_sha.get(node.base_sha256)
-                    if node.snapshot_kind == "delta" else None)
-    return [info for info in infos if info.path not in keep_paths]
-
-
-def remove(directory: str, doomed: List[SnapshotInfo]) -> List[str]:
-    """Delete *doomed* files; returns the paths actually removed."""
+def remove(directory: str, paths: List[str]) -> List[str]:
+    """Delete the chain files *paths*; returns the paths removed."""
     removed: List[str] = []
-    for info in doomed:
+    for path in paths:
         try:
-            os.remove(info.path)
-            removed.append(info.path)
+            os.remove(path)
+            removed.append(path)
         except OSError:
             pass
     if removed:
@@ -294,6 +340,6 @@ def remove(directory: str, doomed: List[SnapshotInfo]) -> List[str]:
 
 
 def prune(directory: str, keep: int) -> List[str]:
-    """Remove all but the newest *keep* materializable snapshots (see
-    :func:`prune_selection`); returns the removed paths."""
+    """Remove every chain file none of the newest *keep* valid records
+    lives in (see :func:`prune_selection`); returns the removed paths."""
     return remove(directory, prune_selection(scan(directory), keep))

@@ -15,14 +15,16 @@ an open loopback socket) is recorded on ``last_error`` and never kills
 the run — checkpointing is strictly best-effort and must not perturb
 the run it protects.
 
-The :class:`RecoveryManager` is the startup half: scan the journal,
-skip torn/corrupt files, hand back the newest valid snapshot.
+The :class:`RecoveryManager` is the startup half: scan the journal
+(each chain file read once), skip torn/corrupt records, hand back the
+newest valid snapshot, materialized from the bytes the scan read.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import journal
 from .merkle import MerkleCursor
@@ -33,7 +35,7 @@ from .snapshot import (
     capture,
     capture_delta,
     materialize_delta,
-    section_hashes,
+    section_stamps,
 )
 from .tape import encode_tape, shallow_copy
 
@@ -42,20 +44,25 @@ class CheckpointManager:
     """Records the resume tape and writes barrier snapshots.
 
     With ``full_every > 1`` the manager writes **delta snapshots**
-    between periodic full ones: the kernel's dirty-epoch tracking
-    enumerates exactly the inodes mutated since the previous barrier,
-    per-section hashes of the runtime state pick out the changed
-    sections, and the journal entry references its base by payload
-    sha256.  ``full_every=1`` restores the all-full legacy behaviour.
-    Any capture or write failure resets the incremental caches so the
-    next snapshot is a self-contained full one.
+    between periodic full ones and appends each to its chain's file
+    (:mod:`repro.ckpt.journal`).  A delta carries the inodes the
+    kernel's dirty-epoch tracking stamped, the volatile sections and
+    the sections whose version stamp moved since the record before it
+    (:func:`repro.ckpt.snapshot.section_stamps`).  ``full_every=1``
+    writes every snapshot full, one file each.  Any capture or write
+    failure resets the incremental state so the next snapshot is a
+    self-contained full one, in a new file.
 
     Pruning runs over an in-memory *manifest* of the journal: one
     :func:`repro.ckpt.journal.scan` the first time the manager prunes
     (which also finds files an earlier run left behind), then one entry
-    per snapshot this manager writes and one dropped per file it
-    removes.  That relies on the manager being the journal directory's
-    only writer; recovery still re-validates every file it reads.
+    per record this manager writes and the entries of every file it
+    removes dropped.  A file can fall out only while the newest chain
+    holds at most ``keep`` records (once it holds more, the newest
+    ``keep`` all live in its file and every older file is already
+    gone), so the manager prunes at those barriers only.  That relies
+    on the manager being the journal directory's only writer; recovery
+    still re-validates every record it reads.
     """
 
     def __init__(self, directory: str, every: int = 0, keep: int = 3,
@@ -87,14 +94,16 @@ class CheckpointManager:
         #: What :func:`journal.scan` would return for ``directory``,
         #: newest first; ``None`` until the first prune seeds it.
         self._manifest: Optional[List[journal.SnapshotInfo]] = None
+        #: Whether the journal directory is known to exist.
+        self._directory_made = False
         self._reset_incremental()
 
     def _reset_incremental(self) -> None:
         """Forget the delta base: the next snapshot will be full."""
-        self._section_hashes: Optional[Dict[str, str]] = None
-        self._last_payload_sha = ""
-        self._last_chain_depth = 0
-        self._since_full = 0
+        #: The newest record of the current chain, and the section
+        #: stamps at its barrier.
+        self._base: Optional[journal.SnapshotInfo] = None
+        self._stamps: Dict[str, Any] = {}
         self._last_tape_len = 0
 
     # -- external trigger -----------------------------------------------
@@ -153,23 +162,58 @@ class CheckpointManager:
             self._reset_incremental()
 
     def snapshot(self, kernel, durable: bool = True) -> str:
-        """Capture and atomically persist a snapshot right now.
+        """Capture and persist a snapshot right now; returns its
+        ``path@offset`` address.
 
-        Writes a delta against the previous snapshot when a base exists
-        and the full interval has not elapsed; otherwise a full one.
-        Full snapshots are always fsynced; *durable* controls whether a
-        delta is too (periodic deltas group-commit, see
-        :func:`repro.ckpt.journal.write_snapshot`).
+        Appends a delta to the current chain while it holds fewer than
+        ``full_every`` records; otherwise starts a new chain file with a
+        full snapshot.  Full snapshots are always fsynced; *durable*
+        controls whether a delta is too (periodic deltas group-commit,
+        see :func:`repro.ckpt.journal.write_snapshot`).
         """
-        if self._delta_due():
-            return self._snapshot_delta(kernel, durable=durable)
-        return self._snapshot_full(kernel)
-
-    def _delta_due(self) -> bool:
-        return (self.full_every > 1
-                and self._section_hashes is not None
-                and bool(self._last_payload_sha)
-                and self._since_full < self.full_every - 1)
+        tick = kernel.events_processed
+        stamps = section_stamps(kernel)
+        base = self._base
+        if base is not None and base.chain_depth + 1 < self.full_every:
+            delta, dirty_objects = capture_delta(
+                kernel, self._stamps, stamps, self._encoded_tape(),
+                self._last_tape_len)
+            blob = pickle.dumps(delta, pickle.HIGHEST_PROTOCOL)
+            info = journal.write_snapshot(
+                self.directory, tick, kernel.clock.now, self.fingerprint,
+                blob, base=base, durable=durable)
+            self.snapshots_delta += 1
+            self.last_dirty_objects = dirty_objects
+        else:
+            payload = capture(kernel, self._encoded_tape())
+            blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            if not self._directory_made:
+                os.makedirs(self.directory, exist_ok=True)
+                self._directory_made = True
+            info = journal.write_snapshot(
+                self.directory, tick, kernel.clock.now, self.fingerprint,
+                blob)
+            self.snapshots_full += 1
+        self._base = info
+        self._stamps = stamps
+        self._last_tape_len = len(self.tape)
+        # Only after the journal write landed: a failed capture must
+        # leave the dirty set intact for the next (full) snapshot.
+        kernel.fs.clear_dirty()
+        self.snapshot_bytes += len(blob)
+        self.snapshots_taken += 1
+        self.last_barrier = tick
+        self.last_error = ""
+        if self._manifest is not None:
+            if info.offset == 0:
+                # A new chain file, possibly over an older one's name.
+                self._manifest = [i for i in self._manifest
+                                  if i.path != info.path]
+            self._manifest.append(info)
+            journal.newest_first(self._manifest)
+        if 0 < self.keep and info.chain_depth < self.keep:
+            self._prune()
+        return info.address
 
     def _encoded_tape(self) -> List[Tuple]:
         """The whole tape, encoded: the one tape both capture paths
@@ -179,63 +223,6 @@ class CheckpointManager:
             self._tape_encoded.extend(encode_tape(new))
         return self._tape_encoded
 
-    def _snapshot_full(self, kernel) -> str:
-        tick = kernel.events_processed
-        payload = capture(kernel, self._encoded_tape())
-        blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        info = self._note_written(journal.write_snapshot(
-            self.directory, tick, kernel.clock.now, self.fingerprint, blob))
-        self._section_hashes = section_hashes(payload)
-        self._last_payload_sha = info.payload_sha256
-        self._last_chain_depth = 0
-        self._since_full = 0
-        self._last_tape_len = len(self.tape)
-        self.snapshots_full += 1
-        self._finish(kernel, tick, len(blob))
-        return info.path
-
-    def _snapshot_delta(self, kernel, durable: bool = True) -> str:
-        tick = kernel.events_processed
-        delta, new_hashes, dirty_objects = capture_delta(
-            kernel, self._section_hashes, self._encoded_tape(),
-            self._last_tape_len)
-        blob = pickle.dumps(delta, pickle.HIGHEST_PROTOCOL)
-        info = self._note_written(journal.write_snapshot(
-            self.directory, tick, kernel.clock.now, self.fingerprint, blob,
-            snapshot_kind="delta", base_sha256=self._last_payload_sha,
-            chain_depth=self._last_chain_depth + 1, durable=durable))
-        self._section_hashes = new_hashes
-        self._last_payload_sha = info.payload_sha256
-        self._last_chain_depth += 1
-        self._since_full += 1
-        self._last_tape_len = len(self.tape)
-        self.snapshots_delta += 1
-        self.last_dirty_objects = dirty_objects
-        self._finish(kernel, tick, len(blob))
-        return info.path
-
-    def _note_written(self, info: journal.SnapshotInfo,
-                      ) -> journal.SnapshotInfo:
-        """Fold a snapshot that just landed into the manifest, replacing
-        any entry for the path it overwrote."""
-        if self._manifest is not None:
-            self._manifest = [i for i in self._manifest
-                              if i.path != info.path]
-            self._manifest.append(info)
-            journal.link_chains(self._manifest)
-        return info
-
-    def _finish(self, kernel, tick: int, blob_len: int) -> None:
-        # Only after the journal write landed: a failed capture must
-        # leave the dirty set intact for the next (full) snapshot.
-        kernel.fs.clear_dirty()
-        self.snapshot_bytes += blob_len
-        self.snapshots_taken += 1
-        self.last_barrier = tick
-        self.last_error = ""
-        if self.keep > 0:
-            self._prune()
-
     def _prune(self) -> None:
         """:func:`journal.prune`'s selection, run over the manifest."""
         if self._manifest is None:
@@ -244,105 +231,105 @@ class CheckpointManager:
             self.directory,
             journal.prune_selection(self._manifest, self.keep)))
         if removed:
-            self._manifest = journal.link_chains(
-                [i for i in self._manifest if i.path not in removed])
+            self._manifest = [i for i in self._manifest
+                              if i.path not in removed]
 
 
 class RecoveryManager:
-    """Startup-side journal scan, chain composition and selection."""
+    """Startup-side journal scan, chain composition and selection.
+
+    Each scan reads every chain file once and keeps the payload bytes
+    of its valid records, so materializing any of them reads nothing
+    again.
+    """
 
     def __init__(self, directory: str,
                  fingerprint: Optional[str] = None) -> None:
         self.directory = directory
         self.fingerprint = fingerprint
+        #: The last scan's records by chain file, each with its payload.
+        self._chains: Dict[str, List[Tuple[journal.SnapshotInfo, Any]]] = {}
 
     def scan(self) -> List[journal.SnapshotInfo]:
-        """All journal entries, newest first, torn files marked invalid."""
-        return journal.scan(self.directory, fingerprint=self.fingerprint)
+        """All journal records, newest first, torn records marked
+        invalid."""
+        self._chains = journal.read_journal(self.directory,
+                                            fingerprint=self.fingerprint)
+        return journal.newest_first([info for chain in self._chains.values()
+                                     for info, _payload in chain])
 
     def latest(self) -> Optional[journal.SnapshotInfo]:
         """The newest materializable snapshot to resume from, or None."""
-        return journal.latest_valid(self.directory,
-                                    fingerprint=self.fingerprint)
+        return next((info for info in self.scan() if info.valid), None)
 
-    def _read_payload(self, info: journal.SnapshotInfo) -> Dict[str, Any]:
-        _header, blob = journal.load_snapshot(
-            info.path, fingerprint=self.fingerprint)
-        return pickle.loads(blob)
+    def _chain_of(self, info: journal.SnapshotInfo) -> List[Any]:
+        """The payloads of *info*'s chain: its file's records up to and
+        including it, full snapshot first."""
+        chain = self._chains.get(info.path)
+        if chain is None or not any(i.offset == info.offset and i.valid
+                                    for i, _p in chain):
+            chain = self._chains[info.path] = journal.read_chain(
+                info.path, fingerprint=self.fingerprint)
+        payloads = []
+        for record, payload in chain:
+            if not record.valid:
+                raise journal.JournalError(record.error)
+            payloads.append(payload)
+            if record.offset == info.offset:
+                return payloads
+        raise journal.JournalError("%s: no record starts there"
+                                   % info.address)
 
-    def _chain_of(self, info: journal.SnapshotInfo,
-                  infos: Optional[List[journal.SnapshotInfo]] = None,
-                  ) -> List[journal.SnapshotInfo]:
-        """*info*'s chain, full base first, ending at *info* itself."""
-        if infos is None:
-            infos = self.scan()
-        by_sha = {i.payload_sha256: i for i in infos
-                  if i.valid and i.payload_sha256}
-        chain = [info]
-        node = info
-        while node.snapshot_kind == "delta":
-            base = by_sha.get(node.base_sha256)
-            if base is None:
-                raise journal.JournalError(
-                    "%s: delta snapshot's base (payload sha256 %s...) is "
-                    "missing or invalid — the chain cannot be materialized"
-                    % (node.path, node.base_sha256[:12]))
-            chain.append(base)
-            node = base
-        chain.reverse()
-        return chain
+    def record(self, info: journal.SnapshotInfo) -> Any:
+        """The payload bytes of the record *info* itself (a delta's are
+        its delta record)."""
+        return self._chain_of(info)[-1]
 
-    def materialize(self, info: journal.SnapshotInfo,
-                    infos: Optional[List[journal.SnapshotInfo]] = None,
-                    ) -> Dict[str, Any]:
-        """The full payload at *info*'s barrier: its base plus every
-        delta in the chain, composed in order."""
-        chain = self._chain_of(info, infos)
-        payload = self._read_payload(chain[0])
-        for link in chain[1:]:
-            payload = materialize_delta(payload, self._read_payload(link))
+    def materialize(self, info: journal.SnapshotInfo) -> Dict[str, Any]:
+        """The full payload at *info*'s barrier: its chain's full
+        snapshot plus every delta up to *info*, composed in order."""
+        chain = self._chain_of(info)
+        payload = pickle.loads(chain[0])
+        for blob in chain[1:]:
+            payload = materialize_delta(payload, pickle.loads(blob))
         return payload
 
     def load(self, info: Optional[journal.SnapshotInfo] = None,
              ) -> Tuple[journal.SnapshotInfo, Dict[str, Any]]:
-        """Load (and re-validate) a snapshot payload for restore.
-
-        A delta snapshot is materialized against its chain; a missing
-        or torn base raises :class:`JournalError` naming the base.
+        """Load a snapshot payload for restore: *info*'s, or the newest
+        valid one's.  Raises :class:`JournalError` when there is none,
+        or when *info* (or a record before it in its file) is invalid.
         """
-        infos = None
         if info is None:
-            infos = self.scan()
-            info = next((i for i in infos if i.chain_valid), None)
+            info = self.latest()
         if info is None:
             raise journal.JournalError(
                 "no valid snapshot in %s" % self.directory)
-        return info, self.materialize(info, infos)
+        return info, self.materialize(info)
+
+    def _walk(self) -> Iterator[Tuple[journal.SnapshotInfo, Any]]:
+        """Every valid record with its decoded payload (full or delta),
+        oldest barrier first."""
+        for info in reversed(self.scan()):
+            if info.valid:
+                yield info, pickle.loads(self.record(info))
 
     def snapshots(self) -> List[Snapshot]:
         """Every materializable snapshot as a live :class:`Snapshot`,
         oldest barrier first — the walk checkpoint bisection and
-        ``repro ckpt verify`` fingerprint.  Delta chains are composed
-        incrementally: each barrier's payload builds on the previous
-        materialization instead of re-reading the whole chain."""
-        infos = self.scan()
-        by_sha: Dict[str, Dict[str, Any]] = {}
+        ``repro ckpt verify`` fingerprint.  Each chain is composed
+        incrementally: a delta builds on the materialization of the
+        record before it."""
+        current: Dict[str, Dict[str, Any]] = {}
         out: List[Snapshot] = []
-        for info in reversed(infos):  # oldest barrier first
-            if not info.chain_valid:
-                continue
+        for info, record in self._walk():
             if info.snapshot_kind != "delta":
-                payload = self._read_payload(info)
+                payload = record
             else:
-                base = by_sha.get(info.base_sha256)
-                if base is None:
-                    payload = self.materialize(info, infos)
-                else:
-                    payload = materialize_delta(
-                        base, self._read_payload(info))
-            by_sha[info.payload_sha256] = payload
+                payload = materialize_delta(current[info.path], record)
+            current[info.path] = payload
             out.append(Snapshot(barrier=info.barrier, vclock=info.vclock,
-                                payload=payload, path=info.path))
+                                payload=payload, path=info.address))
         return out
 
     def chain_fingerprints(self, scope: str = GUEST_SCOPE,
@@ -351,21 +338,14 @@ class RecoveryManager:
         snapshot, computed with an incremental Merkle cursor: one full
         tree build per chain, then O(changed) per delta — the fast path
         checkpoint bisection probes through."""
-        infos = self.scan()
         cursors: Dict[str, MerkleCursor] = {}
         out: Dict[int, Tuple[str, float]] = {}
-        for info in reversed(infos):  # oldest barrier first
-            if not info.chain_valid:
-                continue
+        for info, record in self._walk():
             if info.snapshot_kind != "delta":
-                cursor = MerkleCursor(self._read_payload(info), scope=scope)
+                cursor = cursors[info.path] = MerkleCursor(record,
+                                                           scope=scope)
             else:
-                cursor = cursors.pop(info.base_sha256, None)
-                if cursor is None:
-                    cursor = MerkleCursor(self.materialize(info, infos),
-                                          scope=scope)
-                else:
-                    cursor.advance(self._read_payload(info))
-            cursors[info.payload_sha256] = cursor
+                cursor = cursors[info.path]
+                cursor.advance(record)
             out[info.barrier] = (cursor.root, info.vclock)
         return out

@@ -20,6 +20,10 @@ tracer not pumping) and produces a picklable payload dict holding
   counter of the run) and the kernel's event tick,
 * and the resume tape (:mod:`repro.ckpt.tape`).
 
+``capture_delta`` builds the same payload's changes since a base: the
+volatile sections, the others whose host-only version stamp
+(:func:`section_stamps`) moved, the dirty inodes and the tape's tail.
+
 ``restore(kernel, payload)`` inverts it into a freshly *prepared* kernel
 (image installed, tracer attached, faults wired — the same code path a
 normal run uses, so device closures and handler tables are live objects).
@@ -36,9 +40,7 @@ host's entropy streams continue exactly from the barrier.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import heapq
-import pickle
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..kernel.errors import GuestCrash, SyscallError
@@ -54,10 +56,9 @@ PAYLOAD_KIND = "repro.ckpt.payload"
 DELTA_KIND = "repro.ckpt.delta"
 
 #: Every top-level payload key except the fs node table, the tape and the
-#: kind marker.  These sections are rebuilt wholesale at every barrier (in
-#: a deterministic discovery order, so an unchanged section is *pickle
-#: byte-equal* to its previous capture); a delta snapshot carries only the
-#: sections whose pickled hash moved since its base.
+#: kind marker.  A section is captured wholesale, in a deterministic
+#: discovery order; a delta snapshot carries the volatile sections and
+#: the others whose version stamp moved since its base.
 SECTION_KEYS = (
     "host", "clock_now", "events_processed", "obs", "network", "stdout",
     "stderr", "timers", "pid_next", "tid_next", "nspid_next", "seq",
@@ -66,17 +67,58 @@ SECTION_KEYS = (
     "tracer", "faults",
 )
 
-#: Sections that move at (virtually) every event — the clock, the event
-#: heap, counters, scheduler bookkeeping, thread det-clocks.  Hashing
-#: them per barrier to discover "changed" would burn a pickle only to
-#: answer "yes", so deltas include them unconditionally and skip the
-#: hash.  They are all small; the occasional genuinely-unchanged one
-#: costs a few hundred redundant bytes, not correctness (delta sections
-#: are wholesale replacements).
+#: Sections that move at (virtually) every event — the clock, the tick,
+#: the event heap and its sequence counter, counters, scheduler and
+#: tracer bookkeeping, thread det-clocks, and the open descriptions,
+#: whose offsets move at every read and write (and whose keys the
+#: ``processes`` capture computes anyway).  Stamping them would only
+#: ever answer "moved", so every delta carries them.  They are small;
+#: the occasional unchanged one costs bytes, never correctness (delta
+#: sections are wholesale replacements).
 VOLATILE_KEYS = frozenset((
-    "clock_now", "events_processed", "obs", "events", "sched", "tracer",
-    "processes",
+    "clock_now", "events_processed", "obs", "seq", "of_records",
+    "processes", "events", "sched", "tracer",
 ))
+
+#: The host-only version stamp of every other section, read off the
+#: running kernel in O(1) (:func:`section_stamps`).  Each moves at every
+#: mutation of its section's state and at no other time that matters:
+#:
+#: * ``host``: the RNG streams' draw counter (``_state_version``);
+#: * ``sockets``: the registry's mutation counter (``version``);
+#: * ``timers``, ``core_queue``, ``parked``: the kernel's counters,
+#:   bumped wherever it arms, cancels or fires a timer, queues or
+#:   dequeues a thread for a core, parks a thread or wakes a channel;
+#: * ``pipes``: the kernel's pipe stamp, bumped by every pipe's
+#:   creation, endpoint change, read and write, and when a FIFO's pipe
+#:   stops being reachable;
+#: * ``fs_meta``: the filesystem's counter, bumped by every inode
+#:   number allocated or released and every byte charged to the disk;
+#: * ``stdout``, ``stderr``, ``faults``: append-only logs (console
+#:   chunks, the injector's fault trace, which every injector mutation
+#:   extends), so their length is their stamp;
+#: * ``pid_next``, ``tid_next``, ``nspid_next``, ``pipe_counter``,
+#:   ``cores_busy``: scalars, their own stamp;
+#: * ``network``: set when the image is installed and never written by
+#:   a run, so its stamp never moves.
+_STAMPS: Dict[str, Callable[[Any], Any]] = {
+    "host": lambda k: k.host._state_version,
+    "network": lambda k: 0,
+    "stdout": lambda k: len(k.stdout.chunks),
+    "stderr": lambda k: len(k.stderr.chunks),
+    "timers": lambda k: k.timers_version,
+    "pid_next": lambda k: k._pid_next,
+    "tid_next": lambda k: k._tid_next,
+    "nspid_next": lambda k: k._nspid_next,
+    "cores_busy": lambda k: k.cores_busy,
+    "core_queue": lambda k: k.core_queue_version,
+    "fs_meta": lambda k: k.fs.meta_version,
+    "pipes": lambda k: k.pipe_stamp.version,
+    "pipe_counter": lambda k: k._pipe_counter,
+    "sockets": lambda k: k.sockets.version,
+    "parked": lambda k: k.parked_version,
+    "faults": lambda k: len(k.faults.trace) if k.faults is not None else 0,
+}
 
 #: Fingerprint scopes (see :meth:`Snapshot.fingerprint`).
 GUEST_SCOPE = "guest"
@@ -171,9 +213,18 @@ def _node_record(node: Inode) -> Dict[str, Any]:
     }
 
 
-def _capture_runtime(kernel) -> Tuple[
-        Dict[str, Any], Dict[Tuple[int, int], Inode]]:
-    """Build every payload section except the fs node table and the tape.
+def section_stamps(kernel) -> Dict[str, Any]:
+    """The version stamp of every non-volatile section (see
+    :data:`_STAMPS`): host-only, O(1) each, never snapshotted.  A delta
+    carries a section when its stamp differs from the base's."""
+    return {key: stamp(kernel) for key, stamp in _STAMPS.items()}
+
+
+def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
+                     ) -> Tuple[Dict[str, Any], Dict[Tuple[int, int], Inode]]:
+    """Build the payload sections except the fs node table and the tape:
+    every volatile section, plus the stamped sections named in
+    *stamped* (all of them when None).
 
     Returns ``(sections, referenced)`` where *referenced* maps the
     ``(ino, generation)`` key of every inode reachable through runtime
@@ -185,10 +236,8 @@ def _capture_runtime(kernel) -> Tuple[
     insertion order, pipe ids sorted), and every id a section records
     is a function of the run: pipe ids come from the kernel's
     per-container counter and open descriptions are numbered in
-    discovery order.  So an unchanged section pickles byte-identically
-    barrier after barrier — the property the delta encoder's
-    section-hash comparison rests on — and two runs of the same command
-    write byte-identical payloads.
+    discovery order.  So two runs of the same command write
+    byte-identical payloads.
     """
     tracer = kernel.tracer
     fs = kernel.fs
@@ -333,6 +382,7 @@ def _capture_runtime(kernel) -> Tuple[
             "pause_acks": getattr(proc, "_pause_acks", 0),
             "fdtable": fdt,
             "threads": threads,
+            "dropped_tids": list(proc.dropped_tids),
         })
 
     # -- event heap (verbatim heap order; timers target a process) -----
@@ -340,19 +390,6 @@ def _capture_runtime(kernel) -> Tuple[
                target.pid if isinstance(target, Process) else target.tid,
                encode_value(args))
               for t, seq, method, target, args in kernel._events]
-
-    parked = [(chan_ref(ch), [t.tid for t in ts])
-              for ch, ts in kernel._parked.items()]
-
-    # -- pipes (sorted by id: deterministic regardless of discovery) ----
-    pipe_records = {
-        pid: {
-            "capacity": pipes[pid].capacity,
-            "buffer": bytes(pipes[pid].buffer),
-            "readers": pipes[pid].readers, "writers": pipes[pid].writers,
-            "ever_had_reader": pipes[pid].ever_had_reader,
-            "ever_had_writer": pipes[pid].ever_had_writer,
-        } for pid in sorted(pipes)}
 
     # -- scheduler -------------------------------------------------------
     sched_rec = _capture_sched(tracer.sched) if tracer is not None else None
@@ -371,50 +408,64 @@ def _capture_runtime(kernel) -> Tuple[
                           if tracer._last_proc is not None else None),
         }
 
-    # -- faults ----------------------------------------------------------
-    faults_rec = None
-    if kernel.faults is not None:
-        inj = kernel.faults
-        faults_rec = {
-            "attempt": inj.attempt,
-            "fired": dict(inj._fired),
-            "trace": list(inj.trace),
-            "transient_fired": inj.transient_fired,
-        }
-
     sections: Dict[str, Any] = {
-        "host": kernel.host,
         "clock_now": kernel.clock.now,
         "events_processed": kernel.events_processed,
         "obs": kernel.obs,
-        "network": dict(kernel.network),
-        "stdout": list(kernel.stdout.chunks),
-        "stderr": list(kernel.stderr.chunks),
-        "timers": kernel.timers,
-        "pid_next": kernel._pid_next,
-        "tid_next": kernel._tid_next,
-        "nspid_next": kernel._nspid_next,
         "seq": kernel._seq,
-        "cores_busy": kernel.cores_busy,
-        "core_queue": [(t.tid, d) for t, d in kernel._core_queue],
-        "fs_meta": {
-            "alloc_next": fs._alloc._next,
-            "alloc_free": list(fs._alloc._free),
-            "alloc_gens": dict(fs._alloc._gen),
-            "device_id": fs.device_id,
-            "bytes_written": fs._bytes_written,
-        },
-        "pipes": pipe_records,
-        "pipe_counter": kernel._pipe_counter,
-        "sockets": _capture_sockets(kernel.sockets),
         "of_records": of_records,
         "processes": proc_records,
         "events": events,
-        "parked": parked,
         "sched": sched_rec,
         "tracer": tracer_rec,
-        "faults": faults_rec,
     }
+    for key in (_STAMPS if stamped is None else stamped):
+        if key == "host":
+            sections[key] = kernel.host
+        elif key == "network":
+            sections[key] = dict(kernel.network)
+        elif key == "stdout":
+            sections[key] = list(kernel.stdout.chunks)
+        elif key == "stderr":
+            sections[key] = list(kernel.stderr.chunks)
+        elif key == "timers":
+            sections[key] = kernel.timers
+        elif key == "core_queue":
+            sections[key] = [(t.tid, d) for t, d in kernel._core_queue]
+        elif key == "fs_meta":
+            sections[key] = {
+                "alloc_next": fs._alloc._next,
+                "alloc_free": list(fs._alloc._free),
+                "alloc_gens": dict(fs._alloc._gen),
+                "device_id": fs.device_id,
+                "bytes_written": fs._bytes_written,
+            }
+        elif key == "pipes":
+            # Sorted by id: deterministic regardless of discovery.
+            sections[key] = {
+                pid: {
+                    "capacity": pipes[pid].capacity,
+                    "buffer": bytes(pipes[pid].buffer),
+                    "readers": pipes[pid].readers,
+                    "writers": pipes[pid].writers,
+                    "ever_had_reader": pipes[pid].ever_had_reader,
+                    "ever_had_writer": pipes[pid].ever_had_writer,
+                } for pid in sorted(pipes)}
+        elif key == "sockets":
+            sections[key] = _capture_sockets(kernel.sockets)
+        elif key == "parked":
+            sections[key] = [(chan_ref(ch), [t.tid for t in ts])
+                             for ch, ts in kernel._parked.items()]
+        elif key == "faults":
+            inj = kernel.faults
+            sections[key] = None if inj is None else {
+                "attempt": inj.attempt,
+                "fired": dict(inj._fired),
+                "trace": list(inj.trace),
+                "transient_fired": inj.transient_fired,
+            }
+        else:  # a scalar: its stamp is its value
+            sections[key] = _STAMPS[key](kernel)
     return sections, referenced
 
 
@@ -461,59 +512,22 @@ def capture(kernel, tape: List[Tuple]) -> Dict[str, Any]:
     return payload
 
 
-def _section_digest(key: str, value: Any) -> str:
-    """Change-detection digest of one section value.
-
-    The host environment gets an O(1) special case: its only run-time
-    mutable state is its RNG streams, every draw bumps its
-    ``_state_version``, and pickling Mersenne state every barrier was
-    the single most expensive hash in a delta capture.
-
-    Unlike a fingerprint, this digest keeps pickle's memo: equal values
-    shared differently read as "changed", which costs delta bytes,
-    never a wrong restore, and the memo pickle is the cheaper one."""
-    if key == "host":
-        version = getattr(value, "_state_version", None)
-        if version is not None:
-            return "host-version-%d" % version
-    if key == "sockets":
-        # Same O(1) trick: the registry stamps a dirty epoch on every
-        # mutation, so deltas stay O(changed) for socket-free stretches.
-        return "sockets-version-%d" % value["version"]
-    return hashlib.sha256(pickle.dumps(value, _FP_PROTOCOL)).hexdigest()
-
-
-def section_hashes(payload: Dict[str, Any]) -> Dict[str, str]:
-    """Per-section change-detection digests of *payload*'s sections.
-
-    :data:`VOLATILE_KEYS` are excluded — deltas carry them
-    unconditionally, so their hashes would never be consulted."""
-    return {key: _section_digest(key, payload[key])
-            for key in SECTION_KEYS if key not in VOLATILE_KEYS}
-
-
-def capture_delta(kernel, base_section_hashes: Dict[str, str],
-                  tape: List[Tuple], tape_from: int,
-                  ) -> Tuple[Dict[str, Any], Dict[str, str], int]:
+def capture_delta(kernel, base_stamps: Dict[str, Any],
+                  stamps: Dict[str, Any], tape: List[Tuple], tape_from: int,
+                  ) -> Tuple[Dict[str, Any], int]:
     """Serialize only the state changed since the last snapshot.
 
-    Returns ``(delta, new_section_hashes, dirty_count)``.  The delta
-    carries the sections whose pickled hash moved, the records of inodes
-    stamped dirty since the filesystem's last ``clear_dirty()``, the
-    keys of fully-released inodes, and the entries of the encoded
+    *base_stamps* are :func:`section_stamps` at the base's barrier and
+    *stamps* at this one.  Returns ``(delta, dirty_count)``.  The delta
+    carries the volatile sections and the stamped sections whose stamp
+    moved (built only then, and nothing is hashed), the records of
+    inodes stamped dirty since the filesystem's last ``clear_dirty()``,
+    the keys of fully-released inodes, and the entries of the encoded
     *tape* from *tape_from* on (the base's tape length).
     """
-    sections, referenced = _capture_runtime(kernel)
-    new_hashes: Dict[str, str] = {}
-    changed: Dict[str, Any] = {}
-    for key in SECTION_KEYS:
-        if key in VOLATILE_KEYS:
-            changed[key] = sections[key]
-            continue
-        digest = _section_digest(key, sections[key])
-        new_hashes[key] = digest
-        if base_section_hashes.get(key) != digest:
-            changed[key] = sections[key]
+    sections, referenced = _capture_runtime(
+        kernel, [key for key, stamp in stamps.items()
+                 if key not in base_stamps or base_stamps[key] != stamp])
 
     fs = kernel.fs
     dirty: Dict[Tuple[int, int], Dict[str, Any]] = {}
@@ -536,13 +550,13 @@ def capture_delta(kernel, base_section_hashes: Dict[str, str],
 
     delta: Dict[str, Any] = {
         "kind": DELTA_KIND,
-        "sections": changed,
+        "sections": sections,
         "fs_dirty": dirty,
         "fs_dead": dead,
         "tape_from": tape_from,
         "tape_tail": tape[tape_from:],
     }
-    return delta, new_hashes, len(dirty) + len(dead)
+    return delta, len(dirty) + len(dead)
 
 
 def materialize_delta(base: Dict[str, Any],
@@ -837,7 +851,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     # -- pipes -----------------------------------------------------------
     pipes_by_id: Dict[int, Pipe] = {}
     for pipe_id, rec in payload["pipes"].items():
-        pipe = Pipe(pipe_id, rec["capacity"])
+        pipe = Pipe(pipe_id, rec["capacity"], stamp=kernel.pipe_stamp)
         pipe.buffer = bytearray(rec["buffer"])
         pipe.readers = rec["readers"]
         pipe.writers = rec["writers"]
@@ -928,6 +942,10 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     # -- processes & threads (shells first; frames come from replay) ----
     procs_by_pid: Dict[int, Process] = {}
     threads_by_tid: Dict[int, Thread] = {}
+    #: A bare thread per tid an execve dropped: attached to its process
+    #: but outside ``proc.threads``, so fast-forward can drive its taped
+    #: frames (its guest code ran in the process before the exec).
+    dropped: Dict[int, Thread] = {}
     kernel.processes = []
     for prec in payload["processes"]:
         proc = Process(pid=prec["pid"], nspid=prec["nspid"], parent=None,
@@ -952,6 +970,10 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             th.gen_stack = []
             proc.threads.append(th)
             threads_by_tid[trec["tid"]] = th
+        proc.dropped_tids = list(prec["dropped_tids"])
+        for tid in proc.dropped_tids:
+            th = dropped[tid] = Thread(tid=tid, process=proc, gen=None)
+            th.gen_stack = []
         procs_by_pid[proc.pid] = proc
         kernel.processes.append(proc)
     for prec in payload["processes"]:
@@ -977,8 +999,15 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     kernel._kill_at = None
 
     # -- fast-forward replay --------------------------------------------
-    ff = _FastForward(kernel, threads_by_tid)
+    every_thread = {**threads_by_tid, **dropped}
+    ff = _FastForward(kernel, every_thread)
     ff.run(payload["tape"])
+    # Their frames replayed, the dropped threads are what the live run
+    # holds of them: exited threads that stale events, step queues,
+    # parked lists and the core queue may still name.
+    for th in dropped.values():
+        th.gen_stack = []
+        th.state = ThreadState.EXITED
 
     # Divergence check: replayed guest state must agree with the barrier.
     for prec in payload["processes"]:
@@ -1059,12 +1088,12 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
                                             aindex, asyscall)
         if prec["step_queue"] is not None:
             proc.memory["_step_queue"] = [
-                (threads_by_tid[tid],
+                (every_thread[tid],
                  decode_value(v, ff._sub(tid)),
                  decode_value(e, ff._sub(tid)))
                 for tid, v, e in prec["step_queue"]]
         if prec["step_token"] is not None:
-            proc.step_token = threads_by_tid[prec["step_token"]]
+            proc.step_token = every_thread[prec["step_token"]]
         proc.live_thread_count = len(proc.live_threads())
 
     # -- event heap (a literal heap snapshot: order is preserved) -------
@@ -1074,19 +1103,19 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             raise RestoreError("event names %r, not a kernel event method"
                                % (name,))
         target = (procs_by_pid[ident] if name == "_fire_timer"
-                  else threads_by_tid[ident])
+                  else every_thread[ident])
         kernel._events.append((t, seq, getattr(kernel, name), target,
                                decode_value(args, ff._sub(ident))))
 
     kernel._parked = {}
     for desc, tids in payload["parked"]:
-        kernel._parked[chan_of(desc)] = [threads_by_tid[t] for t in tids
-                                         if t in threads_by_tid]
+        kernel._parked[chan_of(desc)] = [every_thread[t] for t in tids
+                                         if t in every_thread]
 
     kernel.cores_busy = payload["cores_busy"]
-    kernel._core_queue = [(threads_by_tid[tid], d)
+    kernel._core_queue = [(every_thread[tid], d)
                           for tid, d in payload["core_queue"]
-                          if tid in threads_by_tid]
+                          if tid in every_thread]
 
     # -- scheduler -------------------------------------------------------
     if tracer is not None:

@@ -408,7 +408,6 @@ def cmd_ckpt(args) -> int:
     """Inspect/verify/prune a checkpoint journal directory."""
     from .ckpt import JournalError, RecoveryManager
     from .ckpt import prune as ckpt_prune
-    from .ckpt import scan
 
     if args.action == "prune":
         removed = ckpt_prune(args.directory, keep=args.keep)
@@ -416,21 +415,20 @@ def cmd_ckpt(args) -> int:
         for path in removed:
             print("  removed %s" % path)
         return 0
-    infos = scan(args.directory, fingerprint=args.fingerprint)
+    recovery = RecoveryManager(args.directory, fingerprint=args.fingerprint)
+    infos = recovery.scan()
     for info in infos:
         if not info.valid:
-            print("INVALID  %s: %s" % (info.path, info.error))
+            print("INVALID  %s: %s" % (info.address, info.error))
             continue
         if info.snapshot_kind == "delta":
             kind = "delta depth %d  base %s" % (
                 info.chain_depth, info.base_sha256[:12] or "?")
-            if not info.chain_valid:
-                kind += "  [chain broken]"
         else:
             kind = "full"
         print("barrier %8d  vclock %14.6f  %8d bytes  fp %s  %s  %s"
               % (info.barrier, info.vclock, info.payload_len,
-                 info.fingerprint[:12] or "-", kind, info.path))
+                 info.fingerprint[:12] or "-", kind, info.address))
     if args.action == "inspect":
         if not infos:
             print("no snapshots in %s" % args.directory)
@@ -438,15 +436,11 @@ def cmd_ckpt(args) -> int:
         # Per-delta detail: how much state actually moved per barrier.
         import pickle as _pickle
 
-        from .ckpt.journal import load_snapshot
-
         for info in reversed(infos):
             if not info.valid or info.snapshot_kind != "delta":
                 continue
             try:
-                _header, blob = load_snapshot(
-                    info.path, fingerprint=args.fingerprint)
-                delta = _pickle.loads(blob)
+                delta = _pickle.loads(recovery.record(info))
             except Exception:
                 continue
             print("  barrier %8d  delta: %d dirty inode(s), %d dead, "
@@ -455,20 +449,13 @@ def cmd_ckpt(args) -> int:
                      len(delta["fs_dead"]), len(delta["sections"]),
                      len(delta["tape_tail"])))
         return 0
-    # verify: every file must validate, every delta's chain must reach a
-    # valid full base, and all materialized fingerprints must compute.
+    # verify: every record must validate (each valid delta's chain then
+    # reaches its file's full snapshot), and all materialized
+    # fingerprints must compute.
     bad = [info for info in infos if not info.valid]
-    broken = [info for info in infos if info.valid and not info.chain_valid]
-    good = [info for info in infos if info.chain_valid]
+    good = [info for info in infos if info.valid]
     if bad:
         print("verify: FAIL — %d torn/corrupt snapshot(s)" % len(bad))
-        return 1
-    if broken:
-        for info in broken:
-            print("  chain broken: %s (base %s... missing or invalid)"
-                  % (info.path, info.base_sha256[:12]))
-        print("verify: FAIL — %d delta snapshot(s) with a broken chain"
-              % len(broken))
         return 1
     if not good:
         print("verify: OK — journal is empty (%s)" % args.directory)
@@ -477,7 +464,6 @@ def cmd_ckpt(args) -> int:
     # coordinate): equal runs produce equal fingerprints barrier for
     # barrier, so these lines diff cleanly across journals.  Delta
     # chains are fingerprinted with the incremental Merkle cursor.
-    recovery = RecoveryManager(args.directory, fingerprint=args.fingerprint)
     try:
         fps = recovery.chain_fingerprints()
     except JournalError as err:

@@ -23,6 +23,19 @@ Invariants the checkpoint plane relies on:
 from __future__ import annotations
 
 
+class Stamp:
+    """A host-only version stamp shared by every object whose state one
+    checkpoint section holds (a kernel's pipes): each mutation bumps
+    ``version``, and a delta snapshot re-captures the section only when
+    it moved (:func:`repro.ckpt.snapshot.section_stamps`).  Like dirty
+    epochs, stamps are observation-free and never snapshotted."""
+
+    __slots__ = ("version",)
+
+    def __init__(self) -> None:
+        self.version = 0
+
+
 class MutationClock:
     """A monotonic tick source for dirty-epoch stamps."""
 

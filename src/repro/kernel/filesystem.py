@@ -62,6 +62,10 @@ class Filesystem:
         #: Live FIFO inodes by pipe identity, so the snapshot layer can
         #: find FIFO-backing pipes without walking the whole tree.
         self._fifo_nodes: Dict[int, Inode] = {}
+        #: Host-only version stamp of the checkpoint plane's ``fs_meta``
+        #: section (repro.ckpt.snapshot.section_stamps): bumped by every
+        #: inode-number allocation and release and every disk charge.
+        self.meta_version = 0
         self.root = new_directory(self._alloc.allocate(), now=host.boot_epoch)
         self.register_new_inode(self.root)
         self.device_id = 0x801
@@ -86,6 +90,7 @@ class Filesystem:
     # -- allocation ---------------------------------------------------------
 
     def _new_ino(self) -> int:
+        self.meta_version += 1
         return self._alloc.allocate()
 
     # -- dirty tracking (incremental checkpoints) ---------------------------
@@ -151,7 +156,9 @@ class Filesystem:
 
     def charge_disk(self, nbytes: int) -> None:
         """Account *nbytes* of new data; raise ENOSPC past the injection cap."""
-        self._bytes_written += max(0, nbytes)
+        if nbytes > 0:
+            self._bytes_written += nbytes
+            self.meta_version += 1
         if self.fault_injector is not None:
             self.fault_injector.disk_charge(self._bytes_written)
         cap = self.host.disk_free_bytes
@@ -333,11 +340,14 @@ class Filesystem:
         """Recycle the inode number once no name and no open fd keeps it."""
         if node.nlink <= 0 and node.open_count <= 0:
             self._alloc.release(node.ino)
+            self.meta_version += 1
             key = (node.ino, node.generation)
             self._dirty.pop(key, None)
             self._dead.append(key)
             if node.fifo_pipe is not None:
+                # Capture finds FIFO pipes through this registry only.
                 self._fifo_nodes.pop(id(node.fifo_pipe), None)
+                node.fifo_pipe.touch()
 
     def unlink(self, parent: Inode, name: str, now: float = 0.0) -> None:
         node = parent.lookup(name)

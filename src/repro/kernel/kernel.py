@@ -28,6 +28,7 @@ from .costs import (
     SYSCALL_COSTS,
 )
 from .devices import ConsoleStream, install_standard_devices
+from .epoch import Stamp
 from .errors import DeadlockError, Errno, GuestCrash, KernelPanic, SimTimeout, SyscallError
 from .filesystem import Filesystem
 from .fds import OpenFile, FdKind
@@ -135,6 +136,14 @@ class Kernel:
         #: Processes between setting exit_status and notifying their exit
         #: channel: zombies wait4 can already see before the epoch moves.
         self.exits_in_flight = 0
+        #: Host-only version stamps of the checkpoint sections whose
+        #: state lives here (repro.ckpt.snapshot.section_stamps): each
+        #: is bumped at every mutation of that state and never
+        #: snapshotted.  Every pipe of this kernel shares ``pipe_stamp``.
+        self.timers_version = 0
+        self.core_queue_version = 0
+        self.parked_version = 0
+        self.pipe_stamp = Stamp()
 
         #: DetTrace thread serialization (§5.7).
         self.serialize_threads = False
@@ -247,7 +256,7 @@ class Kernel:
     def new_pipe(self) -> Pipe:
         """A fresh pipe, numbered by this container's own counter."""
         self._pipe_counter += 1
-        return Pipe(self._pipe_counter)
+        return Pipe(self._pipe_counter, stamp=self.pipe_stamp)
 
     def _alloc_nspid(self) -> int:
         if self._nspid_next is None:
@@ -569,6 +578,7 @@ class Kernel:
         else:
             thread.state = ThreadState.RUNNABLE
             self._core_queue.append((thread, duration))
+            self.core_queue_version += 1
 
     def _finish_compute(self, thread: Thread) -> None:
         if not getattr(thread, "_on_core", False):
@@ -586,6 +596,7 @@ class Kernel:
             # Native schedulers pick "randomly" among waiters: host jitter.
             idx = self.host.sched_choice_index(min(len(self._core_queue), 4))
             thread, duration = self._core_queue.pop(idx)
+            self.core_queue_version += 1
             if not thread.alive:
                 continue
             self.cores_busy += 1
@@ -724,11 +735,15 @@ class Kernel:
         self._release_token(thread)
         for ch in channels:
             self._parked.setdefault(ch, []).append(thread)
+        self.parked_version += 1
 
     def notify(self, channel: Channel) -> int:
         """Wake every thread parked on *channel*; returns the count."""
         self.wake_epoch += 1
-        woken = self._parked.pop(channel, [])
+        woken = self._parked.pop(channel, None)
+        if woken is None:
+            return 0
+        self.parked_version += 1
         count = 0
         for thread in woken:
             if not thread.alive or thread.state is not ThreadState.BLOCKED:
@@ -761,8 +776,10 @@ class Kernel:
             return
         proc = thread.process
         for sibling in proc.threads:
-            if sibling is not thread and sibling.alive:
-                self._teardown_thread(sibling)
+            if sibling is not thread:
+                if sibling.alive:
+                    self._teardown_thread(sibling)
+                proc.dropped_tids.append(sibling.tid)
         proc.threads = [thread]
         proc.argv = list(ex.argv)
         proc.exe_path = ex.path
@@ -808,6 +825,7 @@ class Kernel:
         """Arm the process's timer; returns the seconds that remained on
         any previously armed timer (the alarm(2) contract)."""
         remaining = self.timers.remaining(proc.pid, self.clock.now)
+        self.timers_version += 1
         if seconds <= 0:
             self.timers.cancel(proc.pid)
             return remaining
@@ -818,8 +836,10 @@ class Kernel:
 
     def _fire_timer(self, proc: Process, generation: int) -> None:
         signum = self.timers.should_fire(proc.pid, generation)
-        if signum is not None and proc.alive:
-            self.deliver_signal(proc, signum)
+        if signum is not None:
+            self.timers_version += 1
+            if proc.alive:
+                self.deliver_signal(proc, signum)
 
     # ------------------------------------------------------------------
     # process teardown

@@ -10,6 +10,9 @@ partial operations until the request is satisfied.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from .epoch import Stamp
 from .errors import Errno, SyscallError
 from .waiting import Channel, WouldBlock
 
@@ -21,10 +24,14 @@ class Pipe:
 
     *pipe_id* comes from the owning kernel's per-container counter
     (:meth:`repro.kernel.kernel.Kernel.new_pipe`), so it is a function
-    of the run alone.
+    of the run alone.  *stamp* is the owning kernel's pipes stamp,
+    bumped by the pipe's creation and by every mutation below.
     """
 
-    def __init__(self, pipe_id: int, capacity: int = PIPE_CAPACITY):
+    def __init__(self, pipe_id: int, capacity: int = PIPE_CAPACITY,
+                 stamp: Optional[Stamp] = None):
+        self.stamp = stamp if stamp is not None else Stamp()
+        self.stamp.version += 1
         self.pipe_id = pipe_id
         self.capacity = capacity
         self.buffer = bytearray()
@@ -41,24 +48,32 @@ class Pipe:
         self.ever_had_reader = False
         self.ever_had_writer = False
 
+    def touch(self) -> None:
+        """Bump the pipes stamp: this pipe's snapshotted state moved."""
+        self.stamp.version += 1
+
     # -- endpoint refcounting -----------------------------------------------
 
     def open_reader(self) -> None:
         self.readers += 1
         self.ever_had_reader = True
+        self.stamp.version += 1
 
     def open_writer(self) -> None:
         self.writers += 1
         self.ever_had_writer = True
+        self.stamp.version += 1
 
     def close_reader(self) -> "Channel":
         """Close one read end; returns the channel writers must be woken on."""
         self.readers -= 1
+        self.stamp.version += 1
         return self.writable
 
     def close_writer(self) -> "Channel":
         """Close one write end; returns the channel readers must be woken on."""
         self.writers -= 1
+        self.stamp.version += 1
         return self.readable
 
     # -- data transfer --------------------------------------------------------
@@ -82,6 +97,7 @@ class Pipe:
         take = min(n, len(self.buffer))
         data = bytes(self.buffer[:take])
         del self.buffer[:take]
+        self.stamp.version += 1
         return data
 
     def write(self, data: bytes) -> int:
@@ -103,6 +119,7 @@ class Pipe:
             raise WouldBlock([self.writable])
         accepted = min(space, len(data))
         self.buffer.extend(data[:accepted])
+        self.stamp.version += 1
         return accepted
 
     @property

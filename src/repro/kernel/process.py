@@ -111,6 +111,10 @@ class Process:
         self.aslr_base = aslr_base
         self.fdtable = FDTable()
         self.threads: List[Thread] = []
+        #: Tids of the threads an ``execve`` dropped from ``threads``:
+        #: a checkpoint restore still has to replay their frames, whose
+        #: guest code ran in this process before the exec.
+        self.dropped_tids: List[int] = []
         #: How many of ``threads`` are not EXITED, kept by the kernel at
         #: thread creation and at every EXITED transition (rebuilt on
         #: checkpoint restore), so thread serialization tests "more than

@@ -1,14 +1,19 @@
 """Shared pieces for the checkpoint/restore suite: a workload exercising
-every snapshotted surface, and a result fingerprint that captures each
-byte-identity the resume gate promises."""
+every snapshotted surface, a result fingerprint that captures each
+byte-identity the resume gate promises, and the stamp oracle every test
+here runs under."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import pickle
+import weakref
 
 import pytest
 
+from repro.ckpt import snapshot
+from repro.ckpt.manager import CheckpointManager
 from repro.core import ContainerConfig, DetTrace, Image
 from repro.core.config import CheckpointConfig
 from repro.cpu.machine import HostEnvironment
@@ -85,3 +90,52 @@ def result_fp(result) -> dict:
 @pytest.fixture
 def journal_dir(tmp_path):
     return str(tmp_path / "journal")
+
+
+class StampOracle:
+    """The check behind delta captures' version stamps.
+
+    At every barrier it recomputes the memo-pickle digest of every
+    stamped section and compares it with the same manager's previous
+    barrier: a digest that moved while its section's stamp did not is a
+    missing bump, and a delta taken there would have dropped the change.
+    """
+
+    def __init__(self):
+        self.barriers = 0
+        #: ``(section, event tick)`` of every missed change.
+        self.misses = []
+        self._last = weakref.WeakKeyDictionary()
+
+    def check(self, manager, kernel) -> None:
+        stamps = snapshot.section_stamps(kernel)
+        try:
+            sections, _referenced = snapshot._capture_runtime(kernel)
+        except snapshot.CheckpointUnsupported:
+            self._last.pop(manager, None)
+            return
+        digests = {key: hashlib.sha256(pickle.dumps(sections[key], 4))
+                   .hexdigest() for key in stamps}
+        last = self._last.get(manager)
+        if last is not None:
+            self.misses += [(key, kernel.events_processed) for key in stamps
+                            if digests[key] != last[1][key]
+                            and stamps[key] == last[0][key]]
+        self._last[manager] = (stamps, digests)
+        self.barriers += 1
+
+
+@pytest.fixture(autouse=True)
+def stamp_oracle(monkeypatch):
+    """Every checkpoint test runs under the stamp oracle, and fails on
+    any section that changed without its stamp moving."""
+    oracle = StampOracle()
+    real_snapshot = CheckpointManager.snapshot
+
+    def checked(self, kernel, durable=True):
+        oracle.check(self, kernel)
+        return real_snapshot(self, kernel, durable)
+
+    monkeypatch.setattr(CheckpointManager, "snapshot", checked)
+    yield oracle
+    assert not oracle.misses, oracle.misses

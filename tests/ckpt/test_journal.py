@@ -1,16 +1,16 @@
-"""Unit tests for the write-ahead snapshot journal (repro.ckpt.journal):
-atomic persistence, torn/corrupt detection, fingerprint scoping, prune."""
+"""Unit tests for the snapshot journal (repro.ckpt.journal): atomic
+persistence of a chain's full snapshot, appended deltas, torn/corrupt
+detection, fingerprint scoping, prune."""
 
 import json
 import os
 
 import pytest
 
-from repro.ckpt import JournalError, prune, scan
+from repro.ckpt import JournalError, SnapshotInfo, prune, scan
 from repro.ckpt.journal import (
     latest_valid,
     load_snapshot,
-    read_header,
     snapshot_path,
     write_snapshot,
 )
@@ -23,6 +23,7 @@ FP = "cfg-fingerprint"
 
 
 def _write(directory, barrier, payload=b"payload-bytes", fp=FP):
+    os.makedirs(directory, exist_ok=True)
     return write_snapshot(directory, barrier, vclock=barrier * 0.5,
                           fingerprint=fp, payload=payload).path
 
@@ -100,10 +101,10 @@ def test_torn_header_detected(journal_dir):
     os.makedirs(journal_dir, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(b'{"format": 1, "barrier"')  # no newline, invalid JSON
-    with pytest.raises(JournalError):
-        read_header(path)
-    with pytest.raises(JournalError):
+    with pytest.raises(JournalError, match="truncated header"):
         load_snapshot(path)
+    [info] = scan(journal_dir)
+    assert not info.valid and "truncated header" in info.error
 
 
 def test_fingerprint_mismatch_rejected(journal_dir):
@@ -151,3 +152,38 @@ def test_prune_keeps_newest_valid_and_drops_invalid(journal_dir):
 def test_scan_of_missing_directory_is_empty(tmp_path):
     assert scan(str(tmp_path / "nope")) == []
     assert latest_valid(str(tmp_path / "nope")) is None
+
+
+def test_deltas_append_to_their_chains_file(journal_dir):
+    os.makedirs(journal_dir)
+    full = write_snapshot(journal_dir, 10, 5.0, FP, b"full")
+    d1 = write_snapshot(journal_dir, 20, 10.0, FP, b"delta-1", base=full)
+    d2 = write_snapshot(journal_dir, 30, 15.0, FP, b"delta-2", base=d1,
+                        durable=False)
+    assert os.listdir(journal_dir) == [os.path.basename(full.path)]
+    assert full.offset == 0 < d1.offset < d2.offset
+    assert (d1.chain_depth, d2.chain_depth) == (1, 2)
+    assert [i.to_dict() for i in scan(journal_dir, fingerprint=FP)] == [
+        i.to_dict() for i in (d2, d1, full)]
+    for info, payload in ((full, b"full"), (d1, b"delta-1"),
+                          (d2, b"delta-2")):
+        header, got = load_snapshot(info.path, FP, offset=info.offset)
+        assert got == payload and header["barrier"] == info.barrier
+    with pytest.raises(JournalError, match="no record starts there"):
+        load_snapshot(full.path, FP, offset=d1.offset + 1)
+
+
+def test_a_record_that_does_not_extend_its_chain_ends_the_listing(
+        journal_dir):
+    """A full snapshot in the middle of a file, or a delta naming
+    another base, is invalid, and nothing after it is read."""
+    os.makedirs(journal_dir)
+    full = write_snapshot(journal_dir, 10, 5.0, FP, b"full")
+    stray = write_snapshot(journal_dir, 20, 10.0, FP, b"orphan",
+                           base=SnapshotInfo(path=full.path,
+                                             payload_sha256="0" * 64))
+    write_snapshot(journal_dir, 30, 15.0, FP, b"after", base=stray)
+    infos = scan(journal_dir)
+    assert [(i.barrier, i.valid) for i in infos] == [(20, False),
+                                                     (10, True)]
+    assert "does not extend its chain" in infos[0].error

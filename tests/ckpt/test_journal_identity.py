@@ -102,8 +102,9 @@ class TestJournalIdentity:
             assert result.exit_code == 0, (result.status, result.error)
         names = sorted(os.listdir(dirs[0]))
         assert names == sorted(os.listdir(dirs[1]))
-        kinds = {info.snapshot_kind for info in scan(dirs[0])}
-        assert len(names) >= 6 and kinds == {"full", "delta"}
+        records = scan(dirs[0])
+        kinds = {info.snapshot_kind for info in records}
+        assert len(records) >= 6 and kinds == {"full", "delta"}
         payloads = [snap.payload
                     for snap in RecoveryManager(dirs[0]).snapshots()]
         # The journal really holds every id-bearing surface.

@@ -2,7 +2,8 @@
 barrier in exactly the state the uninterrupted run had there.
 
 * The ckpt workload journals every barrier (``every=7``, ``keep=0``).
-  For each of its first 20 barriers the journal up to that barrier is
+  For each of its first 20 barriers the journal up to that barrier (its
+  chain files, the last one cut just past the barrier's record) is
   copied into a fresh directory and resumed; the resumed run's next
   snapshot must fingerprint equal to the straight run's, in the guest
   and the full scope, with deltas (``full_every=4``) and without.
@@ -53,8 +54,16 @@ def test_every_barrier_resumes_to_the_next(tmp_path, full_every):
         resumed_dir = str(tmp_path / ("from-%d" % info.barrier))
         os.makedirs(resumed_dir)
         for earlier in infos:
-            if earlier.barrier <= info.barrier:
+            if earlier.barrier <= info.barrier and earlier.offset == 0:
                 shutil.copy(earlier.path, resumed_dir)
+        if nxt.path == info.path:
+            # The journal up to this barrier ends with this record.
+            with open(os.path.join(resumed_dir, os.path.basename(
+                    info.path)), "r+b") as fh:
+                fh.truncate(nxt.offset)
+        assert scan(resumed_dir)[0].to_dict() == dict(
+            info.to_dict(), path=os.path.join(
+                resumed_dir, os.path.basename(info.path)))
         resumed = DetTrace(ckpt_config(
             resumed_dir, every=7, full_every=full_every, keep=0)).resume(
                 ckpt_image(), "/bin/main")

@@ -91,14 +91,16 @@ class TestRegistryRoundTrip:
         assert peer == "127.0.0.1:32770"
         assert ts.read(64) == b"queued-bytes"
 
-    def test_section_digest_tracks_version_only(self):
-        from repro.ckpt.snapshot import _section_digest
+    def test_stamp_tracks_version_only(self):
+        from types import SimpleNamespace
+
+        from repro.ckpt.snapshot import _STAMPS
 
         reg, _, _ = self._registry()
-        from repro.ckpt.snapshot import _capture_sockets
-        a = _section_digest("sockets", _capture_sockets(reg))
-        b = _section_digest("sockets", _capture_sockets(reg))
+        kernel = SimpleNamespace(sockets=reg)
+        a = _STAMPS["sockets"](kernel)
+        b = _STAMPS["sockets"](kernel)
         assert a == b                          # no mutation, same epoch
         reg.alloc_port()
-        c = _section_digest("sockets", _capture_sockets(reg))
+        c = _STAMPS["sockets"](kernel)
         assert c != a                          # any mutation moves it
