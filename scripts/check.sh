@@ -62,6 +62,18 @@ if [ "$stage" = "all" ] || [ "$stage" = "obs" ]; then
     cmp "$tmp/a.json" "$tmp/b.json"
     cmp "$tmp/a.out" "$tmp/b.out"
     echo "trace JSON and stdout byte-identical across reruns"
+    echo "== metrics-surface gate (tracer counters exported, defaults labelled passthrough) =="
+    python -m repro run --export-metrics jsonl --metrics-out "$tmp/m.jsonl" \
+        -- ls -l /bin > /dev/null 2>&1
+    for name in tracer/memory_writes syscall/close/passthrough; do
+        grep -q "\"name\":\"$name\"" "$tmp/m.jsonl" \
+            || { echo "metrics export lacks $name"; exit 1; }
+    done
+    if grep -q '"name":"syscall/close/rewritten"' "$tmp/m.jsonl"; then
+        echo "close, served by the passthrough default, labelled rewritten"
+        exit 1
+    fi
+    echo "tracer counters exported; close counted as passthrough"
     echo "== obs overhead bench + gates (obs on/off, diff vs bisect) =="
     bench_gate obs_overhead
 fi

@@ -38,10 +38,10 @@ Layout:
   (``kernel.ckpt``) and the startup recovery scan.
 
 Snapshots come in two kinds since format 2: periodic **full** captures
-and **delta** records between them, carrying only the inodes the
-kernel's dirty-epoch tracking stamped plus the payload sections whose
-version stamps moved — making checkpoint cost proportional to state
-*changed*, not state *held*.
+and **delta** records between them, carrying only the inodes in the
+filesystem's dirty set plus the payload sections whose version stamps
+moved — making checkpoint cost proportional to state *changed*, not
+state *held*.
 
 Journals are outputs: every id a payload records (pipe ids, open
 description keys) is a function of the run, so two runs of the same

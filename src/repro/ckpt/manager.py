@@ -45,9 +45,9 @@ class CheckpointManager:
 
     With ``full_every > 1`` the manager writes **delta snapshots**
     between periodic full ones and appends each to its chain's file
-    (:mod:`repro.ckpt.journal`).  A delta carries the inodes the
-    kernel's dirty-epoch tracking stamped, the volatile sections and
-    the sections whose version stamp moved since the record before it
+    (:mod:`repro.ckpt.journal`).  A delta carries the inodes in the
+    filesystem's dirty set, the volatile sections and the sections
+    whose version stamp moved since the record before it
     (:func:`repro.ckpt.snapshot.section_stamps`).  ``full_every=1``
     writes every snapshot full, one file each.  Any capture or write
     failure resets the incremental state so the next snapshot is a

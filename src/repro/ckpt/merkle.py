@@ -15,8 +15,7 @@ it with a Merkle tree:
 * every non-filesystem payload section contributes one item digest of
   its value as captured: every id a payload records (pipe ids,
   description keys) is a function of the run, so no section needs
-  rewriting first.  Only the sockets section's mutation ``version``
-  stays out, since it counts mutations, not state.
+  rewriting first.
 
 Every digest hashes values: it is taken over a pickle written without a
 memo, so how a payload's objects share references never reaches it.  A
@@ -117,9 +116,6 @@ class MerkleCursor:
             return self._fs_digest()
         elif name == "tape":
             value = tuple(self._tape_hashes)
-        elif name == "sockets":
-            value = dict(self.payload["sockets"])
-            del value["version"]
         else:
             value = self.payload[name]
         return _hash((name, value))

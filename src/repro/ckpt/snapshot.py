@@ -62,9 +62,9 @@ DELTA_KIND = "repro.ckpt.delta"
 SECTION_KEYS = (
     "host", "clock_now", "events_processed", "obs", "network", "stdout",
     "stderr", "timers", "pid_next", "tid_next", "nspid_next", "seq",
-    "cores_busy", "core_queue", "fs_meta", "pipes", "pipe_counter",
-    "sockets", "of_records", "processes", "events", "parked", "sched",
-    "tracer", "faults",
+    "cores_busy", "core_queue", "fs_meta", "bytes_written", "pipes",
+    "pipe_counter", "sockets", "of_records", "processes", "events",
+    "parked", "sched", "tracer", "faults",
 )
 
 #: Sections that move at (virtually) every event — the clock, the tick,
@@ -93,12 +93,13 @@ VOLATILE_KEYS = frozenset((
 #:   creation, endpoint change, read and write, and when a FIFO's pipe
 #:   stops being reachable;
 #: * ``fs_meta``: the filesystem's counter, bumped by every inode
-#:   number allocated or released and every byte charged to the disk;
+#:   number allocated or released (the allocator's state);
 #: * ``stdout``, ``stderr``, ``faults``: append-only logs (console
 #:   chunks, the injector's fault trace, which every injector mutation
 #:   extends), so their length is their stamp;
 #: * ``pid_next``, ``tid_next``, ``nspid_next``, ``pipe_counter``,
-#:   ``cores_busy``: scalars, their own stamp;
+#:   ``cores_busy``, ``bytes_written`` (the bytes charged to the disk):
+#:   scalars, their own stamp;
 #: * ``network``: set when the image is installed and never written by
 #:   a run, so its stamp never moves.
 _STAMPS: Dict[str, Callable[[Any], Any]] = {
@@ -113,6 +114,7 @@ _STAMPS: Dict[str, Callable[[Any], Any]] = {
     "cores_busy": lambda k: k.cores_busy,
     "core_queue": lambda k: k.core_queue_version,
     "fs_meta": lambda k: k.fs.meta_version,
+    "bytes_written": lambda k: k.fs._bytes_written,
     "pipes": lambda k: k.pipe_stamp.version,
     "pipe_counter": lambda k: k._pipe_counter,
     "sockets": lambda k: k.sockets.version,
@@ -283,7 +285,7 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
     def visit_of(of: OpenFile) -> int:
         key = of_keys.get(of)
         if key is None:
-            if getattr(of, "socket", None) is not None:
+            if of.socket is not None:
                 # In-guest loopback/unix sockets are plain pipe-backed
                 # descriptions and snapshot fine; only the fake
                 # *external* network peer carries live host state.
@@ -437,8 +439,6 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
                 "alloc_next": fs._alloc._next,
                 "alloc_free": list(fs._alloc._free),
                 "alloc_gens": dict(fs._alloc._gen),
-                "device_id": fs.device_id,
-                "bytes_written": fs._bytes_written,
             }
         elif key == "pipes":
             # Sorted by id: deterministic regardless of discovery.
@@ -596,7 +596,6 @@ def _capture_sockets(reg) -> Dict[str, Any]:
     deterministic (family, address) key, so an unchanged registry
     pickles byte-identically."""
     return {
-        "version": reg.version,
         "port_next": reg.port_next,
         "bound": sorted(reg.bound),
         "listeners": [
@@ -611,7 +610,6 @@ def _restore_sockets(srec: Dict[str, Any], pipes_by_id: Dict[int, Pipe]):
     from ..kernel.sockets import Listener, SocketRegistry
 
     reg = SocketRegistry()
-    reg.version = srec["version"]
     reg.port_next = srec["port_next"]
     reg.bound = {tuple(key): True for key in srec["bound"]}
     for lrec in srec["listeners"]:
@@ -902,8 +900,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     fs._alloc._next = meta["alloc_next"]
     fs._alloc._free = list(meta["alloc_free"])
     fs._alloc._gen = dict(meta["alloc_gens"])
-    fs.device_id = meta["device_id"]
-    fs._bytes_written = meta["bytes_written"]
+    fs._bytes_written = payload["bytes_written"]
     # Identity-keyed caches cannot survive object replacement; their
     # host-side hit counters are not snapshotted and restart with them.
     fs._namei_cache.clear()
@@ -1229,8 +1226,9 @@ _GUEST_KEYS = (
 #: ``prng_seed``) fingerprint equal until the first tick where the
 #: difference leaks into guest-visible state — which is exactly the
 #: tick divergence bisection wants to find.
-_FULL_KEYS = ("host", "events_processed", "obs", "fs_meta", "sched",
-              "tracer", "faults", "tape", "pipe_counter")
+_FULL_KEYS = ("host", "events_processed", "obs", "fs_meta",
+              "bytes_written", "sched", "tracer", "faults", "tape",
+              "pipe_counter")
 
 
 @dataclasses.dataclass

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional
 from ..cpu.machine import HostEnvironment
 from ..faults.report import AttemptRecord, CrashReport
 from ..kernel.errors import DeadlockError, KernelPanic, SimTimeout
-from ..kernel.kernel import EVENTS_PROCESSED, SYSCALL_PREFIX, Kernel
+from ..kernel.kernel import EVENTS_PROCESSED, Kernel
 from ..obs.collector import Collector
 from ..obs.metrics import Metrics
 from ..obs.trace import TraceLog
@@ -76,9 +76,6 @@ class ContainerResult:
     stderr: str
     #: {path relative to the build dir: file bytes} — the artifacts.
     output_tree: Dict[str, bytes]
-    #: The Table 2 view of the run's counters; None when no tracer ran.
-    counters: Optional[TraceCounters]
-    syscall_count: int
     #: Virtual wall-clock duration of the whole run.
     wall_time: float
     host: HostEnvironment
@@ -115,6 +112,20 @@ class ContainerResult:
     @property
     def succeeded(self) -> bool:
         return self.status in _SUCCESS_STATUSES and self.exit_code == 0
+
+    @property
+    def counters(self) -> Optional[TraceCounters]:
+        """The Table 2 view of :attr:`metrics`; None when no tracer ran."""
+        if self.metrics is None:
+            return None
+        return TraceCounters.of(self.metrics.counters)
+
+    @property
+    def syscall_count(self) -> int:
+        """Kernel syscall dispatches, read off :attr:`metrics`."""
+        if self.metrics is None:
+            return 0
+        return self.metrics.totals["syscalls"]
 
     @property
     def syscall_rate(self) -> float:
@@ -170,9 +181,10 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
             error: str) -> ContainerResult:
     """Assemble the result from whatever state the kernel ended in.
 
-    Owns *all* result decoration — debug log, metrics, Table 2 counters,
-    trace, crash report, partial output tree — so every exit path
-    (including timeout/deadlock/crash) carries the kernel's final state.
+    Owns *all* result decoration — debug log, metrics (and with them
+    the Table 2 view and the syscall count), trace, crash report,
+    partial output tree — so every exit path (including
+    timeout/deadlock/crash) carries the kernel's final state.
     All observability flows through the kernel's collector (repro.obs),
     which exists from the first line of a run: events buffered before a
     panic are never dropped, and crash reports and metrics agree.
@@ -212,8 +224,6 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
         stdout=stdout,
         stderr=stderr,
         output_tree=output_tree,
-        counters=TraceCounters.of(obs),
-        syscall_count=obs.total(SYSCALL_PREFIX),
         wall_time=kernel.clock.now,
         host=host,
         debug_log=obs.render_debug(),

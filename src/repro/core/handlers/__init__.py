@@ -87,7 +87,11 @@ def passthrough(ctx: HandlerContext, thread: Thread, call: Syscall) -> Outcome:
 
 
 def build_handler_table() -> Dict[str, Handler]:
-    """Assemble the full name -> handler dispatch table."""
+    """Assemble the full name -> handler dispatch table.
+
+    A syscall name with no entry is served by :func:`passthrough`, so
+    the table lists only the determinizing handlers, and membership in
+    it is what labels a completed call ``rewritten``."""
     from . import filesystem, io, machine, procs, randomness, time as time_mod
 
     table: Dict[str, Handler] = {}

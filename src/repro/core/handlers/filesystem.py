@@ -185,23 +185,4 @@ HANDLERS = {
     "fstat": handle_fstat,
     "getdents": handle_getdents,
     "utime": handle_utime,
-    # Mutating namei operations only need serialization; their results
-    # are deterministic once ordered.
-    "mkdir": passthrough,
-    "mkfifo": passthrough,
-    "rmdir": passthrough,
-    "unlink": passthrough,
-    "rename": passthrough,
-    "link": passthrough,
-    "symlink": passthrough,
-    "readlink": passthrough,
-    "chmod": passthrough,
-    "chown": passthrough,
-    "truncate": passthrough,
-    "access": passthrough,
-    "chdir": passthrough,
-    "chroot": passthrough,
-    "pipe": passthrough,
-    "close": passthrough,
-    "ioctl": passthrough,
 }

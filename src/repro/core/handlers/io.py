@@ -25,7 +25,7 @@ def _is_pipe_fd(ctx: HandlerContext, thread, fd) -> bool:
         return False
     # External fake-peer sockets answer one datagram per read; the
     # accumulate-until-full retry loop is for stream kinds only.
-    return of.is_pipe and getattr(of, "socket", None) is None
+    return of.is_pipe and of.socket is None
 
 
 def _procfs_path(ctx: HandlerContext, thread, fd) -> str:

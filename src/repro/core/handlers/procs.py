@@ -114,26 +114,11 @@ HANDLERS = {
     "perf_event_open": _unsupported("perf_event_open", "hardware counters"),
     "inotify_init": _unsupported("inotify_init", "asynchronous fs events"),
     "bpf": _unsupported("bpf", "kernel programs"),
-    "spawn_thread": passthrough,
     "execve": handle_spawn,
-    "exit": passthrough,
-    "exit_thread": passthrough,
-    "wait4": passthrough,
-    "futex": passthrough,
-    "sigaction": passthrough,
     "kill": handle_kill,
     "socket": handle_socket,
     "download": handle_download,
     "socketpair": handle_socketpair,
     "connect": handle_connect,
-    # The rest of the deterministic socket surface only needs the
-    # serialized-syscall discipline: addresses, backlogs and the
-    # ephemeral-port counter are already pure container state.
-    "bind": passthrough,
-    "listen": passthrough,
     "accept": handle_accept,
-    "shutdown": passthrough,
-    "getsockname": passthrough,
-    "setuid": passthrough,
-    "setgid": passthrough,
 }

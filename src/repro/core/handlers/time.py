@@ -58,5 +58,4 @@ HANDLERS = {
     "clock_gettime": handle_clock_gettime,
     "nanosleep": handle_nanosleep,
     "alarm": handle_alarm,
-    "pause": passthrough,  # blocks via the probe protocol; signals wake it
 }

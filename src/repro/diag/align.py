@@ -192,16 +192,11 @@ class RunCapture:
     metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
     records: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
     error: str = ""
-    syscall_count: int = 0
     #: Virtual wall time; None once a scope has left it out.
     wall_time: Optional[float] = 0.0
     attempts: int = 1
     transient_faults: bool = False
     crash_report: Optional[Dict[str, Any]] = None
-    #: The Table 2 view (``ContainerResult.counters``): three of its
-    #: fields (memory writes, vDSO patches, sorted getdents) have no
-    #: metrics entry.
-    trace_counters: Optional[Dict[str, int]] = None
 
     @classmethod
     def from_result(cls, result, label: str) -> "RunCapture":
@@ -224,13 +219,11 @@ class RunCapture:
             metrics=metrics,
             records=(result.trace.to_chrome()["traceEvents"]
                      if result.trace is not None else []),
-            error=result.error, syscall_count=result.syscall_count,
-            wall_time=result.wall_time, attempts=result.attempts,
+            error=result.error, wall_time=result.wall_time,
+            attempts=result.attempts,
             transient_faults=result.transient_faults,
             crash_report=(result.crash_report.to_dict()
-                          if result.crash_report is not None else None),
-            trace_counters=(dataclasses.asdict(result.counters)
-                            if result.counters is not None else None))
+                          if result.crash_report is not None else None))
 
     def surface(self) -> Dict[str, Any]:
         return {
@@ -252,9 +245,9 @@ def diff_captures(cap_a: RunCapture, cap_b: RunCapture,
     Precedence: the trace is the finest-grained surface, so a trace
     finding (with its virtual-time coordinate) wins; then the failure
     fields (exit status), filesystem content, stream content, and
-    finally the numbers (metrics, syscall count, virtual wall time) —
-    each later class only reported when every earlier surface agrees.
-    The trace is compared only when both runs recorded one.
+    finally the numbers (metrics, virtual wall time) — each later class
+    only reported when every earlier surface agrees.  The trace is
+    compared only when both runs recorded one.
     """
     labels = (cap_a.label, cap_b.label)
     surface = {"a": cap_a.surface(), "b": cap_b.surface()}
@@ -307,13 +300,11 @@ def diff_captures(cap_a: RunCapture, cap_b: RunCapture,
 
 def _counter_deltas(cap_a: RunCapture,
                     cap_b: RunCapture) -> Dict[str, List[Any]]:
-    """Every differing number: each metrics entry, the Table 2 view,
-    the syscall count and the virtual wall time."""
+    """Every differing number: each metrics entry and the virtual wall
+    time."""
     deltas: Dict[str, List[Any]] = {}
-    numbers_a, numbers_b = (
-        dict(cap.metrics, syscall_count=cap.syscall_count,
-             wall_time=cap.wall_time, trace_counters=cap.trace_counters)
-        for cap in (cap_a, cap_b))
+    numbers_a, numbers_b = (dict(cap.metrics, wall_time=cap.wall_time)
+                            for cap in (cap_a, cap_b))
     for section in sorted(set(numbers_a) | set(numbers_b)):
         va, vb = numbers_a.get(section), numbers_b.get(section)
         if not (isinstance(va, dict) and isinstance(vb, dict)):

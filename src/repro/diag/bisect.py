@@ -19,7 +19,11 @@ The mechanism leans entirely on existing machinery:
 * a coarse pass compares fingerprints at every ``coarse``-tick barrier
   to find the bracketing window, then binary probes re-run each side
   with ``every=mid`` to tighten it — each probe needs one fresh run per
-  side, so the window narrows to a single tick in O(log) runs.
+  side, stopped by the event budget right after its barrier at ``mid``,
+  so the window narrows to a single tick in O(log) runs;
+* every re-execution runs on a fresh copy of its side's host, whose
+  RNG streams restart from the boot's seed, so each one replays the
+  same boot instead of continuing the streams an earlier run drew.
 
 Timeline discipline: barriers are identified by **tick** (the kernel's
 ``events_processed`` count — exactly comparable across runs) and
@@ -73,16 +77,23 @@ class RunSpec:
     label: str = "run"
 
     def run(self, observe: Optional[bool] = None,
-            checkpoint: Optional[CheckpointConfig] = None):
+            checkpoint: Optional[CheckpointConfig] = None,
+            max_events: Optional[int] = None):
         overrides: Dict[str, Any] = {}
         if observe is not None:
             overrides["observe"] = observe
         if checkpoint is not None:
             overrides["checkpoint"] = checkpoint
+        if max_events is not None:
+            overrides["max_events"] = min(self.config.max_events, max_events)
         cfg = (dataclasses.replace(self.config, **overrides)
                if overrides else self.config)
+        # A fresh copy reseeds the host's RNG streams (__post_init__):
+        # every re-execution replays the same boot.
+        host = (dataclasses.replace(self.host)
+                if self.host is not None else None)
         return DetTrace(cfg).run(self.image_factory(), self.command,
-                                 argv=self.argv, host=self.host)
+                                 argv=self.argv, host=host)
 
     def capture(self) -> RunCapture:
         """One observed run, reduced to its comparable surface."""
@@ -142,11 +153,14 @@ def _workdir(path: Optional[str]):
 
 
 def _barrier_fingerprints(spec: RunSpec, directory: str, every: int,
-                          scope: str) -> Dict[int, Tuple[str, float]]:
-    """Re-run *spec* snapshotting every *every* ticks; return
-    {barrier tick: (state fingerprint, vclock)}."""
+                          scope: str, max_events: Optional[int] = None,
+                          ) -> Dict[int, Tuple[str, float]]:
+    """Re-run *spec* snapshotting every *every* ticks, for at most
+    *max_events* events; return {barrier tick: (state fingerprint,
+    vclock)}."""
     spec.run(checkpoint=CheckpointConfig(directory=directory,
-                                         every=every, keep=0))
+                                         every=every, keep=0),
+             max_events=max_events)
     # fingerprint=None: the two sides may have different config
     # fingerprints (that difference is often the point), and the
     # journal's own checksum already guards integrity.  The incremental
@@ -185,12 +199,14 @@ def bisect_divergence(side_a: RunSpec, side_b: RunSpec,
             if mid <= 0:
                 break
             probes += 1
+            # The event budget ends each probe run right after its
+            # barrier at mid, the only one it reads.
             probe_a = _barrier_fingerprints(
                 side_a, os.path.join(base, "probe-a-%d" % mid), mid,
-                scope).get(mid)
+                scope, max_events=mid).get(mid)
             probe_b = _barrier_fingerprints(
                 side_b, os.path.join(base, "probe-b-%d" % mid), mid,
-                scope).get(mid)
+                scope, max_events=mid).get(mid)
             if probe_a is None or probe_b is None:
                 # One side ended before the probe barrier; the coarse
                 # window stands.

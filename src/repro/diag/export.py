@@ -39,7 +39,7 @@ def _samples(metrics) -> Iterator[Sample]:
                    {"name": name, "le": bucket.lstrip("<=")}, n)
     for phase, seconds in sorted(metrics.profile.items()):
         yield _PREFIX + "_profile_seconds", {"phase": phase}, seconds
-    for label, value in sorted(metrics.table2.items()):
+    for label, value in sorted(metrics.table2_rows()):
         yield _PREFIX + "_table2", {"row": label}, value
     for name, n in sorted(metrics.syscalls_by_name.items()):
         yield _PREFIX + "_syscalls", {"syscall": name}, n

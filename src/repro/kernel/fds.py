@@ -71,6 +71,9 @@ class OpenFile:
     #: double-close the underlying pipe ends).
     shut_rd: bool = False
     shut_wr: bool = False
+    #: The fake external network peer a SOCKET description connected to
+    #: a host outside the container talks to (set only by connect).
+    socket: Optional[object] = None
 
     @property
     def is_pipe(self) -> bool:

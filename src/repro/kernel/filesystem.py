@@ -21,7 +21,6 @@ import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cpu.machine import HostEnvironment
-from .epoch import MutationClock
 from .errors import Errno, SyscallError
 from .inode import Inode, InodeAllocator, new_directory, new_file
 from .types import DEFAULT_DIR_MODE, DEFAULT_FILE_MODE, Dirent, FileKind, StatResult
@@ -53,10 +52,9 @@ class Filesystem:
         self.host = host
         self._alloc = InodeAllocator(host.inode_start)
         #: Dirty tracking for incremental checkpoints (repro.ckpt):
-        #: every mutation stamps the touched inode with the mutation
-        #: clock and registers it here, keyed by ``(ino, generation)``.
+        #: every mutation registers the touched inode here, keyed by
+        #: ``(ino, generation)``, until the next ``clear_dirty()``.
         #: Purely observational — nothing below ever reads these.
-        self._mclock = MutationClock()
         self._dirty: Dict[Tuple[int, int], Inode] = {}
         self._dead: List[Tuple[int, int]] = []
         #: Live FIFO inodes by pipe identity, so the snapshot layer can
@@ -64,10 +62,11 @@ class Filesystem:
         self._fifo_nodes: Dict[int, Inode] = {}
         #: Host-only version stamp of the checkpoint plane's ``fs_meta``
         #: section (repro.ckpt.snapshot.section_stamps): bumped by every
-        #: inode-number allocation and release and every disk charge.
+        #: inode-number allocation and release.
         self.meta_version = 0
         self.root = new_directory(self._alloc.allocate(), now=host.boot_epoch)
         self.register_new_inode(self.root)
+        #: A constant of every filesystem, so snapshots leave it out.
         self.device_id = 0x801
         self._bytes_written = 0
         #: Deterministic fault plane consult point (repro.faults):
@@ -117,8 +116,7 @@ class Filesystem:
         self.note(node)
 
     def note(self, node: Inode) -> None:
-        """Stamp *node* as mutated in the current epoch."""
-        node.dirty_epoch = self._mclock.tick
+        """Register *node* as mutated since the last ``clear_dirty()``."""
         self._dirty[(node.ino, node.generation)] = node
 
     def dirty_nodes(self) -> Dict[Tuple[int, int], Inode]:
@@ -134,10 +132,9 @@ class Filesystem:
         return list(self._fifo_nodes.values())
 
     def clear_dirty(self) -> None:
-        """Fence the epoch after a successful snapshot."""
+        """Start a new dirty set after a successful snapshot."""
         self._dirty = {}
         self._dead = []
-        self._mclock.advance()
 
     def reset_dirty_state(self, nodes: Iterable[Inode]) -> None:
         """Re-arm dirty tracking after a restore rebuilds the tree.
@@ -146,7 +143,6 @@ class Filesystem:
         the dirty set starts empty; only the FIFO registry (pipe
         discovery for capture) needs rebuilding from *nodes*.
         """
-        self._mclock = MutationClock()
         self._dirty = {}
         self._dead = []
         self._fifo_nodes = {}
@@ -158,7 +154,6 @@ class Filesystem:
         """Account *nbytes* of new data; raise ENOSPC past the injection cap."""
         if nbytes > 0:
             self._bytes_written += nbytes
-            self.meta_version += 1
         if self.fault_injector is not None:
             self.fault_injector.disk_charge(self._bytes_written)
         cap = self.host.disk_free_bytes

@@ -70,14 +70,9 @@ class Inode:
     # inode: POSIX keeps an unlinked inode (and its number) alive until
     # the last close, so the allocator must not recycle the number while
     # any description is live (Filesystem.inode_opened/inode_closed).
-    #
-    # ``dirty_epoch`` is the incremental-checkpoint stamp: the mutation
-    # clock tick at which this inode last changed (Filesystem.note).
-    # Nothing in the kernel reads it — it only feeds snapshot capture.
     namei_epoch = 0
     _dirent_cache = None
     open_count = 0
-    dirty_epoch = 0
 
     @property
     def size(self) -> int:

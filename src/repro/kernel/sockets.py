@@ -20,8 +20,8 @@ guest execution, never of host state.
 * **Ephemeral ports** come from a monotonic per-container counter
   starting at :data:`EPHEMERAL_BASE`; the host's port namespace is
   never consulted.
-* The registry stamps a **version** (dirty epoch) on every mutation so
-  the checkpoint layer's section-change detection is O(1) and delta
+* The registry stamps a **version** on every mutation so the
+  checkpoint layer's section-change detection is O(1) and delta
   snapshots stay O(changed).
 
 Determinization note: none of the syscalls built on this module are in
@@ -104,9 +104,10 @@ class SocketRegistry:
         #: Addresses claimed by bind (listening or not): EADDRINUSE set.
         self.bound: Dict[Tuple[int, str], bool] = {}
         self.port_next = EPHEMERAL_BASE
-        #: Dirty epoch: bumped on every mutation.  The checkpoint layer
-        #: hashes ``"sockets-version-%d"`` instead of pickling the
-        #: registry, so unchanged-section detection is O(1).
+        #: Host-only version stamp, bumped on every mutation: a delta
+        #: snapshot re-captures the ``sockets`` section only when it
+        #: moved (:func:`repro.ckpt.snapshot.section_stamps`).  Never
+        #: part of the captured section itself.
         self.version = 0
 
     # -- mutation helpers (every write path bumps the epoch) -----------

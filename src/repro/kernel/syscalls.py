@@ -298,9 +298,6 @@ class SyscallTable:
                 # which the snapshot layer captures off the inode.
                 self._fs.note(of.inode)
                 return of.inode.dev_read(count)
-            sock = getattr(of, "socket", None)
-            if sock is not None:
-                return sock.read(count)
             return b""
         if of.kind is FdKind.PIPE_READ:
             data = of.pipe.read(count)
@@ -317,9 +314,8 @@ class SyscallTable:
             self.kernel.charge_io(t, len(data))
             return data
         if of.kind is FdKind.SOCKET:
-            sock = getattr(of, "socket", None)
-            if sock is not None:         # external fake peer (§5.9)
-                return sock.read(count)
+            if of.socket is not None:    # external fake peer (§5.9)
+                return of.socket.read(count)
             if of.shut_rd:
                 return b""               # SHUT_RD: immediate EOF
             if of.pipe is None:
@@ -355,9 +351,6 @@ class SyscallTable:
             if of.inode is not None and of.inode.dev_write is not None:
                 self._fs.note(of.inode)
                 return of.inode.dev_write(data)
-            sock = getattr(of, "socket", None)
-            if sock is not None:
-                return sock.write(data)
             return len(data)
         if of.kind is FdKind.PIPE_WRITE:
             return self._pipe_write(t, of.pipe, data, "write")
@@ -366,9 +359,8 @@ class SyscallTable:
                 self._broken_pipe(t, "write")
             return self._pipe_write(t, of.peer_pipe, data, "write")
         if of.kind is FdKind.SOCKET:
-            sock = getattr(of, "socket", None)
-            if sock is not None:         # external fake peer (§5.9)
-                return sock.write(data)
+            if of.socket is not None:    # external fake peer (§5.9)
+                return of.socket.write(data)
             if of.shut_wr:
                 self._broken_pipe(t, "write")
             if of.peer_pipe is None:
@@ -378,9 +370,8 @@ class SyscallTable:
 
     def sys_lseek(self, t: Thread, fd: int, offset: int, whence: int = SEEK_SET):
         of = t.process.fdtable.get(fd)
-        # Every non-seekable kind: pipes, FIFOs, socketpairs and sockets
-        # (including legacy DEVICE-kind fds carrying a fake network peer).
-        if of.is_pipe or getattr(of, "socket", None) is not None:
+        # Every non-seekable kind: pipes, FIFOs, socketpairs and sockets.
+        if of.is_pipe:
             raise SyscallError(Errno.ESPIPE, "lseek")
         if whence == SEEK_SET:
             of.offset = offset
@@ -981,11 +972,8 @@ class SyscallTable:
     def sys_connect(self, t: Thread, fd: int, address: str = "example.com:80"):
         of = t.process.fdtable.get(fd)
         if of.kind is not FdKind.SOCKET:
-            # Legacy DEVICE-kind fake sockets count as connected.
-            if getattr(of, "socket", None) is None:
-                raise SyscallError(Errno.ENOTSOCK, "connect")
-            return 0
-        if of.pipe is not None or getattr(of, "socket", None) is not None:
+            raise SyscallError(Errno.ENOTSOCK, "connect")
+        if of.pipe is not None or of.socket is not None:
             raise SyscallError(Errno.EISCONN, "connect")
         if of.listener is not None:
             raise SyscallError(Errno.EINVAL, "connect")
@@ -1030,15 +1018,13 @@ class SyscallTable:
 
     def sys_send(self, t: Thread, fd: int, data: bytes):
         of = t.process.fdtable.get(fd)
-        if (of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR)
-                and getattr(of, "socket", None) is None):
+        if of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR):
             raise SyscallError(Errno.ENOTSOCK, "send")
         return self.sys_write(t, fd, data)
 
     def sys_recv(self, t: Thread, fd: int, count: int):
         of = t.process.fdtable.get(fd)
-        if (of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR)
-                and getattr(of, "socket", None) is None):
+        if of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR):
             raise SyscallError(Errno.ENOTSOCK, "recv")
         return self.sys_read(t, fd, count)
 
@@ -1057,8 +1043,6 @@ class SyscallTable:
             of.shut_wr = True
             # The peer's pending reads drain the buffer, then see EOF.
             self.kernel.notify(of.peer_pipe.close_writer())
-        if self.kernel.sockets is not None:
-            self.kernel.sockets.touch()
         return 0
 
     def sys_getsockname(self, t: Thread, fd: int):

@@ -19,9 +19,10 @@ event is counted once, under the namespace of the layer that sees it:
 ``kernel/`` (dispatches by syscall name, vDSO calls, thread spawns,
 the final event tick), ``tracer/`` (the tracer's own Table-2 events),
 ``process/``, ``syscall/<name>/<disposition>``, ``sched/``, ``trap/``
-and ``fault/``.  Table 2, ``syscalls_by_name`` and the run totals are
-views of it (:mod:`repro.tracer.events`,
-:meth:`repro.obs.metrics.Metrics.from_run`).
+and ``fault/``.  :meth:`repro.obs.metrics.Metrics.from_run` renders it
+once: ``kernel/`` as ``syscalls_by_name`` and the run totals, every
+other key as a flattened counter, which Table 2
+(:mod:`repro.tracer.events`) reads.
 
 The collector is passive: it never reads clocks, never seeds randomness,
 and never charges virtual time, so enabling or disabling it cannot

@@ -9,13 +9,14 @@ time, host clocks): two runs of the same image and plan produce equal
 metrics.
 
 ``add`` accumulates snapshots, which is how the Table-2 benchmark
-aggregates per-package counts without recomputing them.
+aggregates per-package counts without recomputing them; Table 2 itself
+is a view of the (summed) counters (:meth:`Metrics.table2_rows`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 from .profiler import PhaseProfile
 
@@ -28,7 +29,9 @@ def _bucket_label(exp: int) -> str:
 class Metrics:
     """Deterministic per-run (or aggregated) observability snapshot."""
 
-    #: Flattened collector counters: "syscall/read/passthrough" -> n.
+    #: Every collector counter outside the ``kernel`` namespace,
+    #: flattened: "syscall/read/passthrough" -> n, "tracer/memory_writes"
+    #: -> n.
     counters: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Peak gauges, e.g. scheduler queue occupancy.
     gauges: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -36,9 +39,6 @@ class Metrics:
     histograms: Dict[str, Dict[str, int]] = dataclasses.field(default_factory=dict)
     #: Virtual-time phase attribution (interception/handler/scheduler/fs).
     profile: Dict[str, float] = dataclasses.field(default_factory=dict)
-    #: The paper's Table 2 rows (label -> count): the ``tracer``
-    #: namespace and the other keys TraceCounters reads.
-    table2: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Kernel-side dispatch counts by syscall name.
     syscalls_by_name: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Run totals: syscalls, events_processed, processes/threads spawned.
@@ -51,28 +51,19 @@ class Metrics:
         """Snapshot one run from its Collector.
 
         The ``kernel`` key namespace renders as ``syscalls_by_name`` and
-        ``totals``, and the ``tracer`` namespace, with the other keys
-        Table 2 reads, as ``table2``; every other key is a flattened
-        counter.  ``table2`` and ``faults/injected`` appear only in
-        traced runs.
+        ``totals``; every other key is a flattened counter.
         """
         # Deferred: the layers whose keys this renders import repro.obs.
         from ..kernel.kernel import (EVENTS_PROCESSED, SYSCALL_PREFIX,
                                      THREADS_SPAWNED, VDSO_CALLS)
-        from ..tracer.events import TraceCounters
 
         items = sorted(collector.counters.items())
         counters = {"/".join(key): n for key, n in items
-                    if key[0] not in ("kernel", "tracer")}
+                    if key[0] != "kernel"}
         by_name = {key[2]: n for key, n in items if key[:2] == SYSCALL_PREFIX}
         histograms = {
             name: {_bucket_label(exp): n for exp, n in sorted(hist.items())}
             for name, hist in sorted(collector.histograms.items())}
-        table2: Dict[str, float] = {}
-        view = TraceCounters.of(collector)
-        if view is not None:
-            table2 = dict(view.as_table2_rows())
-            counters.setdefault("faults/injected", view.faults_injected)
         get = collector.counters.get
         totals = {
             "syscalls": sum(by_name.values()),
@@ -83,7 +74,7 @@ class Metrics:
         }
         return cls(counters=counters, gauges=dict(sorted(collector.gauges.items())),
                    histograms=histograms, profile=collector.profile.as_dict(),
-                   table2=table2, syscalls_by_name=by_name, totals=totals)
+                   syscalls_by_name=by_name, totals=totals)
 
     # -- accumulation (bench aggregation) ------------------------------
 
@@ -98,18 +89,24 @@ class Metrics:
                 mine[bucket] = mine.get(bucket, 0) + n
         for phase, seconds in other.profile.items():
             self.profile[phase] = self.profile.get(phase, 0.0) + seconds
-        for label, value in other.table2.items():
-            self.table2[label] = self.table2.get(label, 0.0) + value
         for name, n in other.syscalls_by_name.items():
             self.syscalls_by_name[name] = self.syscalls_by_name.get(name, 0) + n
         for name, n in other.totals.items():
             self.totals[name] = self.totals.get(name, 0) + n
         self.runs += other.runs
 
+    def table2_rows(self) -> List[Tuple[str, int]]:
+        """The paper's Table 2 rows, read off the counters; none when no
+        tracer ran."""
+        from ..tracer.events import TraceCounters
+
+        view = TraceCounters.of(self.counters)
+        return view.as_table2_rows() if view is not None else []
+
     def table2_averages(self) -> Dict[str, float]:
         """Per-run averages of the Table 2 rows."""
         return {label: value / max(1, self.runs)
-                for label, value in self.table2.items()}
+                for label, value in self.table2_rows()}
 
     def phase_profile(self) -> PhaseProfile:
         profile = PhaseProfile()
@@ -124,7 +121,6 @@ class Metrics:
             "histograms": {k: dict(sorted(v.items()))
                            for k, v in sorted(self.histograms.items())},
             "profile": dict(sorted(self.profile.items())),
-            "table2": dict(self.table2.items()),
             "syscalls_by_name": dict(sorted(self.syscalls_by_name.items())),
             "totals": dict(sorted(self.totals.items())),
             "runs": self.runs,

@@ -34,7 +34,7 @@ def format_table2_summary(metrics: Metrics) -> str:
     """The determinization-event summary (Table 2's rows, our counts)."""
     scale = max(1, metrics.runs)
     rows = [[label, "%.2f" % (value / scale)]
-            for label, value in metrics.table2.items()]
+            for label, value in metrics.table2_rows()]
     header = "avg/run" if metrics.runs > 1 else "count"
     return _table(["determinization event", header], rows,
                   title="Determinization events (Table 2 rows, %d run%s)"

@@ -1,18 +1,18 @@
-"""The paper's Table 2, as a view over the run's collector counters.
+"""The paper's Table 2, as a view over a run's counters.
 
 A tracer counts its own events into ``Collector.counters`` as
 ``("tracer", <field>)``, named after the :class:`TraceCounters` field
 they fill.  The other fields read events another layer already counts,
 once, in its own namespace: process spawns (``process/spawn``), context
 switches (``sched/context_switch``), instruction traps (``trap/<insn>``)
-and fault injections (``fault/<kind>``).  :class:`TraceCounters` reads
-them all back at the end of a run.
+and fault injections (``fault/<kind>``).  :meth:`TraceCounters.of`
+reads them all back from the flattened names of ``Metrics.counters``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional
 
 #: Counted on every stop or failed probe, so the DetTrace tracer
 #: registers them at zero on attach and increments them in place.  A
@@ -47,21 +47,21 @@ class TraceCounters:
     socket_accepts: int = 0
 
     @classmethod
-    def of(cls, collector) -> Optional["TraceCounters"]:
-        """The view of a run's :class:`~repro.obs.collector.Collector`;
-        None when no tracer ran."""
-        counters = collector.counters
-        if SYSCALL_EVENTS not in counters:
+    def of(cls, counters: Dict[str, int]) -> Optional["TraceCounters"]:
+        """The view of flattened counters (``Metrics.counters``, one
+        run's or a sum of runs'); None when no tracer ran."""
+        if "tracer/syscall_events" not in counters:
             return None
         get = counters.get
         return cls(
-            rdtsc_intercepted=(get(("trap", "rdtsc"), 0)
-                               + get(("trap", "rdtscp"), 0)),
-            cpuid_intercepted=get(("trap", "cpuid"), 0),
-            sched_requests=get(("sched", "context_switch"), 0),
-            process_spawns=get(("process", "spawn"), 0),
-            faults_injected=collector.total(("fault",)),
-            **{key[1]: n for key, n in counters.items() if key[0] == "tracer"})
+            rdtsc_intercepted=get("trap/rdtsc", 0) + get("trap/rdtscp", 0),
+            cpuid_intercepted=get("trap/cpuid", 0),
+            sched_requests=get("sched/context_switch", 0),
+            process_spawns=get("process/spawn", 0),
+            faults_injected=sum(n for name, n in counters.items()
+                                if name.startswith("fault/")),
+            **{name[len("tracer/"):]: n for name, n in counters.items()
+               if name.startswith("tracer/")})
 
     def as_table2_rows(self):
         """(label, value) pairs in the paper's Table 2 order."""

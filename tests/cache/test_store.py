@@ -15,7 +15,7 @@ def outcome(stdout="hello\n", tree=None) -> ContainerResult:
     return ContainerResult(
         status="ok", exit_code=0, error="", stdout=stdout, stderr="",
         output_tree=tree if tree is not None else {"out.txt": b"artifact\n"},
-        counters=None, syscall_count=12, wall_time=0.5, host=None)
+        wall_time=0.5, host=None)
 
 
 def key(n=0) -> RunKey:

@@ -29,8 +29,10 @@ from repro.ckpt import (
     prune,
     scan,
 )
-from repro.core import DetTrace
+from repro.core import ContainerConfig, DetTrace, Image
+from repro.core.config import CheckpointConfig
 from repro.cpu.machine import HostEnvironment
+from repro.kernel.types import O_APPEND, O_WRONLY
 
 from .conftest import ckpt_config, ckpt_image, result_fp, run_baseline
 
@@ -171,6 +173,37 @@ class TestEquivalence:
         full = recovery.chain_fingerprints(scope=FULL_SCOPE)
         for barrier in guest:
             assert guest[barrier][0] != full[barrier][0]
+
+
+def _append_to_existing(sys_):
+    yield from sys_.write_file("log.txt", b"first\n")
+    fd = yield from sys_.open("log.txt", O_WRONLY | O_APPEND)
+    yield from sys_.write_all(fd, b"second\n")
+    yield from sys_.close(fd)
+    yield from sys_.write_file("other.txt", b"new inode\n")
+    return 0
+
+
+class TestSections:
+    def test_a_write_to_an_existing_file_leaves_fs_meta_out(self, tmp_path):
+        """Only an inode number allocated or released moves ``fs_meta``;
+        the bytes a write charges to the disk are their own section."""
+        image = Image()
+        image.add_binary("/bin/main", _append_to_existing)
+        cfg = ContainerConfig(checkpoint=CheckpointConfig(
+            directory=str(tmp_path), every=1, full_every=10_000, keep=0))
+        result = DetTrace(cfg).run(image, "/bin/main",
+                                   host=HostEnvironment(entropy_seed=7))
+        assert result.succeeded, (result.status, result.error)
+        deltas = [record["sections"] for info, record
+                  in RecoveryManager(str(tmp_path))._walk()
+                  if info.snapshot_kind == "delta"]
+        writes = [sections for sections in deltas
+                  if "bytes_written" in sections]
+        assert len(writes) == 3  # log.txt's two writes, other.txt's
+        assert "fs_meta" not in writes[1]
+        # Creating other.txt allocates an inode number.
+        assert any("fs_meta" in sections for sections in deltas)
 
 
 class TestPrune:

@@ -79,9 +79,10 @@ class TestRegistryRoundTrip:
         record = _capture_sockets(reg)
         pipes_by_id = {to_server.pipe_id: to_server,
                        to_client.pipe_id: to_client}
+        # The host-only stamp stays out of the section it stamps.
+        assert "version" not in record
         back = _restore_sockets(record, pipes_by_id)
         assert back.port_next == reg.port_next
-        assert back.version == reg.version
         assert set(back.bound) == set(reg.bound)
         restored = back.lookup(AF_INET, "127.0.0.1:%d" % (reg.port_next - 1))
         assert restored is not None

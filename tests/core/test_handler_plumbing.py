@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core import ContainerConfig, ablated
+from repro.core.handlers import build_handler_table, passthrough
 from repro.cpu.machine import HostEnvironment
 from tests.conftest import dettrace_run
 
@@ -37,13 +38,23 @@ class TestPassthroughOutcomes:
         assert dettrace_run(main).status == UNSUPPORTED
 
         def main2(sys):
-            # truncate has only the passthrough entry
+            # truncate has no entry: the passthrough default serves it
             yield from sys.write_file("f", b"12345678")
             yield from sys.syscall("truncate", path="f", length=3)
             data = yield from sys.read_file("f")
             return 0 if data == b"123" else 1
 
-        assert dettrace_run(main2).exit_code == 0
+        result = dettrace_run(main2)
+        assert result.exit_code == 0
+        # Labelled by the handler that ran, not by a table entry.
+        counters = result.metrics.counters
+        assert counters["syscall/truncate/passthrough"] == 1
+        assert counters["syscall/close/passthrough"] >= 2
+        assert "syscall/close/rewritten" not in counters
+        assert counters["syscall/open/rewritten"] >= 2
+        assert counters["syscall/write/rewritten"] >= 1
+        # No table entry restates the default.
+        assert passthrough not in build_handler_table().values()
 
     def test_device_stat_virtualized(self):
         def main(sys):

@@ -5,15 +5,18 @@ obs invariant (diagnosis never perturbs the run)."""
 import pytest
 
 from repro.ckpt import FULL_SCOPE, GUEST_SCOPE, RecoveryManager
+from repro.core import ContainerConfig, Image
 from repro.core.config import CheckpointConfig
+from repro.cpu.machine import HostEnvironment
 from repro.diag import (
+    RunSpec,
     bisect_divergence,
     content_leak_pair,
     diff_captures,
     identical_pair,
     leaky_pair,
 )
-from repro.diag.harness import PADDING_WRITES, leak_spec
+from repro.diag.harness import LEAK_CHUNK, PADDING_WRITES, leak_spec
 
 pytestmark = pytest.mark.diag
 
@@ -91,6 +94,78 @@ class TestBisection:
         second = bisect_divergence(*content_leak_pair(), coarse=16)
         assert first.window() == second.window()
         assert first.report.to_dict() == second.report.to_dict()
+
+
+def _computing_leak_image(leak: bytes) -> Image:
+    """Padding writes, one write plus one ``compute`` per leak chunk,
+    more padding: each compute draws scheduler jitter from the host."""
+
+    def _main(sys_):
+        yield from sys_.mkdir_p("out")
+        for i in range(PADDING_WRITES):
+            yield from sys_.write_file("out/pre%02d.txt" % i, b"p" * (8 + i))
+        for n, off in enumerate(range(0, len(leak), LEAK_CHUNK)):
+            yield from sys_.write_file("out/leak%02d.bin" % n,
+                                       leak[off:off + LEAK_CHUNK])
+            yield from sys_.compute(1e-4)
+        for i in range(PADDING_WRITES):
+            yield from sys_.write_file("out/post%02d.txt" % i, b"q" * (8 + i))
+        return 0
+
+    image = Image()
+    image.add_binary("/bin/main", _main)
+    return image
+
+
+def _computing_leak_spec(leak: bytes, label: str, host) -> RunSpec:
+    return RunSpec(image_factory=lambda: _computing_leak_image(leak),
+                   command="/bin/main", config=ContainerConfig(),
+                   host=host, label=label)
+
+
+class TestReExecution:
+    """Every re-execution of a side replays the same boot, and a probe
+    stops at its barrier."""
+
+    LEAKS = (b"L" * LEAK_CHUNK, b"L" * (8 * LEAK_CHUNK))
+
+    def _first_differing_barrier(self, tmp_path) -> int:
+        """One fresh run per side, checkpointed at every event."""
+        fps = []
+        for leak, label in zip(self.LEAKS, "ab"):
+            directory = str(tmp_path / ("every-" + label))
+            _computing_leak_spec(leak, label, HostEnvironment(
+                entropy_seed=7)).run(checkpoint=CheckpointConfig(
+                    directory=directory, every=1, keep=0))
+            fps.append(RecoveryManager(directory).chain_fingerprints(
+                scope=GUEST_SCOPE))
+        return min(b for b in set(fps[0]) & set(fps[1])
+                   if fps[0][b][0] != fps[1][b][0])
+
+    def test_asymmetric_leak_bisects_to_the_fresh_runs_barrier(self,
+                                                               tmp_path):
+        """Both sides share one host object, as ``repro diag bisect``
+        builds them; the sides agree up to the second leak chunk."""
+        host = HostEnvironment(entropy_seed=7)
+        result = bisect_divergence(
+            *(_computing_leak_spec(leak, label, host)
+              for leak, label in zip(self.LEAKS, "ab")), coarse=16)
+        assert result.hi is not None and result.hi - result.lo == 1
+        assert result.hi == self._first_differing_barrier(tmp_path)
+        assert host._state_version == 0  # the caller's host never drew
+
+    def test_a_probe_stops_after_its_barrier(self, tmp_path):
+        spec_a, spec_b = content_leak_pair()
+        result = bisect_divergence(spec_a, spec_b, coarse=16,
+                                   workdir=str(tmp_path))
+        probes = sorted(path for path in tmp_path.iterdir()
+                        if path.name.startswith("probe-"))
+        assert result.probes > 0 and len(probes) == 2 * result.probes
+        for path in probes:
+            mid = int(path.name.rsplit("-", 1)[1])
+            barriers = [snap.barrier for snap
+                        in RecoveryManager(str(path)).snapshots()]
+            assert barriers[-1] == mid, (path.name, barriers)
 
 
 class TestFingerprints:

@@ -28,7 +28,7 @@ class TestRunCell:
         for field in ("counters", "totals"):
             assert rec.metrics[field]
         assert rec.tree_digest and rec.wall_time > 0
-        assert rec.syscall_count == rec.metrics["totals"]["syscalls"] > 0
+        assert rec.metrics["totals"]["syscalls"] > 0
         assert rec.status == "ok" and rec.exit_code == 0
 
     def test_trace_only_under_observe(self):

@@ -194,6 +194,22 @@ class TestStreamSockets:
         assert eof == b""
         assert status == 0
 
+    def test_shutdown_leaves_the_registry_version(self):
+        """A shutdown changes no registry state, so it must not move the
+        stamp that makes a delta snapshot re-carry the sockets section."""
+        kernels, seen = [], []
+
+        def prog(sys):
+            a, _b = yield from sys.socketpair()
+            seen.append(kernels[0].sockets.version)
+            yield from sys.shutdown(a, SHUT_WR)
+            seen.append(kernels[0].sockets.version)
+            return 0
+
+        _k, proc = run_guest(prog, fs_setup=kernels.append)
+        assert proc.exit_status == 0
+        assert len(seen) == 2 and seen[0] == seen[1]
+
     def test_close_listener_refuses_queued_connection(self):
         def server(sys):
             lfd = yield from libc.sock_stream_server(sys, "/run/gone.sock")

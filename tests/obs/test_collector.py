@@ -167,6 +167,9 @@ class TestMetrics:
     def _snapshot(self):
         c = Collector()
         c.count(("syscall", "read", "passthrough"), 2)
+        c.count(("kernel", "syscall", "read"), 2)
+        c.count(("tracer", "memory_writes"), 5)
+        c.count(("fault", "eio"), 1)
         c.gauge_max("sched/blocked_peak", 3)
         c.observe("sched/blocked", 2)
         c.charge(SCHEDULER, 4e-6)
@@ -175,6 +178,10 @@ class TestMetrics:
     def test_from_run_flattens_counters(self):
         m = self._snapshot()
         assert m.counters["syscall/read/passthrough"] == 2
+        # Every key outside kernel/, tracer/ included; nothing synthetic.
+        assert m.counters == {"syscall/read/passthrough": 2,
+                              "tracer/memory_writes": 5, "fault/eio": 1}
+        assert m.syscalls_by_name == {"read": 2}
         assert m.gauges["sched/blocked_peak"] == 3
         assert m.histograms["sched/blocked"] == {"<=2": 1}
         assert m.profile[SCHEDULER] == pytest.approx(4e-6)
@@ -191,8 +198,8 @@ class TestMetrics:
 
     def test_table2_averages_divide_by_runs(self):
         a, b = self._snapshot(), self._snapshot()
-        a.table2 = {"System call events": 10.0}
-        b.table2 = {"System call events": 20.0}
+        a.counters["tracer/syscall_events"] = 10
+        b.counters["tracer/syscall_events"] = 20
         a.add(b)
         assert a.table2_averages()["System call events"] == pytest.approx(15.0)
 

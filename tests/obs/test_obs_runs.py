@@ -56,7 +56,7 @@ class TestMetricsSurface:
         assert r.exit_code == 0
         assert isinstance(r.metrics, Metrics)
         assert r.metrics.totals["syscalls"] > 0
-        assert r.metrics.table2["System call events"] > 0
+        assert dict(r.metrics.table2_rows())["System call events"] > 0
         assert any(k.startswith("syscall/") for k in r.metrics.counters)
 
     def test_trace_only_with_observe_on(self):

@@ -14,18 +14,19 @@ from repro.obs.report import (
 pytestmark = pytest.mark.obs
 
 
-def _metrics(**overrides):
+def _metrics(syscall_events=12, **overrides):
     m = Metrics(
         counters={
             "syscall/read/passthrough": 4,
             "syscall/write/rewritten": 2,
             "syscall/open/skipped": 6,
             "fault/eio": 1,
+            "tracer/syscall_events": syscall_events,
+            "tracer/read_retries": 1,
         },
         gauges={"sched/blocked_peak": 2.0},
         profile={"interception": 1e-3, "handler": 3e-3,
                  "scheduler": 0.5e-3, "fs": 0.5e-3},
-        table2={"System call events": 12.0, "read retries": 1.0},
     )
     for key, value in overrides.items():
         setattr(m, key, value)
@@ -42,7 +43,7 @@ class TestTable2Summary:
 
     def test_aggregate_shows_per_run_averages(self):
         m = _metrics()
-        m.add(_metrics(table2={"System call events": 6.0, "read retries": 0.0}))
+        m.add(_metrics(syscall_events=6))
         text = format_table2_summary(m)
         assert "2 runs" in text
         assert "avg/run" in text

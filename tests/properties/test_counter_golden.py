@@ -9,7 +9,9 @@ all.  Each case pins the sha256 of ``metrics.to_dict()``, the
 of where and how events are counted must leave every deterministic
 number unchanged.  The resume-identity tests cannot catch that: they
 compare a resumed run with an uninterrupted one, and a miscount on
-both sides agrees with itself.
+both sides agrees with itself.  The metrics digests were re-pinned
+once, when the tracer's counters joined the metrics (see
+``test_hotpath_identity.py``).
 """
 
 from __future__ import annotations
@@ -137,17 +139,17 @@ def run_case(case: str, journal_dir: str = ""):
 #: case -> one (metrics sha256, syscall_count, report sha256) per result.
 GOLDEN = {
     "faults": [
-        ("482bb603e119b94746538e13718135f4275fdbda113682c860f8246f1f19f912",
+        ("e58645ec35066337e42b7773290e98b8d8557c1f5c64c9d00789e5d163d4cb23",
          104,
          "874188840c2b5d4c1c90713d76703a5668a7a5b48d08c37036ab4568ebe429ab")],
     "kill-resume": [
-        ("518402d3a50948a35ff7e869d7dd23626b8c9182ffd28e1bb733310143288408",
+        ("42c90cdc5ceb5e09ae20a562bc6a18c1d894231eab7fd3735f61f677394696a1",
          89,
          "cfeaf178c88f56fcfc01532e659d97188058368fb3ca0a0bdef1f50a9132dc48"),
-        ("4a8d92e2b1e1a12b9f637d587108ec653d3bf08377ad80adf40c982e6e2df219",
+        ("681a68fdec5547486d612902759a918e2dfed6c4da73584c6fb44060f876889d",
          98, None)],
     "native": [
-        ("4d7210ef15553965dca81d1732126db3d29f3818df3b5c7eacd30abc59e0951e",
+        ("7ff91948c701bb8ebb624383f17bd532668ae87d77f852197ef5726d3119e640",
          82, None)],
 }
 

@@ -1,4 +1,4 @@
-"""Every metadata-mutating syscall stamps ``Inode.dirty_epoch``.
+"""Every metadata-mutating syscall marks its inode dirty.
 
 The incremental-checkpoint delta (repro.ckpt) serializes exactly the
 inodes in ``Filesystem.dirty_nodes()``; a mutator that forgets
@@ -6,10 +6,9 @@ inodes in ``Filesystem.dirty_nodes()``; a mutator that forgets
 — the restored run then diverges only when resumed across that window,
 the nastiest kind of heisenbug.  This property drives random
 metadata-mutating syscalls through the real syscall table *after* a
-``clear_dirty()`` fence and asserts the touched inode is re-stamped
-with the current mutation epoch, creation sites included (creations
-must be dirty so the new ``(ino, generation)`` key exists in the
-snapshot at all)."""
+``clear_dirty()`` fence and asserts the touched inode is in the dirty
+set, creation sites included (creations must be dirty so the new
+``(ino, generation)`` key exists in the snapshot at all)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,13 +76,11 @@ def test_metadata_mutators_stamp_dirty_epoch(ops):
     kernel, thread = _fresh_kernel()
     table = kernel.table
     for op, name in ops:
-        tick_before = kernel.fs._mclock.tick
         try:
             touched = _apply(table, thread, op, name)
         except SyscallError:
             continue  # e.g. truncate on a dir created earlier: fine
         node = kernel.fs.resolve(kernel.fs.root, thread.process.cwd, touched)
-        assert node.dirty_epoch == tick_before, (op, touched)
         assert kernel.fs.key_of(node) in kernel.fs.dirty_nodes(), (op, touched)
 
 

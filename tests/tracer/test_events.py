@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from repro.obs.collector import Collector
+from repro.obs.metrics import Metrics
 from repro.tracer.events import SYSCALL_EVENTS, TraceCounters
 
 
@@ -20,7 +21,8 @@ class TestTraceCounters:
     def test_view_reads_collector_keys(self):
         c = Collector()
         c.count(("trap", "rdtsc"), 2)
-        assert TraceCounters.of(c) is None  # no tracer namespace
+        # no tracer namespace
+        assert TraceCounters.of(Metrics.from_run(c).counters) is None
         c.count(SYSCALL_EVENTS, 7)
         c.count(("trap", "rdtscp"), 3)
         c.count(("trap", "cpuid"))
@@ -31,7 +33,7 @@ class TestTraceCounters:
         c.count(("process", "spawn"), 4)
         c.count(("process", "exit"), 4)
         c.count(("sched", "context_switch"), 5)
-        view = TraceCounters.of(c)
+        view = TraceCounters.of(Metrics.from_run(c).counters)
         assert view.syscall_events == 7
         assert view.rdtsc_intercepted == 5
         assert view.cpuid_intercepted == 1
