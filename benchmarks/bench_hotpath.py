@@ -4,10 +4,10 @@ Three numbers track whether the engine stays fast without ever bending
 the determinism contract:
 
 * **scheduler decisions/sec** — a steady-state service loop over 16
-  threads, run round by round against both the O(log n) ``logical``
-  scheduler and its quadratic ``logical-ref`` oracle.  The decision
-  *sequences* are asserted identical; the median per-round speedup must
-  be at least 5x;
+  threads plus one blocked waiter probed after every service, run round
+  by round against both the O(log n) ``logical`` scheduler and its
+  quadratic ``logical-ref`` oracle.  The decision *sequences* are
+  asserted identical; the median per-round speedup must be at least 5x;
 * **serviced syscalls per reference second** — end-to-end Debian
   package builds under DetTrace: the tracer's serviced syscall events
   over the builds' host time at the reference speed, the median of
@@ -55,13 +55,15 @@ PASSES = 3
 # ---------------------------------------------------------------------------
 
 def _make_stopped_threads(n: int) -> List[Thread]:
+    """*n* threads stopped one tick apart, so a loop that advances each
+    serviced thread by n ticks services them round-robin."""
     threads = []
     for tid in range(1, n + 1):
         proc = Process(pid=tid, nspid=tid, parent=None, root=None, cwd=None,
                        cwd_path="/", env={}, argv=["bench%d" % tid])
         t = Thread(tid=tid, process=proc, gen=None)
         proc.threads.append(t)
-        t.det_clock = t.det_bound = float(tid)
+        t.det_clock = t.det_bound = tid * SYSCALL_TICK
         t.state = ThreadState.TRACE_STOP
         t.current_syscall = Syscall("write", {})
         threads.append(t)
@@ -73,29 +75,24 @@ def _drive_scheduler(kind: str, threads_n: int, decisions: int) -> List[int]:
     thread resumes *running* (computing toward its next stop), and when
     nothing is serviceable the lowest-bound runner reaches its stop —
     so every decision sees a mix of stopped and running threads, exactly
-    the regime the scheduler operates in.  Returns the serviced-tid
-    sequence so callers can assert schedule identity."""
+    the regime the scheduler operates in.  One more thread, added first
+    and stopped at the lowest clock, stands for the ``wait4`` parent of
+    bioinf-raxml and pkg-sweep: its call blocks, so every service
+    re-arms it and every probe of it fails (``still_blocked``).  Runs
+    until *decisions* verdicts other than WAIT and returns them as tids,
+    negated for probes, so callers can assert schedule identity."""
     sched = make_scheduler(kind)
-    threads = _make_stopped_threads(threads_n)
+    threads = _make_stopped_threads(threads_n + 1)
+    waiter = threads[0]
     for t in threads:
         sched.add(t)
     order: List[int] = []
     #: Harness-side wake queue of running threads, (det_bound, tid,
     #: thread) — O(log n) so the harness never dominates the loop.
     runners: List[Tuple[float, int, Thread]] = []
-    serviced = 0
-    while serviced < decisions:
+    while len(order) < decisions:
         action, thread = sched.next_action()
-        if action == SERVICE:
-            thread.current_syscall = None
-            thread.state = ThreadState.RUNNING
-            thread.det_clock = thread.det_bound = (
-                thread.det_clock + threads_n * SYSCALL_TICK)
-            sched.completed(thread)
-            heapq.heappush(runners, (thread.det_bound, thread.tid, thread))
-            order.append(thread.tid)
-            serviced += 1
-        elif action == WAIT:
+        if action == WAIT:
             # The kernel resumes compute: the lowest-bound runner hits
             # its next trace stop (deterministically, by (bound, tid)).
             _, _, nxt = heapq.heappop(runners)
@@ -103,8 +100,19 @@ def _drive_scheduler(kind: str, threads_n: int, decisions: int) -> List[int]:
             nxt.state = ThreadState.TRACE_STOP
             nxt.current_syscall = Syscall("write", {})
             sched.notify_stop(nxt)
+            continue
+        order.append(thread.tid if action == SERVICE else -thread.tid)
+        if thread is waiter:
+            sched.still_blocked(waiter)
+        elif action == SERVICE:
+            thread.current_syscall = None
+            thread.state = ThreadState.RUNNING
+            thread.det_clock = thread.det_bound = (
+                thread.det_clock + threads_n * SYSCALL_TICK)
+            sched.completed(thread)
+            heapq.heappush(runners, (thread.det_bound, thread.tid, thread))
         else:
-            raise AssertionError("bench loop got unexpected %r" % action)
+            raise AssertionError("bench loop probed running %r" % thread)
     return order
 
 

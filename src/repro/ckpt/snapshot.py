@@ -49,6 +49,7 @@ from ..kernel.inode import Inode
 from ..kernel.ops import Syscall, VdsoCall
 from ..kernel.pipes import Pipe
 from ..kernel.process import Process, Thread, ThreadState
+from ..kernel.types import Dirent
 from ..kernel.waiting import Channel
 from .tape import decode_value, encode_value
 
@@ -312,6 +313,10 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
                 "listener": ((of.listener.family, of.listener.address)
                              if of.listener is not None else None),
                 "shut_rd": of.shut_rd, "shut_wr": of.shut_wr,
+                "dirents": (None if of.dirents is None else
+                            [(d.d_ino, d.d_name, d.d_type)
+                             for d in of.dirents]),
+                "dirents_pos": of.dirents_pos,
             }
         return key
 
@@ -358,10 +363,10 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
                 "token_queued": th.token_queued,
                 "current_syscall_index": th.current_syscall_index,
                 "obs_attempt": th.obs_attempt, "obs_faulted": th.obs_faulted,
-                "io_cost": getattr(th, "_io_cost", 0.0),
-                "on_core": getattr(th, "_on_core", False),
+                "io_cost": th._io_cost,
+                "on_core": th._on_core,
                 "wait_channels": [chan_ref(ch) for ch in th.wait_channels],
-                "parked_call": _encode_call(getattr(th, "_parked_call", None)),
+                "parked_call": _encode_call(th._parked_call),
                 "cs_none": th.current_syscall is None,
                 "armed": armed_ref(th.armed_fault),
             })
@@ -380,8 +385,8 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
             "sigmask": proc.memory.get("_sigmask"),
             "step_queue": step_queue,
             "step_token": token.tid if token is not None else None,
-            "signals_delivered": getattr(proc, "_signals_delivered", 0),
-            "pause_acks": getattr(proc, "_pause_acks", 0),
+            "signals_delivered": proc._signals_delivered,
+            "pause_acks": proc._pause_acks,
             "fdtable": fdt,
             "threads": threads,
             "dropped_tids": list(proc.dropped_tids),
@@ -438,7 +443,7 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
             sections[key] = {
                 "alloc_next": fs._alloc._next,
                 "alloc_free": list(fs._alloc._free),
-                "alloc_gens": dict(fs._alloc._gen),
+                "alloc_serial": fs._alloc._serial,
             }
         elif key == "pipes":
             # Sorted by id: deterministic regardless of discovery.
@@ -899,7 +904,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     meta = payload["fs_meta"]
     fs._alloc._next = meta["alloc_next"]
     fs._alloc._free = list(meta["alloc_free"])
-    fs._alloc._gen = dict(meta["alloc_gens"])
+    fs._alloc._serial = meta["alloc_serial"]
     fs._bytes_written = payload["bytes_written"]
     # Identity-keyed caches cannot survive object replacement; their
     # host-side hit counters are not snapshotted and restart with them.
@@ -927,7 +932,10 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             counts_inode=rec["counts_inode"],
             sock_local=rec["sock_local"], sock_peer=rec["sock_peer"],
             sock_family=rec["sock_family"], sock_bound=rec["sock_bound"],
-            shut_rd=rec["shut_rd"], shut_wr=rec["shut_wr"])
+            shut_rd=rec["shut_rd"], shut_wr=rec["shut_wr"],
+            dirents=(None if rec["dirents"] is None else
+                     [Dirent(*d) for d in rec["dirents"]]),
+            dirents_pos=rec["dirents_pos"])
         lkey = rec["listener"]
         if lkey is not None:
             of.listener = kernel.sockets.lookup(lkey[0], lkey[1])
@@ -958,10 +966,8 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
         proc.fdtable = FDTable()
         for fd, ofid in prec["fdtable"].items():
             proc.fdtable._fds[fd] = ofs_by_id[ofid]
-        if prec["signals_delivered"]:
-            proc._signals_delivered = prec["signals_delivered"]
-        if prec["pause_acks"]:
-            proc._pause_acks = prec["pause_acks"]
+        proc._signals_delivered = prec["signals_delivered"]
+        proc._pause_acks = prec["pause_acks"]
         for trec in prec["threads"]:
             th = Thread(tid=trec["tid"], process=proc, gen=None)
             th.gen_stack = []
@@ -1052,10 +1058,8 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             th.current_syscall_index = trec["current_syscall_index"]
             th.obs_attempt = trec["obs_attempt"]
             th.obs_faulted = trec["obs_faulted"]
-            if trec["io_cost"]:
-                th._io_cost = trec["io_cost"]
-            if trec["on_core"]:
-                th._on_core = True
+            th._io_cost = trec["io_cost"]
+            th._on_core = trec["on_core"]
             th.wait_channels = [chan_of(d) for d in trec["wait_channels"]]
             pc = trec["parked_call"]
             if pc is not None:
@@ -1166,9 +1170,10 @@ def _restore_sched(sched, rec: Optional[Dict[str, Any]],
         sched._service_seq = rec["service_seq"]
         sched._fail_seq = {threads[tid]: s for tid, s in rec["fail_seq"]
                            if tid in threads}
-        # Entries for dropped thread objects were permanently stale (the
-        # index check can never match again); with them filtered out the
-        # remaining keys are unique, so heapify reproduces pop order.
+        # Entries for dropped thread objects were permanently stale (an
+        # exited thread's entry is never live again); with them filtered
+        # out the remaining keys are unique, so heapify reproduces pop
+        # order.
         sched._stop_heap = [(c, i, threads[tid])
                             for c, i, tid in rec["stop_heap"]
                             if tid in threads]

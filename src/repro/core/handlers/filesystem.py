@@ -127,10 +127,10 @@ def handle_getdents(ctx: HandlerContext, thread, call) -> Outcome:
         of = thread.process.fdtable.get(fd)
     except Exception:
         return passthrough(ctx, thread, call)
-    buffered = getattr(of, "_dt_dirents", None)
-    if buffered is not None and of.offset == 0 and buffered["pos"] > 0:
-        buffered = None   # the guest lseek'd back: rewind means re-drain
-    if buffered is None:
+    entries = of.dirents
+    if entries is not None and of.offset == 0 and of.dirents_pos > 0:
+        entries = None   # the guest lseek'd back: rewind means re-drain
+    if entries is None:
         # Drain: re-execute until the kernel's cursor is exhausted
         # (syscall injection, §5.10), then sort once.
         collected = []
@@ -149,12 +149,11 @@ def handle_getdents(ctx: HandlerContext, thread, call) -> Outcome:
                               d_name=d.d_name, d_type=d.d_type)
                        for d in entries]
         ctx.tracer.obs.count(("tracer", "getdents_sorted"))
-        buffered = {"entries": entries, "pos": 0}
-        of._dt_dirents = buffered   # per-description tracer scratch
-    entries = buffered["entries"]
-    pos = buffered["pos"]
+        of.dirents = entries
+        of.dirents_pos = 0
+    pos = of.dirents_pos
     chunk = entries[pos:] if max_entries is None else entries[pos:pos + max_entries]
-    buffered["pos"] = pos + len(chunk)
+    of.dirents_pos = pos + len(chunk)
     ctx.poke(1 + len(chunk) // 4)
     return ("value", chunk)
 

@@ -32,9 +32,12 @@ implementations are provided:
     (det_clock, spawn_index), a stash of probe-ineligible candidates
     re-armed whenever the determinism epoch advances, and a lazily
     repaired min-heap over running threads' committed lower bounds.
-    The decision *sequence* is byte-identical to the reference
-    implementation below — enforced by the differential suite in
-    ``tests/properties/test_sched_differential.py``.
+    A decision is one pass over the two heap tops, and the transition
+    that follows it (``completed`` or ``still_blocked``) consumes the
+    entry the decision returned, so the next decision never
+    re-validates it.  The decision *sequence* is byte-identical to the
+    reference implementation below — enforced by the differential
+    suite in ``tests/properties/test_sched_differential.py``.
 
 :class:`LogicalClockRefScheduler` (``scheduler="logical-ref"``)
     The original sort-and-scan implementation of the same policy,
@@ -57,6 +60,12 @@ from ..kernel.costs import SYSCALL_TICK  # noqa: F401  (re-exported)
 SERVICE = "service"
 PROBE = "probe"
 WAIT = "wait"
+
+#: The one WAIT verdict, returned by every decision that waits.
+_WAIT_VERDICT = (WAIT, None)
+#: Thread states the decision loop compares against, as module globals.
+_TRACE_STOP = ThreadState.TRACE_STOP
+_EXITED = ThreadState.EXITED
 
 
 def _is_stopped_at_syscall(thread: Thread) -> bool:
@@ -131,13 +140,13 @@ class LogicalClockScheduler(SchedulerBase):
     provably fail again.  This is exactly §5.6.1's "consult the blocked
     queue after each executed syscall", expressed in logical time.
 
-    Data structures (all lazily repaired, so membership updates are
+    Data structures (lazily repaired, so membership updates are
     amortized O(log n) and ``remove`` is O(1)):
 
     * ``_stop_heap`` — stopped candidates as ``(det_clock, spawn_index,
       thread)``.  An entry is live while the thread is still stopped at
-      the same deterministic timestamp; anything else is discarded when
-      it surfaces.
+      a syscall at the same deterministic timestamp; anything else is
+      discarded when it surfaces.
     * ``_stash`` — candidates whose last probe failed in the current
       epoch.  Every epoch advance (service, exit, note_progress) re-arms
       the whole stash, mirroring the reference policy of reconsidering
@@ -148,6 +157,19 @@ class LogicalClockScheduler(SchedulerBase):
       seccomp-skipped syscalls advance ``det_bound`` without any
       scheduler notification; deterministic clocks only move forward, so
       a stale entry always surfaces before its refresh is needed.
+
+    A decision is one pass over the two heap tops, and the transition
+    that follows it consumes the entry it returned: ``completed`` pops
+    it off the stop heap, ``still_blocked`` moves it to the stash.  So
+    the next decision starts at the next candidate instead of
+    re-validating the one just decided.  The entry is at the top unless
+    the service itself pushed a smaller one (an exit or a partial
+    transfer re-arms the stash; a token grant can stop a sibling); it
+    then dies lazily, as every other stale entry does.
+
+    Validation reads thread fields only: a thread leaves the membership
+    only once ``EXITED``, so state, pending syscall and clock decide
+    whether an entry is live without a membership lookup.
     """
 
     def __init__(self):
@@ -219,99 +241,83 @@ class LogicalClockScheduler(SchedulerBase):
 
     # -- decision ------------------------------------------------------------
 
-    def _peek_candidate(self) -> Optional[Tuple[float, int, Thread]]:
-        """The live minimum of the stop heap, stashing probe-ineligible
-        candidates and discarding dead entries.
-
-        The validity checks are inlined (rather than going through
-        ``Thread.alive`` / ``_is_stopped_at_syscall``) because this loop
-        visits every stale heap entry exactly once and runs on every
-        scheduling decision: property and call overhead dominates it.
-        ``state is TRACE_STOP`` subsumes the liveness check (an exited
-        thread is never in TRACE_STOP)."""
+    def next_action(self) -> Tuple[str, Optional[Thread]]:
+        # The live minimum of the stop heap: dead entries are dropped and
+        # probe-ineligible ones parked in the stash on the way.
         heap = self._stop_heap
-        heappop = heapq.heappop
-        index_get = self._index.get
-        fail_get = self._fail_seq.get
         seq = self._service_seq
-        stopped = ThreadState.TRACE_STOP
+        fail_get = self._fail_seq.get
         while heap:
-            entry = heap[0]
-            clock, idx, thread = entry
-            if (index_get(thread) != idx
-                    or thread.state is not stopped
+            clock, idx, thread = heap[0]
+            if (thread.state is not _TRACE_STOP
                     or thread.current_syscall is None
                     or thread.det_clock != clock):
-                heappop(heap)
+                heapq.heappop(heap)
                 continue
-            if fail_get(thread) == seq:
+            failed = fail_get(thread)
+            if failed == seq:
                 # Nothing serviced since its last failed probe: park it
                 # until the epoch advances.
-                self._stash.append(heappop(heap))
+                self._stash.append(heapq.heappop(heap))
                 continue
-            return entry
-        return None
-
-    def _min_running_bound(self) -> Optional[Tuple[float, int]]:
-        """The smallest (det_bound + SYSCALL_TICK, index) over threads
-        that could still stop on their own (running, not waiting for the
-        sibling token, not already stopped).  Checks inlined as in
-        :meth:`_peek_candidate`."""
-        heap = self._bound_heap
-        heappop = heapq.heappop
-        index_get = self._index.get
-        exited = ThreadState.EXITED
-        stopped = ThreadState.TRACE_STOP
-        while heap:
-            bound_key, idx, thread, stamp = heap[0]
-            state = thread.state
-            if index_get(thread) != idx or state is exited:
-                heappop(heap)
+            break
+        else:
+            return _WAIT_VERDICT
+        # The smallest (det_bound + SYSCALL_TICK, index) over threads
+        # that could still stop on their own: not exited, not waiting
+        # for the sibling token, not already stopped at a syscall.
+        bounds = self._bound_heap
+        while bounds:
+            bound, other_idx, other, stamp = bounds[0]
+            state = other.state
+            if (state is _EXITED or other.token_queued
+                    or (state is _TRACE_STOP
+                        and other.current_syscall is not None)):
+                # Outside the running set; re-pushed on the token grant
+                # or service completion that brings it back.
+                heapq.heappop(bounds)
                 continue
-            if thread.token_queued or (state is stopped
-                                       and thread.current_syscall is not None):
-                # Temporarily outside the running set; re-pushed on the
-                # token grant / service completion transition.
-                heappop(heap)
-                continue
-            if thread.det_bound != stamp:
+            if other.det_bound != stamp:
                 # Seccomp-skipped syscalls raise det_bound without a
                 # notify hook: refresh in place (bounds only grow, so
                 # the stale entry surfaces before the fresh one is due).
                 heapq.heapreplace(
-                    heap, (thread.det_bound + SYSCALL_TICK, idx, thread,
-                           thread.det_bound))
+                    bounds, (other.det_bound + SYSCALL_TICK, other_idx,
+                             other, other.det_bound))
                 continue
-            return (bound_key, idx)
-        return None
-
-    def next_action(self) -> Tuple[str, Optional[Thread]]:
-        top = self._peek_candidate()
-        if top is None:
-            return (WAIT, None)
-        clock, idx, candidate = top
-        bound = self._min_running_bound()
-        if bound is not None and bound < (clock, idx):
-            # Some running thread could stop with a smaller deterministic
-            # timestamp: servicing now would commit the wrong order.
-            return (WAIT, None)
-        if candidate in self._fail_seq:
-            return (PROBE, candidate)
-        return (SERVICE, candidate)
+            if bound < clock or (bound == clock and other_idx < idx):
+                # Some running thread could stop with a smaller
+                # deterministic timestamp: servicing now would commit
+                # the wrong order.
+                return _WAIT_VERDICT
+            break
+        if failed is None:
+            return (SERVICE, thread)
+        return (PROBE, thread)
 
     def completed(self, thread: Thread) -> None:
-        self._service_seq += 1
-        if self._stash:
-            for entry in self._stash:
-                heapq.heappush(self._stop_heap, entry)
-            del self._stash[:]
+        # Consume the decided entry before the epoch advance re-arms the
+        # stash over it, then put the thread back among the running
+        # bounds.
+        heap = self._stop_heap
+        if heap and heap[0][2] is thread:
+            idx = heapq.heappop(heap)[1]
+        else:
+            idx = self._index.get(thread)
+        self._bump_epoch()
         self._fail_seq.pop(thread, None)
-        # The thread resumes into the running set; its stop-heap entry
-        # dies lazily once current_syscall is cleared.
-        self.notify_bound(thread)
+        # An exited thread (already removed by its exit hook) has no
+        # bound left to keep.
+        if idx is not None and thread.state is not _EXITED:
+            bound = thread.det_bound
+            heapq.heappush(self._bound_heap,
+                           (bound + SYSCALL_TICK, idx, thread, bound))
 
     def still_blocked(self, thread: Thread) -> None:
         self._fail_seq[thread] = self._service_seq
+        heap = self._stop_heap
+        if heap and heap[0][2] is thread:
+            self._stash.append(heapq.heappop(heap))
 
     def note_progress(self) -> None:
         self._bump_epoch()

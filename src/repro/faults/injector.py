@@ -176,7 +176,7 @@ class FaultInjector:
         :class:`SyscallError` for errno faults.  Consuming clears the
         armed slot, so retries of the same instance run unfaulted.
         """
-        armed: Optional[ArmedFault] = getattr(thread, "armed_fault", None)
+        armed: Optional[ArmedFault] = thread.armed_fault
         if armed is None:
             return call
         thread.armed_fault = None

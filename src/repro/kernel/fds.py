@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from .errors import Errno, SyscallError
 from .inode import Inode
 from .pipes import Pipe
+from .types import Dirent
 
 
 class FdKind(enum.Enum):
@@ -74,6 +75,14 @@ class OpenFile:
     #: The fake external network peer a SOCKET description connected to
     #: a host outside the container talks to (set only by connect).
     socket: Optional[object] = None
+
+    # -- DIRECTORY listing served by DetTrace (core.handlers) ----------
+    #: The sorted entries of the tracer's drain of this description's
+    #: kernel cursor (None until the first getdents), and how many of
+    #: them the guest has been served.  The drain leaves the kernel
+    #: cursor at the end, so a snapshot must carry both.
+    dirents: Optional[List[Dirent]] = None
+    dirents_pos: int = 0
 
     @property
     def is_pipe(self) -> bool:

@@ -107,10 +107,11 @@ class Filesystem:
         """Stamp a freshly-allocated inode's generation and mark it dirty.
 
         Every creation site must route here (or through the create_*
-        helpers, which do) so the ``(ino, generation)`` key is live
-        before the object can appear in a snapshot.
+        helpers, which do) right after allocating the node's number, so
+        the ``(ino, generation)`` key is live before the object can
+        appear in a snapshot.
         """
-        node.generation = self._alloc.generation_of(node.ino)
+        node.generation = self._alloc.generation
         if node.kind is FileKind.FIFO and node.fifo_pipe is not None:
             self._fifo_nodes[id(node.fifo_pipe)] = node
         self.note(node)

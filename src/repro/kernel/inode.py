@@ -43,9 +43,9 @@ class Inode:
     dev_write: Optional[Callable[[bytes], int]] = None
     #: Backing pipe for FIFO (named pipe) inodes.
     fifo_pipe: Optional[object] = None
-    #: Monotonically increasing generation stamp: bumped when the inode
-    #: number is recycled onto a new object, letting tests verify the
-    #: DetTrace recycling logic is actually exercised.
+    #: The allocation serial this inode's number was handed out at
+    #: (InodeAllocator): unique per object for the whole run, so
+    #: ``(ino, generation)`` tells a recycled number's objects apart.
     generation: int = 0
 
     # Unannotated class attributes (NOT dataclass fields, so equality and
@@ -129,11 +129,11 @@ class InodeAllocator:
     def __init__(self, start: int):
         self._next = start
         self._free: list = []
-        #: Per-number generation counters: bumped every time a number is
-        #: handed out, so ``(ino, generation)`` names one object for the
-        #: whole run even across recycling.  The checkpoint plane keys
-        #: delta records on this pair.
-        self._gen: Dict[int, int] = {}
+        #: Allocations so far: each allocation's serial is its inode's
+        #: generation, so ``(ino, generation)`` names one object for the
+        #: whole run even across number recycling.  The checkpoint plane
+        #: keys delta records on this pair.
+        self._serial = 0
 
     def allocate(self) -> int:
         if self._free:
@@ -142,15 +142,16 @@ class InodeAllocator:
         else:
             ino = self._next
             self._next += 1
-        self._gen[ino] = self._gen.get(ino, 0) + 1
+        self._serial += 1
         return ino
+
+    @property
+    def generation(self) -> int:
+        """The generation of the number :meth:`allocate` last returned."""
+        return self._serial
 
     def release(self, ino: int) -> None:
         self._free.append(ino)
-
-    def generation_of(self, ino: int) -> int:
-        """Current generation of *ino* (0 if never allocated here)."""
-        return self._gen.get(ino, 0)
 
     @property
     def outstanding_free(self) -> int:

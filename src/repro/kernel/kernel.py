@@ -581,7 +581,7 @@ class Kernel:
             self.core_queue_version += 1
 
     def _finish_compute(self, thread: Thread) -> None:
-        if not getattr(thread, "_on_core", False):
+        if not thread._on_core:
             return  # torn down mid-compute; the core was already released
         self.cores_busy -= 1
         thread._on_core = False
@@ -629,13 +629,13 @@ class Kernel:
         if base is None:
             base = SYSCALL_COSTS.get(name, SYSCALL_BASE_COST)
             self._cost_cache[name] = base
-        extra = getattr(thread, "_io_cost", 0.0)
+        extra = thread._io_cost
         thread._io_cost = 0.0
         return base + extra
 
     def charge_io(self, thread: Thread, nbytes: int) -> None:
         cost = nbytes / IO_BANDWIDTH
-        thread._io_cost = getattr(thread, "_io_cost", 0.0) + cost
+        thread._io_cost += cost
         self.obs.charge("fs", cost)
 
     def det_tid(self, thread: Thread) -> int:
@@ -759,7 +759,7 @@ class Kernel:
     def _retry_parked(self, thread: Thread) -> None:
         if not thread.alive:
             return
-        call = getattr(thread, "_parked_call", None)
+        call = thread._parked_call
         if call is None:
             return
         thread.state = ThreadState.DISPATCH
@@ -815,7 +815,7 @@ class Kernel:
             return
         target = live[0]
         target.pending_signals.append(signum)
-        proc._signals_delivered = getattr(proc, "_signals_delivered", 0) + 1
+        proc._signals_delivered += 1
         self.notify(proc.signal_channel)
         # A blocked thread with no channel connection still gets the
         # handler at its next step; pause/interruptible sleeps listen on
@@ -852,7 +852,7 @@ class Kernel:
         """Exit a live thread without its exit hook (process teardown)."""
         thread.state = ThreadState.EXITED
         thread.process.live_thread_count -= 1
-        if getattr(thread, "_on_core", False):
+        if thread._on_core:
             self.cores_busy -= 1
             thread._on_core = False
             self._pump_core_queue()

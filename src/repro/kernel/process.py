@@ -74,6 +74,15 @@ class Thread:
         self.current_syscall_index = -1
         self.obs_attempt = 0
         self.obs_faulted = False
+        #: Virtual disk time the in-flight syscall's I/O charged
+        #: (Kernel.charge_io); Kernel.syscall_cost adds it and resets it.
+        self._io_cost = 0.0
+        #: Holding a core for a compute segment (cleared when the
+        #: segment finishes or the thread is torn down mid-compute).
+        self._on_core = False
+        #: The syscall a native blocking call parked on, re-executed
+        #: when one of its wait channels fires.
+        self._parked_call = None
 
     @property
     def alive(self) -> bool:
@@ -144,6 +153,10 @@ class Process:
         #: The thread holding the thread-serialization step token
         #: (§5.7), or None; its queue is ``memory["_step_queue"]``.
         self.step_token: Optional[Thread] = None
+        #: Signals delivered to this process, and how many of them a
+        #: ``pause`` has consumed.
+        self._signals_delivered = 0
+        self._pause_acks = 0
 
     @property
     def alive(self) -> bool:

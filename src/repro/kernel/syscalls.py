@@ -786,9 +786,8 @@ class SyscallTable:
 
     def sys_pause(self, t: Thread):
         proc = t.process
-        delivered = getattr(proc, "_signals_delivered", 0)
-        acked = getattr(proc, "_pause_acks", 0)
-        if t.pending_signals or delivered > acked:
+        delivered = proc._signals_delivered
+        if t.pending_signals or delivered > proc._pause_acks:
             # A signal arrived since the last pause: consume it.  (Under
             # DetTrace's instant timers the handler already ran before
             # this pause; POSIX pause would hang, but the paper's timer

@@ -19,6 +19,7 @@ The properties under test:
 """
 
 import os
+import pickle
 
 import pytest
 
@@ -204,6 +205,31 @@ class TestSections:
         assert "fs_meta" not in writes[1]
         # Creating other.txt allocates an inode number.
         assert any("fs_meta" in sections for sections in deltas)
+
+    def test_fs_meta_stays_small_as_files_are_created(self, tmp_path):
+        """The allocator's section is its next number, free list and
+        allocation serial: its size does not grow with the inodes a run
+        has allocated."""
+        def main(sys_):
+            for i in range(200):
+                yield from sys_.write_file("f%d" % i, b"")
+            for _ in range(60):
+                yield from sys_.getpid()
+            return 0
+
+        image = Image()
+        image.add_binary("/bin/main", main)
+        cfg = ContainerConfig(checkpoint=CheckpointConfig(
+            directory=str(tmp_path), every=50, full_every=1, keep=1))
+        result = DetTrace(cfg).run(image, "/bin/main",
+                                   host=HostEnvironment(entropy_seed=7))
+        assert result.succeeded, (result.status, result.error)
+        _, payload = RecoveryManager(str(tmp_path)).load()
+        files = [name for name in result.output_tree if name.startswith("f")]
+        assert len(files) == 200
+        meta = payload["fs_meta"]
+        assert meta["alloc_serial"] > 200
+        assert len(pickle.dumps(meta, pickle.HIGHEST_PROTOCOL)) < 100
 
 
 class TestPrune:

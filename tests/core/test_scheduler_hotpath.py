@@ -100,6 +100,49 @@ def test_stash_rearmed_after_service():
     assert s.blocked_count() == 0
 
 
+def test_transitions_consume_the_decided_entry():
+    """The plain pump sequence: a decision returns the top of the stop
+    heap, and the transition that follows takes that entry off it —
+    ``completed`` drops it, ``still_blocked`` parks it in the stash —
+    so the next decision never re-validates it."""
+    s = LogicalClockScheduler()
+    waiter = make_thread(1, clock=1.0, stopped=True)
+    a = make_thread(2, clock=2.0, stopped=True)
+    b = make_thread(3, clock=3.0, stopped=True)
+    for t in (waiter, a, b):
+        s.add(t)
+
+    def stop_entries(t):
+        return [e for e in s._stop_heap if e[2] is t]
+
+    assert s.next_action() == (SERVICE, waiter)
+    s.still_blocked(waiter)
+    assert stop_entries(waiter) == []
+    assert [e[2] for e in s._stash] == [waiter]
+    assert s.next_action() == (SERVICE, a)
+    s.completed(a)
+    assert stop_entries(a) == []
+    a.state = ThreadState.RUNNING
+    a.current_syscall = None
+    # The service re-armed the waiter: probed, it blocks again.
+    assert s._stash == []
+    assert s.next_action() == (PROBE, waiter)
+    s.still_blocked(waiter)
+    assert stop_entries(waiter) == []
+    assert [e[2] for e in s._stash] == [waiter]
+    # a runs again with a bound past b's clock, so b is serviced.
+    a.det_clock = a.det_bound = 9.0
+    assert s.next_action() == (SERVICE, b)
+    s.completed(b)
+    assert stop_entries(b) == []
+    b.state = ThreadState.RUNNING
+    b.current_syscall = None
+    assert s.next_action() == (PROBE, waiter)
+    s.completed(waiter)
+    assert s._stop_heap == [] and s._stash == []
+    assert s.blocked_count() == 0
+
+
 def test_bound_heap_refreshes_stale_stamps():
     """Seccomp-skipped syscalls advance det_bound silently; the heap
     entry must refresh in place and keep gating with the new bound."""

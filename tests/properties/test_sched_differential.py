@@ -8,11 +8,18 @@ structured trace (which embeds the full service order).  Likewise the
 namei/dirent caches are pure memoization: ``fs_caches`` on vs off must
 be invisible to everything but host wall time.
 """
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ContainerConfig
-from repro.cpu.machine import HostEnvironment
+from repro.core import ContainerConfig, DetTrace
+from repro.cpu.machine import HASWELL_XEON, HostEnvironment
+from repro.repro_tools.variations import host_pair
+from repro.workloads.bioinf import RAXML, tool_image
+from repro.workloads.debian import build_dettrace, generate_population
+from repro.workloads.ml import ALEXNET, tf_image
 from tests.conftest import dettrace_run
 from tests.properties.test_determinism_props import ACTIONS, program_for
 
@@ -82,3 +89,43 @@ def test_observation_off_same_totals(actions, seed):
     assert ra.metrics.totals == rb.metrics.totals
     assert ra.metrics.syscalls_by_name == rb.metrics.syscalls_by_name
     assert rb.trace is None and ra.trace is not None
+
+
+# -- the benchmark's programs, at reduced size ----------------------------
+
+def _raxml(cfg):
+    """raxml at 16 worker processes: a wait4 parent probed after every
+    service."""
+    image = tool_image(dataclasses.replace(RAXML, n_units=48))
+    return DetTrace(cfg).run(
+        image, "/usr/bin/raxml", argv=["raxml", "16"],
+        host=HostEnvironment(machine=HASWELL_XEON, entropy_seed=11))
+
+
+def _alexnet(cfg):
+    """AlexNet training for one step: 16 threads on futex locks behind
+    the sibling-serialization token."""
+    image = tf_image(dataclasses.replace(ALEXNET, steps=1))
+    return DetTrace(cfg).run(
+        image, "/usr/bin/tensorflow",
+        host=HostEnvironment(machine=HASWELL_XEON, entropy_seed=11))
+
+
+def _package(cfg):
+    """The first package of seed 0's smallest stratified shape (two
+    sources, eight include probes), built on its first host."""
+    spec = next(s for s in generate_population(3000, seed=0)
+                if not s.expect_dt_unsupported and not s.syscall_storm
+                and (s.n_sources, s.include_probes) == (2, 8))
+    return build_dettrace(spec, config=cfg, host=host_pair(seed=0)[0]).result
+
+
+@pytest.mark.parametrize("program", [_raxml, _alexnet, _package],
+                         ids=["raxml", "alexnet", "package"])
+def test_perf_programs_logical_equals_logical_ref(program):
+    """The programs the scheduler's hot path is tuned for decide exactly
+    as the reference scan does."""
+    ra = program(ContainerConfig(observe=True, scheduler="logical"))
+    rb = program(ContainerConfig(observe=True, scheduler="logical-ref"))
+    assert ra.succeeded, (ra.status, ra.error)
+    _assert_identical_runs(ra, rb)
