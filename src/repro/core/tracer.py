@@ -22,7 +22,6 @@ from ..kernel.costs import (
 )
 from ..kernel.process import Process, Thread
 from ..kernel.types import CpuidResult
-from ..obs.collector import _bucket
 from ..obs.events import DEBUG, TRAP, ObsEvent
 from ..obs.profiler import HANDLER, INTERCEPTION, SCHEDULER
 from ..obs.trace import Span
@@ -390,9 +389,12 @@ class DetTraceTracer(TracerBase):
         sched, obs = self.sched, self.obs
         sched.completed(thread)
         blocked = sched.blocked_count()
-        # Collector.observe and gauge_max, in place.
-        hist = obs.histograms.setdefault("sched/blocked", {})
-        bucket = _bucket(blocked)
+        # Collector.observe and gauge_max, in place; for a count,
+        # _bucket(blocked) is (blocked - 1).bit_length().
+        hist = obs.histograms.get("sched/blocked")
+        if hist is None:
+            hist = obs.histograms["sched/blocked"] = {}
+        bucket = (blocked - 1).bit_length() if blocked else 0
         hist[bucket] = hist.get(bucket, 0) + 1
         gauges = obs.gauges
         if blocked > gauges.get("sched/blocked_peak", -1):

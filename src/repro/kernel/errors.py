@@ -101,11 +101,11 @@ _MESSAGES = {
 
 
 def strerror(errno: int) -> str:
-    """Return the message for *errno*, like ``strerror(3)``."""
-    try:
-        return _MESSAGES[Errno(errno)]
-    except ValueError:
-        return "Unknown error %d" % errno
+    """Return the message for *errno*, like ``strerror(3)``.
+
+    Indexed by the int itself: an ``Errno`` key hashes and compares as
+    its value, so no enum is built per error."""
+    return _MESSAGES.get(errno) or "Unknown error %d" % errno
 
 
 class SyscallError(Exception):

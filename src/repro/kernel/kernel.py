@@ -414,12 +414,13 @@ class Kernel:
 
     def _step_or_wait(self, thread: Thread, value: Any, exc: Optional[BaseException]) -> None:
         """Execute the thread's next step, honouring thread serialization."""
-        if not thread.alive:
+        if thread.state is ThreadState.EXITED:
             return
         proc = thread.process
         if self.serialize_threads and proc.live_thread_count > 1:
             holder = proc.step_token
-            if holder is not None and holder is not thread and holder.alive:
+            if (holder is not None and holder is not thread
+                    and holder.state is not ThreadState.EXITED):
                 queue = proc.memory.setdefault("_step_queue", [])
                 queue.append((thread, value, exc))
                 thread.state = ThreadState.RUNNABLE
@@ -436,7 +437,7 @@ class Kernel:
         queue = proc.memory.get("_step_queue") or []
         while queue:
             nxt, value, exc = queue.pop(0)
-            if nxt.alive:
+            if nxt.state is not ThreadState.EXITED:
                 proc.step_token = nxt
                 nxt.token_queued = False
                 if self.tracer is not None:
@@ -451,7 +452,7 @@ class Kernel:
     def _step(self, thread: Thread, value: Any, exc: Optional[BaseException]) -> None:
         """Advance the top generator frame and dispatch the yielded op."""
         while True:
-            if not thread.alive:
+            if thread.state is ThreadState.EXITED:
                 return
             # Deliver queued signals by pushing handler frames (§5.4).
             if thread.pending_signals:
@@ -586,7 +587,7 @@ class Kernel:
         self.cores_busy -= 1
         thread._on_core = False
         self._pump_core_queue()
-        if not thread.alive:
+        if thread.state is ThreadState.EXITED:
             return
         thread.det_clock = max(thread.det_clock, thread.det_bound)
         self._step(thread, None, None)
@@ -707,6 +708,9 @@ class Kernel:
                           thread, 0, None)
             return
         except SyscallError as err:
+            # An error leaves the kernel as a plain value (see
+            # tracer_execute): no host frames ride into the guest.
+            err.__traceback__ = err.__context__ = None
             self._resume_after(thread, self.syscall_cost(thread, call.name), exc=err)
             return
         except ExitProcess as ex:
@@ -746,7 +750,7 @@ class Kernel:
         self.parked_version += 1
         count = 0
         for thread in woken:
-            if not thread.alive or thread.state is not ThreadState.BLOCKED:
+            if thread.state is not ThreadState.BLOCKED:  # exited, or already woken
                 continue
             for ch in thread.wait_channels:
                 if ch is not channel and thread in self._parked.get(ch, []):
@@ -906,6 +910,13 @@ class Kernel:
         except Sleep as s:
             return ("sleep", s.seconds)
         except SyscallError as err:
+            # An error leaves the kernel as a plain value.  Its traceback
+            # holds the host frames it unwound through, which pin their
+            # callers through f_back, and the tracer's frame holds the
+            # error: a reference cycle per failed call.  The context is a
+            # host exception too (FDTable's KeyError, EPIPE's handler).
+            # gen.throw gives the guest a traceback of its own frames.
+            err.__traceback__ = err.__context__ = None
             return ("err", err)
         except ExitProcess as ex:
             self.terminate_process(thread.process, make_exit_status(ex.code))
@@ -914,6 +925,7 @@ class Kernel:
             self._thread_finished(thread, 0)
             return ("exit", None)
         except ExecveReplace as ex:
+            ex.__traceback__ = ex.__context__ = None
             return ("execve", ex)
         return ("ok", value)
 
@@ -932,7 +944,7 @@ class Kernel:
         deterministic round-robin, because queue membership only changes
         at serviced events.
         """
-        if not thread.alive:
+        if thread.state is ThreadState.EXITED:
             return
         thread.state = ThreadState.DISPATCH
         thread.current_syscall = None

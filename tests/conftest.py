@@ -63,6 +63,6 @@ def dettrace_run(program, host=None, config=None, extra_binaries=None):
         image_of(program, extra_binaries), "/bin/main", host=host)
 
 
-def native_run(program, host=None, extra_binaries=None):
-    return NativeRunner().run(image_of(program, extra_binaries), "/bin/main",
-                              host=host)
+def native_run(program, host=None, extra_binaries=None, fault_plan=None):
+    return NativeRunner(fault_plan=fault_plan).run(
+        image_of(program, extra_binaries), "/bin/main", host=host)

@@ -16,6 +16,11 @@ class TestErrno:
     def test_strerror_unknown(self):
         assert "9999" in strerror(9999)
 
+    def test_every_member_has_a_message_by_int(self):
+        for errno in Errno:
+            assert strerror(int(errno)) == strerror(errno)
+            assert not strerror(errno).startswith("Unknown error")
+
 
 class TestSyscallError:
     def test_carries_errno_and_syscall(self):
