@@ -367,6 +367,9 @@ fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "perf" ]; then
     echo "== hot-path perf stage (scheduler floor, serviced-syscalls trend) =="
+    # perfbench's own tests: its layer spans wrap the tracer's handler
+    # table and passthrough default.
+    python -m pytest -x -q perfbench/test_harness.py
     # The bench asserts the determinism identities (schedule + fan-out
     # digests) itself.
     bench_gate hotpath

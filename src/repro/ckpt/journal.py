@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..durable import append, atomic_write, fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".snap"

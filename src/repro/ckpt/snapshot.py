@@ -345,11 +345,6 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
         fdt = {fd: visit_of(of) for fd, of in proc.fdtable.items()}
         cwd_key = (proc.cwd.ino, proc.cwd.generation)
         referenced[cwd_key] = proc.cwd
-        step_queue = None
-        squeue = proc.memory.get("_step_queue")
-        if squeue is not None:
-            step_queue = [(t.tid, encode_value(v), encode_value(e))
-                          for t, v, e in squeue]
         token = proc.step_token
         threads = []
         for th in proc.threads:
@@ -382,8 +377,9 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
             "exe_path": proc.exe_path, "vdso_patched": proc.vdso_patched,
             "syscall_index": proc.syscall_index,
             "argv": list(proc.argv), "env": dict(proc.env),
-            "sigmask": proc.memory.get("_sigmask"),
-            "step_queue": step_queue,
+            "sigmask": proc.sigmask,
+            "step_queue": [(t.tid, encode_value(v), encode_value(e))
+                           for t, v, e in proc.step_queue],
             "step_token": token.tid if token is not None else None,
             "signals_delivered": proc._signals_delivered,
             "pause_acks": proc._pause_acks,
@@ -719,9 +715,8 @@ class _FastForward:
         except StopIteration:
             if len(th.gen_stack) > 1:
                 th.gen_stack.pop()
-                saved = th.process.memory.get("_saved_%d" % tid) or []
-                if saved:
-                    saved.pop()
+                if th.saved_resumes:
+                    th.saved_resumes.pop()
                 return
             self.done.add(tid)
             return
@@ -764,8 +759,7 @@ class _FastForward:
                         % (signum, tid, action))
                 v = decode_value(enc_v, self._sub(tid))
                 e = decode_value(enc_e, self._sub(tid))
-                th.process.memory.setdefault(
-                    "_saved_%d" % tid, []).append((v, e))
+                th.saved_resumes.append((v, e))
                 th.gen_stack.append(action(k.make_sys(th), signum))
                 self.live_tape.append(("push", tid, signum, v, e))
             elif kind == "spawn":
@@ -787,7 +781,7 @@ class _FastForward:
                 proc.argv = list(argv)
                 proc.env = dict(env)
                 proc.exe_path = path
-                proc.memory.pop("_saved_%d" % tid, None)
+                th.saved_resumes.clear()
                 factory = k.binaries.get(path)
                 if factory is None:
                     raise RestoreError("binary %r not in image" % path)
@@ -1042,8 +1036,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
     # -- thread scalar overlays -----------------------------------------
     for prec in payload["processes"]:
         proc = procs_by_pid[prec["pid"]]
-        if prec["sigmask"] is not None:
-            proc.memory["_sigmask"] = prec["sigmask"]
+        proc.sigmask = prec["sigmask"]
         for trec in prec["threads"]:
             th = threads_by_tid[trec["tid"]]
             tid = trec["tid"]
@@ -1087,12 +1080,10 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
                 pos, apid, aindex, asyscall = trec["armed"]
                 th.armed_fault = ArmedFault(inj.plan.rules[pos], apid,
                                             aindex, asyscall)
-        if prec["step_queue"] is not None:
-            proc.memory["_step_queue"] = [
-                (every_thread[tid],
-                 decode_value(v, ff._sub(tid)),
-                 decode_value(e, ff._sub(tid)))
-                for tid, v, e in prec["step_queue"]]
+        proc.step_queue = [(every_thread[tid],
+                            decode_value(v, ff._sub(tid)),
+                            decode_value(e, ff._sub(tid)))
+                           for tid, v, e in prec["step_queue"]]
         if prec["step_token"] is not None:
             proc.step_token = every_thread[prec["step_token"]]
         proc.live_thread_count = len(proc.live_threads())
@@ -1138,7 +1129,6 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
         tracer._last_proc = (procs_by_pid[trec["last_proc"]]
                              if trec["last_proc"] is not None else None)
         tracer._pumping = False
-        tracer._ctx_cache.clear()
         if inj is not None:
             inj.obs = kernel.obs
 

@@ -16,7 +16,7 @@ between yields).  Entry kinds:
     One pass through the kernel's generator choke point.
 ``("push", tid, signum, saved_value, saved_exc)``
     A signal-handler frame push, with the (value, exc) pair the kernel
-    parked in the ``_saved_<tid>`` mirror.
+    saved in ``Thread.saved_resumes``.
 ``("spawn", tid, path, argv, env)`` / ``("exec", tid, path, argv, env)``
     Root-frame creation at boot/fork-exec and at execve.  argv/env are
     copied *at record time*: replayed guest code must observe the

@@ -10,12 +10,10 @@ would-block and go through the Blocked queue before continuing.
 
 from __future__ import annotations
 
-from ...kernel.errors import SyscallError
-from ...kernel.fds import FdKind
-from . import HandlerContext, Outcome, passthrough
+from . import Outcome, passthrough
 
 
-def _is_pipe_fd(ctx: HandlerContext, thread, fd) -> bool:
+def _is_pipe_fd(thread, fd) -> bool:
     """Partial transfers only arise on pipes in practice (§5.5: "we have
     never seen such partial operations on regular files"); retrying only
     there keeps regular-file EOF semantics a single syscall."""
@@ -28,7 +26,7 @@ def _is_pipe_fd(ctx: HandlerContext, thread, fd) -> bool:
     return of.is_pipe and of.socket is None
 
 
-def _procfs_path(ctx: HandlerContext, thread, fd) -> str:
+def _procfs_path(thread, fd) -> str:
     try:
         path = thread.process.fdtable.get(fd).path
     except Exception:
@@ -36,11 +34,11 @@ def _procfs_path(ctx: HandlerContext, thread, fd) -> str:
     return path if path.startswith("/proc/") else ""
 
 
-def handle_read(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_read(tracer, thread, call) -> Outcome:
     # /proc files are windows onto the host (cpuinfo, uptime, version):
     # serve the canonical uniprocessor's answers instead (§5.8).
-    proc_path = _procfs_path(ctx, thread, call.args.get("fd"))
-    if proc_path and ctx.config.mask_machine:
+    proc_path = _procfs_path(thread, call.args.get("fd"))
+    if proc_path and tracer.config.mask_machine:
         from ...kernel.procfs import CANONICAL_PROC_CONTENT
 
         content = CANONICAL_PROC_CONTENT.get(proc_path)
@@ -49,73 +47,76 @@ def handle_read(ctx: HandlerContext, thread, call) -> Outcome:
             start = of.offset
             data = content[start:start + call.args.get("count", 0)]
             of.offset = start + len(data)
-            ctx.poke(max(1, len(data) // 512))
+            tracer.poke_memory(max(1, len(data) // 512))
             return ("value", data)
-    if not ctx.config.retry_partial_io:
-        return passthrough(ctx, thread, call)
-    if not _is_pipe_fd(ctx, thread, call.args.get("fd")):
-        return passthrough(ctx, thread, call)
+    if not tracer.config.retry_partial_io:
+        return passthrough(tracer, thread, call)
+    if not _is_pipe_fd(thread, call.args.get("fd")):
+        return passthrough(tracer, thread, call)
     want = call.args.get("count", 0)
     key = ("read", thread.tid)
-    acc = ctx.io_state.pop(key, b"")
+    acc = tracer.io_state.pop(key, b"")
     first = not acc
     while True:
         probe = call.replaced(count=want - len(acc))
-        tag, payload = ctx.execute(probe)
+        outcome = tracer.kernel.execute(thread, probe)
+        tag = outcome[0]
         if tag == "block":
             if acc:
-                ctx.note_progress()  # we drained pipe bytes before blocking
-            ctx.io_state[key] = acc
-            return ("block", payload)
-        if tag == "err":
+                # we drained pipe bytes before blocking
+                tracer.sched.note_progress()
+            tracer.io_state[key] = acc
+            return outcome
+        if tag == "error":
             # An error mid-accumulation would lose data in a real tracer
             # too; deliver what we have if any, else the error.
             if acc:
                 return ("value", acc)
-            return ("error", payload)
-        if tag != "ok":
+            return outcome
+        if tag != "value":
             raise AssertionError("read: unexpected outcome %r" % tag)
         if not first:
-            ctx.tracer.obs.count(("tracer", "read_retries"))
+            tracer.obs.count(("tracer", "read_retries"))
         first = False
-        data = payload
-        ctx.poke(max(1, len(data) // 512))
+        data = outcome[1]
+        tracer.poke_memory(max(1, len(data) // 512))
         acc += data
         if len(acc) >= want or not data:
             return ("value", acc)
 
 
-def handle_write(ctx: HandlerContext, thread, call) -> Outcome:
-    if not ctx.config.retry_partial_io:
-        return passthrough(ctx, thread, call)
-    if not _is_pipe_fd(ctx, thread, call.args.get("fd")):
-        return passthrough(ctx, thread, call)
+def handle_write(tracer, thread, call) -> Outcome:
+    if not tracer.config.retry_partial_io:
+        return passthrough(tracer, thread, call)
+    if not _is_pipe_fd(thread, call.args.get("fd")):
+        return passthrough(tracer, thread, call)
     data = call.args.get("data", b"")
     if isinstance(data, str):
         data = data.encode()
     key = ("write", thread.tid)
-    written = ctx.io_state.pop(key, 0)
+    written = tracer.io_state.pop(key, 0)
     first = written == 0
     if first:
         # The tracer inspects the user buffer once, on the initial stop;
         # retries only adjust the pointer/length registers (Fig. 4).
-        ctx.peek(max(1, len(data) // 512))
+        tracer.peek_memory(max(1, len(data) // 512))
     while True:
         probe = call.replaced(data=data[written:])
-        tag, payload = ctx.execute(probe)
+        outcome = tracer.kernel.execute(thread, probe)
+        tag = outcome[0]
         if tag == "block":
             if written:
-                ctx.note_progress()  # partial bytes entered the pipe
-            ctx.io_state[key] = written
-            return ("block", payload)
-        if tag == "err":
-            return ("error", payload)
-        if tag != "ok":
+                tracer.sched.note_progress()  # partial bytes entered the pipe
+            tracer.io_state[key] = written
+            return outcome
+        if tag == "error":
+            return outcome
+        if tag != "value":
             raise AssertionError("write: unexpected outcome %r" % tag)
         if not first:
-            ctx.tracer.obs.count(("tracer", "write_retries"))
+            tracer.obs.count(("tracer", "write_retries"))
         first = False
-        written += payload
+        written += outcome[1]
         if written >= len(data):
             return ("value", written)
 

@@ -8,7 +8,7 @@ must observe identical results (portability).
 from __future__ import annotations
 
 from ...kernel.types import StatfsResult, SysInfo, TimesResult, UtsName
-from . import HandlerContext, Outcome, passthrough
+from . import Outcome, passthrough
 
 CANONICAL_UTSNAME = UtsName(
     sysname="Linux",
@@ -22,29 +22,29 @@ CANONICAL_RAM = 4 << 30
 CANONICAL_NPROCS = 1
 
 
-def handle_uname(ctx: HandlerContext, thread, call) -> Outcome:
-    if not ctx.config.mask_machine:
-        return passthrough(ctx, thread, call)
-    ctx.poke(5)
+def handle_uname(tracer, thread, call) -> Outcome:
+    if not tracer.config.mask_machine:
+        return passthrough(tracer, thread, call)
+    tracer.poke_memory(5)
     return ("value", CANONICAL_UTSNAME)
 
 
-def handle_sysinfo(ctx: HandlerContext, thread, call) -> Outcome:
-    if not ctx.config.mask_machine:
-        return passthrough(ctx, thread, call)
-    ctx.poke(3)
+def handle_sysinfo(tracer, thread, call) -> Outcome:
+    if not tracer.config.mask_machine:
+        return passthrough(tracer, thread, call)
+    tracer.poke_memory(3)
     return ("value", SysInfo(uptime=1000.0, total_ram=CANONICAL_RAM,
                              nprocs=CANONICAL_NPROCS))
 
 
-def handle_times(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_times(tracer, thread, call) -> Outcome:
     """CPU accounting becomes a logical function of work requested (the
     same trick as rdtsc: a linear counter, §5.8)."""
-    if not ctx.config.virtualize_time:
-        return passthrough(ctx, thread, call)
-    ticks = ctx.logical.time_calls(thread.process.pid) + 1
-    ctx.logical.next_time(thread.process.pid)
-    ctx.poke(2)
+    if not tracer.config.virtualize_time:
+        return passthrough(tracer, thread, call)
+    ticks = tracer.logical.time_calls(thread.process.pid) + 1
+    tracer.logical.next_time(thread.process.pid)
+    tracer.poke_memory(2)
     return ("value", TimesResult(utime=float(ticks), stime=0.0,
                                  cutime=0.0, cstime=0.0))
 
@@ -54,22 +54,22 @@ CANONICAL_STATFS = StatfsResult(f_type=0xEF53, f_bsize=4096,
                                 f_files=1 << 16, f_ffree=1 << 15)
 
 
-def handle_statfs(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_statfs(tracer, thread, call) -> Outcome:
     """Free-space counters are pure host state: report canonical ones
     (quasi-determinism covers real exhaustion, §3)."""
-    if not ctx.config.mask_machine:
-        return passthrough(ctx, thread, call)
-    tag, payload = ctx.execute(call)   # still validate the path
-    if tag == "err":
-        return ("error", payload)
-    ctx.poke(3)
+    if not tracer.config.mask_machine:
+        return passthrough(tracer, thread, call)
+    outcome = tracer.kernel.execute(thread, call)   # still validate the path
+    if outcome[0] == "error":
+        return outcome
+    tracer.poke_memory(3)
     return ("value", CANONICAL_STATFS)
 
 
-def handle_affinity(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_affinity(tracer, thread, call) -> Outcome:
     """A single canonical core, like sysinfo/cpuid (§5.8)."""
-    if not ctx.config.mask_machine:
-        return passthrough(ctx, thread, call)
+    if not tracer.config.mask_machine:
+        return passthrough(tracer, thread, call)
     return ("value", [0])
 
 

@@ -3,39 +3,39 @@
 from __future__ import annotations
 
 from ..errors import UnsupportedSyscallError
-from . import HandlerContext, Outcome, passthrough
+from . import Outcome, passthrough
 
 
-def handle_spawn(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_spawn(tracer, thread, call) -> Outcome:
     """Serialized spawn: namespace PIDs come out sequentially (§5.1)."""
-    ctx.peek(2)  # argv/env pointers
-    return passthrough(ctx, thread, call)
+    tracer.peek_memory(2)  # argv/env pointers
+    return passthrough(tracer, thread, call)
 
 
-def handle_kill(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_kill(tracer, thread, call) -> Outcome:
     """Self-signals only: cross-process signals are unsupported (§5.4)."""
     target = call.args.get("pid")
     if target != thread.process.nspid:
         raise UnsupportedSyscallError(
             "kill", "signals between processes (pid %s)" % target)
-    return passthrough(ctx, thread, call)
+    return passthrough(tracer, thread, call)
 
 
-def handle_download(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_download(tracer, thread, call) -> Outcome:
     """Checksum-pinned downloads only (§3): the delivered bytes are a
     pure function of the pinned digest, and the volatile transfer
     metadata (date, server, request ids) is canonicalized away."""
     import hashlib
 
     url = call.args.get("url", "")
-    expected = ctx.config.allowed_downloads.get(url)
+    expected = tracer.config.allowed_downloads.get(url)
     if expected is None:
         raise UnsupportedSyscallError(
             "download", "no pinned checksum for %s" % url)
-    tag, payload = ctx.execute(call)
-    if tag == "err":
-        return ("error", payload)
-    body, _headers = payload
+    outcome = tracer.kernel.execute(thread, call)
+    if outcome[0] == "error":
+        return outcome
+    body, _headers = outcome[1]
     actual = hashlib.sha256(body).hexdigest()
     if actual != expected:
         raise UnsupportedSyscallError(
@@ -43,65 +43,67 @@ def handle_download(ctx: HandlerContext, thread, call) -> Outcome:
             % (url, actual[:12], expected[:12]))
     canonical_headers = {"Date": "0", "Server": "dettrace",
                          "X-Request-Id": "0" * 16}
-    ctx.poke(max(1, len(body) // 512))
+    tracer.poke_memory(max(1, len(body) // 512))
     return ("value", (body, canonical_headers))
 
 
-def handle_socketpair(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_socketpair(tracer, thread, call) -> Outcome:
     """Container-internal IPC: a socketpair is just a crossed pipe pair,
     fully covered by the serialized-syscall discipline and the
     partial-IO retry machinery — reproducible, unlike network sockets."""
-    if not ctx.config.allow_container_ipc_sockets:
+    if not tracer.config.allow_container_ipc_sockets:
         raise UnsupportedSyscallError("socketpair", "sockets disabled")
-    return passthrough(ctx, thread, call)
+    return passthrough(tracer, thread, call)
 
 
-def handle_socket(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_socket(tracer, thread, call) -> Outcome:
     """Family-aware gate: AF_UNIX sockets are container-internal IPC
     (the socketpair carve-out); AF_INET is only admitted when the
     deterministic-loopback subsystem is enabled or sockets pass through
     wholesale (reject_sockets ablated)."""
     from ...kernel import sockets as socklib
 
+    cfg = tracer.config
     family = call.args.get("family", socklib.AF_INET)
     if family == socklib.AF_UNIX:
-        if not ctx.config.allow_container_ipc_sockets:
+        if not cfg.allow_container_ipc_sockets:
             raise UnsupportedSyscallError("socket", "sockets disabled")
-    elif ctx.config.reject_sockets and not ctx.config.deterministic_loopback:
+    elif cfg.reject_sockets and not cfg.deterministic_loopback:
         raise UnsupportedSyscallError("socket", "network communication")
-    return passthrough(ctx, thread, call)
+    return passthrough(tracer, thread, call)
 
 
-def handle_connect(ctx: HandlerContext, thread, call) -> Outcome:
+def handle_connect(tracer, thread, call) -> Outcome:
     """Address-aware gate: in-container rendezvous (AF_UNIX paths,
     loopback AF_INET) is deterministic; anything naming an external host
     is network communication and keeps the §5.9 rejection."""
     from ...kernel import sockets as socklib
 
+    cfg = tracer.config
     address = call.args.get("address", "")
     if socklib.is_unix_address(address):
-        if not ctx.config.allow_container_ipc_sockets:
+        if not cfg.allow_container_ipc_sockets:
             raise UnsupportedSyscallError("connect", "sockets disabled")
     elif socklib.is_loopback_address(address):
-        if ctx.config.reject_sockets and not ctx.config.deterministic_loopback:
+        if cfg.reject_sockets and not cfg.deterministic_loopback:
             raise UnsupportedSyscallError("connect", "network communication")
-    elif ctx.config.reject_sockets:
+    elif cfg.reject_sockets:
         raise UnsupportedSyscallError("connect", "network communication")
-    outcome = passthrough(ctx, thread, call)
+    outcome = passthrough(tracer, thread, call)
     if outcome[0] == "value":
-        ctx.tracer.obs.count(("tracer", "socket_connects"))
+        tracer.obs.count(("tracer", "socket_connects"))
     return outcome
 
 
-def handle_accept(ctx: HandlerContext, thread, call) -> Outcome:
-    outcome = passthrough(ctx, thread, call)
+def handle_accept(tracer, thread, call) -> Outcome:
+    outcome = passthrough(tracer, thread, call)
     if outcome[0] == "value":
-        ctx.tracer.obs.count(("tracer", "socket_accepts"))
+        tracer.obs.count(("tracer", "socket_accepts"))
     return outcome
 
 
 def _unsupported(name: str, reason: str):
-    def handler(ctx, thread, call):
+    def handler(tracer, thread, call):
         raise UnsupportedSyscallError(name, reason)
 
     return handler

@@ -7,15 +7,15 @@ in :mod:`.filesystem` counts those opens for Table 2.
 
 from __future__ import annotations
 
-from . import HandlerContext, Outcome, passthrough
+from . import Outcome, passthrough
 
 
-def handle_getrandom(ctx: HandlerContext, thread, call) -> Outcome:
-    if not ctx.config.deterministic_randomness:
-        return passthrough(ctx, thread, call)
+def handle_getrandom(tracer, thread, call) -> Outcome:
+    if not tracer.config.deterministic_randomness:
+        return passthrough(tracer, thread, call)
     count = call.args.get("count", 0)
-    ctx.poke(max(1, count // 8))  # fill the user buffer
-    return ("value", ctx.prng.bytes(count))
+    tracer.poke_memory(max(1, count // 8))  # fill the user buffer
+    return ("value", tracer.prng.bytes(count))
 
 
 HANDLERS = {

@@ -9,7 +9,7 @@ deterministic order chosen by the three-queue scheduler of §5.6.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..cpu import instructions as insn
 from ..kernel.costs import (
@@ -20,6 +20,7 @@ from ..kernel.costs import (
     TRACER_REPLAY_COST,
     TRACER_SCHED_COST,
 )
+from ..kernel.inode import Inode
 from ..kernel.process import Process, Thread
 from ..kernel.types import CpuidResult
 from ..obs.events import DEBUG, TRAP, ObsEvent
@@ -30,7 +31,7 @@ from ..tracer.ptrace import TracerBase
 from ..tracer.seccomp import SeccompFilter
 from .config import ContainerConfig
 from .errors import BusyWaitError
-from .handlers import HandlerContext, build_handler_table, passthrough
+from .handlers import build_handler_table, passthrough
 from .inode_table import InodeTable
 from .logical_time import LogicalClock
 from .namespaces import UidGidMap
@@ -65,13 +66,10 @@ class DetTraceTracer(TracerBase):
         self._pumping = False
         self._last_proc: Process = None
         self.sched = None  # set in attach
-        #: Hot-path dispatch caches.  The handler table is frozen after
-        #: construction, so name -> handler (with the passthrough default
-        #: applied) memoizes the two-step lookup; HandlerContext binds
-        #: only (tracer, thread), so one context per thread is reused
-        #: across every service instead of allocated per syscall.
+        #: The handler table is frozen after construction, so name ->
+        #: handler (with the passthrough default applied) memoizes the
+        #: two-step lookup.
         self._handler_cache: Dict[str, Any] = {}
-        self._ctx_cache: Dict[Thread, HandlerContext] = {}
         #: disposition -> syscall name -> interned counter key, so a
         #: completion counts without building a key tuple.
         self._syscall_keys: Dict[str, Dict[str, Tuple[str, str, str]]] = {
@@ -148,13 +146,11 @@ class DetTraceTracer(TracerBase):
 
     def on_thread_exit(self, thread: Thread) -> None:
         self.sched.remove(thread)
-        self._ctx_cache.pop(thread, None)
         self._replay_tests.pop(thread, None)
 
     def on_process_exit(self, proc: Process) -> None:
         for thread in proc.threads:
             self.sched.remove(thread)
-            self._ctx_cache.pop(thread, None)
             self._replay_tests.pop(thread, None)
         self.logical.forget_process(proc.pid)
 
@@ -165,11 +161,19 @@ class DetTraceTracer(TracerBase):
             proc.vdso_patched = True
             self.obs.count(("tracer", "vdso_patches"))
             self.charge(EXECVE_TRACER_COST, HANDLER)
-            self.charge(self.poke_memory(8))
+            self.poke_memory(8)
 
     def on_busy_wait(self, thread: Thread) -> None:
         # Namespace pid and thread ordinal: no host id in the error.
         raise BusyWaitError(thread.process.nspid, self.kernel.det_tid(thread))
+
+    def resolve(self, thread: Thread, path: str) -> Optional[Inode]:
+        """Resolve *path* in *thread*'s namespace; None if absent."""
+        proc = thread.process
+        try:
+            return self.kernel.fs.resolve(proc.root, proc.cwd, path)
+        except Exception:
+            return None
 
     # ------------------------------------------------------------------
     # the scheduling pump (§5.6)
@@ -231,11 +235,7 @@ class DetTraceTracer(TracerBase):
         if handler is None:
             handler = self.handlers.get(call.name, passthrough)
             self._handler_cache[call.name] = handler
-        ctx = self._ctx_cache.get(thread)
-        if ctx is None:
-            ctx = HandlerContext(self, thread)
-            self._ctx_cache[thread] = ctx
-        return handler(ctx, thread, call)
+        return handler(self, thread, call)
 
     def _service(self, thread: Thread) -> bool:
         # A new span and the stop's three fixed charges (context switch,
@@ -403,25 +403,13 @@ class DetTraceTracer(TracerBase):
         # peak when the membership exceeds it.
         if sched.member_count > gauges.get("sched/threads_peak", -1):
             obs.gauge_max("sched/threads_peak", sched.live_count())
-        if outcome == "exited":
-            # terminate_process already removed the thread from the
-            # scheduler via the exit hooks; nothing to resume.
-            return
-        # Resume eagerly at the tracer's finish time so the thread's next
-        # operation (and hence its deterministic bound) is committed
-        # immediately; the context-switch-back latency is owed as wall
-        # time on its next compute segment instead.  Without this, the
-        # deterministic service order would convoy on wakeup latency.
-        thread.pending_latency += TRACEE_WAKEUP_LATENCY
-        if outcome == "value":
-            self.kernel.tracer_resume(thread, self.busy_until, value=payload)
-        elif outcome == "error":
-            self.kernel.tracer_resume(thread, self.busy_until, exc=payload)
-        elif outcome == "execve":
-            self.kernel.tracer_execve(thread, payload, at=self.busy_until)
-        elif outcome == "sleep":
-            # Timer emulation disabled: let virtual time pass, then return.
-            at = max(self.busy_until, self.kernel.clock.now + payload)
-            self.kernel.tracer_resume(thread, at, value=0)
-        else:
-            raise AssertionError("unknown outcome %r" % outcome)
+        if outcome != "exited":
+            # Resume eagerly at the tracer's finish time so the thread's
+            # next operation (and hence its deterministic bound) is
+            # committed immediately; the context-switch-back latency is
+            # owed as wall time on its next compute segment instead.
+            # Without this, the deterministic service order would convoy
+            # on wakeup latency.  (An exited thread has nothing to
+            # resume: the exit hooks already removed it.)
+            thread.pending_latency += TRACEE_WAKEUP_LATENCY
+        self.kernel.tracer_complete(thread, outcome, payload, self.busy_until)

@@ -400,7 +400,7 @@ class Kernel:
             # with jittered compute).
             if proc.step_token is None:
                 proc.step_token = caller
-            proc.memory.setdefault("_step_queue", []).append((thread, None, None))
+            proc.step_queue.append((thread, None, None))
             thread.state = ThreadState.RUNNABLE
             thread.token_queued = True
             return thread.tid
@@ -421,8 +421,7 @@ class Kernel:
             holder = proc.step_token
             if (holder is not None and holder is not thread
                     and holder.state is not ThreadState.EXITED):
-                queue = proc.memory.setdefault("_step_queue", [])
-                queue.append((thread, value, exc))
+                proc.step_queue.append((thread, value, exc))
                 thread.state = ThreadState.RUNNABLE
                 thread.token_queued = True
                 return
@@ -434,7 +433,7 @@ class Kernel:
         if proc.step_token is not thread:
             return
         proc.step_token = None
-        queue = proc.memory.get("_step_queue") or []
+        queue = proc.step_queue
         while queue:
             nxt, value, exc = queue.pop(0)
             if nxt.state is not ThreadState.EXITED:
@@ -460,8 +459,7 @@ class Kernel:
                 action = thread.process.signal_handlers.get(signum, "default")
                 if callable(action):
                     handler_gen = action(self.make_sys(thread), signum)
-                    saved = thread.process.memory.setdefault("_saved_%d" % thread.tid, [])
-                    saved.append((value, exc))
+                    thread.saved_resumes.append((value, exc))
                     thread.gen_stack.append(handler_gen)
                     if self.ckpt is not None:
                         self.ckpt.record_push(thread.tid, signum, value, exc)
@@ -479,25 +477,21 @@ class Kernel:
                 else:
                     op = gen.send(value)
             except StopIteration as stop:
-                saved_key = "_saved_%d" % thread.tid
-                saved = thread.process.memory.get(saved_key) or []
                 if len(thread.gen_stack) > 1:
                     thread.gen_stack.pop()
-                    if saved:
-                        value, exc = saved.pop()
-                    else:
-                        value, exc = None, None
+                    saved = thread.saved_resumes
+                    value, exc = saved.pop() if saved else (None, None)
                     continue
                 code = stop.value if isinstance(stop.value, int) else 0
-                self._thread_finished(thread, code)
-                return
+                status = None
+                break
             except GuestCrash as crash:
-                self.terminate_process(thread.process, make_signal_status(crash.signum))
-                return
+                status = make_signal_status(crash.signum)
+                break
             except SyscallError as err:
                 self.stderr.write(("pid %d: uncaught %s\n" % (thread.process.nspid, err)).encode())
-                self.terminate_process(thread.process, make_exit_status(1))
-                return
+                status = make_exit_status(1)
+                break
             value, exc = None, None
             # Dispatch the yielded operation.
             if isinstance(op, Instr):
@@ -530,6 +524,13 @@ class Kernel:
                 self._dispatch_syscall(thread, op)
                 return
             raise KernelPanic("guest yielded %r" % (op,))
+        # The guest's root frame ended.  Its thread ends once the except
+        # clause has closed: that can step a queued sibling, which must
+        # not start with a host exception in flight.
+        if status is None:
+            self._thread_finished(thread, code)
+        else:
+            self.terminate_process(thread.process, status)
 
     def _thread_finished(self, thread: Thread, code: int) -> None:
         """A guest generator ran to completion."""
@@ -696,33 +697,23 @@ class Kernel:
         self._execute_untraced(thread, call)
 
     def _execute_untraced(self, thread: Thread, call: Syscall) -> None:
-        try:
-            result = self.table.execute(thread, call)
-        except WouldBlock as wb:
-            self._park(thread, call, wb.channels)
-            return
-        except Sleep as s:
+        tag, payload = self.execute(thread, call)
+        if tag == "value":
+            self._resume_after(thread, self.syscall_cost(thread, call.name),
+                               value=payload)
+        elif tag == "error":
+            self._resume_after(thread, self.syscall_cost(thread, call.name),
+                               exc=payload)
+        elif tag == "block":
+            self._park(thread, call, payload)
+        elif tag == "sleep":
             thread.state = ThreadState.BLOCKED
             self._release_token(thread)
-            self.schedule(self.clock.now + s.seconds, self._step_or_wait,
+            self.schedule(self.clock.now + payload, self._step_or_wait,
                           thread, 0, None)
-            return
-        except SyscallError as err:
-            # An error leaves the kernel as a plain value (see
-            # tracer_execute): no host frames ride into the guest.
-            err.__traceback__ = err.__context__ = None
-            self._resume_after(thread, self.syscall_cost(thread, call.name), exc=err)
-            return
-        except ExitProcess as ex:
-            self.terminate_process(thread.process, make_exit_status(ex.code))
-            return
-        except ExitThread:
-            self._thread_finished(thread, 0)
-            return
-        except ExecveReplace as ex:
-            self._do_execve(thread, ex)
-            return
-        self._resume_after(thread, self.syscall_cost(thread, call.name), value=result)
+        elif tag == "execve":
+            self._do_execve(thread, payload)
+        # "exited": execute already ended the thread or its process.
 
     def _resume_after(self, thread: Thread, delay: float, value: Any = None,
                       exc: Optional[BaseException] = None) -> None:
@@ -791,7 +782,7 @@ class Kernel:
             proc.env = dict(ex.env)
         proc.vdso_patched = False
         thread.gen_stack = [factory(self.make_sys(thread))]
-        proc.memory.pop("_saved_%d" % thread.tid, None)
+        thread.saved_resumes.clear()
         if self.ckpt is not None:
             self.ckpt.record_exec(thread.tid, ex.path, proc.argv, proc.env)
         if self.tracer is not None:
@@ -892,42 +883,47 @@ class Kernel:
     # tracer services (the "ptrace" surface the tracer layer builds on)
     # ------------------------------------------------------------------
 
-    def tracer_execute(self, thread: Thread, call: Syscall,
-                       nonblocking: bool = True) -> Tuple[str, Any]:
-        """Execute *call* on behalf of the tracer.
+    def execute(self, thread: Thread, call: Syscall) -> Tuple[str, Any]:
+        """Execute *call* for *thread*: the one place where a kernel
+        exception becomes an outcome.
 
-        Returns an outcome tag: ``("ok", value)``, ``("err", SyscallError)``,
-        ``("block", channels)``, ``("sleep", seconds)``, ``("exit", None)``
-        or ``("execve", ExecveReplace)``.
+        Returns ``("value", v)``, ``("error", SyscallError)``,
+        ``("block", channels)``, ``("sleep", seconds)``, ``("exited",
+        None)`` or ``("execve", ExecveReplace)`` — the tags the
+        determinization handlers return (repro.core.handlers).
         """
         try:
             value = self.table.execute(thread, call)
         except WouldBlock as wb:
-            if not nonblocking:
-                self._park(thread, call, wb.channels)
-                return ("parked", None)
             return ("block", wb.channels)
         except Sleep as s:
             return ("sleep", s.seconds)
         except SyscallError as err:
             # An error leaves the kernel as a plain value.  Its traceback
             # holds the host frames it unwound through, which pin their
-            # callers through f_back, and the tracer's frame holds the
+            # callers through f_back, and a tracer's frame holds the
             # error: a reference cycle per failed call.  The context is a
-            # host exception too (FDTable's KeyError, EPIPE's handler).
-            # gen.throw gives the guest a traceback of its own frames.
+            # host exception too (FDTable's KeyError).  gen.throw gives
+            # the guest a traceback of its own frames.
             err.__traceback__ = err.__context__ = None
-            return ("err", err)
-        except ExitProcess as ex:
-            self.terminate_process(thread.process, make_exit_status(ex.code))
-            return ("exit", None)
-        except ExitThread:
-            self._thread_finished(thread, 0)
-            return ("exit", None)
+            return ("error", err)
         except ExecveReplace as ex:
             ex.__traceback__ = ex.__context__ = None
             return ("execve", ex)
-        return ("ok", value)
+        except ExitProcess as ex:
+            status = make_exit_status(ex.code)
+        except ExitThread:
+            status = None
+        else:
+            return ("value", value)
+        # An exit acts once its clause has closed: ending a thread can
+        # step a queued sibling, which must not start with a host
+        # exception in flight.
+        if status is None:
+            self._thread_finished(thread, 0)
+        else:
+            self.terminate_process(thread.process, status)
+        return ("exited", None)
 
     def release_step_token(self, thread: Thread) -> None:
         """Tracer hook: the thread's syscall would block; hand the thread
@@ -951,16 +947,33 @@ class Kernel:
         proc = thread.process
         if (self.serialize_threads and proc.live_thread_count > 1
                 and proc.step_token is thread):
-            queue = proc.memory.setdefault("_step_queue", [])
-            queue.append((thread, value, exc))
+            proc.step_queue.append((thread, value, exc))
             thread.state = ThreadState.RUNNABLE
             thread.token_queued = True
             self.schedule(at, self._release_token, thread)
             return
         self.schedule(at, self._step_or_wait, thread, value, exc)
 
-    def tracer_execve(self, thread: Thread, ex: ExecveReplace, at: float) -> None:
-        self._do_execve(thread, ex, resume_at=at)
+    def tracer_complete(self, thread: Thread, tag: str, payload: Any,
+                        at: float) -> None:
+        """Resume a trace-stopped thread with the outcome of its syscall
+        (see :meth:`execute`), at virtual time *at*.
+
+        A value or an error is handed to the guest, an exec runs at *at*,
+        a sleep resumes with 0 once its seconds have passed, and an exit
+        has nothing left to resume.
+        """
+        if tag == "value":
+            self.tracer_resume(thread, at, value=payload)
+        elif tag == "error":
+            self.tracer_resume(thread, at, exc=payload)
+        elif tag == "execve":
+            self._do_execve(thread, payload, resume_at=at)
+        elif tag == "sleep":
+            self.tracer_resume(thread, max(at, self.clock.now + payload),
+                               value=0)
+        elif tag != "exited":
+            raise AssertionError("unknown outcome %r" % tag)
 
     def find_process_by_nspid(self, nspid: int) -> Optional[Process]:
         for proc in self.processes:

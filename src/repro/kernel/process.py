@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from .fds import FDTable
 from .inode import Inode
@@ -48,6 +48,10 @@ class Thread:
         self.compute_since_syscall = 0.0
         #: Signal handler generators queued for delivery.
         self.pending_signals: List[int] = []
+        #: The (value, exc) resume each signal-handler frame on
+        #: ``gen_stack`` interrupted, innermost last: handed to the frame
+        #: below when the handler returns.
+        self.saved_resumes: List[Tuple[Any, Optional[BaseException]]] = []
         #: Deterministic logical clock: advanced by *requested* work (not
         #: jittered wall time), so trace stops carry timestamps that are a
         #: pure function of guest behaviour.  Used by the reproducible
@@ -145,14 +149,19 @@ class Process:
         #: per-process which is sufficient for our thread workloads).
         self.futex_channels: Dict[int, Channel] = {}
         #: Arbitrary per-process scratch shared between guest threads
-        #: (models the shared address space).
+        #: (models the shared address space).  Guest data only: the
+        #: kernel keeps its own records in the fields below.
         self.memory: Dict[str, Any] = {}
+        #: Blocked signals (sigprocmask), sorted.
+        self.sigmask: Tuple[int, ...] = ()
         #: Count of syscalls this process has dispatched — the
         #: deterministic per-process coordinate fault plans key on.
         self.syscall_index = 0
         #: The thread holding the thread-serialization step token
-        #: (§5.7), or None; its queue is ``memory["_step_queue"]``.
+        #: (§5.7), or None, and the (thread, value, exc) steps queued
+        #: behind it.
         self.step_token: Optional[Thread] = None
+        self.step_queue: List[Tuple[Thread, Any, Optional[BaseException]]] = []
         #: Signals delivered to this process, and how many of them a
         #: ``pause`` has consumed.
         self._signals_delivered = 0

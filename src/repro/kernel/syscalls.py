@@ -266,7 +266,7 @@ class SyscallTable:
         bug: guests that never install a handler survived writes that
         must kill them."""
         proc = t.process
-        if SIGPIPE not in proc.memory.get("_sigmask", ()):
+        if SIGPIPE not in proc.sigmask:
             self.kernel.deliver_signal(proc, SIGPIPE)
         raise SyscallError(Errno.EPIPE, name)
 
@@ -274,9 +274,13 @@ class SyscallTable:
         try:
             n = pipe.write(data)
         except SyscallError as err:
-            if err.errno == Errno.EPIPE:
-                self._broken_pipe(t, name)
-            raise
+            if err.errno != Errno.EPIPE:
+                raise
+            n = None
+        if n is None:
+            # Past the clause: SIGPIPE's default action ends the process,
+            # which can step a queued sibling.
+            self._broken_pipe(t, name)
         if n:
             self.kernel.notify(pipe.readable)
         self.kernel.charge_io(t, n)
@@ -676,7 +680,7 @@ class SyscallTable:
         return [t.process.gid]
 
     def sys_sigprocmask(self, t: Thread, how: str = "SIG_SETMASK", mask=()):
-        old = t.process.memory.get("_sigmask", ())
+        old = t.process.sigmask
         current = set(old)
         if how == "SIG_BLOCK":
             current |= set(mask)
@@ -684,8 +688,8 @@ class SyscallTable:
             current -= set(mask)
         else:
             current = set(mask)
-        t.process.memory["_sigmask"] = tuple(sorted(current))
-        return tuple(old)
+        t.process.sigmask = tuple(sorted(current))
+        return old
 
     def sys_setsid(self, t: Thread):
         return t.process.nspid

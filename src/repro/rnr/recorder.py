@@ -100,30 +100,26 @@ class RnrRecorder(TracerBase):
         data = call.args.get("data")
         if isinstance(data, (bytes, str)):
             self.charge(len(data) / RECORD_BANDWIDTH)
-        tag, payload = self.kernel.tracer_execute(thread, call, nonblocking=True)
-        index = self._proc_index.get(thread.process.pid, (-1,))
+        tag, payload = self.kernel.execute(thread, call)
         if tag == "block":
             self._blocked.append(thread)
             return
-        if tag == "sleep":
-            self.recording.append(index, TraceEvent(call.name, "value", 0))
-            at = max(self.busy_until, self.kernel.clock.now + payload)
-            self.kernel.tracer_resume(thread, at, value=0)
-            return
-        if tag in ("exit", "execve"):
-            self.recording.append(index, TraceEvent(call.name, "value", None))
-            if tag == "execve":
-                self.kernel.tracer_execve(thread, payload, at=self.busy_until)
-            return
-        outcome = "value" if tag == "ok" else "error"
-        self.recording.append(index, TraceEvent(call.name, outcome, payload))
+        self._record(thread, call, tag, payload)
         if isinstance(payload, (bytes, str)):
             self.charge(len(payload) / RECORD_BANDWIDTH)
-        thread.pending_latency += TRACEE_WAKEUP_LATENCY
-        if tag == "ok":
-            self.kernel.tracer_resume(thread, self.busy_until, value=payload)
-        else:
-            self.kernel.tracer_resume(thread, self.busy_until, exc=payload)
+        if tag in ("value", "error"):
+            thread.pending_latency += TRACEE_WAKEUP_LATENCY
+        self.kernel.tracer_complete(thread, tag, payload, self.busy_until)
+
+    def _record(self, thread: Thread, call, tag: str, payload) -> None:
+        """Append the outcome the guest will see: a sleep returns 0, and
+        an exit or an exec returns nothing."""
+        index = self._proc_index.get(thread.process.pid, (-1,))
+        if tag == "sleep":
+            tag, payload = "value", 0
+        elif tag in ("exited", "execve"):
+            tag, payload = "value", None
+        self.recording.append(index, TraceEvent(call.name, tag, payload))
 
     def _pump_blocked(self) -> None:
         if self._pumping:
@@ -141,23 +137,14 @@ class RnrRecorder(TracerBase):
 
     def _service_blocked(self, thread: Thread) -> None:
         call = thread.current_syscall
-        tag, payload = self.kernel.tracer_execute(thread, call, nonblocking=True)
-        index = self._proc_index.get(thread.process.pid, (-1,))
+        tag, payload = self.kernel.execute(thread, call)
         if tag == "block":
             self._blocked.append(thread)
             return
-        outcome = "value" if tag == "ok" else "error"
-        if tag in ("exit", "execve"):
-            self.recording.append(index, TraceEvent(call.name, "value", None))
-            if tag == "execve":
-                self.kernel.tracer_execve(thread, payload, at=self.busy_until)
-            return
-        self.recording.append(index, TraceEvent(call.name, outcome, payload))
-        thread.pending_latency += TRACEE_WAKEUP_LATENCY
-        if tag == "ok":
-            self.kernel.tracer_resume(thread, self.busy_until, value=payload)
-        else:
-            self.kernel.tracer_resume(thread, self.busy_until, exc=payload)
+        self._record(thread, call, tag, payload)
+        if tag in ("value", "error"):
+            thread.pending_latency += TRACEE_WAKEUP_LATENCY
+        self.kernel.tracer_complete(thread, tag, payload, self.busy_until)
 
     def on_quiescent(self) -> bool:
         before = len(self._blocked)

@@ -88,30 +88,21 @@ class RnrReplayer(TracerBase):
                 "pid %d executed %s, recording expected %s"
                 % (thread.process.pid, call.name, event.syscall))
         if call.name in STRUCTURAL:
-            tag, payload = self.kernel.tracer_execute(thread, call, nonblocking=True)
-            if tag == "execve":
-                self.kernel.tracer_execve(thread, payload, at=self.busy_until)
-                return
-            if tag == "exit":
-                return
-            if tag == "ok":
-                # The call really executed (the process tree must exist),
-                # but the guest must observe the *recorded* value: pid
-                # allocation order can differ in replay, and every pid the
-                # guest compares against later comes from the recording.
-                value = event.payload if event.outcome == "value" else payload
-                self.kernel.tracer_resume(thread, self.busy_until, value=value)
-            else:
-                self.kernel.tracer_resume(thread, self.busy_until, exc=payload)
-            return
-        # Pure injection: the kernel never sees the syscall.
-        if event.outcome == "value":
-            self.kernel.tracer_resume(thread, self.busy_until, value=event.payload)
+            # The call really executes (the process tree must exist),
+            # but the guest must observe the *recorded* value: pid
+            # allocation order can differ in replay, and every pid the
+            # guest compares against later comes from the recording.
+            tag, payload = self.kernel.execute(thread, call)
+            if tag == "value" and event.outcome == "value":
+                payload = event.payload
+        elif event.outcome == "value":
+            # Pure injection: the kernel never sees the syscall.
+            tag, payload = "value", event.payload
         else:
-            exc = event.payload
-            if not isinstance(exc, BaseException):
-                exc = SyscallError(int(exc), call.name)
-            self.kernel.tracer_resume(thread, self.busy_until, exc=exc)
+            tag, payload = "error", event.payload
+            if not isinstance(payload, BaseException):
+                payload = SyscallError(int(payload), call.name)
+        self.kernel.tracer_complete(thread, tag, payload, self.busy_until)
 
     def on_busy_wait(self, thread: Thread) -> None:
         pass

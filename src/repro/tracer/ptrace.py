@@ -1,7 +1,8 @@
 """The ptrace analog: base class for tracers over the simulated kernel.
 
 The kernel delivers stops by calling the ``on_*`` hooks; a tracer services
-stops through the kernel's ``tracer_execute``/``tracer_resume`` surface.
+a stop by running the syscall through ``Kernel.execute`` (or not at all)
+and handing the outcome it settles on to ``Kernel.tracer_complete``.
 Like the real ptrace tracer, this object is a *single-threaded process*:
 every event it services occupies its serial timeline, which is what makes
 interception overhead proportional to event rate.
@@ -58,15 +59,19 @@ class TracerBase:
         return self.busy_until
 
     def peek_memory(self, words: int = 1) -> float:
-        """Account for reading tracee memory; returns the time cost."""
+        """Read *words* of tracee memory (PTRACE_PEEKDATA): counted and
+        charged to the timeline; returns the finish time."""
+        cost = words * TRACER_MEMORY_OP_COST
         self.obs.count(("tracer", "memory_reads"), words)
-        self.obs.charge(INTERCEPTION, words * TRACER_MEMORY_OP_COST)
-        return words * TRACER_MEMORY_OP_COST
+        self.obs.charge(INTERCEPTION, cost)
+        return self.charge(cost)
 
     def poke_memory(self, words: int = 1) -> float:
+        """Write *words* of tracee memory (PTRACE_POKEDATA), likewise."""
+        cost = words * TRACER_MEMORY_OP_COST
         self.obs.count(("tracer", "memory_writes"), words)
-        self.obs.charge(INTERCEPTION, words * TRACER_MEMORY_OP_COST)
-        return words * TRACER_MEMORY_OP_COST
+        self.obs.charge(INTERCEPTION, cost)
+        return self.charge(cost)
 
     # -- kernel-facing hooks (defaults) -----------------------------------------
 

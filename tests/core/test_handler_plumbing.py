@@ -1,13 +1,55 @@
 """The handler outcome protocol itself."""
+import types
+
 import pytest
 
 from repro.core import ContainerConfig, ablated
 from repro.core.handlers import build_handler_table, passthrough
 from repro.cpu.machine import HostEnvironment
-from tests.conftest import dettrace_run
+from repro.kernel.ops import Syscall
+from tests.conftest import dettrace_run, make_kernel
+
+
+def _idle(sys):
+    return 0
+    yield
+
+
+#: tag -> the calls a fresh init thread makes; the last one's outcome
+#: carries the tag.
+OUTCOME_CALLS = {
+    "value": [Syscall("getpid", {})],
+    "error": [Syscall("close", {"fd": 97})],
+    "block": [Syscall("pipe", {}), Syscall("read", {"fd": 3, "count": 1})],
+    "sleep": [Syscall("nanosleep", {"seconds": 0.5})],
+    "exited": [Syscall("exit", {"code": 3})],
+    "execve": [Syscall("execve", {"path": "/bin/idle"})],
+}
 
 
 class TestPassthroughOutcomes:
+    @pytest.mark.parametrize("tag", sorted(OUTCOME_CALLS))
+    def test_passthrough_returns_the_kernels_outcome(self, tag):
+        """Kernel.execute makes the outcome in the handlers' own tags,
+        and passthrough hands on that very tuple."""
+        kernel = make_kernel()
+        kernel.register_binary("/bin/idle", _idle)
+        thread = kernel.boot("/bin/idle").main_thread
+        *setup, call = OUTCOME_CALLS[tag]
+        for earlier in setup:
+            assert kernel.execute(thread, earlier)[0] == "value"
+        made = []
+        execute = kernel.execute
+
+        def spy(thread, call):
+            made.append(execute(thread, call))
+            return made[-1]
+
+        kernel.execute = spy
+        outcome = passthrough(types.SimpleNamespace(kernel=kernel), thread, call)
+        assert [o[0] for o in made] == [tag]
+        assert outcome is made[0]
+
     def test_sleep_outcome_when_timer_emulation_off(self):
         """With emulate_timers ablated, nanosleep reaches the kernel and
         the tracer must let virtual time pass."""

@@ -1,11 +1,12 @@
 """A failed syscall reaches the guest as a plain value.
 
-The kernel turns a raised ``SyscallError`` into an outcome value in two
-places (``Kernel.tracer_execute`` and ``Kernel._execute_untraced``) and
-clears its traceback and context there.  So the error a guest catches
-carries no frame of the kernel, the tracer or the handlers, only the
-guest's own, which ``gen.throw`` gives it; and a run's cyclic garbage
-does not grow with the number of calls that failed.
+The kernel turns a raised ``SyscallError`` into an outcome value in one
+place, ``Kernel.execute``, which traced and untraced calls both go
+through, and clears its traceback and context there.  So the error a
+guest catches carries no frame of the kernel, the tracer or the
+handlers, only the guest's own, which ``gen.throw`` gives it; and a
+run's cyclic garbage does not grow with the number of calls that
+failed.
 """
 
 from __future__ import annotations
