@@ -368,8 +368,11 @@ fi
 if [ "$stage" = "all" ] || [ "$stage" = "perf" ]; then
     echo "== hot-path perf stage (scheduler floor, serviced-syscalls trend) =="
     # perfbench's own tests: its layer spans wrap the tracer's handler
-    # table and passthrough default.
-    python -m pytest -x -q perfbench/test_harness.py
+    # table and passthrough default.  Beside them, the host-memory
+    # invariant: every run body frees its kernel by reference counting,
+    # so peak RSS does not follow the cyclic collector.
+    python -m pytest -x -q perfbench/test_harness.py \
+        tests/kernel/test_cyclic_garbage.py
     # The bench asserts the determinism identities (schedule + fan-out
     # digests) itself.
     bench_gate hotpath

@@ -49,6 +49,7 @@ from ..kernel.inode import Inode
 from ..kernel.ops import Syscall, VdsoCall
 from ..kernel.pipes import Pipe
 from ..kernel.process import Process, Thread, ThreadState
+from ..kernel.procfs import ProcFile
 from ..kernel.types import Dirent
 from ..kernel.waiting import Channel
 from .tape import decode_value, encode_value
@@ -155,33 +156,6 @@ EVENT_METHODS = frozenset((
 # small helpers shared by capture and restore
 # ----------------------------------------------------------------------
 
-def _procfs_pos(node: Inode) -> Optional[int]:
-    """Extract the procfs read-offset dict hidden in a device closure."""
-    fn = node.dev_read
-    cells = getattr(fn, "__closure__", None) or ()
-    for cell in cells:
-        try:
-            v = cell.cell_contents
-        except ValueError:  # pragma: no cover - empty cell
-            continue
-        if isinstance(v, dict) and set(v) == {"pos"}:
-            return v["pos"]
-    return None
-
-
-def _set_procfs_pos(node: Inode, pos: int) -> None:
-    fn = node.dev_read
-    cells = getattr(fn, "__closure__", None) or ()
-    for cell in cells:
-        try:
-            v = cell.cell_contents
-        except ValueError:  # pragma: no cover
-            continue
-        if isinstance(v, dict) and set(v) == {"pos"}:
-            v["pos"] = pos
-            return
-
-
 def _encode_call(call: Optional[Syscall]) -> Optional[Tuple]:
     if call is None:
         return None
@@ -207,7 +181,9 @@ def _node_record(node: Inode) -> Dict[str, Any]:
         "data": bytes(node.data), "symlink_target": node.symlink_target,
         "generation": node.generation, "open_count": node.open_count,
         "device": is_device,
-        "proc_pos": _procfs_pos(node) if is_device else None,
+        # A /proc file's read offset (procfs.ProcFile).
+        "proc_pos": (node.dev_read.pos
+                     if isinstance(node.dev_read, ProcFile) else None),
         "fifo": (node.fifo_pipe.pipe_id
                  if node.fifo_pipe is not None else None),
         "entries": ({name: (child.ino, child.generation)
@@ -487,21 +463,20 @@ def capture(kernel, tape: List[Tuple]) -> Dict[str, Any]:
     sections, referenced = _capture_runtime(kernel)
     fs = kernel.fs
     nodes: Dict[Tuple[int, int], Dict[str, Any]] = {}
-
-    def visit(node: Inode) -> None:
+    # A depth-first walk from the root, then from each runtime
+    # reference: unlinked-but-open inodes (and rmdir'd cwds) are
+    # unreachable from the root.  An explicit stack keeps a recursive
+    # walk's pre-order; a nested function that calls itself would be a
+    # reference cycle holding this table until the cyclic collector ran.
+    stack = [*reversed(referenced.values()), fs.root]
+    while stack:
+        node = stack.pop()
         key = (node.ino, node.generation)
         if key in nodes:
-            return
+            continue
         nodes[key] = _node_record(node)
         if node.is_dir:
-            for child in node.entries.values():
-                visit(child)
-
-    visit(fs.root)
-    # Unlinked-but-open inodes (and rmdir'd cwds) are unreachable from
-    # the root walk; runtime references discover them.
-    for node in referenced.values():
-        visit(node)
+            stack.extend(reversed(node.entries.values()))
 
     payload: Dict[str, Any] = {
         "kind": PAYLOAD_KIND,
@@ -888,7 +863,7 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             node.dev_read = fresh.dev_read
             node.dev_write = fresh.dev_write
             if rec["proc_pos"] is not None:
-                _set_procfs_pos(node, rec["proc_pos"])
+                node.dev_read.pos = rec["proc_pos"]
         objs[key] = node
     for key, rec in recs.items():
         if rec["entries"] is not None:

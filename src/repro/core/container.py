@@ -189,7 +189,9 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
     which exists from the first line of a run: events buffered before a
     panic are never dropped, and crash reports and metrics agree.
     Never raises: collection failures degrade to empty fields recorded
-    in the error string.
+    in the error string.  Once the result is built the kernel is torn
+    down (``Kernel.teardown``), so it is freed as soon as the caller
+    drops it.
     """
     obs = kernel.obs
     # The event loop keeps its tick as a plain int; record it once here.
@@ -217,7 +219,7 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
             fault_trace=list(injector.trace) if injector is not None else [],
             last_syscalls=obs.recent_syscalls.events(),
         )
-    return ContainerResult(
+    result = ContainerResult(
         status=status,
         exit_code=exit_code,
         error=error,
@@ -238,6 +240,8 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
             "dirent_misses": kernel.fs.dirent_misses,
         },
     )
+    kernel.teardown()
+    return result
 
 
 class DetTrace:

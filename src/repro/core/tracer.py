@@ -97,6 +97,11 @@ class DetTraceTracer(TracerBase):
             kernel_version=kernel.host.machine.kernel_version)
         self.sched = make_scheduler(self.config.scheduler)
 
+    def teardown(self) -> None:
+        super().teardown()
+        # A blocked wait4's replay test closes over the kernel.
+        self._replay_tests.clear()
+
     # ------------------------------------------------------------------
     # instruction interception (§5.8)
     # ------------------------------------------------------------------

@@ -76,7 +76,8 @@ class Kernel:
         self.stderr = ConsoleStream("stderr")
         install_standard_devices(self.fs, host, self.stdout, self.stderr)
         from .procfs import install_procfs
-        install_procfs(self)
+        #: The /proc read hooks, which hold this kernel.
+        self._procfs = install_procfs(self)
         self.table = SyscallTable(self)
         #: Per-container socket namespace: listeners, bound addresses and
         #: the deterministic ephemeral-port counter (repro.kernel.sockets).
@@ -434,6 +435,11 @@ class Kernel:
             return
         proc.step_token = None
         queue = proc.step_queue
+        if proc.exit_status is not None:
+            # The process is being torn down: its queued threads exit
+            # with it and take no further step.
+            queue.clear()
+            return
         while queue:
             nxt, value, exc = queue.pop(0)
             if nxt.state is not ThreadState.EXITED:
@@ -980,6 +986,36 @@ class Kernel:
             if proc.nspid == nspid:
                 return proc
         return None
+
+    # ------------------------------------------------------------------
+    # run teardown
+    # ------------------------------------------------------------------
+
+    def teardown(self) -> None:
+        """Cut the reference cycles of a finished run.
+
+        Called once the run's result is built, so the kernel and all it
+        holds are freed by reference counting as soon as the caller
+        drops them, not at the cyclic collector's next full pass.  The
+        kernel is unusable afterwards.
+        """
+        # What refers back to the kernel: its tracer, its syscall table,
+        # the /proc read hooks and the bound methods of pending events.
+        if self.tracer is not None:
+            self.tracer.teardown()
+        self.table.kernel = None
+        for hook in self._procfs:
+            hook.kernel = None
+        self._events.clear()
+        # What refers back to a thread or a process: an unfinished guest
+        # frame holds its Sys facade, which holds the thread.
+        for proc in self.processes:
+            for thread in proc.threads:
+                thread.gen_stack.clear()
+            proc.threads.clear()
+            proc.children.clear()
+            proc.step_token = None
+            proc.step_queue.clear()
 
 
 #: Sentinel: the instruction path suspended the thread (trap round trip).

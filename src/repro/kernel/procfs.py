@@ -15,7 +15,7 @@ masking, which the read handler does by path (see
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List
 
 
 def _cpuinfo(kernel) -> bytes:
@@ -71,29 +71,43 @@ PROC_FILES = {
 }
 
 
-def install_procfs(kernel) -> None:
-    """Mount /proc on the kernel's filesystem."""
+class ProcFile:
+    """The read hook of one /proc file.
+
+    procfs regenerates a file on each open; a device read hook has no
+    open notion, so the content is regenerated from the live kernel
+    whenever it is read from the top (``pos`` 0).
+    """
+
+    __slots__ = ("kernel", "generate", "pos")
+
+    def __init__(self, kernel, generate: Callable):
+        #: The kernel whose state the file shows; cleared by the run's
+        #: teardown (``Kernel.teardown``), since the hook lives in that
+        #: kernel's own filesystem tree.
+        self.kernel = kernel
+        self.generate = generate
+        self.pos = 0
+
+    def __call__(self, count: int) -> bytes:
+        content = self.generate(self.kernel)
+        data = content[self.pos:self.pos + count]
+        self.pos = 0 if not data else self.pos + len(data)
+        return data
+
+
+def install_procfs(kernel) -> List[ProcFile]:
+    """Mount /proc on the kernel's filesystem; returns the read hooks."""
     fs = kernel.fs
     proc_dir = fs.mkdirs("/proc", now=kernel.host.boot_epoch)
-
-    def reader_for(generate: Callable) -> Callable[[int], bytes]:
-        offset = {"pos": 0}
-
-        def read(count: int) -> bytes:
-            # procfs regenerates on each open; our device read hook has
-            # no open notion, so regenerate when reading from the top.
-            content = generate(kernel)
-            data = content[offset["pos"]:offset["pos"] + count]
-            offset["pos"] = 0 if not data else offset["pos"] + len(data)
-            return data
-
-        return read
-
+    hooks = []
     for name, generate in PROC_FILES.items():
         if proc_dir.lookup(name) is None:
-            fs.create_device(proc_dir, name,
-                             dev_read=reader_for(generate),
-                             mode=0o444, now=kernel.host.boot_epoch)
+            hook = ProcFile(kernel, generate)
+            fs.create_device(proc_dir, name, dev_read=hook, mode=0o444,
+                             now=kernel.host.boot_epoch)
+            hooks.append(hook)
+    return hooks
 
 
 #: What the files report inside a DetTrace container (§5.8's canonical

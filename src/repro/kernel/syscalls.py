@@ -99,8 +99,8 @@ class _LoopbackSocket:
     the socket syscall instead (§5.9).
     """
 
-    def __init__(self, kernel):
-        self._kernel = kernel
+    def __init__(self, clock):
+        self._clock = clock
         self._pending: List[bytes] = []
 
     def write(self, data: bytes) -> int:
@@ -110,7 +110,7 @@ class _LoopbackSocket:
     def read(self, n: int) -> bytes:
         sent = b"".join(self._pending)
         self._pending = []
-        reply = b"pong %.6f len=%d" % (self._kernel.clock.wall, len(sent))
+        reply = b"pong %.6f len=%d" % (self._clock.wall, len(sent))
         return reply[:n]
 
 
@@ -985,7 +985,7 @@ class SyscallTable:
             # External host: attach the fake network peer so packages
             # still *build* natively (and embed its irreproducible
             # answers); DetTrace's policy layer rejects this path.
-            of.socket = _LoopbackSocket(self.kernel)
+            of.socket = _LoopbackSocket(self.kernel.clock)
             of.sock_peer = address
             return 0
         if family != of.sock_family:

@@ -26,7 +26,6 @@ processes.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import pickle
 import traceback
@@ -153,6 +152,9 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1) -> List[Tuple[Any, Any]]:
         # compare genuinely different execution paths.
         outcomes = [_execute(job) for job in ordered]
     else:
+        # Imported only here: a serial caller never pays for loading it.
+        import multiprocessing
+
         # fork is the bake-in on Linux and keeps job functions' module
         # state (registered binaries, images) available without re-import.
         ctx = multiprocessing.get_context("fork")

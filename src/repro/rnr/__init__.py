@@ -47,28 +47,31 @@ def record(image, command: str, argv: Optional[List[str]] = None,
     host = host or HostEnvironment()
     kernel = Kernel(host)
     build_dir = host.build_path
-    image.install(kernel, build_dir)
-    recorder = RnrRecorder()
-    recorder.attach(kernel)
-    proc = kernel.boot(command, argv=argv, env=dict(host.env), uid=1000,
-                       cwd_path=build_dir)
-    status, error = "ok", ""
     try:
-        kernel.run(deadline=timeout)
-    except RnrCrash as err:
-        status, error = "crash", str(err)
-    except SimTimeout:
-        status, error = "timeout", "deadline exceeded"
-    except DeadlockError as err:
-        status, error = "deadlock", str(err)
-    exit_code = None
-    if status == "ok" and proc.exit_status is not None:
-        exit_code = (proc.exit_status >> 8) & 0xFF
-    return RecordResult(
-        status=status, error=error, exit_code=exit_code,
-        recording=recorder.recording, wall_time=kernel.clock.now,
-        syscall_count=kernel.obs.total(SYSCALL_PREFIX),
-        output_tree=_collect_output_tree(kernel, build_dir))
+        image.install(kernel, build_dir)
+        recorder = RnrRecorder()
+        recorder.attach(kernel)
+        proc = kernel.boot(command, argv=argv, env=dict(host.env), uid=1000,
+                           cwd_path=build_dir)
+        status, error = "ok", ""
+        try:
+            kernel.run(deadline=timeout)
+        except RnrCrash as err:
+            status, error = "crash", str(err)
+        except SimTimeout:
+            status, error = "timeout", "deadline exceeded"
+        except DeadlockError as err:
+            status, error = "deadlock", str(err)
+        exit_code = None
+        if status == "ok" and proc.exit_status is not None:
+            exit_code = (proc.exit_status >> 8) & 0xFF
+        return RecordResult(
+            status=status, error=error, exit_code=exit_code,
+            recording=recorder.recording, wall_time=kernel.clock.now,
+            syscall_count=kernel.obs.total(SYSCALL_PREFIX),
+            output_tree=_collect_output_tree(kernel, build_dir))
+    finally:
+        kernel.teardown()
 
 
 def replay(image, command: str, recording: Recording,
@@ -78,10 +81,13 @@ def replay(image, command: str, recording: Recording,
     """Replay a recording; returns True if it completed without divergence."""
     host = host or HostEnvironment()
     kernel = Kernel(host)
-    image.install(kernel, host.build_path)
-    replayer = RnrReplayer(recording)
-    replayer.attach(kernel)
-    kernel.boot(command, argv=argv, env=dict(host.env), uid=1000,
-                cwd_path=host.build_path)
-    kernel.run(deadline=timeout)
+    try:
+        image.install(kernel, host.build_path)
+        replayer = RnrReplayer(recording)
+        replayer.attach(kernel)
+        kernel.boot(command, argv=argv, env=dict(host.env), uid=1000,
+                    cwd_path=host.build_path)
+        kernel.run(deadline=timeout)
+    finally:
+        kernel.teardown()
     return True

@@ -41,6 +41,11 @@ class TracerBase:
         kernel.attach_tracer(self)
         self.obs = kernel.obs
 
+    def teardown(self) -> None:
+        """Drop what refers back into the kernel once its run is over
+        (``Kernel.teardown``); the tracer is unusable afterwards."""
+        self.kernel = None
+
     # -- serial timeline -----------------------------------------------------
 
     def charge(self, cost: float, phase: Optional[str] = None) -> float:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import ContainerConfig, DetTrace, Image, NativeRunner
@@ -66,3 +69,28 @@ def dettrace_run(program, host=None, config=None, extra_binaries=None):
 def native_run(program, host=None, extra_binaries=None, fault_plan=None):
     return NativeRunner(fault_plan=fault_plan).run(
         image_of(program, extra_binaries), "/bin/main", host=host)
+
+
+def garbage_after(run) -> int:
+    """Objects a full collection frees after ``run()``, with the
+    collector off while it runs: what reference counting could not free
+    once *run*'s frame, and the result it returned, were gone.
+
+    ``gc.collect()`` counts only what it deletes itself.  A cycle
+    through a suspended generator is freed by closing the generator,
+    and what then dies of reference counting goes uncounted, so every
+    object that takes a weak reference is watched as well."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        watched = []
+        # A plain loop: a comprehension's function object would be
+        # watched too, and die when it returns.
+        for obj in gc.get_objects():
+            if type(obj).__weakrefoffset__:
+                watched.append(weakref.ref(obj))
+        del obj
+        return gc.collect() + sum(ref() is None for ref in watched)
+    finally:
+        gc.enable()

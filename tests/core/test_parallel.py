@@ -4,10 +4,14 @@ The contract under test: the result list (and any raised error) is a
 pure function of the jobs, independent of the worker count — completion
 races in the pool must never be observable.
 """
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.kernel.errors import Errno, SyscallError
 from repro.parallel import (
     Job,
@@ -152,3 +156,18 @@ def test_reprotest_jobs_identity():
     assert serial.verdict == parallel.verdict
     assert serial.first.artifacts == parallel.first.artifacts
     assert serial.second.artifacts == parallel.second.artifacts
+
+
+@pytest.mark.parametrize("package", ["repro.repro_tools", "repro.fuzz",
+                                     "repro.diag"])
+def test_importing_loads_no_multiprocessing(package):
+    """A serial caller never builds a pool, so importing a package that
+    can fan out must not pay for loading ``multiprocessing``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, %s; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'multiprocessing'))" % package],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -11,7 +11,6 @@ failed.
 
 from __future__ import annotations
 
-import gc
 import os
 import traceback
 
@@ -20,7 +19,7 @@ import pytest
 from repro.core import ContainerConfig
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.kernel.errors import Errno, SyscallError
-from tests.conftest import dettrace_run, native_run
+from tests.conftest import dettrace_run, garbage_after, native_run
 
 #: Source directories whose frames must not ride on a guest's error.
 HOST_DIRS = tuple(os.sep + os.path.join("repro", layer) + os.sep
@@ -99,15 +98,11 @@ def _access_loop(calls: int):
 
 def _garbage_after(calls: int) -> int:
     """Objects the cyclic collector finds after one DetTrace run."""
-    gc.collect()
-    gc.disable()
-    try:
+    def run():
         result = dettrace_run(_access_loop(calls))
         assert result.stdout == "probed %d\n" % calls
-        del result
-        return gc.collect()
-    finally:
-        gc.enable()
+
+    return garbage_after(run)
 
 
 def test_garbage_does_not_grow_with_failed_calls():

@@ -91,3 +91,27 @@ def test_broken_pipe_steps_start_with_no_exception_in_flight(in_flight):
     result = dettrace_run(broken_pipe_program)
     assert result.error == "init killed by signal %d" % SIGPIPE
     assert [e for e in in_flight if e is not None] == []
+
+
+def test_a_killed_process_steps_no_queued_thread(monkeypatch):
+    """SIGPIPE kills init while its two sleepers wait for the step
+    token: once the process has its exit status, neither sleeper takes
+    another step or dispatches another syscall."""
+    late = []
+    step, dispatch = Kernel._step, Kernel._dispatch_syscall
+
+    def checked_step(self, thread, value, exc):
+        if thread.process.exit_status is not None:
+            late.append(("step", self.det_tid(thread)))
+        return step(self, thread, value, exc)
+
+    def checked_dispatch(self, thread, call):
+        if thread.process.exit_status is not None:
+            late.append((call.name, self.det_tid(thread)))
+        return dispatch(self, thread, call)
+
+    monkeypatch.setattr(Kernel, "_step", checked_step)
+    monkeypatch.setattr(Kernel, "_dispatch_syscall", checked_dispatch)
+    result = dettrace_run(broken_pipe_program)
+    assert result.error == "init killed by signal %d" % SIGPIPE
+    assert late == []

@@ -1,12 +1,15 @@
 """Bioinformatics workflows (SS6.1, SS7.5)."""
 import pytest
 
+from repro.cache.key import image_fingerprint
 from repro.cpu.machine import HASWELL_XEON, HostEnvironment
+from repro.kernel import Kernel
 from repro.repro_tools import tree_digest
 from repro.workloads.bioinf import (
     ALL_TOOLS,
     CLUSTAL,
     HMMER,
+    INPUT_PATH,
     RAXML,
     run_dettrace,
     run_native,
@@ -14,6 +17,7 @@ from repro.workloads.bioinf import (
     tool_image,
     unit_weight,
 )
+from repro.workloads.bioinf import common
 
 
 def host(seed, boot=0.0):
@@ -35,6 +39,35 @@ class TestInputs:
     def test_unit_weight_range(self):
         for i in range(50):
             assert 0.0 <= unit_weight(i) <= 1.0
+
+
+class TestImage:
+    def test_input_is_synthesized_once_per_image(self, monkeypatch):
+        calls = []
+        real = common.synth_sequences
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(common, "synth_sequences", counted)
+        img = tool_image(RAXML)
+        for seed in (1, 2, 3):
+            kernel = Kernel(host(seed))
+            img.install(kernel, "/build")
+            assert (kernel.fs.read_file("/build/" + INPUT_PATH)
+                    == real(64, 256, "raxml"))
+        assert calls == [(64, 256, "raxml")]
+
+    def test_the_cache_key_covers_the_input(self, monkeypatch):
+        """The input is bound to the image's setup function, so the run
+        cache's key moves with its bytes."""
+        keys = set()
+        for data in (b">seq0\nACGT\n", b">seq0\nACGA\n"):
+            monkeypatch.setattr(common, "synth_sequences",
+                                lambda *args: data)
+            keys.add(image_fingerprint(tool_image(RAXML)))
+        assert len(keys) == 2
 
 
 class TestRuns:
