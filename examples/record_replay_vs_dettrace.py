@@ -15,6 +15,7 @@ DetTrace, contrasting the two approaches the way the paper does:
 Run:  python examples/record_replay_vs_dettrace.py
 """
 
+from repro.core import OK
 from repro.repro_tools import first_build_host, reprotest_dettrace, tree_digest
 from repro.rnr import record, replay
 from repro.workloads.debian import PackageSpec, TOOLS, package_image
@@ -29,30 +30,30 @@ def main():
     image = package_image(SPEC)
 
     print("== rr: record the build twice ==")
-    recordings = []
+    runs = []
     for seed in (0, 1):
-        res = record(image, TOOLS["driver"], argv=["dpkg-buildpackage"],
-                     host=first_build_host(seed=seed))
-        assert res.status == "ok", res.error
-        recordings.append(res)
+        res, recording = record(image, TOOLS["driver"],
+                                argv=["dpkg-buildpackage"],
+                                host=first_build_host(seed=seed))
+        assert res.status == OK, res.error
+        runs.append((res, recording))
         print("recording %d: %6d events, %6.1f KB trace, deb digest %s" % (
-            seed, res.recording.event_count,
-            res.recording.storage_size() / 1024,
+            seed, recording.event_count, recording.storage_size() / 1024,
             tree_digest(res.output_tree)[:12]))
     print("two recordings identical:",
-          tree_digest(recordings[0].output_tree)
-          == tree_digest(recordings[1].output_tree))
+          tree_digest(runs[0][0].output_tree)
+          == tree_digest(runs[1][0].output_tree))
     print()
 
     print("== rr: replay recording 0 on a different host ==")
-    ok = replay(image, TOOLS["driver"], recordings[0].recording,
-                argv=["dpkg-buildpackage"], host=first_build_host(seed=77))
-    print("replay completed without divergence:", ok)
+    res = replay(image, TOOLS["driver"], runs[0][1],
+                 argv=["dpkg-buildpackage"], host=first_build_host(seed=77))
+    print("replay completed without divergence:", res.status == OK)
     print()
 
     print("== rr: the unsupported-ioctl crash ==")
-    res = record(package_image(CRASHY), TOOLS["driver"],
-                 argv=["dpkg-buildpackage"], host=first_build_host())
+    res, _ = record(package_image(CRASHY), TOOLS["driver"],
+                    argv=["dpkg-buildpackage"], host=first_build_host())
     print("recording %s: %s (%s)" % (CRASHY.name, res.status, res.error))
     print()
 

@@ -329,6 +329,7 @@ def tf_section():
 
 def rr_section(scale):
     from repro.analysis import PAPER_RR
+    from repro.core import CRASHED, OK
     from repro.repro_tools import first_build_host
     from repro.rnr import record, replay
     from repro.workloads.debian import (TOOLS, build_native,
@@ -343,17 +344,17 @@ def rr_section(scale):
         base = build_native(spec, host=first_build_host())
         if base.status != "built":
             continue
-        rec = record(package_image(spec), TOOLS["driver"],
-                     argv=["dpkg-buildpackage", spec.name],
-                     host=first_build_host())
-        if rec.status == "crash":
+        rec, recording = record(package_image(spec), TOOLS["driver"],
+                                argv=["dpkg-buildpackage", spec.name],
+                                host=first_build_host())
+        if rec.status == CRASHED:
             crashes += 1
             continue
         overheads.append(rec.wall_time / base.result.wall_time)
-        sizes.append(rec.recording.storage_size())
-        if replay(package_image(spec), TOOLS["driver"], rec.recording,
+        sizes.append(recording.storage_size())
+        if replay(package_image(spec), TOOLS["driver"], recording,
                   argv=["dpkg-buildpackage", spec.name],
-                  host=first_build_host(seed=999)):
+                  host=first_build_host(seed=999)).status == OK:
             replays_ok += 1
     o = np.array(overheads)
     out = ["## §7.1.3 — Mozilla rr baseline (%d packages)" % n, ""]

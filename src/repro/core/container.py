@@ -15,26 +15,31 @@ abort still yields the partial output tree plus a structured
 ``NativeRunner`` executes the same image with no tracer at all, observing
 the full irreproducibility of the host (the reprotest baseline).
 
-Neither runner ever lets an exception unwind out of a run: every failure
-mode — timeout, deadlock, unsupported operation, kernel panic, injected
-fault storm — maps to a classified status (the paper's quasi-determinism
-contract, §2/§5.9: a run either reproduces or fails *reproducibly*).
+Every run — DetTrace's, its resume, ``NativeRunner``'s and the rr
+recorder's and replayer's (:mod:`repro.rnr`) — goes through one body,
+:func:`_run`, so none lets an exception unwind out of a run: every
+failure mode — timeout, deadlock, unsupported operation, kernel panic,
+injected fault storm, rr crash or divergence — maps to a classified
+status (the paper's quasi-determinism contract, §2/§5.9: a run either
+reproduces or fails *reproducibly*).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..cpu.machine import HostEnvironment
 from ..faults.report import AttemptRecord, CrashReport
 from ..kernel.errors import DeadlockError, KernelPanic, SimTimeout
-from ..kernel.kernel import EVENTS_PROCESSED, Kernel
+from ..kernel.kernel import DEFAULT_MAX_EVENTS, EVENTS_PROCESSED, Kernel
+from ..kernel.process import Process
 from ..obs.collector import Collector
 from ..obs.metrics import Metrics
 from ..obs.trace import TraceLog
 from ..tracer.events import TraceCounters
+from ..tracer.ptrace import TracerBase
 from .config import ContainerConfig, FIXED_ASLR_BASE
 from .errors import (
     BusyWaitError,
@@ -145,16 +150,6 @@ def _decode_exit(proc, status: str, error: str):
     return (proc.exit_status >> 8) & 0xFF, error
 
 
-def _collect_output_tree(kernel: Kernel, build_dir: str) -> Dict[str, bytes]:
-    """Files under *build_dir*, keyed by path relative to it."""
-    out: Dict[str, bytes] = {}
-    prefix = build_dir.rstrip("/") + "/"
-    for path, content in kernel.fs.snapshot().items():
-        if path.startswith(prefix):
-            out[path[len(prefix):]] = content
-    return out
-
-
 def _classify(err: BaseException):
     """Map an exception escaping the kernel loop to a (status, error)."""
     from ..faults.injector import KilledAtTick
@@ -196,8 +191,12 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
     obs = kernel.obs
     # The event loop keeps its tick as a plain int; record it once here.
     obs.counters[EVENTS_PROCESSED] = kernel.events_processed
+    # The artifacts: files under *build_dir*, keyed relative to it.
+    prefix = build_dir.rstrip("/") + "/"
     try:
-        output_tree = _collect_output_tree(kernel, build_dir)
+        output_tree = {path[len(prefix):]: content
+                       for path, content in kernel.fs.snapshot().items()
+                       if path.startswith(prefix)}
     except Exception as err:  # pragma: no cover - snapshot never raises today
         output_tree = {}
         error = error or ("output tree unavailable: %s" % err)
@@ -242,6 +241,31 @@ def _finish(kernel: Kernel, build_dir: str, host: HostEnvironment,
     )
     kernel.teardown()
     return result
+
+
+def _run(host: HostEnvironment, build_dir: str,
+         start: Callable[[Kernel], Optional[Process]],
+         deadline: Optional[float],
+         max_events: int = DEFAULT_MAX_EVENTS) -> ContainerResult:
+    """The one run body of every runner: DetTrace, its resume,
+    :class:`NativeRunner` and the rr recorder and replayer.
+
+    *start* readies a fresh kernel — installs the image, attaches a
+    tracer, boots or restores — and returns the init process, or None
+    when there is none.  Whatever it or the event loop raises is
+    classified, never re-raised, and :func:`_finish` builds the result
+    from the kernel's final state and tears the kernel down.
+    """
+    kernel = Kernel(host)
+    proc = None
+    status, error = OK, ""
+    try:
+        proc = start(kernel)
+        kernel.run(deadline=deadline, max_events=max_events)
+    except Exception as err:
+        status, error = _classify(err)
+    exit_code, error = _decode_exit(proc, status, error)
+    return _finish(kernel, build_dir, host, status, exit_code, error)
 
 
 class DetTrace:
@@ -359,14 +383,12 @@ class DetTrace:
         restores the snapshot into it and continues from there.
         """
         cfg = self.config
-        kernel = Kernel(host)
-        # The collector exists before anything can fail, so every exit
-        # path — including a crash before the tracer is even built —
-        # flows through it (crash reports and metrics always agree).
-        kernel.obs = Collector(trace=cfg.observe, debug=cfg.debug)
-        proc = None
-        status, error = OK, ""
-        try:
+
+        def start(kernel: Kernel) -> Optional[Process]:
+            # The collector comes first, so every exit path — including
+            # a crash before the tracer is even built — flows through it
+            # (crash reports and metrics always agree).
+            kernel.obs = Collector(trace=cfg.observe, debug=cfg.debug)
             self._prepare(kernel, image, _attempt)
             if cfg.checkpoint is not None:
                 from ..ckpt import CheckpointManager, restore
@@ -384,17 +406,13 @@ class DetTrace:
                 # guest's whole life, starting with the init spawn.
                 kernel.ckpt = self.active_ckpt = mgr
             if restored is None:
-                proc = kernel.boot(command, argv=argv,
+                return kernel.boot(command, argv=argv,
                                    env=cfg.env_for(host.env), uid=0,
                                    cwd_path=cfg.working_dir)
-            elif kernel.processes:
-                proc = kernel.processes[0]
-            kernel.run(deadline=cfg.timeout, max_events=cfg.max_events)
-        except Exception as err:
-            status, error = _classify(err)
-        exit_code, error = _decode_exit(proc, status, error)
-        return _finish(kernel, cfg.working_dir, host, status, exit_code,
-                       error)
+            return kernel.processes[0] if kernel.processes else None
+
+        return _run(host, cfg.working_dir, start, cfg.timeout,
+                    cfg.max_events)
 
     def _prepare(self, kernel: Kernel, image: Image, _attempt: int) -> None:
         """Configure a fresh kernel up to (but excluding) boot.
@@ -566,20 +584,23 @@ class NativeRunner:
 
     def run(self, image: Image, command: str,
             argv: Optional[List[str]] = None,
-            host: Optional[HostEnvironment] = None) -> ContainerResult:
+            host: Optional[HostEnvironment] = None,
+            _tracer: Optional[TracerBase] = None) -> ContainerResult:
+        """Run *command* from *image* natively; never raises.
+
+        *_tracer* is attached before boot: the rr recorder and replayer
+        (:mod:`repro.rnr`) are native runs under a tracer.
+        """
         host = host or HostEnvironment()
-        kernel = Kernel(host)
         build_dir = host.build_path
-        proc = None
-        status, error = OK, ""
-        try:
+
+        def start(kernel: Kernel) -> Process:
             if self.fault_plan is not None:
                 kernel.install_faults(self.fault_plan)
             image.install(kernel, build_dir)
-            proc = kernel.boot(command, argv=argv, env=dict(host.env),
+            if _tracer is not None:
+                _tracer.attach(kernel)
+            return kernel.boot(command, argv=argv, env=dict(host.env),
                                uid=1000, cwd_path=build_dir)
-            kernel.run(deadline=self.timeout)
-        except Exception as err:
-            status, error = _classify(err)
-        exit_code, error = _decode_exit(proc, status, error)
-        return _finish(kernel, build_dir, host, status, exit_code, error)
+
+        return _run(host, build_dir, start, self.timeout)

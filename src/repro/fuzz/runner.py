@@ -329,12 +329,11 @@ def _check_rnr(spec: ProgramSpec) -> List[str]:
     host_b = HostEnvironment(entropy_seed=spec.seed * 17 + 11,
                              boot_epoch=1.93e9, pid_start=4000,
                              inode_start=777_000, dirent_hash_salt=99)
-    rec = rnr_mod.record(image, "/bin/fuzz", host=host_a)
-    if rec.status != "ok":
+    rec, recording = rnr_mod.record(image, "/bin/fuzz", host=host_a)
+    if rec.status != OK:
         return ["rnr record failed: %s %s" % (rec.status, rec.error)]
-    try:
-        rnr_mod.replay(build_image(spec), "/bin/fuzz", rec.recording,
-                       host=host_b)
-    except Exception as err:
-        return ["rnr replay diverged: %s: %s" % (type(err).__name__, err)]
+    rep = rnr_mod.replay(build_image(spec), "/bin/fuzz", recording,
+                         host=host_b)
+    if rep.status != OK:
+        return ["rnr replay diverged: %s %s" % (rep.status, rep.error)]
     return []

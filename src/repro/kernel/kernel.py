@@ -780,6 +780,9 @@ class Kernel:
             if sibling is not thread:
                 if sibling.alive:
                     self._teardown_thread(sibling)
+                # Its frames hold its Sys facade, which holds the thread:
+                # a cycle that ``teardown`` no longer reaches.
+                sibling.gen_stack.clear()
                 proc.dropped_tids.append(sibling.tid)
         proc.threads = [thread]
         proc.argv = list(ex.argv)

@@ -1,20 +1,23 @@
-"""Record-and-replay baseline (Mozilla rr analog, paper §7.1.3)."""
+"""Record-and-replay baseline (Mozilla rr analog, paper §7.1.3).
+
+A recording and its replay are native runs (:class:`NativeRunner`) with
+the recorder or the replayer attached, so each ends — and is classified
+— the way a native run of the same image on the same host does; the
+recorder's unsupported-ioctl crash and a replay's divergence end the
+run ``crashed``.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from ..core.container import ContainerResult, NativeRunner
 from ..cpu.machine import HostEnvironment
-from ..kernel.errors import DeadlockError, SimTimeout
-from ..kernel.kernel import SYSCALL_PREFIX, Kernel
-from ..core.container import _collect_output_tree
 from .recorder import RnrRecorder, SUPPORTED_IOCTLS
 from .replayer import RnrReplayer
 from .trace import Recording, ReplayDivergence, RnrCrash, TraceEvent
 
 __all__ = [
-    "RecordResult",
     "Recording",
     "ReplayDivergence",
     "RnrCrash",
@@ -27,67 +30,23 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
-class RecordResult:
-    """Outcome of one recorded run."""
-
-    status: str  # "ok" | "crash" | "timeout" | "deadlock"
-    error: str
-    exit_code: Optional[int]
-    recording: Recording
-    wall_time: float
-    syscall_count: int
-    output_tree: dict
-
-
 def record(image, command: str, argv: Optional[List[str]] = None,
            host: Optional[HostEnvironment] = None,
-           timeout: float = 7200.0) -> RecordResult:
-    """Run *command* natively under the recorder."""
-    host = host or HostEnvironment()
-    kernel = Kernel(host)
-    build_dir = host.build_path
-    try:
-        image.install(kernel, build_dir)
-        recorder = RnrRecorder()
-        recorder.attach(kernel)
-        proc = kernel.boot(command, argv=argv, env=dict(host.env), uid=1000,
-                           cwd_path=build_dir)
-        status, error = "ok", ""
-        try:
-            kernel.run(deadline=timeout)
-        except RnrCrash as err:
-            status, error = "crash", str(err)
-        except SimTimeout:
-            status, error = "timeout", "deadline exceeded"
-        except DeadlockError as err:
-            status, error = "deadlock", str(err)
-        exit_code = None
-        if status == "ok" and proc.exit_status is not None:
-            exit_code = (proc.exit_status >> 8) & 0xFF
-        return RecordResult(
-            status=status, error=error, exit_code=exit_code,
-            recording=recorder.recording, wall_time=kernel.clock.now,
-            syscall_count=kernel.obs.total(SYSCALL_PREFIX),
-            output_tree=_collect_output_tree(kernel, build_dir))
-    finally:
-        kernel.teardown()
+           timeout: float = 7200.0) -> Tuple[ContainerResult, Recording]:
+    """Run *command* natively under the recorder: the run's result and
+    what it recorded."""
+    recorder = RnrRecorder()
+    result = NativeRunner(timeout=timeout).run(
+        image, command, argv=argv, host=host, _tracer=recorder)
+    return result, recorder.recording
 
 
 def replay(image, command: str, recording: Recording,
            argv: Optional[List[str]] = None,
            host: Optional[HostEnvironment] = None,
-           timeout: float = 7200.0) -> bool:
-    """Replay a recording; returns True if it completed without divergence."""
-    host = host or HostEnvironment()
-    kernel = Kernel(host)
-    try:
-        image.install(kernel, host.build_path)
-        replayer = RnrReplayer(recording)
-        replayer.attach(kernel)
-        kernel.boot(command, argv=argv, env=dict(host.env), uid=1000,
-                    cwd_path=host.build_path)
-        kernel.run(deadline=timeout)
-    finally:
-        kernel.teardown()
-    return True
+           timeout: float = 7200.0) -> ContainerResult:
+    """Replay *recording*; a divergence ends the run ``crashed`` with an
+    error naming what the recording expected."""
+    return NativeRunner(timeout=timeout).run(
+        image, command, argv=argv, host=host,
+        _tracer=RnrReplayer(recording))

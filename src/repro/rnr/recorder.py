@@ -10,7 +10,7 @@ result payload is serialized to the trace file.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict
+from typing import Deque
 
 from ..kernel.costs import (
     TRACEE_WAKEUP_LATENCY,
@@ -18,9 +18,8 @@ from ..kernel.costs import (
     TRACER_REPLAY_COST,
 )
 from ..kernel.process import Process, Thread
-from ..tracer.ptrace import TracerBase
-from ..tracer.seccomp import SeccompFilter
 from .trace import Recording, RnrCrash, TraceEvent
+from .tracer import RnrTracer
 
 #: Per-event serialization cost on top of the stop cost: rr copies and
 #: compresses the result payload into its trace, giving it a much higher
@@ -35,7 +34,7 @@ RECORD_BANDWIDTH = 5.0e7
 SUPPORTED_IOCTLS = frozenset({"TIOCGWINSZ", "FIONREAD"})
 
 
-class RnrRecorder(TracerBase):
+class RnrRecorder(RnrTracer):
     """Records one native execution of the container tree.
 
     Scope note: real rr forces all tracee threads onto one core so that
@@ -46,43 +45,17 @@ class RnrRecorder(TracerBase):
     """
 
     def __init__(self):
-        super().__init__()
-        self.recording = Recording()
-        #: pid -> hierarchical spawn path, e.g. (0, 2, 1): replay-stable
-        #: even when global spawn interleaving differs.
-        self._proc_index: Dict[int, tuple] = {}
-        self._child_counts: Dict[tuple, int] = {}
+        super().__init__(Recording())
         self._blocked: Deque[Thread] = deque()
         self._pumping = False
 
-    def attach(self, kernel) -> None:
-        super().attach(kernel)
-        self.seccomp = SeccompFilter(
-            enabled=True, kernel_version=kernel.host.machine.kernel_version)
-
-    # -- lifecycle -------------------------------------------------------
-
     def on_process_spawn(self, proc: Process) -> None:
-        if proc.parent is None:
-            key = (0,)
-        else:
-            parent_key = self._proc_index.get(proc.parent.pid, (0,))
-            ordinal = self._child_counts.get(parent_key, 0)
-            self._child_counts[parent_key] = ordinal + 1
-            key = parent_key + (ordinal,)
-        self._proc_index[proc.pid] = key
-        self.recording.spawn_argvs[key] = list(proc.argv)
-
-    # -- instructions ------------------------------------------------------
-
-    def traps_instruction(self, thread: Thread, name: str) -> bool:
-        # rr records rdtsc via PR_SET_TSC so replay can inject it.
-        return name in ("rdtsc", "rdtscp")
+        self.recording.spawn_argvs[self._spawn_key(proc)] = list(proc.argv)
 
     def on_instruction(self, thread: Thread, name: str):
         value = self.kernel.cpu.execute(name, self.kernel.clock.now)
-        index = self._proc_index.get(thread.process.pid, (-1,))
-        self.recording.append(index, TraceEvent("instr:" + name, "value", value))
+        self.recording.append(self._key(thread),
+                              TraceEvent("instr:" + name, "value", value))
         finish = self.charge(RECORD_EVENT_COST / 2)
         return (value, finish)
 
@@ -114,12 +87,12 @@ class RnrRecorder(TracerBase):
     def _record(self, thread: Thread, call, tag: str, payload) -> None:
         """Append the outcome the guest will see: a sleep returns 0, and
         an exit or an exec returns nothing."""
-        index = self._proc_index.get(thread.process.pid, (-1,))
         if tag == "sleep":
             tag, payload = "value", 0
         elif tag in ("exited", "execve"):
             tag, payload = "value", None
-        self.recording.append(index, TraceEvent(call.name, tag, payload))
+        self.recording.append(self._key(thread),
+                              TraceEvent(call.name, tag, payload))
 
     def _pump_blocked(self) -> None:
         if self._pumping:
@@ -150,8 +123,3 @@ class RnrRecorder(TracerBase):
         before = len(self._blocked)
         self._pump_blocked()
         return len(self._blocked) < before
-
-    def on_busy_wait(self, thread: Thread) -> None:
-        # rr does not care about busy-waiting; the kernel budget should be
-        # disabled when recording, but tolerate it if set.
-        pass

@@ -15,9 +15,8 @@ from typing import Dict
 from ..kernel.costs import TRACER_HANDLER_COST
 from ..kernel.errors import SyscallError
 from ..kernel.process import Process, Thread
-from ..tracer.ptrace import TracerBase
-from ..tracer.seccomp import SeccompFilter
 from .trace import Recording, ReplayDivergence
+from .tracer import RnrTracer
 
 #: Syscalls replay must actually execute (world-structure, not data).
 STRUCTURAL = frozenset({
@@ -27,30 +26,15 @@ STRUCTURAL = frozenset({
 REPLAY_EVENT_COST = 10e-6
 
 
-class RnrReplayer(TracerBase):
+class RnrReplayer(RnrTracer):
     """Drives a replayed execution from a :class:`Recording`."""
 
     def __init__(self, recording: Recording):
-        super().__init__()
-        self.recording = recording
-        self._proc_index: Dict[int, tuple] = {}
-        self._child_counts: Dict[tuple, int] = {}
+        super().__init__(recording)
         self._cursor: Dict[tuple, int] = {}
 
-    def attach(self, kernel) -> None:
-        super().attach(kernel)
-        self.seccomp = SeccompFilter(
-            enabled=True, kernel_version=kernel.host.machine.kernel_version)
-
     def on_process_spawn(self, proc: Process) -> None:
-        if proc.parent is None:
-            index = (0,)
-        else:
-            parent_key = self._proc_index.get(proc.parent.pid, (0,))
-            ordinal = self._child_counts.get(parent_key, 0)
-            self._child_counts[parent_key] = ordinal + 1
-            index = parent_key + (ordinal,)
-        self._proc_index[proc.pid] = index
+        index = self._spawn_key(proc)
         expected = self.recording.spawn_argvs.get(index)
         if expected is not None and expected[:1] != proc.argv[:1]:
             raise ReplayDivergence(
@@ -58,7 +42,7 @@ class RnrReplayer(TracerBase):
                 % (index, proc.argv[:1], expected[:1]))
 
     def _next_event(self, thread: Thread):
-        index = self._proc_index.get(thread.process.pid, (-1,))
+        index = self._key(thread)
         stream = self.recording.streams.get(index, [])
         pos = self._cursor.get(index, 0)
         if pos >= len(stream):
@@ -66,9 +50,6 @@ class RnrReplayer(TracerBase):
                 "process %s ran past the end of its recorded stream" % (index,))
         self._cursor[index] = pos + 1
         return stream[pos]
-
-    def traps_instruction(self, thread: Thread, name: str) -> bool:
-        return name in ("rdtsc", "rdtscp")
 
     def on_instruction(self, thread: Thread, name: str):
         event = self._next_event(thread)
@@ -103,6 +84,3 @@ class RnrReplayer(TracerBase):
             if not isinstance(payload, BaseException):
                 payload = SyscallError(int(payload), call.name)
         self.kernel.tracer_complete(thread, tag, payload, self.busy_until)
-
-    def on_busy_wait(self, thread: Thread) -> None:
-        pass

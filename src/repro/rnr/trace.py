@@ -13,6 +13,8 @@ import dataclasses
 import pickle
 from typing import Any, Dict, List
 
+from ..core.errors import ContainerError
+
 
 @dataclasses.dataclass
 class TraceEvent:
@@ -51,7 +53,7 @@ class Recording:
         return sum(ev.storage_size() for s in self.streams.values() for ev in s)
 
 
-class RnrCrash(Exception):
+class RnrCrash(ContainerError):
     """The recorder hit an operation it cannot handle (the known
     unsupported-ioctl bug class from §7.1.3)."""
 
@@ -60,5 +62,5 @@ class RnrCrash(Exception):
         super().__init__("rr crash: unsupported %s %s" % (syscall, detail))
 
 
-class ReplayDivergence(Exception):
+class ReplayDivergence(ContainerError):
     """Replay executed a different syscall than the recording expected."""

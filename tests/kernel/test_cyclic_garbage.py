@@ -7,11 +7,12 @@ threads and their process, parents and children, step tokens and
 queues, unfinished guest frames), and a checkpoint capture walks the
 filesystem without a self-referencing closure.  So the whole graph is
 freed by reference counting when the caller drops it: each test below
-runs one run body with the cyclic collector off and requires that a
+runs one runner with the cyclic collector off and requires that a
 full collection then frees nothing.  Every way a run can end is
 covered, because each leaves different state behind: events still
 queued, a guest frame still suspended, threads still waiting for the
-step token, a blocked ``wait4``'s replay test.
+step token, a blocked ``wait4``'s replay test, a sibling thread that an
+``execve`` dropped from its process.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ def _reader(sys):
     return 0
 
 
-CHILD = {"/bin/child": _child, "/bin/reader": _reader}
+def _printer(sys):
+    yield from sys.println("after exec")
+    return 0
+
+
+CHILD = {"/bin/child": _child, "/bin/reader": _reader,
+         "/bin/printer": _printer}
 
 
 def builds(sys):
@@ -75,6 +82,14 @@ def napping_threads(sys):
     pid = yield from sys.getpid()
     yield from sys.kill(pid, SIGALRM)
     yield from _napping(sys)
+
+
+def execs_beside_a_sleeper(sys):
+    """The main thread execs while its sibling sleeps: the exec drops
+    the sibling from its process with the sibling's frame suspended."""
+    yield from sys.spawn_thread(_napping)
+    yield from sys.sleep(0.005)
+    yield from sys.execve("/bin/printer", ["printer"])
 
 
 def panics(sys):
@@ -115,8 +130,9 @@ def _dettrace(program, status, config=None):
     (napping_threads, TIMEOUT, ContainerConfig(timeout=0.02)),
     (deadlocks, DEADLOCK, None),
     (builds, OK, ContainerConfig(observe=True)),
+    (execs_beside_a_sleeper, OK, None),
 ], ids=["ok", "signal-and-threads", "crash", "timeout", "deadlock",
-        "observe"])
+        "observe", "execve-drops-a-sleeper"])
 def test_a_dettrace_run_leaves_no_cyclic_garbage(program, status, config):
     assert garbage_after(_dettrace(program, status, config)) == 0
 
@@ -144,7 +160,8 @@ def test_a_killed_run_and_its_resume_leave_no_cyclic_garbage(tmp_path):
 @pytest.mark.parametrize("program, status", [
     (builds, OK),
     (online_deadlock, DEADLOCK),
-], ids=["ok", "online-deadlock"])
+    (execs_beside_a_sleeper, OK),
+], ids=["ok", "online-deadlock", "execve-drops-a-sleeper"])
 def test_a_native_run_leaves_no_cyclic_garbage(program, status):
     def run():
         result = native_run(program, extra_binaries=CHILD)
@@ -158,12 +175,13 @@ def test_an_rr_record_and_replay_leave_no_cyclic_garbage():
     recorded = []
 
     def record():
-        result = rnr.record(image, "/bin/main")
-        assert result.status == "ok", result.error
-        recorded.append(result.recording)
+        result, recording = rnr.record(image, "/bin/main")
+        assert result.status == OK, result.error
+        recorded.append(recording)
 
     def replay():
-        assert rnr.replay(image, "/bin/main", recorded[0])
+        result = rnr.replay(image, "/bin/main", recorded[0])
+        assert result.status == OK, result.error
 
     assert garbage_after(record) == 0
     assert garbage_after(replay) == 0
