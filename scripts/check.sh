@@ -370,9 +370,10 @@ if [ "$stage" = "all" ] || [ "$stage" = "perf" ]; then
     # perfbench's own tests: its layer spans wrap the tracer's handler
     # table and passthrough default.  Beside them, the host-memory
     # invariant: every run body frees its kernel by reference counting,
-    # so peak RSS does not follow the cyclic collector.
+    # so peak RSS does not follow the cyclic collector; and the call
+    # count of a traced syscall's round trip, exact and capped.
     python -m pytest -x -q perfbench/test_harness.py \
-        tests/kernel/test_cyclic_garbage.py
+        tests/kernel/test_cyclic_garbage.py tests/kernel/test_hot_loop_calls.py
     # The bench asserts the determinism identities (schedule + fan-out
     # digests) itself.
     bench_gate hotpath

@@ -304,7 +304,13 @@ class LogicalClockScheduler(SchedulerBase):
             idx = heapq.heappop(heap)[1]
         else:
             idx = self._index.get(thread)
-        self._bump_epoch()
+        # _bump_epoch, inline.
+        self._service_seq += 1
+        stash = self._stash
+        if stash:
+            for entry in stash:
+                heapq.heappush(heap, entry)
+            del stash[:]
         self._fail_seq.pop(thread, None)
         # An exited thread (already removed by its exit hook) has no
         # bound left to keep.

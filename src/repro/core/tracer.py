@@ -31,12 +31,15 @@ from ..tracer.ptrace import TracerBase
 from ..tracer.seccomp import SeccompFilter
 from .config import ContainerConfig
 from .errors import BusyWaitError
-from .handlers import build_handler_table, passthrough
+from .handlers import Handler, build_handler_table, passthrough
 from .inode_table import InodeTable
 from .logical_time import LogicalClock
 from .namespaces import UidGidMap
 from .prng import Lfsr
 from .scheduler import PROBE, SERVICE, WAIT, make_scheduler
+
+#: Counted at each service of a thread of another process than the last.
+CONTEXT_SWITCH = ("sched", "context_switch")
 
 #: What cpuid reports inside the container: a canonical uniprocessor with
 #: no TSX and no hardware randomness (§5.8).
@@ -66,14 +69,12 @@ class DetTraceTracer(TracerBase):
         self._pumping = False
         self._last_proc: Process = None
         self.sched = None  # set in attach
-        #: The handler table is frozen after construction, so name ->
-        #: handler (with the passthrough default applied) memoizes the
-        #: two-step lookup.
-        self._handler_cache: Dict[str, Any] = {}
-        #: disposition -> syscall name -> interned counter key, so a
-        #: completion counts without building a key tuple.
-        self._syscall_keys: Dict[str, Dict[str, Tuple[str, str, str]]] = {
-            "injected": {}, "rewritten": {}, "passthrough": {}}
+        #: Syscall name -> (handler, completion counter key), built on
+        #: first use: the key labels the call ``rewritten`` when the
+        #: table has a handler for it and ``passthrough`` otherwise.
+        self._names: Dict[str, Tuple[Handler, Tuple[str, str, str]]] = {}
+        #: The completion key of the call whose handler ran last.
+        self._completion_key: Tuple[str, str, str] = None
         #: thread -> the kernel's replay test for its blocked call
         #: (SyscallTable.replay_test), taken when the call last blocked.
         #: Only wait4 and FUTEX_WAIT have one; read and write, whose
@@ -211,11 +212,14 @@ class DetTraceTracer(TracerBase):
             return False
         self._pumping = True
         progress = False
-        failed_this_pump = set()
+        # Threads whose probe failed since the last completion; made only
+        # once one fails.
+        failed = None
+        next_action = self.sched.next_action
         try:
             while True:
-                action, thread = self.sched.next_action()
-                if action == WAIT or thread in failed_this_pump:
+                action, thread = next_action()
+                if action == WAIT or (failed is not None and thread in failed):
                     break
                 if action == SERVICE:
                     ok = self._service(thread)
@@ -223,9 +227,11 @@ class DetTraceTracer(TracerBase):
                     ok = self._probe(thread)
                 if ok:
                     progress = True
-                    failed_this_pump.clear()
+                    failed = None
+                elif failed is None:
+                    failed = {thread}
                 else:
-                    failed_this_pump.add(thread)
+                    failed.add(thread)
         finally:
             self._pumping = False
         return progress
@@ -236,10 +242,14 @@ class DetTraceTracer(TracerBase):
 
     def _run_handler(self, thread: Thread):
         call = thread.current_syscall
-        handler = self._handler_cache.get(call.name)
-        if handler is None:
-            handler = self.handlers.get(call.name, passthrough)
-            self._handler_cache[call.name] = handler
+        record = self._names.get(call.name)
+        if record is None:
+            handler = self.handlers.get(call.name)
+            record = self._names[call.name] = (
+                (passthrough, ("syscall", call.name, "passthrough"))
+                if handler is None
+                else (handler, ("syscall", call.name, "rewritten")))
+        handler, self._completion_key = record
         return handler(self, thread, call)
 
     def _service(self, thread: Thread) -> bool:
@@ -253,7 +263,8 @@ class DetTraceTracer(TracerBase):
         busy = max(self.kernel.clock.now, self.busy_until)
         span = 0.0
         if thread.process is not self._last_proc:
-            obs.count(("sched", "context_switch"))
+            counters = obs.counters
+            counters[CONTEXT_SWITCH] = counters.get(CONTEXT_SWITCH, 0) + 1
             busy += TRACER_SCHED_COST
             span += TRACER_SCHED_COST
             totals[SCHEDULER] = totals.get(SCHEDULER, 0.0) + TRACER_SCHED_COST
@@ -271,11 +282,13 @@ class DetTraceTracer(TracerBase):
             self._memoize_block(thread)
             obs.counters[REPLAYS_BLOCKING] += 1
             self.charge(TRACER_REPLAY_COST, SCHEDULER)
-            self._emit_span(thread, outcome)
+            if obs.trace_enabled:
+                self._emit_span(thread, outcome)
             self.sched.still_blocked(thread)
             self.kernel.release_step_token(thread)
             return False
-        self._emit_span(thread, outcome)
+        if obs.trace_enabled:
+            self._emit_span(thread, outcome)
         self._complete(thread, outcome, payload)
         return True
 
@@ -290,38 +303,24 @@ class DetTraceTracer(TracerBase):
             index=thread.current_syscall_index, kind=DEBUG, name=call.name,
             detail="%s(%s) -> %s %.60r" % (call.name, args, outcome, shown)))
 
-    def _disposition(self, thread: Thread, call, outcome: str) -> str:
-        """Classify how this instance was determinized (repro.obs)."""
-        if outcome == "block":
-            return "blocked"
-        if thread.obs_faulted:
-            return "injected"
-        return "rewritten" if call.name in self.handlers else "passthrough"
-
     def _emit_span(self, thread: Thread, outcome: str) -> None:
         """One trace span per service/probe, keyed only on deterministic
-        coordinates: det_clock, nspid, per-process index, attempt.  The
-        span is built only when the event stream is on."""
+        coordinates: det_clock, nspid, per-process index, attempt.
+        Called only when the event stream is on.  Its category is how
+        the instance was determinized: blocked, injected (a fault), or
+        the completion key's rewritten or passthrough."""
+        if outcome == "block":
+            disposition = "blocked"
+        elif thread.obs_faulted:
+            disposition = "injected"
+        else:
+            disposition = self._completion_key[2]
         call = thread.current_syscall
-        if call is None:
-            return
-        obs = self.obs
-        disposition = self._disposition(thread, call, outcome)
-        if obs.trace_enabled:
-            obs.span(Span(
-                name=call.name, cat=disposition, pid=thread.process.nspid,
-                tid=self.kernel.det_tid(thread), vts=thread.det_clock,
-                dur=self._span_cost, index=thread.current_syscall_index,
-                attempt=thread.obs_attempt))
-        if outcome != "block":
-            # Count each instance once, at its completing attempt.
-            keys = self._syscall_keys[disposition]
-            key = keys.get(call.name)
-            if key is None:
-                key = keys[call.name] = ("syscall", call.name, disposition)
-            counters = obs.counters
-            counters[key] = counters.get(key, 0) + 1
-            thread.obs_faulted = False
+        self.obs.span(Span(
+            name=call.name, cat=disposition, pid=thread.process.nspid,
+            tid=self.kernel.det_tid(thread), vts=thread.det_clock,
+            dur=self._span_cost, index=thread.current_syscall_index,
+            attempt=thread.obs_attempt))
 
     def _probe(self, thread: Thread) -> bool:
         """Re-try a blocked thread's syscall; True if it completed.
@@ -360,7 +359,8 @@ class DetTraceTracer(TracerBase):
                 self.kernel.release_step_token(thread)
             return False
         self._replay_tests.pop(thread, None)
-        self._emit_span(thread, outcome)
+        if obs.trace_enabled:
+            self._emit_span(thread, outcome)
         self._complete(thread, outcome, payload)
         return True
 
@@ -389,9 +389,16 @@ class DetTraceTracer(TracerBase):
             % (call.name, index, thread.obs_attempt, outcome)))
 
     def _complete(self, thread: Thread, outcome: str, payload) -> None:
+        # Count each instance once, at its completing attempt.
+        sched, obs = self.sched, self.obs
+        counters = obs.counters
+        key = self._completion_key
+        if thread.obs_faulted:
+            key = ("syscall", key[1], "injected")
+            thread.obs_faulted = False
+        counters[key] = counters.get(key, 0) + 1
         # Advance the scheduler's service epoch even for exits: an exit is
         # a state change that can unblock wait4 probes.
-        sched, obs = self.sched, self.obs
         sched.completed(thread)
         blocked = sched.blocked_count()
         # Collector.observe and gauge_max, in place; for a count,

@@ -46,6 +46,9 @@ from .waiting import Channel, WouldBlock
 #: Reference clock rate the Compute.work unit is defined against.
 REFERENCE_GHZ = 2.2
 
+#: Base virtual cost of an execve (Kernel._do_execve).
+EXECVE_COST = SYSCALL_COSTS["execve"]
+
 #: Delay between spawn syscall completion and the child's first step.
 CHILD_START_DELAY = 20e-6
 
@@ -101,13 +104,9 @@ class Kernel:
         #: ``_fire_timer``) — what a checkpoint records by name and id.
         self._events: List[Tuple[float, int, Callable, Any, Tuple]] = []
         self._seq = 0
-        #: Per-name caches for the syscall fast path: the resolved base
-        #: cost and the interned counter keys for every dispatch and for
-        #: untraced ones (avoids a dict-miss default and a tuple
-        #: allocation per call).
-        self._cost_cache: Dict[str, float] = {}
-        self._dispatch_key_cache: Dict[str, Tuple[str, str, str]] = {}
-        self._untraced_key_cache: Dict[str, Tuple[str, str, str]] = {}
+        #: Syscall name -> its SyscallName record, built on first use
+        #: (syscall_name): the one per-name lookup of a dispatch.
+        self.syscall_names: Dict[str, SyscallName] = {}
         self._pid_next = host.pid_start
         self._tid_next = host.pid_start + 50_000
         #: Pipes made so far, and so the id of the newest (new_pipe).
@@ -170,6 +169,8 @@ class Kernel:
         if self.tracer is not None:
             raise KernelPanic("a tracer is already attached")
         self.tracer = tracer
+        # A record holds the tracer's verdict on its name.
+        self.syscall_names.clear()
 
     def enable_pid_namespace(self, first_pid: int = 1) -> None:
         self._nspid_next = first_pid
@@ -211,6 +212,7 @@ class Kernel:
         :class:`DeadlockError` if live threads remain with no possible
         progress.
         """
+        clock = self.clock
         while True:
             if not self._events:
                 if not self.live_processes():
@@ -237,7 +239,12 @@ class Kernel:
             t, _seq, method, target, args = heapq.heappop(self._events)
             if deadline is not None and t > deadline:
                 raise SimTimeout(deadline)
-            self.clock.advance_to(t)
+            # SimClock.advance_to, inline.
+            now = clock.now
+            if t > now:
+                clock.now = t
+            elif t < now - 1e-12:
+                raise ValueError("clock moved backwards: %r -> %r" % (now, t))
             self.events_processed += 1
             if self.events_processed > max_events:
                 raise KernelPanic("event budget exhausted (%d)" % max_events)
@@ -499,7 +506,13 @@ class Kernel:
                 status = make_exit_status(1)
                 break
             value, exc = None, None
-            # Dispatch the yielded operation.
+            # Dispatch the yielded operation, the commonest kind first.
+            if isinstance(op, Syscall):
+                self._dispatch_syscall(thread, op)
+                return
+            if isinstance(op, Compute):
+                self._dispatch_compute(thread, op)
+                return
             if isinstance(op, Instr):
                 result = self._execute_instr(thread, op)
                 if result is _SUSPENDED:
@@ -523,12 +536,6 @@ class Kernel:
                     return
                 value = self.vdso.read_vvar()
                 continue
-            if isinstance(op, Compute):
-                self._dispatch_compute(thread, op)
-                return
-            if isinstance(op, Syscall):
-                self._dispatch_syscall(thread, op)
-                return
             raise KernelPanic("guest yielded %r" % (op,))
         # The guest's root frame ended.  Its thread ends once the except
         # clause has closed: that can step a queued sibling, which must
@@ -632,11 +639,15 @@ class Kernel:
     # syscalls
     # ------------------------------------------------------------------
 
-    def syscall_cost(self, thread: Thread, name: str) -> float:
-        base = self._cost_cache.get(name)
-        if base is None:
-            base = SYSCALL_COSTS.get(name, SYSCALL_BASE_COST)
-            self._cost_cache[name] = base
+    def syscall_name(self, name: str) -> SyscallName:
+        """The record of syscall *name*, built on first use.  Hot paths
+        read ``syscall_names`` and call this only on a miss."""
+        record = self.syscall_names[name] = SyscallName(
+            name, self.tracer, type(self.table))
+        return record
+
+    def syscall_cost(self, thread: Thread, base: float) -> float:
+        """*base* plus the I/O time the thread's call charged."""
         extra = thread._io_cost
         thread._io_cost = 0.0
         return base + extra
@@ -652,11 +663,10 @@ class Kernel:
 
     def _dispatch_syscall(self, thread: Thread, call: Syscall) -> None:
         obs = self.obs
-        key = self._dispatch_key_cache.get(call.name)
-        if key is None:
-            key = self._dispatch_key_cache[call.name] = (
-                SYSCALL_PREFIX + (call.name,))
+        record = (self.syscall_names.get(call.name)
+                  or self.syscall_name(call.name))
         counters = obs.counters
+        key = record.key
         counters[key] = counters.get(key, 0) + 1
         proc = thread.process
         index = proc.syscall_index
@@ -679,7 +689,7 @@ class Kernel:
         thread.current_syscall = call
         thread.current_syscall_index = index
         thread.obs_attempt = 0
-        if self.tracer is not None and self.tracer.intercepts(thread, call):
+        if record.intercepted:
             # Note: the step token is retained across the stop; the tracer
             # releases it only when the syscall would block (§5.7's
             # "context switch at blocking syscalls").
@@ -688,11 +698,7 @@ class Kernel:
             return
         # Not intercepted: seccomp classified it naturally reproducible
         # ("skipped"), or there is no tracer at all ("native").
-        key = self._untraced_key_cache.get(call.name)
-        if key is None:
-            key = ("syscall", call.name,
-                   "skipped" if self.tracer is not None else "native")
-            self._untraced_key_cache[call.name] = key
+        key = record.untraced_key
         counters[key] = counters.get(key, 0) + 1
         if obs.trace_enabled:
             # The structured event is only materialized when someone is
@@ -700,15 +706,16 @@ class Kernel:
             # common case and must stay allocation-light.
             obs.record(ObsEvent(vts=det_ts, pid=proc.nspid, index=index,
                                 kind="syscall", name=call.name))
-        self._execute_untraced(thread, call)
+        self._execute_untraced(thread, call, record.cost)
 
-    def _execute_untraced(self, thread: Thread, call: Syscall) -> None:
+    def _execute_untraced(self, thread: Thread, call: Syscall,
+                          base_cost: float) -> None:
         tag, payload = self.execute(thread, call)
         if tag == "value":
-            self._resume_after(thread, self.syscall_cost(thread, call.name),
+            self._resume_after(thread, self.syscall_cost(thread, base_cost),
                                value=payload)
         elif tag == "error":
-            self._resume_after(thread, self.syscall_cost(thread, call.name),
+            self._resume_after(thread, self.syscall_cost(thread, base_cost),
                                exc=payload)
         elif tag == "block":
             self._park(thread, call, payload)
@@ -764,7 +771,9 @@ class Kernel:
         if call is None:
             return
         thread.state = ThreadState.DISPATCH
-        self._execute_untraced(thread, call)
+        self._execute_untraced(thread, call, (
+            self.syscall_names.get(call.name)
+            or self.syscall_name(call.name)).cost)
 
     # -- execve -------------------------------------------------------------------
 
@@ -772,7 +781,7 @@ class Kernel:
                    resume_at: Optional[float] = None) -> None:
         factory = self.binaries.get(ex.path)
         if factory is None:
-            self._resume_after(thread, self.syscall_cost(thread, "execve"),
+            self._resume_after(thread, self.syscall_cost(thread, EXECVE_COST),
                                exc=SyscallError(Errno.ENOENT, "execve", ex.path))
             return
         proc = thread.process
@@ -797,7 +806,7 @@ class Kernel:
         if self.tracer is not None:
             self.tracer.on_execve(proc)
         at = resume_at if resume_at is not None else (
-            self.clock.now + self.syscall_cost(thread, "execve"))
+            self.clock.now + self.syscall_cost(thread, EXECVE_COST))
         thread.state = ThreadState.DISPATCH
         self.schedule(at, self._step_or_wait, thread, None, None)
 
@@ -1019,6 +1028,23 @@ class Kernel:
             proc.children.clear()
             proc.step_token = None
             proc.step_queue.clear()
+
+
+class SyscallName:
+    """What a dispatch needs of one syscall name, derived once per
+    kernel: its counter keys (every dispatch; an untraced one), whether
+    the tracer intercepts it (seccomp decides by name), its base virtual
+    cost and its ``SyscallTable`` method (None: ENOSYS)."""
+
+    __slots__ = ("key", "intercepted", "untraced_key", "cost", "method")
+
+    def __init__(self, name: str, tracer, table_type: type):
+        self.key = SYSCALL_PREFIX + (name,)
+        self.intercepted = tracer is not None and tracer.intercepts(name)
+        self.untraced_key = ("syscall", name,
+                             "native" if tracer is None else "skipped")
+        self.cost = SYSCALL_COSTS.get(name, SYSCALL_BASE_COST)
+        self.method = getattr(table_type, "sys_" + name, None)
 
 
 #: Sentinel: the instruction path suspended the thread (trap round trip).

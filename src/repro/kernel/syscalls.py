@@ -125,17 +125,19 @@ class SyscallTable:
     # ------------------------------------------------------------------
 
     def execute(self, thread: Thread, call: Syscall) -> Any:
-        faults = self.kernel.faults
+        kernel = self.kernel
+        faults = kernel.faults
         if faults is not None:
             # Apply any fault armed at dispatch time for this instance:
             # may raise the injected errno or rewrite the call into a
             # short transfer.  Probes/retries of the same instance find
             # the slot cleared and run unfaulted.
             call = faults.consume(thread, call)
-        method = getattr(self, "sys_" + call.name, None)
+        method = (kernel.syscall_names.get(call.name)
+                  or kernel.syscall_name(call.name)).method
         if method is None:
             raise SyscallError(Errno.ENOSYS, call.name)
-        return method(thread, **call.args)
+        return method(self, thread, **call.args)
 
     # -- small helpers ---------------------------------------------------
 

@@ -73,6 +73,12 @@ class RnrRecorder(RnrTracer):
         data = call.args.get("data")
         if isinstance(data, (bytes, str)):
             self.charge(len(data) / RECORD_BANDWIDTH)
+        self._execute(thread)
+
+    def _execute(self, thread: Thread) -> None:
+        """Execute *thread*'s call, at its stop or at a retry after it
+        blocked; record and serialize its outcome, and resume it."""
+        call = thread.current_syscall
         tag, payload = self.kernel.execute(thread, call)
         if tag == "block":
             self._blocked.append(thread)
@@ -104,20 +110,9 @@ class RnrRecorder(RnrTracer):
                 if not thread.alive:
                     continue
                 self.charge(TRACER_REPLAY_COST)
-                self._service_blocked(thread)
+                self._execute(thread)
         finally:
             self._pumping = False
-
-    def _service_blocked(self, thread: Thread) -> None:
-        call = thread.current_syscall
-        tag, payload = self.kernel.execute(thread, call)
-        if tag == "block":
-            self._blocked.append(thread)
-            return
-        self._record(thread, call, tag, payload)
-        if tag in ("value", "error"):
-            thread.pending_latency += TRACEE_WAKEUP_LATENCY
-        self.kernel.tracer_complete(thread, tag, payload, self.busy_until)
 
     def on_quiescent(self) -> bool:
         before = len(self._blocked)

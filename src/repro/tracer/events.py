@@ -19,6 +19,9 @@ from typing import Dict, Optional
 #: registered SYSCALL_EVENTS marks a traced run.
 SYSCALL_EVENTS = ("tracer", "syscall_events")
 REPLAYS_BLOCKING = ("tracer", "replays_blocking")
+#: Counted at each PTRACE_PEEKDATA and POKEDATA (TracerBase).
+MEMORY_READS = ("tracer", "memory_reads")
+MEMORY_WRITES = ("tracer", "memory_writes")
 
 
 @dataclasses.dataclass(frozen=True)

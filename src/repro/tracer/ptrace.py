@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ..kernel.costs import TRACER_MEMORY_OP_COST
-from ..kernel.ops import Syscall
 from ..kernel.process import Process, Thread
 from ..obs.collector import Collector
 from ..obs.profiler import INTERCEPTION
+from .events import MEMORY_READS, MEMORY_WRITES
 from .seccomp import SeccompFilter
 
 
@@ -66,22 +66,22 @@ class TracerBase:
     def peek_memory(self, words: int = 1) -> float:
         """Read *words* of tracee memory (PTRACE_PEEKDATA): counted and
         charged to the timeline; returns the finish time."""
-        cost = words * TRACER_MEMORY_OP_COST
-        self.obs.count(("tracer", "memory_reads"), words)
-        self.obs.charge(INTERCEPTION, cost)
-        return self.charge(cost)
+        counters = self.obs.counters
+        counters[MEMORY_READS] = counters.get(MEMORY_READS, 0) + words
+        return self.charge(words * TRACER_MEMORY_OP_COST, INTERCEPTION)
 
     def poke_memory(self, words: int = 1) -> float:
         """Write *words* of tracee memory (PTRACE_POKEDATA), likewise."""
-        cost = words * TRACER_MEMORY_OP_COST
-        self.obs.count(("tracer", "memory_writes"), words)
-        self.obs.charge(INTERCEPTION, cost)
-        return self.charge(cost)
+        counters = self.obs.counters
+        counters[MEMORY_WRITES] = counters.get(MEMORY_WRITES, 0) + words
+        return self.charge(words * TRACER_MEMORY_OP_COST, INTERCEPTION)
 
     # -- kernel-facing hooks (defaults) -----------------------------------------
 
-    def intercepts(self, thread: Thread, call: Syscall) -> bool:
-        return self.seccomp.intercepts(call.name)
+    def intercepts(self, name: str) -> bool:
+        """Whether syscall *name* stops the tracee: asked once per name
+        (the kernel keeps the verdict in its per-name record)."""
+        return self.seccomp.intercepts(name)
 
     def traps_instruction(self, thread: Thread, name: str) -> bool:
         return False

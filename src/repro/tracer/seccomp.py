@@ -42,14 +42,15 @@ NATURALLY_REPRODUCIBLE: FrozenSet[str] = frozenset({
 
 
 class SeccompFilter:
-    """Decides, per syscall, whether a ptrace stop happens and its cost.
+    """Decides, per syscall name, whether a ptrace stop happens and its
+    cost.
 
-    The decision and cost for a given installed program are pure
-    functions of the syscall name, so both are compiled once at
-    construction: ``stop_cost`` is a plain attribute and per-name
-    verdicts are memoized in ``_verdicts`` (the analog of the kernel
-    caching a compiled cBPF program instead of re-running the filter
-    source per event)."""
+    Both are pure functions of the name for a given installed program:
+    ``stop_cost`` is compiled once at construction, and the verdict is
+    asked once per name — the kernel keeps it in its per-name dispatch
+    record (``Kernel.syscall_names``), the analog of the kernel caching
+    a compiled cBPF program instead of re-running the filter source per
+    event."""
 
     def __init__(self, allow: Optional[FrozenSet[str]] = None,
                  enabled: bool = True, kernel_version=(4, 15)):
@@ -63,12 +64,6 @@ class SeccompFilter:
             self.stop_cost = SECCOMP_COMBINED_STOP_COST
         else:
             self.stop_cost = LEGACY_DOUBLE_STOP_COST
-        #: Compiled per-name decision table (name -> bool), filled lazily.
-        self._verdicts: dict = {}
 
     def intercepts(self, name: str) -> bool:
-        verdict = self._verdicts.get(name)
-        if verdict is None:
-            verdict = True if not self.enabled else name not in self.allow
-            self._verdicts[name] = verdict
-        return verdict
+        return not self.enabled or name not in self.allow

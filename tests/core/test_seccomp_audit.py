@@ -38,8 +38,8 @@ def test_allowlist_never_covers_shared_state():
 def test_compiled_verdicts_match_membership():
     filt = SeccompFilter()
     names = sorted(NATURALLY_REPRODUCIBLE | MUST_INTERCEPT)
-    # Query twice: the second pass is served from the compiled table and
-    # must agree with the raw rule both times.
+    # Query twice: the verdict is a pure function of the name, which is
+    # what lets the kernel keep it in its per-name dispatch record.
     for _ in range(2):
         for name in names:
             assert filt.intercepts(name) == (name not in NATURALLY_REPRODUCIBLE)

@@ -12,6 +12,8 @@ across a kill and a checkpoint resume.
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from repro.core import ContainerConfig, DetTrace, Image
@@ -76,17 +78,21 @@ def sixteen_threads_image() -> Image:
 
 IMAGES = {"sixteen": sixteen_threads_image, "exec-siblings": exec_siblings_image}
 SCHEDULERS = ("logical", "logical-ref")
+#: The hooked sites: each must be checked in every run.
+SITES = ("step", "resume")
 
 
 @pytest.fixture
 def oracle(monkeypatch):
     """Records the brute-force live count at every completion and every
-    disagreement between the O(1) live-thread test and a full scan."""
-    seen = {"live": [], "mismatch": [], "checks": 0}
+    disagreement between the O(1) live-thread test and a full scan.
+    ``checks`` counts the scans per hooked site, so a site the run no
+    longer passes through shows as zero."""
+    seen = {"live": [], "mismatch": [], "checks": collections.Counter()}
 
     def check(proc, where):
         # Exact equality: stronger than agreeing on "more than one".
-        seen["checks"] += 1
+        seen["checks"][where] += 1
         scan = len(proc.live_threads())
         if proc.live_thread_count != scan:
             seen["mismatch"].append((where, proc.pid,
@@ -121,7 +127,7 @@ def test_threads_peak_and_live_test_match_brute_force(oracle, image,
     result = DetTrace(cfg).run(IMAGES[image](), "/bin/main",
                                host=HostEnvironment(entropy_seed=5))
     assert result.succeeded, (result.status, result.error)
-    assert oracle["checks"] > 0
+    assert all(oracle["checks"][site] > 0 for site in SITES), oracle["checks"]
     assert oracle["mismatch"] == []
     assert result.metrics.gauges["sched/threads_peak"] == max(oracle["live"])
     if image == "sixteen":
@@ -153,10 +159,11 @@ def test_live_test_agrees_after_kill_and_resume(oracle, tmp_path, image,
                                 host=HostEnvironment(entropy_seed=5))
     assert crashed.status == "crashed", (crashed.status, crashed.error)
     del oracle["mismatch"][:]
-    checks = oracle["checks"]
+    checks = dict(oracle["checks"])
     resumed = DetTrace(cfg).resume(IMAGES[image](), "/bin/main")
     assert resumed.status == "resumed", (resumed.status, resumed.error)
-    assert oracle["checks"] > checks
+    assert all(oracle["checks"][site] > checks.get(site, 0)
+               for site in SITES), (checks, oracle["checks"])
     assert oracle["mismatch"] == []
     assert resumed.stdout == baseline.stdout
     assert resumed.metrics.gauges == baseline.metrics.gauges

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core import CRASHED, DEADLOCK, OK, TIMEOUT, Image, NativeRunner
 from repro.cpu.machine import HostEnvironment
+from repro.kernel.kernel import Kernel
 from repro.kernel.types import SIGKILL
 from repro.rnr import record, replay
+from repro.rnr.recorder import RECORD_BANDWIDTH, RnrRecorder
 
 
 def image_for(main, **binaries):
@@ -61,6 +63,55 @@ class TestRecord:
         res, _ = record(image_for(main), "/bin/main")
         assert res.status == CRASHED
         assert res.error == "rr crash: unsupported ioctl 'TCGETS2'"
+
+    @pytest.mark.parametrize("wait_first", [True, False],
+                             ids=["served-at-once", "blocked-first"])
+    def test_a_read_result_is_serialized_however_it_is_served(
+            self, monkeypatch, wait_first):
+        """A read of a child's pipe that blocks first is charged its
+        result's serialization when it is retried, as a read served at
+        once is: 60,000 bytes cost their bandwidth time twice, once as
+        the child's write data and once as the parent's read result."""
+        size = 60_000
+        charges, reads = [], []
+        charge, execute = RnrRecorder.charge, Kernel.execute
+
+        def charged(self, cost, phase=None):
+            charges.append(cost)
+            return charge(self, cost, phase)
+
+        def executed(self, thread, call):
+            outcome = execute(self, thread, call)
+            if call.name == "read":
+                reads.append(outcome[0])
+            return outcome
+
+        def writer(sys):
+            yield from sys.compute(1e-3)
+            yield from sys.write(1, b"x" * size)
+            return 0
+
+        def main(sys):
+            r, w = yield from sys.pipe()
+            pid = yield from sys.spawn("/bin/writer", stdout=w, close_fds=[r])
+            yield from sys.close(w)
+            if wait_first:
+                yield from sys.waitpid(pid)
+            data = yield from sys.read(r, size)
+            if not wait_first:
+                yield from sys.waitpid(pid)
+            yield from sys.println("read %d" % len(data))
+            return 0
+
+        monkeypatch.setattr(RnrRecorder, "charge", charged)
+        monkeypatch.setattr(Kernel, "execute", executed)
+        res, _ = record(image_for(main, **{"/bin/writer": writer}),
+                        "/bin/main", host=HostEnvironment(entropy_seed=3))
+        assert (res.status, res.stdout) == (OK, "read 60000\n"), res.error
+        # One read completes; the blocked-first one was retried to get there.
+        assert reads[-1:] == ["value"] and reads.count("value") == 1
+        assert (reads[0] == "block") is not wait_first, reads
+        assert charges.count(size / RECORD_BANDWIDTH) == 2
 
 
 class TestReplay:
