@@ -213,8 +213,10 @@ if [ "$stage" = "all" ] || [ "$stage" = "diag" ]; then
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "sockets" ]; then
-    echo "== deterministic-networking stage (kernel socket tests) =="
-    python -m pytest -x -q tests/kernel/test_sockets.py tests/ckpt/test_sockets_ckpt.py
+    echo "== deterministic-networking stage (the stream layer's tests) =="
+    python -m pytest -x -q tests/kernel/test_sockets.py \
+        tests/ckpt/test_sockets_ckpt.py tests/kernel/test_pipes.py \
+        tests/kernel/test_fifos.py tests/kernel/test_fds.py
     echo "== two-boot byte-identity gate (client/server example) =="
     # Two different boots (entropy, boot epoch, pid/inode bases) of the
     # echo pipeline: stdout, both logs, the tree digest and the full

@@ -30,9 +30,9 @@ Key composition (the DESIGN "Cache invariants" contract):
   exact environment the guest will see (``config.env_for``).
 * **host component** — the machine spec name always (identity files
   like ``/etc/hostname`` may be un-canonicalized by config); when any
-  determinism mechanism is ablated the run may genuinely depend on the
-  boot, so the *full* host identity joins the key and distinct boots
-  simply never collide.
+  mechanism of :data:`repro.core.config.MECHANISMS` is off the run may
+  genuinely depend on the boot, so the *full* host identity joins the
+  key and distinct boots simply never collide.
 * **code component** — :func:`code_digest`, one digest of every
   ``.py`` source of the ``repro`` package (kernel, handlers, guest
   runtime and libc) and the interpreter version, so only the code that
@@ -50,22 +50,11 @@ import sys
 import types
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.config import ContainerConfig
+from ..core.config import MECHANISMS, ContainerConfig
 from ..cpu.machine import HostEnvironment
 
 #: The ``repro`` package: the code every run executes.
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: Config toggles whose *disabling* can let host identity reach the
-#: output surface; with any of these off the full host identity joins
-#: the run key (conservative: distinct boots never share an entry).
-_DETERMINISM_TOGGLES = (
-    "virtualize_time", "patch_vdso", "deterministic_randomness",
-    "virtualize_inodes", "sort_getdents", "deterministic_dir_sizes",
-    "deterministic_pids", "map_user_to_root", "serialize_threads",
-    "trap_rdtsc", "mask_cpuid", "mask_machine", "disable_aslr",
-    "canonical_env", "emulate_timers",
-)
 
 
 def _sha(data: bytes) -> str:
@@ -183,7 +172,7 @@ def image_fingerprint(image, working_dir: str = "/build") -> str:
 def _host_component(config: ContainerConfig,
                     host: HostEnvironment) -> Dict[str, Any]:
     component: Dict[str, Any] = {"machine": host.machine.name}
-    if not all(getattr(config, name) for name in _DETERMINISM_TOGGLES):
+    if not all(getattr(config, name) for name in MECHANISMS):
         # An ablated run may observe the boot: key on all of it.
         component.update({
             "boot_epoch": host.boot_epoch,

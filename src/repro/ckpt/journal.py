@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..durable import append, atomic_write, fsync_dir
 
 #: On-disk format version; bumped on any incompatible payload change.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".snap"
@@ -168,10 +168,10 @@ def _parse_header(data: bytes, offset: int,
 
 def _read_record(data: bytes, view: memoryview, info: SnapshotInfo,
                  prev: Optional[SnapshotInfo], fingerprint: Optional[str],
-                 ) -> Tuple[Dict[str, Any], memoryview, int]:
+                 ) -> Tuple[memoryview, int]:
     """Validate the record at ``info.offset`` of the chain file *data*
-    (*view* is a memoryview of it), filling *info*; returns ``(header,
-    payload view, end offset)``.  *prev* is the valid record before it
+    (*view* is a memoryview of it), filling *info*; returns ``(payload
+    view, end offset)``.  *prev* is the valid record before it
     in the same file (None for the first).  Raises
     :class:`JournalError` when the record is not usable."""
     where = info.address
@@ -208,7 +208,7 @@ def _read_record(data: bytes, view: memoryview, info: SnapshotInfo,
         raise JournalError("%s: record does not extend its chain (base "
                            "%s... is not the record before it)"
                            % (where, info.base_sha256[:12]))
-    return header, payload, end
+    return payload, end
 
 
 def read_chain(path: str, fingerprint: Optional[str] = None,
@@ -231,8 +231,8 @@ def read_chain(path: str, fingerprint: Optional[str] = None,
     while True:
         info = SnapshotInfo(path=path, offset=offset)
         try:
-            _header, payload, offset = _read_record(data, view, info, prev,
-                                                    fingerprint)
+            payload, offset = _read_record(data, view, info, prev,
+                                           fingerprint)
         except JournalError as err:
             info.error = str(err)
             out.append((info, None))
@@ -275,36 +275,6 @@ def scan(directory: str,
     """
     return newest_first([info for chain in read_journal(
         directory, fingerprint).values() for info, _payload in chain])
-
-
-def load_snapshot(path: str, fingerprint: Optional[str] = None,
-                  offset: int = 0) -> Tuple[Dict[str, Any], bytes]:
-    """Read and *validate* the record at ``path@offset``; returns
-    (header, payload).
-
-    Raises :class:`JournalError` when the record, or one before it in
-    its chain file, is torn, corrupt or mismatched.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    view = memoryview(data)
-    prev: Optional[SnapshotInfo] = None
-    pos = 0
-    while pos <= offset:
-        info = SnapshotInfo(path=path, offset=pos)
-        header, payload, end = _read_record(data, view, info, prev,
-                                            fingerprint)
-        if pos == offset:
-            return header, bytes(payload)
-        prev, pos = info, end
-    raise JournalError("%s@%d: no record starts there" % (path, offset))
-
-
-def latest_valid(directory: str,
-                 fingerprint: Optional[str] = None) -> Optional[SnapshotInfo]:
-    """The newest valid, and so materializable, record, or None."""
-    return next((info for info in scan(directory, fingerprint=fingerprint)
-                 if info.valid), None)
 
 
 def prune_selection(infos: List[SnapshotInfo], keep: int) -> List[str]:

@@ -81,10 +81,8 @@ class CheckpointManager:
         self.last_error = ""
         #: Manager-local gauges (never routed through ``kernel.obs``:
         #: checkpointing must not perturb the run it protects).
-        self.snapshots_full = 0
         self.snapshots_delta = 0
         self.snapshot_bytes = 0
-        self.last_dirty_objects = 0
         #: Incrementally-maintained ``encode_tape`` of ``self.tape``:
         #: each entry is encoded once, at the first snapshot after it
         #: was recorded, so full snapshots never re-encode the whole
@@ -175,7 +173,7 @@ class CheckpointManager:
         stamps = section_stamps(kernel)
         base = self._base
         if base is not None and base.chain_depth + 1 < self.full_every:
-            delta, dirty_objects = capture_delta(
+            delta = capture_delta(
                 kernel, self._stamps, stamps, self._encoded_tape(),
                 self._last_tape_len)
             blob = pickle.dumps(delta, pickle.HIGHEST_PROTOCOL)
@@ -183,7 +181,6 @@ class CheckpointManager:
                 self.directory, tick, kernel.clock.now, self.fingerprint,
                 blob, base=base, durable=durable)
             self.snapshots_delta += 1
-            self.last_dirty_objects = dirty_objects
         else:
             payload = capture(kernel, self._encoded_tape())
             blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
@@ -193,7 +190,6 @@ class CheckpointManager:
             info = journal.write_snapshot(
                 self.directory, tick, kernel.clock.now, self.fingerprint,
                 blob)
-            self.snapshots_full += 1
         self._base = info
         self._stamps = stamps
         self._last_tape_len = len(self.tape)

@@ -57,34 +57,10 @@ from .tape import decode_value, encode_value
 PAYLOAD_KIND = "repro.ckpt.payload"
 DELTA_KIND = "repro.ckpt.delta"
 
-#: Every top-level payload key except the fs node table, the tape and the
-#: kind marker.  A section is captured wholesale, in a deterministic
-#: discovery order; a delta snapshot carries the volatile sections and
-#: the others whose version stamp moved since its base.
-SECTION_KEYS = (
-    "host", "clock_now", "events_processed", "obs", "network", "stdout",
-    "stderr", "timers", "pid_next", "tid_next", "nspid_next", "seq",
-    "cores_busy", "core_queue", "fs_meta", "bytes_written", "pipes",
-    "pipe_counter", "sockets", "of_records", "processes", "events",
-    "parked", "sched", "tracer", "faults",
-)
-
-#: Sections that move at (virtually) every event — the clock, the tick,
-#: the event heap and its sequence counter, counters, scheduler and
-#: tracer bookkeeping, thread det-clocks, and the open descriptions,
-#: whose offsets move at every read and write (and whose keys the
-#: ``processes`` capture computes anyway).  Stamping them would only
-#: ever answer "moved", so every delta carries them.  They are small;
-#: the occasional unchanged one costs bytes, never correctness (delta
-#: sections are wholesale replacements).
-VOLATILE_KEYS = frozenset((
-    "clock_now", "events_processed", "obs", "seq", "of_records",
-    "processes", "events", "sched", "tracer",
-))
-
-#: The host-only version stamp of every other section, read off the
-#: running kernel in O(1) (:func:`section_stamps`).  Each moves at every
-#: mutation of its section's state and at no other time that matters:
+#: The host-only version stamp of every non-volatile section (see
+#: :func:`_capture_runtime`), read off the running kernel in O(1)
+#: (:func:`section_stamps`).  Each moves at every mutation of its
+#: section's state and at no other time that matters:
 #:
 #: * ``host``: the RNG streams' draw counter (``_state_version``);
 #: * ``sockets``: the registry's mutation counter (``version``);
@@ -203,7 +179,9 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
                      ) -> Tuple[Dict[str, Any], Dict[Tuple[int, int], Inode]]:
     """Build the payload sections except the fs node table and the tape:
     every volatile section, plus the stamped sections named in
-    *stamped* (all of them when None).
+    *stamped* (all of them when None).  A section is captured
+    wholesale; a delta snapshot carries the volatile sections and the
+    others whose version stamp (:data:`_STAMPS`) moved since its base.
 
     Returns ``(sections, referenced)`` where *referenced* maps the
     ``(ino, generation)`` key of every inode reachable through runtime
@@ -387,6 +365,14 @@ def _capture_runtime(kernel, stamped: Optional[List[str]] = None,
                           if tracer._last_proc is not None else None),
         }
 
+    # The volatile sections move at (virtually) every event: the clock,
+    # the tick, the event heap and its sequence counter, counters,
+    # scheduler and tracer bookkeeping, thread det-clocks, and the open
+    # descriptions, whose offsets move at every read and write (and
+    # whose keys the processes capture computes anyway).  Stamping them
+    # would only ever answer "moved", so every delta carries them.  They
+    # are small; the occasional unchanged one costs bytes, never
+    # correctness (delta sections are wholesale replacements).
     sections: Dict[str, Any] = {
         "clock_now": kernel.clock.now,
         "events_processed": kernel.events_processed,
@@ -490,16 +476,16 @@ def capture(kernel, tape: List[Tuple]) -> Dict[str, Any]:
 
 def capture_delta(kernel, base_stamps: Dict[str, Any],
                   stamps: Dict[str, Any], tape: List[Tuple], tape_from: int,
-                  ) -> Tuple[Dict[str, Any], int]:
+                  ) -> Dict[str, Any]:
     """Serialize only the state changed since the last snapshot.
 
     *base_stamps* are :func:`section_stamps` at the base's barrier and
-    *stamps* at this one.  Returns ``(delta, dirty_count)``.  The delta
-    carries the volatile sections and the stamped sections whose stamp
-    moved (built only then, and nothing is hashed), the records of
-    inodes stamped dirty since the filesystem's last ``clear_dirty()``,
-    the keys of fully-released inodes, and the entries of the encoded
-    *tape* from *tape_from* on (the base's tape length).
+    *stamps* at this one.  The delta carries the volatile sections and
+    the stamped sections whose stamp moved (built only then, and nothing
+    is hashed), the records of inodes stamped dirty since the
+    filesystem's last ``clear_dirty()``, the keys of fully-released
+    inodes, and the entries of the encoded *tape* from *tape_from* on
+    (the base's tape length).
     """
     sections, referenced = _capture_runtime(
         kernel, [key for key, stamp in stamps.items()
@@ -532,7 +518,7 @@ def capture_delta(kernel, base_stamps: Dict[str, Any],
         "tape_from": tape_from,
         "tape_tail": tape[tape_from:],
     }
-    return delta, len(dirty) + len(dead)
+    return delta
 
 
 def materialize_delta(base: Dict[str, Any],
@@ -1062,6 +1048,8 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
         if prec["step_token"] is not None:
             proc.step_token = every_thread[prec["step_token"]]
         proc.live_thread_count = len(proc.live_threads())
+    kernel.live_thread_count = sum(proc.live_thread_count
+                                   for proc in procs_by_pid.values())
 
     # -- event heap (a literal heap snapshot: order is preserved) -------
     kernel._events = []

@@ -35,6 +35,7 @@ from .core import (
 )
 from .cpu.machine import ALL_MACHINES, SKYLAKE_CLOUDLAB, HostEnvironment
 from .faults import FaultPlan, FaultPlanError
+from .faults.verify import boot_host
 from .guest.coreutils import COREUTILS_PATHS, install_coreutils
 from .obs.report import format_metrics, format_table2_summary
 
@@ -48,12 +49,8 @@ def base_image() -> Image:
 
 
 def _host(args) -> HostEnvironment:
-    machine = ALL_MACHINES.get(args.machine, SKYLAKE_CLOUDLAB)
-    return HostEnvironment(machine=machine, entropy_seed=args.boot,
-                           boot_epoch=1.6e9 + args.boot * 1009.0,
-                           pid_start=1000 + args.boot * 13,
-                           inode_start=100_000 + args.boot * 997,
-                           dirent_hash_salt=args.boot)
+    return boot_host(args.boot,
+                     ALL_MACHINES.get(args.machine, SKYLAKE_CLOUDLAB))
 
 
 def _resolve(name: str) -> Optional[str]:

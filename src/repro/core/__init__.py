@@ -30,7 +30,6 @@ from .image import Image
 from .inode_table import InodeTable
 from .logical_time import DETTRACE_EPOCH, LogicalClock
 from .prng import Lfsr
-from .scheduler import ReproducibleScheduler
 from .tracer import DetTraceTracer
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "LogicalClock",
     "NativeRunner",
     "OK",
-    "ReproducibleScheduler",
     "TIMEOUT",
     "UNSUPPORTED",
     "UnsupportedSyscallError",

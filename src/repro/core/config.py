@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..faults.plan import FaultPlan
 from ..kernel.kernel import DEFAULT_MAX_EVENTS
@@ -244,15 +244,25 @@ class ContainerConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: The determinization mechanisms, declared once: every knob of
+#: :class:`ContainerConfig` that defaults to on.  :func:`ablated` turns
+#: exactly one off, and with any one off the run may observe the boot, so
+#: the run cache keys the whole boot (:mod:`repro.cache.key`).
+MECHANISMS: Tuple[str, ...] = tuple(
+    field.name for field in dataclasses.fields(ContainerConfig)
+    if field.default is True)
+
+
 def full_config(**overrides) -> ContainerConfig:
     """The paper's DetTrace: every mechanism on (optionally overridden)."""
     return ContainerConfig(**overrides)
 
 
 def ablated(feature: str, **overrides) -> ContainerConfig:
-    """A config with exactly one mechanism disabled, for ablation benches."""
+    """A config with exactly one mechanism of :data:`MECHANISMS`
+    disabled, for ablation benches."""
+    if feature not in MECHANISMS:
+        raise ValueError("unknown mechanism %r" % feature)
     cfg = ContainerConfig(**overrides)
-    if not hasattr(cfg, feature):
-        raise ValueError("unknown feature %r" % feature)
     setattr(cfg, feature, False)
     return cfg

@@ -88,8 +88,10 @@ class SchedulerBase:
         (WAIT, None): nothing may be serviced yet."""
         raise NotImplementedError
 
-    def completed(self, thread: Thread) -> None:
-        """The serviced/probed syscall finished (value/error/exit)."""
+    def completed(self, thread: Thread) -> int:
+        """The serviced/probed syscall finished (value/error/exit).
+        Returns how many candidates stay deterministically deferred (the
+        Blocked-queue occupancy sampled into repro.obs)."""
         raise NotImplementedError
 
     def still_blocked(self, thread: Thread) -> None:
@@ -112,22 +114,6 @@ class SchedulerBase:
     def notify_running(self, thread: Thread) -> None:
         """The thread re-entered the running set after waiting for the
         sibling-serialization token (incremental-index hook)."""
-
-    def blocked_count(self) -> int:
-        """How many candidates are deterministically deferred (the
-        Blocked-queue occupancy sampled into repro.obs)."""
-        raise NotImplementedError
-
-    def live_count(self) -> int:
-        """How many live threads the scheduler currently manages."""
-        raise NotImplementedError
-
-    @property
-    def member_count(self) -> int:
-        """How many threads the scheduler holds, live or not: an O(1)
-        upper bound on :meth:`live_count`.  Siblings torn down by execve
-        get no exit hook and stay members."""
-        raise NotImplementedError
 
 
 class LogicalClockScheduler(SchedulerBase):
@@ -295,7 +281,7 @@ class LogicalClockScheduler(SchedulerBase):
             return (SERVICE, thread)
         return (PROBE, thread)
 
-    def completed(self, thread: Thread) -> None:
+    def completed(self, thread: Thread) -> int:
         # Consume the decided entry before the epoch advance re-arms the
         # stash over it, then put the thread back among the running
         # bounds.
@@ -318,6 +304,7 @@ class LogicalClockScheduler(SchedulerBase):
             bound = thread.det_bound
             heapq.heappush(self._bound_heap,
                            (bound + SYSCALL_TICK, idx, thread, bound))
+        return len(self._fail_seq)
 
     def still_blocked(self, thread: Thread) -> None:
         self._fail_seq[thread] = self._service_seq
@@ -327,16 +314,6 @@ class LogicalClockScheduler(SchedulerBase):
 
     def note_progress(self) -> None:
         self._bump_epoch()
-
-    def blocked_count(self) -> int:
-        return len(self._fail_seq)
-
-    def live_count(self) -> int:
-        return len(self.live())
-
-    @property
-    def member_count(self) -> int:
-        return len(self._index)
 
 
 class LogicalClockRefScheduler(SchedulerBase):
@@ -415,25 +392,16 @@ class LogicalClockRefScheduler(SchedulerBase):
             return (SERVICE, candidate)
         return (WAIT, None)
 
-    def completed(self, thread: Thread) -> None:
+    def completed(self, thread: Thread) -> int:
         self._service_seq += 1
         self._fail_seq.pop(thread, None)
+        return len(self._fail_seq)
 
     def still_blocked(self, thread: Thread) -> None:
         self._fail_seq[thread] = self._service_seq
 
     def note_progress(self) -> None:
         self._service_seq += 1
-
-    def blocked_count(self) -> int:
-        return len(self._fail_seq)
-
-    def live_count(self) -> int:
-        return len(self.live())
-
-    @property
-    def member_count(self) -> int:
-        return len(self._index)
 
 
 class StrictQueueScheduler(SchedulerBase):
@@ -469,7 +437,7 @@ class StrictQueueScheduler(SchedulerBase):
             return (PROBE, self.blocked[0])
         return (WAIT, None)
 
-    def completed(self, thread: Thread) -> None:
+    def completed(self, thread: Thread) -> int:
         self._probe_credit = 1 if self.blocked else 0
         if self.runnable and self.runnable[0] is thread:
             self.runnable.popleft()
@@ -477,8 +445,9 @@ class StrictQueueScheduler(SchedulerBase):
             self.blocked.popleft()
         else:
             self.remove(thread)
-            return
+            return len(self.blocked)
         self.parallel.append(thread)
+        return len(self.blocked)
 
     def still_blocked(self, thread: Thread) -> None:
         if self.runnable and self.runnable[0] is thread:
@@ -490,17 +459,6 @@ class StrictQueueScheduler(SchedulerBase):
     def note_progress(self) -> None:
         self._probe_credit = len(self.blocked)
 
-    def blocked_count(self) -> int:
-        return len(self.blocked)
-
-    def live_count(self) -> int:
-        return sum(1 for queue in (self.parallel, self.runnable, self.blocked)
-                   for thread in queue if thread.alive)
-
-    @property
-    def member_count(self) -> int:
-        return len(self.parallel) + len(self.runnable) + len(self.blocked)
-
 
 def make_scheduler(kind: str) -> SchedulerBase:
     if kind == "logical":
@@ -510,7 +468,3 @@ def make_scheduler(kind: str) -> SchedulerBase:
     if kind == "strict":
         return StrictQueueScheduler()
     raise ValueError("unknown scheduler kind %r" % kind)
-
-
-#: Backwards-compatible name: the reproducible scheduler of §5.6.
-ReproducibleScheduler = LogicalClockScheduler

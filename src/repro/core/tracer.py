@@ -83,12 +83,6 @@ class DetTraceTracer(TracerBase):
         #: when the call completes or the thread exits.
         self._replay_tests: Dict[Thread, Callable[[], bool]] = {}
 
-    @property
-    def debug_log(self) -> list:
-        """--debug N trace lines, rendered from the structured events
-        (see ContainerConfig.debug and repro.obs)."""
-        return self.obs.render_debug()
-
     def attach(self, kernel) -> None:
         super().attach(kernel)
         for key in (SYSCALL_EVENTS, REPLAYS_BLOCKING):
@@ -108,15 +102,13 @@ class DetTraceTracer(TracerBase):
     # ------------------------------------------------------------------
 
     def traps_instruction(self, thread: Thread, name: str) -> bool:
-        machine = self.kernel.host.machine
+        # rdtsc traps by config on any machine; cpuid only when masking
+        # is on and the hardware can fault it.
         if name in (insn.RDTSC, insn.RDTSCP):
             return self.config.trap_rdtsc
-        if name == insn.CPUID:
-            return (self.config.mask_cpuid and machine.cpuid_faulting
-                    and machine.kernel_version_at_least(4, 12))
-        if name == insn.RDPMC:
-            return True
-        return False
+        if name == insn.CPUID and not self.config.mask_cpuid:
+            return False
+        return insn.trappable(name, self.kernel.host.machine)
 
     def on_instruction(self, thread: Thread, name: str) -> Tuple[Any, float]:
         finish = self.charge(INSTR_TRAP_COST, INTERCEPTION)
@@ -390,7 +382,7 @@ class DetTraceTracer(TracerBase):
 
     def _complete(self, thread: Thread, outcome: str, payload) -> None:
         # Count each instance once, at its completing attempt.
-        sched, obs = self.sched, self.obs
+        obs = self.obs
         counters = obs.counters
         key = self._completion_key
         if thread.obs_faulted:
@@ -399,8 +391,7 @@ class DetTraceTracer(TracerBase):
         counters[key] = counters.get(key, 0) + 1
         # Advance the scheduler's service epoch even for exits: an exit is
         # a state change that can unblock wait4 probes.
-        sched.completed(thread)
-        blocked = sched.blocked_count()
+        blocked = self.sched.completed(thread)
         # Collector.observe and gauge_max, in place; for a count,
         # _bucket(blocked) is (blocked - 1).bit_length().
         hist = obs.histograms.get("sched/blocked")
@@ -411,10 +402,9 @@ class DetTraceTracer(TracerBase):
         gauges = obs.gauges
         if blocked > gauges.get("sched/blocked_peak", -1):
             gauges["sched/blocked_peak"] = blocked
-        # live <= members, so the O(threads) live scan can only raise the
-        # peak when the membership exceeds it.
-        if sched.member_count > gauges.get("sched/threads_peak", -1):
-            obs.gauge_max("sched/threads_peak", sched.live_count())
+        live = self.kernel.live_thread_count
+        if live > gauges.get("sched/threads_peak", -1):
+            gauges["sched/threads_peak"] = live
         if outcome != "exited":
             # Resume eagerly at the tracer's finish time so the thread's
             # next operation (and hence its deterministic bound) is

@@ -12,7 +12,6 @@ from .instructions import (
     XBEGIN,
     XEND,
     Cpu,
-    TrapConfig,
     trappable,
 )
 from .machine import (
@@ -44,7 +43,6 @@ __all__ = [
     "SANDY_BRIDGE",
     "SKYLAKE_CLOUDLAB",
     "TSX_STARTED",
-    "TrapConfig",
     "XBEGIN",
     "XEND",
     "trappable",

@@ -1,10 +1,11 @@
 """The irreproducible x86-64 instructions (paper §4, §5.8).
 
-Guest programs execute instructions by yielding :class:`~repro.guest.ops.Instr`
-operations.  The DES core consults the per-process :class:`TrapConfig` to
-decide whether the instruction traps to the tracer (the simulated analog of
+Guest programs execute instructions by yielding :class:`~repro.kernel.ops.Instr`
+operations.  The kernel asks its tracer's ``traps_instruction`` whether the
+instruction traps to the tracer (the simulated analog of
 ``prctl(PR_SET_TSC)`` for rdtsc and of Ivy Bridge cpuid faulting) or
-executes natively with the semantics implemented here.
+executes natively with the semantics implemented here; DetTrace answers
+from its config and :func:`trappable`, the hardware's condition.
 
 The instruction taxonomy from the paper:
 
@@ -24,9 +25,6 @@ The instruction taxonomy from the paper:
 """
 
 from __future__ import annotations
-
-import dataclasses
-from typing import Optional
 
 from ..kernel.errors import GuestCrash
 from ..kernel.types import SIGILL, SIGSEGV, CpuidResult
@@ -58,23 +56,6 @@ def trappable(name: str, machine) -> bool:
         return machine.cpuid_faulting and machine.kernel_version_at_least(4, 12)
     return False
 
-
-@dataclasses.dataclass
-class TrapConfig:
-    """Which instructions trap for one traced process."""
-
-    trap_rdtsc: bool = False
-    trap_cpuid: bool = False
-    trap_rdpmc: bool = True
-
-    def traps(self, name: str) -> bool:
-        if name in (RDTSC, RDTSCP):
-            return self.trap_rdtsc
-        if name == CPUID:
-            return self.trap_cpuid
-        if name == RDPMC:
-            return self.trap_rdpmc
-        return False
 
 
 class Cpu:

@@ -217,8 +217,6 @@ class HostEnvironment:
     #: Optional cap on cores visible to the scheduler (reprotest's
     #: num_cpus variation).
     visible_cores: Optional[int] = None
-    #: Disk-full injection: simulated free bytes (None = unlimited).
-    disk_free_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         self._entropy = random.Random("entropy:%d" % self.entropy_seed)

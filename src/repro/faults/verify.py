@@ -32,19 +32,22 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.config import ContainerConfig
 from ..core.container import DetTrace
-from ..cpu.machine import HostEnvironment
+from ..cpu.machine import SKYLAKE_CLOUDLAB, HostEnvironment, MachineSpec
 from ..diag import (ACROSS_HOSTS, SAME_HOST, DivergenceReport, RunCapture,
                     diff_captures)
 from .plan import FaultPlan
 
 #: Two deliberately different simulated boots: different entropy, epoch,
-#: pid/inode bases and dirent hash salts (mirrors cli._host).
+#: pid/inode bases and dirent hash salts.
 DEFAULT_BOOTS = (1, 2)
 
 
-def boot_host(boot: int) -> HostEnvironment:
-    """A distinct simulated machine boot per *boot* number."""
+def boot_host(boot: int,
+              machine: MachineSpec = SKYLAKE_CLOUDLAB) -> HostEnvironment:
+    """A distinct simulated boot of *machine* per *boot* number (the
+    CLI's ``--boot N``)."""
     return HostEnvironment(
+        machine=machine,
         entropy_seed=boot,
         boot_epoch=1.6e9 + boot * 1009.0,
         pid_start=1000 + boot * 13,

@@ -9,7 +9,7 @@ from .errors import (
     SyscallError,
 )
 from .kernel import Kernel
-from .ops import Compute, Instr, RerunSyscall, SkipSyscall, Syscall, VdsoCall
+from .ops import Compute, Instr, Syscall, VdsoCall
 
 __all__ = [
     "Compute",
@@ -19,9 +19,7 @@ __all__ = [
     "Instr",
     "Kernel",
     "KernelPanic",
-    "RerunSyscall",
     "SimTimeout",
-    "SkipSyscall",
     "Syscall",
     "SyscallError",
     "VdsoCall",

@@ -15,21 +15,25 @@ from .types import Dirent
 class FdKind(enum.Enum):
     FILE = "file"
     DIRECTORY = "directory"
-    PIPE_READ = "pipe_read"
-    PIPE_WRITE = "pipe_write"
     DEVICE = "device"
-    #: One end of an AF_UNIX socketpair (bidirectional; peer_pipe is the
-    #: send direction, pipe the receive direction).
-    SOCKETPAIR = "socketpair"
+    #: A pipe or FIFO end.  A read end holds only ``pipe``, a write end
+    #: only ``peer_pipe``, and a FIFO opened ``O_RDWR`` both.
+    PIPE = "pipe"
     #: A stream socket (repro.kernel.sockets): unbound, listening, or
-    #: connected (then pipe/peer_pipe carry the two directions, exactly
-    #: like SOCKETPAIR).
+    #: connected, when ``pipe`` and ``peer_pipe`` carry its two
+    #: directions.  A socketpair end is a connected AF_UNIX socket.
     SOCKET = "socket"
 
 
 @dataclasses.dataclass(eq=False)
 class OpenFile:
     """An open file description (shared across dup'd descriptors).
+
+    Every stream description — a ``PIPE`` or a ``SOCKET`` — has one
+    model: ``pipe`` is its receive direction and ``peer_pipe`` its send
+    direction, either None when the description cannot move bytes that
+    way.  Reads, writes and the last close act on those two fields
+    alone, so sockets add no second data path.
 
     ``path`` records the absolute container path the description was
     opened with; DetTrace's inode virtualization reads it back the way the
@@ -43,11 +47,11 @@ class OpenFile:
     offset: int = 0
     path: str = ""
     inode: Optional[Inode] = None
+    #: The receive direction of a stream description.
     pipe: Optional[Pipe] = None
     refcount: int = 1
 
-    #: Send-direction pipe for SOCKETPAIR and connected SOCKET
-    #: descriptions.
+    #: The send direction of a stream description.
     peer_pipe: Optional[Pipe] = None
 
     #: True when this description was counted in its inode's
@@ -61,7 +65,7 @@ class OpenFile:
     sock_local: str = ""
     #: Peer address once connected.
     sock_peer: str = ""
-    #: Address family (sockets.AF_UNIX / AF_INET) for SOCKET kinds.
+    #: Address family (sockets.AF_UNIX / AF_INET) of a SOCKET.
     sock_family: int = 0
     #: True when this description claimed its address via bind (close
     #: must release it back to the registry).
@@ -86,8 +90,8 @@ class OpenFile:
 
     @property
     def is_pipe(self) -> bool:
-        return self.kind in (FdKind.PIPE_READ, FdKind.PIPE_WRITE,
-                             FdKind.SOCKETPAIR, FdKind.SOCKET)
+        """A stream description: a pipe or FIFO end, or a socket."""
+        return self.kind is FdKind.PIPE or self.kind is FdKind.SOCKET
 
 
 class FDTable:

@@ -152,14 +152,12 @@ class Filesystem:
                 self._fifo_nodes[id(node.fifo_pipe)] = node
 
     def charge_disk(self, nbytes: int) -> None:
-        """Account *nbytes* of new data; raise ENOSPC past the injection cap."""
+        """Account *nbytes* of new data; the fault plane's ``disk_full``
+        rule raises ENOSPC past its cap."""
         if nbytes > 0:
             self._bytes_written += nbytes
         if self.fault_injector is not None:
             self.fault_injector.disk_charge(self._bytes_written)
-        cap = self.host.disk_free_bytes
-        if cap is not None and self._bytes_written > cap:
-            raise SyscallError(Errno.ENOSPC, "write")
 
     # -- path resolution ------------------------------------------------------
 

@@ -126,6 +126,9 @@ class Kernel:
         #: the run (None = never).
         self._kill_at: Optional[int] = None
         self.cores_busy = 0
+        #: Live threads of every process: the sum of their
+        #: ``live_thread_count``, moved wherever one moves.
+        self.live_thread_count = 0
         self._core_queue: List[Tuple[Thread, float]] = []
         self._parked: Dict[Channel, List[Thread]] = {}
         #: Wake epoch: advanced by every channel notification.  A blocked
@@ -326,6 +329,7 @@ class Kernel:
         self._tid_next += 1
         proc.threads.append(thread)
         proc.live_thread_count += 1
+        self.live_thread_count += 1
         gen = factory(self.make_sys(thread))
         if not inspect.isgenerator(gen):
             raise KernelPanic(
@@ -390,6 +394,7 @@ class Kernel:
         self._tid_next += 1
         proc.threads.append(thread)
         proc.live_thread_count += 1
+        self.live_thread_count += 1
         thread.gen_stack = [func(self.make_sys(thread))]
         if self.ckpt is not None and caller is not None:
             self.ckpt.record_tspawn(thread.tid, caller.tid)
@@ -553,6 +558,7 @@ class Kernel:
             return
         thread.state = ThreadState.EXITED
         proc.live_thread_count -= 1
+        self.live_thread_count -= 1
         self._release_token(thread)
         if self.tracer is not None:
             self.tracer.on_thread_exit(thread)
@@ -865,6 +871,7 @@ class Kernel:
         """Exit a live thread without its exit hook (process teardown)."""
         thread.state = ThreadState.EXITED
         thread.process.live_thread_count -= 1
+        self.live_thread_count -= 1
         if thread._on_core:
             self.cores_busy -= 1
             thread._on_core = False

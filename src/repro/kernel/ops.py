@@ -69,17 +69,3 @@ class VvarRead:
     syscall; DetTrace makes the page unreadable, so the access faults
     (reproducibly) instead of leaking time (§5.3).
     """
-
-
-#: Marker object a tracer returns to force the syscall to be skipped and a
-#: fixed result injected (the time-as-NOP trick from §5.10).
-@dataclasses.dataclass
-class SkipSyscall:
-    result: Any
-
-
-#: Marker a tracer returns from an exit stop to rerun the (possibly
-#: modified) syscall — the PC-reset retry trick from §5.10 / Figure 4.
-@dataclasses.dataclass
-class RerunSyscall:
-    call: Syscall

@@ -189,22 +189,23 @@ class SyscallTable:
         elif node.kind is FileKind.CHARDEV:
             of = OpenFile(kind=FdKind.DEVICE, flags=flags, path=abspath, inode=node)
         elif node.kind is FileKind.FIFO:
-            # The open registers the end immediately; the rendezvous with
-            # the other end happens at the first read/write (pipes.py),
-            # which the retryable-probe protocol handles both natively
-            # and through DetTrace's Blocked queue.
+            # The open registers each end it holds immediately (both for
+            # O_RDWR); the rendezvous with the other end happens at the
+            # first read/write (pipes.py), which the retryable-probe
+            # protocol handles both natively and through DetTrace's
+            # Blocked queue.
             accmode = flags & ACCMODE_MASK
             fifo = node.fifo_pipe
-            if accmode == O_RDONLY:
+            of = OpenFile(kind=FdKind.PIPE, flags=flags, path=abspath,
+                          inode=node)
+            if accmode == O_RDONLY or accmode == O_RDWR:
                 fifo.open_reader()
                 self.kernel.notify(fifo.reader_arrived)
-                of = OpenFile(kind=FdKind.PIPE_READ, flags=flags, path=abspath,
-                              inode=node, pipe=fifo)
-            else:
+                of.pipe = fifo
+            if accmode != O_RDONLY:
                 fifo.open_writer()
                 self.kernel.notify(fifo.writer_arrived)
-                of = OpenFile(kind=FdKind.PIPE_WRITE, flags=flags, path=abspath,
-                              inode=node, pipe=fifo)
+                of.peer_pipe = fifo
         elif node.kind is FileKind.REGULAR:
             if flags & O_TRUNC and (flags & ACCMODE_MASK) in (O_WRONLY, O_RDWR):
                 node.data = bytearray()
@@ -231,11 +232,8 @@ class SyscallTable:
             return
         if of.counts_inode and of.inode is not None:
             self._fs.inode_closed(of.inode)
-        if of.kind is FdKind.PIPE_READ and of.pipe is not None:
-            self.kernel.notify(of.pipe.close_reader())
-        elif of.kind is FdKind.PIPE_WRITE and of.pipe is not None:
-            self.kernel.notify(of.pipe.close_writer())
-        elif of.kind in (FdKind.SOCKETPAIR, FdKind.SOCKET):
+        kind = of.kind
+        if kind is FdKind.PIPE or kind is FdKind.SOCKET:
             listener = of.listener
             if listener is not None:
                 # Closing a listener refuses every queued-but-unaccepted
@@ -255,9 +253,8 @@ class SyscallTable:
             # shutdown(2) already closed a direction: don't double-close.
             if of.pipe is not None and not of.shut_rd:
                 self.kernel.notify(of.pipe.close_reader())
-            peer = getattr(of, "peer_pipe", None)
-            if peer is not None and not of.shut_wr:
-                self.kernel.notify(peer.close_writer())
+            if of.peer_pipe is not None and not of.shut_wr:
+                self.kernel.notify(of.peer_pipe.close_writer())
 
     def _broken_pipe(self, t: Thread, name: str) -> None:
         """Writing with no reader: POSIX delivers SIGPIPE *and* fails the
@@ -290,7 +287,8 @@ class SyscallTable:
 
     def sys_read(self, t: Thread, fd: int, count: int):
         of = t.process.fdtable.get(fd)
-        if of.kind is FdKind.FILE:
+        kind = of.kind
+        if kind is FdKind.FILE:
             node = of.inode
             data = bytes(node.data[of.offset:of.offset + count])
             of.offset += len(data)
@@ -298,40 +296,29 @@ class SyscallTable:
             self._fs.note(node)
             self.kernel.charge_io(t, len(data))
             return data
-        if of.kind is FdKind.DEVICE:
+        if kind is FdKind.DEVICE:
             if of.inode is not None and of.inode.dev_read is not None:
                 # Device reads advance internal cursors (procfs position),
                 # which the snapshot layer captures off the inode.
                 self._fs.note(of.inode)
                 return of.inode.dev_read(count)
             return b""
-        if of.kind is FdKind.PIPE_READ:
-            data = of.pipe.read(count)
-            if data:
-                self.kernel.notify(of.pipe.writable)
-            self.kernel.charge_io(t, len(data))
-            return data
-        if of.kind is FdKind.SOCKETPAIR:
-            if of.shut_rd:
-                return b""               # SHUT_RD: immediate EOF
-            data = of.pipe.read(count)   # our receive direction
-            if data:
-                self.kernel.notify(of.pipe.writable)
-            self.kernel.charge_io(t, len(data))
-            return data
-        if of.kind is FdKind.SOCKET:
+        if kind is FdKind.PIPE or kind is FdKind.SOCKET:
             if of.socket is not None:    # external fake peer (§5.9)
                 return of.socket.read(count)
             if of.shut_rd:
                 return b""               # SHUT_RD: immediate EOF
-            if of.pipe is None:
-                raise SyscallError(Errno.ENOTCONN, "read")
-            data = of.pipe.read(count)
+            pipe = of.pipe               # the receive direction
+            if pipe is None:
+                # A pipe's write end, or a socket not connected.
+                raise SyscallError(Errno.EBADF if kind is FdKind.PIPE
+                                   else Errno.ENOTCONN, "read")
+            data = pipe.read(count)
             if data:
-                self.kernel.notify(of.pipe.writable)
+                self.kernel.notify(pipe.writable)
             self.kernel.charge_io(t, len(data))
             return data
-        if of.kind is FdKind.DIRECTORY:
+        if kind is FdKind.DIRECTORY:
             raise SyscallError(Errno.EISDIR, "read")
         raise SyscallError(Errno.EBADF, "read")
 
@@ -339,7 +326,8 @@ class SyscallTable:
         of = t.process.fdtable.get(fd)
         if isinstance(data, str):
             data = data.encode()
-        if of.kind is FdKind.FILE:
+        kind = of.kind
+        if kind is FdKind.FILE:
             node = of.inode
             if of.flags & O_APPEND:
                 of.offset = len(node.data)
@@ -353,24 +341,20 @@ class SyscallTable:
             self._fs.note(node)
             self.kernel.charge_io(t, len(data))
             return len(data)
-        if of.kind is FdKind.DEVICE:
+        if kind is FdKind.DEVICE:
             if of.inode is not None and of.inode.dev_write is not None:
                 self._fs.note(of.inode)
                 return of.inode.dev_write(data)
             return len(data)
-        if of.kind is FdKind.PIPE_WRITE:
-            return self._pipe_write(t, of.pipe, data, "write")
-        if of.kind is FdKind.SOCKETPAIR:
-            if of.shut_wr:
-                self._broken_pipe(t, "write")
-            return self._pipe_write(t, of.peer_pipe, data, "write")
-        if of.kind is FdKind.SOCKET:
+        if kind is FdKind.PIPE or kind is FdKind.SOCKET:
             if of.socket is not None:    # external fake peer (§5.9)
                 return of.socket.write(data)
             if of.shut_wr:
                 self._broken_pipe(t, "write")
             if of.peer_pipe is None:
-                raise SyscallError(Errno.ENOTCONN, "write")
+                # A pipe's read end, or a socket not connected.
+                raise SyscallError(Errno.EBADF if kind is FdKind.PIPE
+                                   else Errno.ENOTCONN, "write")
             return self._pipe_write(t, of.peer_pipe, data, "write")
         raise SyscallError(Errno.EBADF, "write")
 
@@ -395,8 +379,9 @@ class SyscallTable:
         pipe = self.kernel.new_pipe()
         pipe.open_reader()
         pipe.open_writer()
-        r = OpenFile(kind=FdKind.PIPE_READ, pipe=pipe, path="pipe:[%d]" % pipe.pipe_id)
-        w = OpenFile(kind=FdKind.PIPE_WRITE, pipe=pipe, path="pipe:[%d]" % pipe.pipe_id)
+        r = OpenFile(kind=FdKind.PIPE, pipe=pipe, path="pipe:[%d]" % pipe.pipe_id)
+        w = OpenFile(kind=FdKind.PIPE, peer_pipe=pipe,
+                     path="pipe:[%d]" % pipe.pipe_id)
         rfd = t.process.fdtable.install(r)
         wfd = t.process.fdtable.install(w)
         return (rfd, wfd)
@@ -868,9 +853,10 @@ class SyscallTable:
         return (body, headers)
 
     def sys_socketpair(self, t: Thread):
-        """AF_UNIX socketpair: two connected bidirectional endpoints.
+        """AF_UNIX socketpair: two connected sockets.
 
-        Modelled as a crossed pair of pipes; entirely container-internal,
+        Each end is a connected AF_UNIX ``SOCKET`` over a crossed pair of
+        pipes, like an accepted connection; entirely container-internal,
         which is why it is determinizable where network sockets are not
         (the paper's §5.9 future-work item).
         """
@@ -878,12 +864,12 @@ class SyscallTable:
         for pipe in (a_to_b, b_to_a):
             pipe.open_reader()
             pipe.open_writer()
-        end_a = OpenFile(kind=FdKind.SOCKETPAIR, path="socketpair:[a]",
-                         pipe=b_to_a)
-        end_a.peer_pipe = a_to_b
-        end_b = OpenFile(kind=FdKind.SOCKETPAIR, path="socketpair:[b]",
-                         pipe=a_to_b)
-        end_b.peer_pipe = b_to_a
+        end_a = OpenFile(kind=FdKind.SOCKET, path="socketpair:[a]",
+                         pipe=b_to_a, peer_pipe=a_to_b,
+                         sock_family=socklib.AF_UNIX)
+        end_b = OpenFile(kind=FdKind.SOCKET, path="socketpair:[b]",
+                         pipe=a_to_b, peer_pipe=b_to_a,
+                         sock_family=socklib.AF_UNIX)
         fd_a = t.process.fdtable.install(end_a)
         fd_b = t.process.fdtable.install(end_b)
         return (fd_a, fd_b)
@@ -975,9 +961,7 @@ class SyscallTable:
         return (t.process.fdtable.install(conn), peer)
 
     def sys_connect(self, t: Thread, fd: int, address: str = "example.com:80"):
-        of = t.process.fdtable.get(fd)
-        if of.kind is not FdKind.SOCKET:
-            raise SyscallError(Errno.ENOTSOCK, "connect")
+        of = self._sock(t, fd, "connect")
         if of.pipe is not None or of.socket is not None:
             raise SyscallError(Errno.EISCONN, "connect")
         if of.listener is not None:
@@ -1022,21 +1006,15 @@ class SyscallTable:
         return 0
 
     def sys_send(self, t: Thread, fd: int, data: bytes):
-        of = t.process.fdtable.get(fd)
-        if of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR):
-            raise SyscallError(Errno.ENOTSOCK, "send")
+        self._sock(t, fd, "send")
         return self.sys_write(t, fd, data)
 
     def sys_recv(self, t: Thread, fd: int, count: int):
-        of = t.process.fdtable.get(fd)
-        if of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR):
-            raise SyscallError(Errno.ENOTSOCK, "recv")
+        self._sock(t, fd, "recv")
         return self.sys_read(t, fd, count)
 
     def sys_shutdown(self, t: Thread, fd: int, how: int = socklib.SHUT_RDWR):
-        of = t.process.fdtable.get(fd)
-        if of.kind not in (FdKind.SOCKET, FdKind.SOCKETPAIR):
-            raise SyscallError(Errno.ENOTSOCK, "shutdown")
+        of = self._sock(t, fd, "shutdown")
         if of.pipe is None or of.peer_pipe is None:
             raise SyscallError(Errno.ENOTCONN, "shutdown")
         if how not in (socklib.SHUT_RD, socklib.SHUT_WR, socklib.SHUT_RDWR):
@@ -1059,9 +1037,12 @@ class SyscallTable:
         if request == "TIOCGWINSZ":
             return (80, 24)
         if request == "FIONREAD":
-            if of.is_pipe and of.pipe is not None:
-                return of.pipe.bytes_buffered
-            return 0
+            # The bytes buffered in a socket's receive direction, or in
+            # the pipe of either end of a pipe.
+            pipe = of.pipe
+            if pipe is None and of.kind is FdKind.PIPE:
+                pipe = of.peer_pipe
+            return pipe.bytes_buffered if pipe is not None else 0
         raise SyscallError(Errno.ENOTTY, "ioctl", request)
 
     # ------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 
 from repro.cache import RunCache, run_key
 from repro.core import CacheConfig, ContainerConfig, DetTrace, Image, ablated
-from repro.core.config import CheckpointConfig
+from repro.core.config import MECHANISMS, CheckpointConfig
 from repro.cpu.machine import HASWELL_XEON, HostEnvironment
+from repro.faults.verify import boot_host
 
 pytestmark = pytest.mark.cache
 
@@ -15,6 +16,17 @@ pytestmark = pytest.mark.cache
 def _main(sys):
     yield from sys.println("hello")
     yield from sys.write_file("out.txt", b"artifact\n")
+    return 0
+
+
+def _external_ping(sys):
+    """Talks to a host outside the container: with sockets passed
+    through, the answer carries the host's wall clock."""
+    fd = yield from sys.socket()
+    yield from sys.connect(fd, "example.com:80")
+    yield from sys.write(fd, b"ping")
+    reply = yield from sys.read(fd, 64)
+    yield from sys.println(reply.decode())
     return 0
 
 
@@ -80,6 +92,13 @@ class TestRunKey:
         boot_b = HostEnvironment(entropy_seed=2, boot_epoch=1.7e9)
         assert _key(config=cfg, host=boot_a) != _key(config=cfg, host=boot_b)
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_every_declared_mechanism_off_keys_the_boot(self, mechanism):
+        cfg = ablated(mechanism)
+        boot_a = HostEnvironment(entropy_seed=1, boot_epoch=1.6e9)
+        boot_b = HostEnvironment(entropy_seed=2, boot_epoch=1.7e9)
+        assert _key(config=cfg, host=boot_a) != _key(config=cfg, host=boot_b)
+
     def test_machine_spec_always_in_key(self):
         assert (_key(host=HostEnvironment())
                 != _key(host=HostEnvironment(machine=HASWELL_XEON)))
@@ -105,6 +124,23 @@ class TestMemoizedRun:
         assert second.output_tree == first.output_tree
         assert second.exit_code == first.exit_code
         assert second.syscall_count == first.syscall_count
+
+    def test_passed_through_socket_misses_on_another_boot(self, tmp_path):
+        # The fake external peer answers with the boot's wall clock: a
+        # second boot must miss and print its own line, not the first's.
+        cfg = ContainerConfig(reject_sockets=False,
+                              cache=CacheConfig(directory=str(tmp_path)))
+        first = DetTrace(cfg).run(_image(_external_ping), "/bin/main",
+                                  host=boot_host(1))
+        second = DetTrace(cfg).run(_image(_external_ping), "/bin/main",
+                                   host=boot_host(2))
+        fresh = DetTrace(ContainerConfig(reject_sockets=False)).run(
+            _image(_external_ping), "/bin/main", host=boot_host(2))
+        assert first.cache["outcome"] == "store"
+        assert second.cache["outcome"] == "store"
+        assert second.stdout == fresh.stdout
+        assert second.stdout != first.stdout
+        assert second.stdout.startswith("pong ")
 
     def test_hit_metrics_carry_the_producing_runs_counters(self, tmp_path):
         cfg = self._cfg(tmp_path)

@@ -7,13 +7,8 @@ import os
 
 import pytest
 
-from repro.ckpt import JournalError, SnapshotInfo, prune, scan
-from repro.ckpt.journal import (
-    latest_valid,
-    load_snapshot,
-    snapshot_path,
-    write_snapshot,
-)
+from repro.ckpt import JournalError, RecoveryManager, SnapshotInfo, prune, scan
+from repro.ckpt.journal import read_chain, snapshot_path, write_snapshot
 from repro.core import DetTrace
 from repro.cpu.machine import HostEnvironment
 
@@ -26,6 +21,18 @@ def _write(directory, barrier, payload=b"payload-bytes", fp=FP):
     os.makedirs(directory, exist_ok=True)
     return write_snapshot(directory, barrier, vclock=barrier * 0.5,
                           fingerprint=fp, payload=payload).path
+
+
+def _load(path, fingerprint=FP, offset=0):
+    """(info, payload bytes) of the record at ``path@offset`` as
+    :func:`read_chain` validates its file; raises :class:`JournalError`
+    when it, or a record before it in the file, is unusable."""
+    for info, payload in read_chain(path, fingerprint=fingerprint):
+        if not info.valid:
+            raise JournalError(info.error)
+        if info.offset == offset:
+            return info, bytes(payload)
+    raise JournalError("%s@%d: no record starts there" % (path, offset))
 
 
 def _set_format(path, version):
@@ -44,7 +51,7 @@ def test_format_2_snapshot_rejected(journal_dir):
     path = _write(journal_dir, 7)
     _set_format(path, 2)
     with pytest.raises(JournalError, match="format 2"):
-        load_snapshot(path, fingerprint=FP)
+        _load(path)
     [info] = scan(journal_dir)
     assert not info.valid and "format 2" in info.error
 
@@ -63,11 +70,11 @@ def test_resume_over_format_2_journal_raises_journal_error(journal_dir):
 
 def test_round_trip(journal_dir):
     path = _write(journal_dir, 42, payload=b"\x00\x01hello")
-    header, payload = load_snapshot(path, fingerprint=FP)
+    info, payload = _load(path)
     assert payload == b"\x00\x01hello"
-    assert header["barrier"] == 42
-    assert header["vclock"] == 21.0
-    assert header["fingerprint"] == FP
+    assert info.barrier == 42
+    assert info.vclock == 21.0
+    assert info.fingerprint == FP
 
 
 def test_no_temp_files_left_behind(journal_dir):
@@ -84,7 +91,7 @@ def test_truncated_payload_detected(journal_dir):
     with open(path, "wb") as fh:
         fh.write(blob[:-100])  # torn tail
     with pytest.raises(JournalError, match="length|truncat"):
-        load_snapshot(path, fingerprint=FP)
+        _load(path)
 
 
 def test_corrupt_payload_detected_by_checksum(journal_dir):
@@ -93,7 +100,7 @@ def test_corrupt_payload_detected_by_checksum(journal_dir):
         fh.seek(-10, os.SEEK_END)
         fh.write(b"B")  # same length, wrong bytes
     with pytest.raises(JournalError, match="sha256|checksum"):
-        load_snapshot(path, fingerprint=FP)
+        _load(path)
 
 
 def test_torn_header_detected(journal_dir):
@@ -102,7 +109,7 @@ def test_torn_header_detected(journal_dir):
     with open(path, "wb") as fh:
         fh.write(b'{"format": 1, "barrier"')  # no newline, invalid JSON
     with pytest.raises(JournalError, match="truncated header"):
-        load_snapshot(path)
+        _load(path, fingerprint=None)
     [info] = scan(journal_dir)
     assert not info.valid and "truncated header" in info.error
 
@@ -110,8 +117,8 @@ def test_torn_header_detected(journal_dir):
 def test_fingerprint_mismatch_rejected(journal_dir):
     path = _write(journal_dir, 5, fp="other-config")
     with pytest.raises(JournalError, match="fingerprint"):
-        load_snapshot(path, fingerprint=FP)
-    load_snapshot(path, fingerprint=None)  # unscoped read still works
+        _load(path)
+    _load(path, fingerprint=None)  # unscoped read still works
 
 
 def test_scan_orders_newest_first_and_flags_invalid(journal_dir):
@@ -124,7 +131,7 @@ def test_scan_orders_newest_first_and_flags_invalid(journal_dir):
     assert [i.barrier for i in infos if i.valid] == [30, 10]
     bad = [i for i in infos if not i.valid]
     assert len(bad) == 1 and bad[0].error
-    assert latest_valid(journal_dir, fingerprint=FP).barrier == 30
+    assert RecoveryManager(journal_dir, fingerprint=FP).latest().barrier == 30
 
 
 def test_fallback_to_newest_valid(journal_dir):
@@ -133,7 +140,7 @@ def test_fallback_to_newest_valid(journal_dir):
     newest = _write(journal_dir, 3, payload=b"Z" * 64)
     with open(newest, "r+b") as fh:
         fh.truncate(os.path.getsize(newest) - 8)
-    assert latest_valid(journal_dir, fingerprint=FP).barrier == 2
+    assert RecoveryManager(journal_dir, fingerprint=FP).latest().barrier == 2
 
 
 def test_prune_keeps_newest_valid_and_drops_invalid(journal_dir):
@@ -151,7 +158,7 @@ def test_prune_keeps_newest_valid_and_drops_invalid(journal_dir):
 
 def test_scan_of_missing_directory_is_empty(tmp_path):
     assert scan(str(tmp_path / "nope")) == []
-    assert latest_valid(str(tmp_path / "nope")) is None
+    assert RecoveryManager(str(tmp_path / "nope")).latest() is None
 
 
 def test_deltas_append_to_their_chains_file(journal_dir):
@@ -167,10 +174,10 @@ def test_deltas_append_to_their_chains_file(journal_dir):
         i.to_dict() for i in (d2, d1, full)]
     for info, payload in ((full, b"full"), (d1, b"delta-1"),
                           (d2, b"delta-2")):
-        header, got = load_snapshot(info.path, FP, offset=info.offset)
-        assert got == payload and header["barrier"] == info.barrier
+        read, got = _load(info.path, offset=info.offset)
+        assert got == payload and read.barrier == info.barrier
     with pytest.raises(JournalError, match="no record starts there"):
-        load_snapshot(full.path, FP, offset=d1.offset + 1)
+        _load(full.path, offset=d1.offset + 1)
 
 
 def test_a_record_that_does_not_extend_its_chain_ends_the_listing(

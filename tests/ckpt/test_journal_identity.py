@@ -131,7 +131,7 @@ class TestOpaqueIds:
         assert crashed.status == "crashed", (crashed.status, crashed.error)
 
         newest = scan(journal_dir)[0]
-        header, blob = journal.load_snapshot(newest.path)
+        blob = RecoveryManager(journal_dir).record(newest)
         payload = pickle.loads(blob)
         assert _shares_a_description(payload)
         remap = {key: 140_000_000_000 + 48 * (len(payload["of_records"]) - i)
@@ -141,8 +141,8 @@ class TestOpaqueIds:
         for prec in payload["processes"]:
             prec["fdtable"] = {fd: remap[key]
                                for fd, key in prec["fdtable"].items()}
-        journal.write_snapshot(journal_dir, header["barrier"],
-                               header["vclock"], header["fingerprint"],
+        journal.write_snapshot(journal_dir, newest.barrier,
+                               newest.vclock, newest.fingerprint,
                                pickle.dumps(payload))
         _info, loaded = RecoveryManager(journal_dir).load()
         assert set(loaded["of_records"]) == set(remap.values())

@@ -120,12 +120,12 @@ def test_event_naming_another_kernel_method_is_refused(journal_dir):
                                 host=HostEnvironment(entropy_seed=7))
     assert crashed.status == "crashed", (crashed.status, crashed.error)
     newest = scan(journal_dir)[0]
-    header, blob = journal.load_snapshot(newest.path)
+    blob = RecoveryManager(journal_dir).record(newest)
     payload = pickle.loads(blob)
     t, seq, _name, tid, _args = payload["events"][0]
     payload["events"][0] = (t, seq, "terminate_process", tid, (0,))
-    journal.write_snapshot(journal_dir, header["barrier"], header["vclock"],
-                           header["fingerprint"], pickle.dumps(payload))
+    journal.write_snapshot(journal_dir, newest.barrier, newest.vclock,
+                           newest.fingerprint, pickle.dumps(payload))
     resumed = DetTrace(cfg).resume(ckpt_image(), "/bin/main")
     assert resumed.status == "crashed"
     assert "RestoreError" in resumed.error

@@ -9,10 +9,12 @@ import os
 
 import pytest
 
-from repro.core import ContainerConfig, DetTrace
+from repro.ckpt.manager import RecoveryManager
+from repro.core import ContainerConfig, DetTrace, Image
 from repro.cpu.machine import HostEnvironment
 from repro.kernel.pipes import Pipe
 from repro.kernel.sockets import AF_INET, AF_UNIX, SocketRegistry
+from repro.kernel.types import O_RDWR
 
 from .conftest import ckpt_config, result_fp
 
@@ -105,3 +107,52 @@ class TestRegistryRoundTrip:
         reg.alloc_port()
         c = _STAMPS["sockets"](kernel)
         assert c != a                          # any mutation moves it
+
+
+def _streams(sys_):
+    """Bytes left unread across barriers in both directions of a
+    socketpair and in a FIFO opened O_RDWR, read back at the end."""
+    yield from sys_.mkfifo("loop")
+    fifo = yield from sys_.open("loop", O_RDWR)
+    a, b = yield from sys_.socketpair()
+    for i in range(10):
+        yield from sys_.write(fifo, b"f%d," % i)
+        yield from sys_.send(a, b"a%d," % i)
+        yield from sys_.send(b, b"b%d," % i)
+        yield from sys_.write_file("step%d" % i, b"%d" % i)
+    got = [(yield from sys_.read(fifo, 30)), (yield from sys_.recv(b, 30)),
+           (yield from sys_.recv(a, 30))]
+    yield from sys_.println(" ".join(data.decode() for data in got))
+    for fd in (fifo, a, b):
+        yield from sys_.close(fd)
+    return 0
+
+
+def _streams_image() -> Image:
+    image = Image()
+    image.add_binary("/bin/main", _streams)
+    return image
+
+
+class TestStreamResumeFromDelta:
+    @pytest.mark.parametrize("tick", [30, 45])
+    def test_unread_stream_bytes_resume_from_a_delta(self, journal_dir,
+                                                     tick):
+        baseline = DetTrace(ContainerConfig()).run(
+            _streams_image(), "/bin/main", host=HOST)
+        assert baseline.exit_code == 0, (baseline.status, baseline.error)
+        assert baseline.stdout == " ".join(
+            "".join("%s%d," % (end, i) for i in range(10))
+            for end in "fab") + "\n"
+        cfg = ckpt_config(journal_dir, tick=tick, every=4, full_every=4)
+        crashed = DetTrace(cfg).run(_streams_image(), "/bin/main", host=HOST)
+        assert crashed.status == "crashed", (crashed.status, crashed.error)
+        info, payload = RecoveryManager(journal_dir).load()
+        assert info.snapshot_kind == "delta"
+        # The FIFO and both socketpair directions hold unread bytes.
+        assert sum(1 for rec in payload["pipes"].values()
+                   if rec["buffer"]) == 3
+        resumed = DetTrace(cfg).resume(_streams_image(), "/bin/main")
+        assert resumed.status == "resumed", (resumed.status, resumed.error)
+        assert resumed.stdout == baseline.stdout
+        assert resumed.output_tree == baseline.output_tree

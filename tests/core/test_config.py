@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ablated("not_a_feature")
 
+    @pytest.mark.parametrize("knob", ["timeout", "cache", "observe",
+                                      "deterministic_loopback"])
+    def test_ablated_accepts_only_mechanisms(self, knob):
+        # A knob that is not a mechanism exists, but is not ablatable.
+        assert hasattr(ContainerConfig(), knob)
+        with pytest.raises(ValueError):
+            ablated(knob)
+
     def test_full_config_overrides(self):
         cfg = full_config(prng_seed=99, timeout=5.0)
         assert cfg.prng_seed == 99

@@ -69,13 +69,13 @@ def test_remove_is_o1_and_rearms_blocked():
     s.add(b)
     # b's probe fails in the current epoch: it parks in the stash.
     s.still_blocked(b)
-    assert s.blocked_count() == 1
+    assert len(s._fail_seq) == 1
     assert s.next_action() == (SERVICE, a)
     # a exits; the epoch bump must re-arm b as a PROBE candidate even
     # though no service completed.
     a.state = ThreadState.EXITED
     s.remove(a)
-    assert s.live_count() == 1
+    assert len(s.live()) == 1
     assert s.next_action() == (PROBE, b)
     # Removal leaves no membership behind (heap entries die lazily).
     assert a not in s._index and a not in s._fail_seq
@@ -96,8 +96,7 @@ def test_stash_rearmed_after_service():
     # The completed service advanced the epoch: a is probe-eligible and
     # its retry is a PROBE (it still sits in _fail_seq until it lands).
     assert s.next_action() == (PROBE, a)
-    s.completed(a)
-    assert s.blocked_count() == 0
+    assert s.completed(a) == 0
 
 
 def test_transitions_consume_the_decided_entry():
@@ -138,9 +137,9 @@ def test_transitions_consume_the_decided_entry():
     b.state = ThreadState.RUNNING
     b.current_syscall = None
     assert s.next_action() == (PROBE, waiter)
-    s.completed(waiter)
+    blocked = s.completed(waiter)
     assert s._stop_heap == [] and s._stash == []
-    assert s.blocked_count() == 0
+    assert blocked == 0
 
 
 def test_bound_heap_refreshes_stale_stamps():
@@ -239,7 +238,6 @@ def test_randomized_lockstep_against_reference():
                 t.state = ThreadState.RUNNING
                 t.det_clock = t.det_bound = t.det_clock + SYSCALL_TICK * (
                     1 + rng.randint(0, 3))
-                fast.completed(t)
-                ref.completed(t)
-        assert fast.blocked_count() == ref.blocked_count()
-        assert fast.live_count() == ref.live_count()
+                assert fast.completed(t) == ref.completed(t)
+        assert len(fast._fail_seq) == len(ref._fail_seq)
+        assert len(fast.live()) == len(ref.live())

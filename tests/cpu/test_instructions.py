@@ -1,5 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.config import ContainerConfig
+from repro.core.namespaces import UidGidMap
+from repro.core.tracer import DetTraceTracer
 from repro.cpu import instructions as insn
 from repro.cpu.machine import HASWELL_XEON, SANDY_BRIDGE, SKYLAKE_CLOUDLAB, HostEnvironment
 from repro.kernel.errors import GuestCrash
@@ -77,9 +82,19 @@ class TestDispatch:
 
 class TestTrapConfig:
     def test_flags(self):
-        cfg = insn.TrapConfig(trap_rdtsc=True, trap_cpuid=False)
-        assert cfg.traps(insn.RDTSC)
-        assert cfg.traps(insn.RDTSCP)
-        assert not cfg.traps(insn.CPUID)
-        assert cfg.traps(insn.RDPMC)
-        assert not cfg.traps(insn.RDRAND)
+        """The tracer's trap set: rdtsc by config, cpuid only when
+        masking is on and the machine can fault it, rdpmc always, the
+        untrappable instructions never."""
+        def traps(machine=SKYLAKE_CLOUDLAB, **config):
+            tracer = DetTraceTracer(ContainerConfig(**config),
+                                    UidGidMap(host_uid=1000))
+            tracer.kernel = SimpleNamespace(
+                host=HostEnvironment(machine=machine))
+            return {name for name in insn.ALL_INSTRUCTIONS
+                    if tracer.traps_instruction(None, name)}
+
+        assert traps() == {insn.RDTSC, insn.RDTSCP, insn.CPUID, insn.RDPMC}
+        assert traps(mask_cpuid=False) == {insn.RDTSC, insn.RDTSCP,
+                                           insn.RDPMC}
+        assert traps(SANDY_BRIDGE) == {insn.RDTSC, insn.RDTSCP, insn.RDPMC}
+        assert traps(trap_rdtsc=False) == {insn.CPUID, insn.RDPMC}

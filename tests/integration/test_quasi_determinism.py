@@ -1,6 +1,6 @@
 """Quasi-determinism (§3): runs agree bitwise, or at least one fails
-*reproducibly* — now exercised across the whole fault matrix of
-``repro.faults`` rather than just the legacy disk-full cap."""
+*reproducibly* — exercised across the whole fault matrix of
+``repro.faults``, the disk-full cap included."""
 import pytest
 
 from repro.core import ContainerConfig, DetTrace, Image
@@ -13,10 +13,11 @@ from repro.workloads.debian.buildtools import TOOLS
 
 
 def run_with_disk(spec, disk_bytes, seed):
-    host = HostEnvironment(entropy_seed=seed, disk_free_bytes=disk_bytes)
-    return DetTrace(ContainerConfig(timeout=5.0)).run(
+    plan = (None if disk_bytes is None else FaultPlan(rules=(
+        FaultRule(fault="disk_full", bytes=disk_bytes),)))
+    return DetTrace(ContainerConfig(timeout=5.0, fault_plan=plan)).run(
         package_image(spec), TOOLS["driver"], argv=["dpkg-buildpackage"],
-        host=host)
+        host=HostEnvironment(entropy_seed=seed))
 
 
 class TestDiskFull:

@@ -1,7 +1,9 @@
 """Named pipes (mkfifo)."""
+import pytest
+
 from repro.kernel.errors import Errno, SyscallError
-from repro.kernel.types import O_WRONLY
-from tests.conftest import run_guest
+from repro.kernel.types import O_RDWR, O_WRONLY
+from tests.conftest import dettrace_run, native_run, run_guest
 
 
 class TestFifo:
@@ -80,3 +82,23 @@ class TestFifoUnderDetTrace:
             assert r.output_tree["got"] == b"000102030405"
         assert results[0].output_tree == results[1].output_tree
         assert results[0].counters.read_retries > 0
+
+
+def _fifo_read_write(sys):
+    """One O_RDWR descriptor holds both ends: what it writes, it reads."""
+    yield from sys.mkfifo("loop")
+    fd = yield from sys.open("loop", O_RDWR)
+    n = yield from sys.write(fd, b"hi")
+    data = yield from sys.read(fd, 2)
+    yield from sys.close(fd)
+    yield from sys.println("%d %r" % (n, data))
+    return 0
+
+
+class TestFifoReadWrite:
+    @pytest.mark.parametrize("runner", [dettrace_run, native_run],
+                             ids=["dettrace", "native"])
+    def test_rdwr_fifo_reads_back_its_own_write(self, runner):
+        result = runner(_fifo_read_write)
+        assert result.exit_code == 0, (result.status, result.error)
+        assert result.stdout == "2 b'hi'\n"

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.cpu.machine import BROADWELL_XEON, SKYLAKE_CLOUDLAB, HostEnvironment
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.kernel.errors import Errno, SyscallError
 from repro.kernel.filesystem import Filesystem, normalize, split_path
 
@@ -143,7 +144,9 @@ class TestIrreproducibilitySources:
 
 class TestDiskAccounting:
     def test_enospc_injection(self):
-        fs = Filesystem(HostEnvironment(disk_free_bytes=10))
+        fs = Filesystem(HostEnvironment())
+        fs.fault_injector = FaultInjector(FaultPlan(rules=(
+            FaultRule(fault="disk_full", bytes=10),)))
         fs.write_file("/small", b"12345")
         with pytest.raises(SyscallError) as exc:
             fs.write_file("/big", b"X" * 100)

@@ -25,7 +25,7 @@ from tests.conftest import dettrace_run
 #: Services of each kind the child makes.
 ROUNDS = 40
 #: Python calls per guest syscall under ``Kernel.run``, at most.
-CEILING = 34.85
+CEILING = 32.77
 
 
 def _child(sys_):

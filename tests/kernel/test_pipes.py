@@ -2,7 +2,10 @@ import pytest
 
 from repro.kernel.errors import Errno, SyscallError
 from repro.kernel.pipes import Pipe
+from repro.kernel.types import O_WRONLY
 from repro.kernel.waiting import WouldBlock
+
+from .test_syscalls import returns
 
 
 def open_pipe(capacity=16):
@@ -67,3 +70,50 @@ class TestPipeWrite:
         p.write(b"cd")
         assert p.read(3) == b"abc"
         assert p.read(3) == b"d"
+
+
+def _errno_of(call):
+    try:
+        yield from call()
+    except SyscallError as err:
+        return err.errno
+    return None
+
+
+class TestEndDirections:
+    """Each end of a pipe or one-way FIFO moves bytes one way only, and
+    none is a socket."""
+
+    def test_wrong_direction_is_ebadf(self):
+        def prog(sys):
+            r, w = yield from sys.pipe()
+            yield from sys.mkfifo("f")
+            fr = yield from sys.open("f")
+            fw = yield from sys.open("f", O_WRONLY)
+            return [(yield from _errno_of(lambda: sys.read(w, 1))),
+                    (yield from _errno_of(lambda: sys.write(r, b"x"))),
+                    (yield from _errno_of(lambda: sys.read(fw, 1))),
+                    (yield from _errno_of(lambda: sys.write(fr, b"x")))]
+
+        value, _ = returns(prog)
+        assert value == [Errno.EBADF] * 4
+
+    def test_fionread_counts_the_pipe_from_either_end(self):
+        def prog(sys):
+            r, w = yield from sys.pipe()
+            yield from sys.write(w, b"abc")
+            return [(yield from sys.ioctl(r, "FIONREAD")),
+                    (yield from sys.ioctl(w, "FIONREAD"))]
+
+        value, _ = returns(prog)
+        assert value == [3, 3]
+
+    def test_socket_calls_on_a_pipe_are_enotsock(self):
+        def prog(sys):
+            r, w = yield from sys.pipe()
+            return [(yield from _errno_of(lambda: sys.recv(r, 1))),
+                    (yield from _errno_of(lambda: sys.send(w, b"x"))),
+                    (yield from _errno_of(lambda: sys.shutdown(r)))]
+
+        value, _ = returns(prog)
+        assert value == [Errno.ENOTSOCK] * 3

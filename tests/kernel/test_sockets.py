@@ -9,7 +9,7 @@ from repro.kernel.sockets import (
 )
 from repro.kernel.types import O_APPEND, O_NONBLOCK, O_RDWR, make_signal_status
 from repro.guest import libc
-from tests.conftest import run_guest
+from tests.conftest import dettrace_run, native_run, run_guest
 
 from .test_syscalls import returns
 
@@ -245,6 +245,33 @@ class TestStreamSockets:
 
         value, _ = returns(prog)
         assert value.startswith(b"pong ")
+
+
+def _socketpair_socket_calls(sys):
+    """getsockname, connect and accept on one end of a socketpair."""
+    a, _b = yield from sys.socketpair()
+    answers = [repr((yield from sys.getsockname(a)))]
+    for call in (lambda: sys.connect(a, "/run/elsewhere.sock"),
+                 lambda: sys.accept(a)):
+        try:
+            yield from call()
+            answers.append("ok")
+        except SyscallError as err:
+            answers.append(Errno(err.errno).name)
+    yield from sys.println(" ".join(answers))
+    return 0
+
+
+class TestSocketpairIsAConnectedSocket:
+    """A socketpair end answers the socket calls as a connected AF_UNIX
+    socket does: no name, already connected, not listening."""
+
+    @pytest.mark.parametrize("runner", [dettrace_run, native_run],
+                             ids=["dettrace", "native"])
+    def test_socket_calls_on_a_socketpair_end(self, runner):
+        result = runner(_socketpair_socket_calls)
+        assert result.exit_code == 0, (result.status, result.error)
+        assert result.stdout == "'' EISCONN EINVAL\n"
 
 
 def _ping_client(address):

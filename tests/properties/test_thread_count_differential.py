@@ -2,9 +2,9 @@
 
 The tracer stop path no longer scans threads: thread serialization asks
 ``Process.live_thread_count`` whether a process has more than one live
-thread, and ``sched/threads_peak`` is only rescanned when the
-scheduler's membership could exceed the recorded peak.  Both shortcuts
-are checked here against the brute-force answers they replace, on a
+thread, and ``sched/threads_peak`` samples the kernel-wide
+``Kernel.live_thread_count``.  Both counts are checked here against the
+brute-force answers they replace, on a
 16-thread program and on a program that execs while sibling threads are
 alive, under the fast scheduler and the reference oracle, and again
 across a kill and a checkpoint resume.
@@ -90,31 +90,36 @@ def oracle(monkeypatch):
     longer passes through shows as zero."""
     seen = {"live": [], "mismatch": [], "checks": collections.Counter()}
 
-    def check(proc, where):
+    def check(kernel, proc, where):
         # Exact equality: stronger than agreeing on "more than one".
         seen["checks"][where] += 1
         scan = len(proc.live_threads())
         if proc.live_thread_count != scan:
             seen["mismatch"].append((where, proc.pid,
                                      proc.live_thread_count, scan))
+        total = sum(len(p.live_threads()) for p in kernel.processes)
+        if kernel.live_thread_count != total:
+            seen["mismatch"].append((where, "kernel",
+                                     kernel.live_thread_count, total))
 
     step_or_wait = Kernel._step_or_wait
     tracer_resume = Kernel.tracer_resume
 
     def checked_step(self, thread, value, exc):
-        check(thread.process, "step")
+        check(self, thread.process, "step")
         return step_or_wait(self, thread, value, exc)
 
     def checked_resume(self, thread, at, value=None, exc=None):
-        check(thread.process, "resume")
+        check(self, thread.process, "resume")
         return tracer_resume(self, thread, at, value=value, exc=exc)
 
     monkeypatch.setattr(Kernel, "_step_or_wait", checked_step)
     monkeypatch.setattr(Kernel, "tracer_resume", checked_resume)
     for cls in (LogicalClockScheduler, LogicalClockRefScheduler):
         def completed(self, thread, _orig=cls.completed):
-            _orig(self, thread)
+            blocked = _orig(self, thread)
             seen["live"].append(len(self.live()))
+            return blocked
         monkeypatch.setattr(cls, "completed", completed)
     return seen
 
